@@ -41,7 +41,6 @@ from .linalg import (
     eig_unitary,
     hermiticity_residual,
     involution_residual,
-    is_hermitian,
     is_involution,
     is_unitary,
     kernel_basis,

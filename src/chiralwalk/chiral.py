@@ -28,9 +28,10 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _involution_eigenspaces,
     _maxabs,
+    _near_unit,
     as_square_matrix,
-    eig_hermitian,
     hermiticity_residual,
     involution_residual,
     kernel_basis,
@@ -137,12 +138,18 @@ def super_operators(pair: ChiralPair) -> SuperOperators:
     are the graded diagonal blocks of the squared supercharge, written in
     the graded bases.
     """
-    q = (pair.u - pair.u.conj().T) / 2.0j
+    return _super_operators(pair, graded_decomposition(pair))
+
+
+def _super_operators(pair: ChiralPair, graded: GradedDecomposition) -> SuperOperators:
+    q = _supercharge(pair)
     r = (pair.u + pair.u.conj().T) / 2.0
-    h = q @ q
-    graded = graded_decomposition(pair)
     a = graded.alpha
-    return SuperOperators(q=q, r=r, h=h, h_plus=a.conj().T @ a, h_minus=a @ a.conj().T)
+    return SuperOperators(q=q, r=r, h=q @ q, h_plus=a.conj().T @ a, h_minus=a @ a.conj().T)
+
+
+def _supercharge(pair: ChiralPair) -> np.ndarray:
+    return (pair.u - pair.u.conj().T) / 2.0j
 
 
 def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
@@ -151,11 +158,8 @@ def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
     Bases come from the Hermitian eigensolver with a deterministic phase
     convention, so the block matrix is reproducible across runs.
     """
-    w, v = eig_hermitian(pair.gamma, pair.tol)
-    minus = Subspace(pair.dim, v[:, w < 0.0])
-    plus = Subspace(pair.dim, v[:, w >= 0.0])
-    q = (pair.u - pair.u.conj().T) / 2.0j
-    alpha = minus.basis.conj().T @ q @ plus.basis
+    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
+    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
     return GradedDecomposition(plus_basis=plus, minus_basis=minus, alpha=alpha)
 
 
@@ -187,8 +191,9 @@ def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:
     """Index of a pair of orthogonal projections.
 
     Defined as the nullity of ``p1 - p2 - 1`` minus the nullity of
-    ``p1 - p2 + 1``. Raises :class:`NotProjection` unless both arguments
-    are Hermitian idempotents within tolerance.
+    ``p1 - p2 + 1``, both read from one eigensolve of the Hermitian
+    ``p1 - p2``. Raises :class:`NotProjection` unless both arguments are
+    Hermitian idempotents within tolerance.
     """
     p1 = as_square_matrix(p1)
     p2 = as_square_matrix(p2)
@@ -202,6 +207,6 @@ def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:
                 f"{label} argument is not an orthogonal projection: "
                 f"hermiticity residual {herm:.6e}, idempotency residual {idem:.6e}"
             )
-    eye = np.eye(p1.shape[0])
     diff = p1 - p2
-    return kernel_basis(diff - eye, tol).dim - kernel_basis(diff + eye, tol).dim
+    w, _ = np.linalg.eigh((diff + diff.conj().T) / 2.0)
+    return int(_near_unit(w, 1.0, tol.rank).sum() - _near_unit(w, -1.0, tol.rank).sum())

@@ -4,6 +4,14 @@ Hermitian and unitary eigendecompositions, SVD-based kernel bases, and
 orthonormal subspace arithmetic. Everything is a pure function of its
 inputs; matrices are never mutated, and eigenvector phases follow a fixed
 convention so identical inputs give identical outputs.
+
+Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
+:func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
+applies to singular values and the spectral code applies to the
+distances ``|lambda - target|`` of a normal operator's eigenvalues, which
+are the singular values of ``A - target``. :func:`subspace_intersection`
+compares principal-angle sines, already on the unit scale, with
+``tol.rank``.
 """
 
 from __future__ import annotations
@@ -90,24 +98,9 @@ class Subspace:
                 f"dimension {self.ambient_dim}"
             )
 
-    @classmethod
-    def from_columns(cls, columns, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        """Build a subspace, verifying the columns are orthonormal."""
-        b = as_matrix(columns)
-        gram = b.conj().T @ b
-        residual = _maxabs(gram - np.eye(b.shape[1]))
-        if residual > tol.structural:
-            raise DimensionMismatch(
-                f"basis columns are not orthonormal: Gram residual {residual:.3e}"
-            )
-        return cls(b.shape[0], b)
-
     @property
     def dim(self) -> int:
         return int(self.basis.shape[1])
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
     def residual_outside(self, other: "Subspace") -> float:
         """Largest component of this basis outside the other subspace."""
@@ -115,7 +108,7 @@ class Subspace:
             raise DimensionMismatch("subspaces live in different ambient dimensions")
         if self.dim == 0:
             return 0.0
-        return _maxabs(self.basis - other.projector() @ self.basis)
+        return _maxabs(_outside(self.basis, other.basis))
 
 
 def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
@@ -153,17 +146,12 @@ def is_involution(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return involution_residual(a) <= tol.structural
 
 
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return hermiticity_residual(a) <= tol.structural
-
-
 def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical null space of a matrix.
 
-    Right singular vectors whose singular values are at most
-    ``tol.rank * sigma_max`` (with ``sigma_max`` replaced by 1 for a zero
-    matrix) span the returned subspace; its dimension is the numerical
-    nullity. Rectangular inputs are allowed.
+    Right singular vectors whose singular values count as zero under the
+    cutoff of :func:`_near_unit` span the returned subspace; its dimension
+    is the numerical nullity. Rectangular inputs are allowed.
     """
     m = as_matrix(a)
     cols = m.shape[1]
@@ -171,14 +159,25 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         if m.shape[0] == 0:
             return Subspace(cols, np.eye(cols, dtype=np.complex128))
         return Subspace(cols, np.empty((cols, 0), dtype=np.complex128))
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    # A matrix whose largest singular value is itself below the cutoff at
-    # the natural scale 1 counts as zero; operators here have norm <= 2,
-    # so this keeps the relative rule from declaring roundoff full-rank.
-    cutoff = tol.rank * (smax if smax > tol.rank else 1.0)
-    rank = int(np.sum(s > cutoff))
+    # A wide matrix needs the full set of right singular vectors to span
+    # its kernel; for a tall or square one the reduced set already has them.
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
+    rank = int(np.sum(~_near_unit(s, 0.0, tol.rank)))
     return Subspace(cols, _canonical_phases(vh[rank:].conj().T))
+
+
+def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:
+    """Mask of the eigenvalues of a normal operator that equal ``target``.
+
+    The distances ``|lambda - target|`` must be at most ``rank_tol`` times
+    their maximum, or at most ``rank_tol`` when the maximum is itself
+    below it: operators here have norm at most 2, so roundoff is never
+    declared full rank. With ``target = 0`` it decides which singular
+    values are zero.
+    """
+    dist = np.abs(values - target)
+    dmax = float(dist.max()) if dist.size else 0.0
+    return dist <= rank_tol * (dmax if dmax > rank_tol else 1.0)
 
 
 def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -247,17 +246,39 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return values[order], _canonical_phases(v[:, order])
 
 
+def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+    """The +1 and -1 eigenspaces of a unitary involution, from one eigensolve.
+
+    An involution's eigenvalues sit at +-1 to within roundoff, so the sign
+    of each eigenvalue decides its side.
+    """
+    w, v = eig_hermitian(a, tol)
+    n = v.shape[0]
+    return Subspace(n, v[:, w >= 0.0]), Subspace(n, v[:, w < 0.0])
+
+
+def _outside(b: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Component of the columns of ``b`` orthogonal to the span of ``other``."""
+    return b - other @ (other.conj().T @ b)
+
+
 def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the intersection of two subspaces.
 
-    Computed as the kernel of the stacked projector complements: a vector
-    lies in both subspaces exactly when both complements annihilate it.
+    With ``B1`` the basis of the smaller subspace and ``P2`` the projector
+    onto the other, the singular values of ``(1 - P2) B1`` are the sines
+    of the principal angles between the two (Bjorck and Golub, Math.
+    Comp. 27 (1973)). The intersection is spanned by ``B1`` times the
+    right singular vectors whose sine is at most ``tol.rank``.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
         )
-    n = s1.ambient_dim
-    eye = np.eye(n)
-    stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
-    return kernel_basis(stacked, tol)
+    if s1.dim > s2.dim:
+        s1, s2 = s2, s1
+    if s1.dim == 0:
+        return s1
+    _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
+    shared = s1.basis @ vh[int(np.sum(sines > tol.rank)):].conj().T
+    return Subspace(s1.ambient_dim, _canonical_phases(shared))

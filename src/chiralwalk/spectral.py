@@ -20,10 +20,10 @@ import numpy as np
 
 from .chiral import (
     ChiralPair,
+    _super_operators,
     graded_decomposition,
     make_pair,
     projection_pair_index,
-    super_operators,
 )
 from .errors import InconsistencyDetected, OutOfRange
 from .linalg import (
@@ -31,7 +31,9 @@ from .linalg import (
     Subspace,
     Tolerance,
     _cluster_slices,
+    _involution_eigenspaces,
     _maxabs,
+    _near_unit,
     eig_hermitian,
     eig_unitary,
     kernel_basis,
@@ -149,30 +151,42 @@ def coisometry(pair: ChiralPair) -> CoisometryDecomposition:
     when the +1 eigenspace is empty or strictly larger. The flip leaves
     the index unchanged because negating the evolution does.
     """
-    n = pair.dim
-    eye = np.eye(n)
-    plus = kernel_basis(pair.coin - eye, pair.tol)
-    minus_dim = n - plus.dim
-    flipped = plus.dim == 0 or 0 < minus_dim < plus.dim
-    basis = kernel_basis(pair.coin + eye, pair.tol) if flipped else plus
-    d = basis.basis.conj().T
+    return _coisometry(pair, *_involution_eigenspaces(pair.coin, pair.tol))
+
+
+def _coisometry(pair: ChiralPair, coin_plus: Subspace,
+                coin_minus: Subspace) -> CoisometryDecomposition:
+    flipped = coin_plus.dim == 0 or 0 < coin_minus.dim < coin_plus.dim
+    d = (coin_minus if flipped else coin_plus).basis.conj().T
     t = d @ pair.gamma @ d.conj().T
     return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t)
 
 
-def _census_spaces(pair: ChiralPair) -> EigenspaceCensus:
-    n = pair.dim
-    eye = np.eye(n)
+def _unit_split(values: np.ndarray, vectors: np.ndarray, tol: Tolerance):
+    """ker(A - 1), ker(A + 1) and the other eigenvalues of a normal operator."""
+    at_plus = _near_unit(values, 1.0, tol.rank)
+    at_minus = _near_unit(values, -1.0, tol.rank)
+    n = vectors.shape[0]
+    return (Subspace(n, vectors[:, at_plus]), Subspace(n, vectors[:, at_minus]),
+            values[~(at_plus | at_minus)])
+
+
+def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
+    """Coisometry, census and discriminant eigensystem from one eigensolve each.
+
+    Returns the coisometry decomposition, the census of the supplied
+    pair, the discriminant's eigenvalues, and ``ker(T - 1)``,
+    ``ker(T + 1)`` and the rest of its spectrum as split by
+    :func:`_unit_split`.
+    """
     tol = pair.tol
-    ker_g_plus = kernel_basis(pair.gamma - eye, tol)
-    ker_g_minus = kernel_basis(pair.gamma + eye, tol)
-    ker_c_plus = kernel_basis(pair.coin - eye, tol)
-    ker_c_minus = kernel_basis(pair.coin + eye, tol)
-    inherited_plus = subspace_intersection(ker_g_plus, ker_c_plus, tol)
-    inherited_minus = subspace_intersection(ker_g_minus, ker_c_plus, tol)
-    birth_plus = subspace_intersection(ker_g_minus, ker_c_minus, tol)
-    birth_minus = subspace_intersection(ker_g_plus, ker_c_minus, tol)
-    return EigenspaceCensus(
+    coin_plus, coin_minus = _involution_eigenspaces(pair.coin, tol)
+    dec = _coisometry(pair, coin_plus, coin_minus)
+    inherited_plus = subspace_intersection(gamma_plus, coin_plus, tol)
+    inherited_minus = subspace_intersection(gamma_minus, coin_plus, tol)
+    birth_plus = subspace_intersection(gamma_minus, coin_minus, tol)
+    birth_minus = subspace_intersection(gamma_plus, coin_minus, tol)
+    counts = EigenspaceCensus(
         m_plus=inherited_plus.dim,
         m_minus=inherited_minus.dim,
         M_plus=birth_plus.dim,
@@ -182,6 +196,8 @@ def _census_spaces(pair: ChiralPair) -> EigenspaceCensus:
         birth_plus=birth_plus,
         birth_minus=birth_minus,
     )
+    w_t, v_t = eig_hermitian(dec.discriminant, tol)
+    return dec, counts, w_t, _unit_split(w_t, v_t, tol)
 
 
 def _flip_census(c: EigenspaceCensus) -> EigenspaceCensus:
@@ -200,24 +216,25 @@ def _flip_census(c: EigenspaceCensus) -> EigenspaceCensus:
 
 
 def _lift_check(pair: ChiralPair, dec: CoisometryDecomposition,
-                counts: EigenspaceCensus) -> CheckResult:
+                counts: EigenspaceCensus, ker_t_plus: Subspace,
+                ker_t_minus: Subspace) -> CheckResult:
     """Inherited spaces must be the coisometry lifts of ker(T -+ 1)."""
     eff = _flip_census(counts) if dec.flipped else counts
-    k = dec.coin_space_dim
-    eye_k = np.eye(k)
     lift = dec.d.conj().T
-    worst = 0.0
-    ok = True
-    checks = (
-        (kernel_basis(dec.discriminant - eye_k, pair.tol), eff.inherited_plus),
-        (kernel_basis(dec.discriminant + eye_k, pair.tol), eff.inherited_minus),
-    )
-    for ker_t, expected in checks:
-        lifted = Subspace(pair.dim, lift @ ker_t.basis)
-        same, residual = spans_match(lifted, expected)
+    return _span_check("inherited_spaces_lift", pair, (
+        (Subspace(pair.dim, lift @ ker_t_plus.basis), eff.inherited_plus),
+        (Subspace(pair.dim, lift @ ker_t_minus.basis), eff.inherited_minus),
+    ))
+
+
+def _span_check(name: str, pair: ChiralPair, span_pairs) -> CheckResult:
+    """Each pair of subspaces must coincide to within ``tol.structural * dim``."""
+    ok, worst = True, 0.0
+    for a, b in span_pairs:
+        same, residual = spans_match(a, b)
         ok = ok and same and residual <= pair.tol.structural * pair.dim
         worst = max(worst, residual)
-    return CheckResult("inherited_spaces_lift", ok, worst)
+    return CheckResult(name, ok, worst)
 
 
 def census(pair: ChiralPair) -> EigenspaceCensus:
@@ -227,8 +244,9 @@ def census(pair: ChiralPair) -> EigenspaceCensus:
     the coisometry onto the matching intersection spaces, raising
     :class:`InconsistencyDetected` if they do not.
     """
-    counts = _census_spaces(pair)
-    check = _lift_check(pair, coisometry(pair), counts)
+    dec, counts, _, (ker_t_plus, ker_t_minus, _) = _discriminant_census(
+        pair, *_involution_eigenspaces(pair.gamma, pair.tol))
+    check = _lift_check(pair, dec, counts, ker_t_plus, ker_t_minus)
     if not check.passed:
         raise InconsistencyDetected(check.name, check.residual)
     return counts
@@ -288,18 +306,6 @@ def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
     return tuple(out)
 
 
-def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:
-    """Kernel-style membership of eigenvalues at a unit target (+1 or -1).
-
-    Mirrors the relative singular-value cutoff used by kernel bases, so
-    multiplicity bookkeeping agrees with nullity computations.
-    """
-    dist = np.abs(values - target)
-    dmax = float(dist.max()) if dist.size else 0.0
-    cutoff = rank_tol * (dmax if dmax > rank_tol else 1.0)
-    return dist <= cutoff
-
-
 def build_index_report(pair: ChiralPair) -> IndexReport:
     """Assemble spectra, census, all four index routes, and every check.
 
@@ -313,25 +319,23 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    dec = coisometry(pair)
-    counts = _census_spaces(pair)
-    eff_counts = _flip_census(counts) if dec.flipped else counts
     graded = graded_decomposition(pair)
-    ops = super_operators(pair)
-
-    k = dec.coin_space_dim
-    eye_k = np.eye(k)
+    ops = _super_operators(pair, graded)
+    dec, counts, w_t, (ker_t_plus, ker_t_minus, interior_t) = _discriminant_census(
+        pair, graded.plus_basis, graded.minus_basis)
+    eff_counts = _flip_census(counts) if dec.flipped else counts
+    u_values, u_vectors = eig_unitary(pair.u, tol)
+    ker_u_plus, ker_u_minus, interior_u = _unit_split(u_values, u_vectors, tol)
 
     # Coisometry identities.
     coin_eff = -pair.coin if dec.flipped else pair.coin
-    res = _maxabs(dec.d @ dec.d.conj().T - eye_k)
+    res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
     res = _maxabs(2.0 * dec.d.conj().T @ dec.d - eye - coin_eff)
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     checks.append(CheckResult("discriminant_hermitian", res <= tol.structural, res))
 
-    w_t, _ = eig_hermitian(dec.discriminant, tol)
     norm_t = float(np.max(np.abs(w_t))) if w_t.size else 0.0
     res = max(0.0, norm_t - 1.0)
     checks.append(CheckResult("discriminant_contraction", res <= tol.structural, res))
@@ -343,71 +347,47 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     res = _maxabs(g @ ops.r - ops.r @ g)
     checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
 
-    # Kernel identities tying the supercharge to the evolution.
+    # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
+    # is read from U's eigenvalues, since 1 - U^2 is normal.
     ker_q = kernel_basis(ops.q, tol)
-    ker_u_squared = kernel_basis(eye - pair.u @ pair.u, tol)
-    same, res = spans_match(ker_q, ker_u_squared)
-    checks.append(CheckResult(
-        "supercharge_kernel_matches_squared_evolution",
-        same and res <= tol.structural * n, res))
+    ker_u_squared = Subspace(n, u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)])
+    checks.append(_span_check(
+        "supercharge_kernel_matches_squared_evolution", pair, ((ker_q, ker_u_squared),)))
 
     ker_alpha = kernel_basis(graded.alpha, tol)
     ker_alpha_star = kernel_basis(graded.alpha.conj().T, tol)
     lifted_ker_alpha = Subspace(n, graded.plus_basis.basis @ ker_alpha.basis)
     lifted_ker_alpha_star = Subspace(n, graded.minus_basis.basis @ ker_alpha_star.basis)
-    ok = True
-    worst = 0.0
-    for lifted, grading_space in (
-        (lifted_ker_alpha, graded.plus_basis),
-        (lifted_ker_alpha_star, graded.minus_basis),
-    ):
-        expected = subspace_intersection(ker_q, grading_space, tol)
-        same, res = spans_match(lifted, expected)
-        ok = ok and same and res <= tol.structural * n
-        worst = max(worst, res)
-    checks.append(CheckResult("alpha_kernel_graded_intersection", ok, worst))
+    checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
+        (lifted_ker_alpha, subspace_intersection(ker_q, graded.plus_basis, tol)),
+        (lifted_ker_alpha_star, subspace_intersection(ker_q, graded.minus_basis, tol)),
+    )))
 
     # Discriminant eigenspace lifts (flip aware).
-    checks.append(_lift_check(pair, dec, counts))
+    checks.append(_lift_check(pair, dec, counts, ker_t_plus, ker_t_minus))
 
-    # ker(U -+ 1) splits into inherited plus birth parts.
-    ker_u_plus = kernel_basis(pair.u - eye, tol)
-    ker_u_minus = kernel_basis(pair.u + eye, tol)
-    ok = True
-    worst = 0.0
-    for eigenspace, inherited, birth in (
-        (ker_u_plus, counts.inherited_plus, counts.birth_plus),
-        (ker_u_minus, counts.inherited_minus, counts.birth_minus),
-    ):
-        cross = (
-            _maxabs(inherited.basis.conj().T @ birth.basis)
-            if inherited.dim and birth.dim else 0.0
-        )
-        combined = Subspace(n, np.hstack([inherited.basis, birth.basis]))
-        same, res = spans_match(combined, eigenspace)
-        res = max(res, cross)
-        ok = ok and same and res <= tol.structural * n
-        worst = max(worst, res)
-    checks.append(CheckResult("unit_eigenspace_split", ok, worst))
+    # ker(U -+ 1) splits into orthogonal inherited and birth parts.
+    sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
+               (counts.inherited_minus, counts.birth_minus, ker_u_minus))
+    split = _span_check("unit_eigenspace_split", pair, [
+        (Subspace(n, np.hstack([inherited.basis, birth.basis])), eigenspace)
+        for inherited, birth, eigenspace in sources])
+    cross = max(_maxabs(inherited.basis.conj().T @ birth.basis)
+                for inherited, birth, _ in sources)
+    checks.append(CheckResult("unit_eigenspace_split",
+                              split.passed and cross <= tol.structural * n,
+                              max(split.residual, cross)))
 
     # Kernel of the supercharge block: discriminant lift plus birth space.
     lift = dec.d.conj().T
-    ker_t_plus = kernel_basis(dec.discriminant - eye_k, tol)
-    ker_t_minus = kernel_basis(dec.discriminant + eye_k, tol)
-    ok = True
-    worst = 0.0
-    for lifted, ker_t, birth in (
-        (lifted_ker_alpha, ker_t_plus, eff_counts.birth_minus),
-        (lifted_ker_alpha_star, ker_t_minus, eff_counts.birth_plus),
-    ):
-        expected = Subspace(n, np.hstack([lift @ ker_t.basis, birth.basis]))
-        same, res = spans_match(lifted, expected)
-        ok = ok and same and res <= tol.structural * n
-        worst = max(worst, res)
-    checks.append(CheckResult("alpha_kernel_decomposition", ok, worst))
+    checks.append(_span_check("alpha_kernel_decomposition", pair, (
+        (lifted_ker_alpha,
+         Subspace(n, np.hstack([lift @ ker_t_plus.basis, eff_counts.birth_minus.basis]))),
+        (lifted_ker_alpha_star,
+         Subspace(n, np.hstack([lift @ ker_t_minus.basis, eff_counts.birth_plus.basis]))),
+    )))
 
     # Spectra.
-    u_values, _ = eig_unitary(pair.u, tol)
     w_h, _ = eig_hermitian(ops.h, tol)
     spectrum_u = cluster_unimodular(u_values, tol.cluster)
     spectrum_t = cluster_reals(w_t, tol.cluster)
@@ -424,14 +404,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     )
     checks.append(CheckResult("unit_eigenvalue_counts", ok, res))
 
-    # Spectral mapping away from +-1, with multiplicity bookkeeping.
-    eff_values = -u_values if dec.flipped else u_values
-    at_plus = _near_unit(eff_values, 1.0, tol.rank)
-    at_minus = _near_unit(eff_values, -1.0, tol.rank)
-    interior_u = eff_values[~(at_plus | at_minus)]
-    t_at_plus = _near_unit(w_t, 1.0, tol.rank)
-    t_at_minus = _near_unit(w_t, -1.0, tol.rank)
-    interior_t = w_t[~(t_at_plus | t_at_minus)]
+    # Spectral mapping away from +-1, with multiplicity bookkeeping. The
+    # flip negates U, which only swaps which of +-1 a value sits at.
+    if dec.flipped:
+        interior_u = -interior_u
 
     observed = cluster_unimodular(interior_u, tol.cluster)
     predicted: list[tuple[complex, int]] = []

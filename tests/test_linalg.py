@@ -209,6 +209,20 @@ class TestSubspaceIntersection:
         assert out.dim == 1
         assert np.abs(np.vdot(out.basis[:, 0], basis_vector(3, 1))) == pytest.approx(1.0)
 
+    def test_shared_line_beside_a_nearly_shared_direction(self):
+        # One direction is shared exactly (its sine is roundoff), the other
+        # is 2.5e-8 off; the shared line must be kept and the other dropped
+        # whatever the scale of the largest sine.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            theta = 2.5e-8
+            tilted = np.cos(theta) * q[:, 1] + np.sin(theta) * q[:, 4]
+            b1, _ = np.linalg.qr(np.column_stack([q[:, 0], tilted]))
+            out = subspace_intersection(Subspace(6, b1), Subspace(6, q[:, :3]))
+            assert out.dim == 1
+            assert np.abs(np.vdot(out.basis[:, 0], q[:, 0])) == pytest.approx(1.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_intersection(Subspace(2, basis_vector(2, 0)),
@@ -225,9 +239,3 @@ class TestSubspaceIntersection:
         assert a.dim == b.dim == 2
         same, residual = spans_match(a, b)
         assert same and residual <= DEFAULT_TOL.structural
-
-
-def test_subspace_from_columns_rejects_skewed_basis():
-    cols = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(DimensionMismatch):
-        Subspace.from_columns(cols)

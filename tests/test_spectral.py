@@ -253,6 +253,21 @@ class TestReportStructure:
         assert any(c.name == "balanced_grading_zero_index" and c.passed
                    for c in report.checks)
 
+    def test_factorization_budget(self, monkeypatch):
+        # Each operator is factorized once per report; a reintroduced
+        # duplicate route raises these counts.
+        pair = grover_search(5, 0)
+        calls = {"svd": 0, "eigh": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        build_index_report(pair)
+        assert calls["svd"] <= 11
+        assert calls["eigh"] <= 9
+
     def test_squared_supercharge_spectrum_against_discriminant(self):
         # sigma(H) must be the doubled 1 - t^2 plus an explicit zero block
         pair = random_chiral_pair(np.random.default_rng(83), 11)
