@@ -45,7 +45,9 @@ class ChiralPair:
 
     ``u`` is unitary, ``gamma`` is a unitary involution, conjugation of
     ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is the
-    involution ``gamma @ u`` so that ``u = gamma @ coin``.
+    involution ``gamma @ u`` so that ``u = gamma @ coin``. The three are
+    float64 when every entry of ``u`` and ``gamma`` is exactly real, and
+    complex128 otherwise.
     """
 
     u: np.ndarray
@@ -104,6 +106,10 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         )
     if u.shape[0] == 0:
         raise DimensionMismatch("pair dimension must be positive")
+    if not (u.imag.any() or g.imag.any()):
+        # An exactly real pair is kept real, so its coin and every
+        # factorization downstream run in real arithmetic.
+        u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
     residual = unitarity_residual(u)
     if residual > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {residual:.6e}")

@@ -62,7 +62,8 @@ def load_matrix_file(path) -> np.ndarray:
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, (int, float)) for x in item)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in item)
         ):
             raise ValueError(f"{path}: entry {k} is not a [re, im] pair")
         entries[k] = complex(item[0], item[1])

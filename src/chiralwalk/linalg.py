@@ -1,9 +1,16 @@
-"""Tolerance-disciplined dense complex linear algebra.
+"""Tolerance-disciplined dense linear algebra, real where the input is.
 
 Hermitian and unitary eigendecompositions, SVD-based kernel bases, and
 orthonormal subspace arithmetic. Everything is a pure function of its
 inputs; matrices are never mutated, and eigenvector phases follow a fixed
 convention so identical inputs give identical outputs.
+
+Matrices are float64 or complex128. A float64 matrix stays real, and the
+factorizations take the real part of a complex matrix whose imaginary
+parts are all exactly zero, so an exactly real chiral pair is factorized
+by the real LAPACK drivers (dsyevd and dgesdd in place of zheevd and
+zgesdd). The only complex factorizations a real pair needs are the
+cluster splits of :func:`eig_unitary`, whose eigenvectors are complex.
 
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
@@ -23,6 +30,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian, NotUnitary
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds for validation, rank, and clustering decisions.
@@ -30,7 +40,8 @@ class Tolerance:
     ``structural`` bounds residuals of algebraic identities (unitarity,
     involutivity, commutation). ``rank`` is the relative singular-value
     cutoff for kernel and rank decisions. ``cluster`` is the absolute gap
-    below which nearby eigenvalues are grouped together.
+    below which nearby eigenvalues are grouped together. Each lies in
+    [machine epsilon, 1).
     """
 
     structural: float = 1e-10
@@ -40,9 +51,10 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("structural", "rank", "cluster"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if not _EPS <= value < 1.0:
                 raise ValueError(
-                    f"tolerance {name!r} must lie strictly between 0 and 1, got {value}"
+                    f"tolerance {name!r} must lie in [{_EPS:.3e}, 1) (machine "
+                    f"epsilon to 1), got {value}"
                 )
 
 
@@ -54,8 +66,13 @@ def _maxabs(a: np.ndarray) -> float:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array with finite entries."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """Coerce to a 2-d array with finite entries.
+
+    A float64 array stays float64; any other input becomes complex128.
+    """
+    arr = np.asarray(a)
+    if arr.dtype != np.float64:
+        arr = arr.astype(np.complex128, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -70,18 +87,27 @@ def as_square_matrix(a) -> np.ndarray:
     return arr
 
 
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """The real part of ``m`` when every imaginary part is exactly zero."""
+    if np.iscomplexobj(m) and not m.imag.any():
+        return m.real
+    return m
+
+
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    A column that is entirely zero is left as it is.
+    """
     if v.size == 0:
         return v
-    out = np.array(v)
-    pivots = np.argmax(np.abs(out), axis=0)
-    for k in range(out.shape[1]):
-        entry = out[pivots[k], k]
-        mag = abs(entry)
-        if mag > 0.0:
-            out[:, k] *= entry.conjugate() / mag
-    return out
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot rounds as scalar abs() does; the vectorized complex abs can
+    # differ from it in the last bit, which would move the phases.
+    mag = np.hypot(pivot.real, pivot.imag)
+    phase = np.ones_like(pivot)
+    np.divide(pivot.conj(), mag, out=phase, where=mag > 0.0)
+    return v * phase
 
 
 @dataclass(frozen=True)
@@ -151,9 +177,14 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
     Right singular vectors whose singular values count as zero under the
     cutoff of :func:`_near_unit` span the returned subspace; its dimension
-    is the numerical nullity. Rectangular inputs are allowed.
+    is the numerical nullity. Rectangular inputs are allowed. A matrix
+    whose real or imaginary part is exactly zero is factorized through the
+    other part, which has the same kernel; the supercharge of a real pair
+    is purely imaginary.
     """
-    m = as_matrix(a)
+    m = _real_if_exact(as_matrix(a))
+    if np.iscomplexobj(m) and not m.real.any():
+        m = m.imag
     cols = m.shape[1]
     if m.size == 0:
         if m.shape[0] == 0:
@@ -187,7 +218,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     and canonical phases. Raises :class:`NotHermitian` when the
     Hermiticity residual exceeds ``tol.structural``.
     """
-    m = as_square_matrix(a)
+    m = _real_if_exact(as_square_matrix(a))
     residual = hermiticity_residual(m)
     if residual > tol.structural:
         raise NotHermitian(
@@ -218,6 +249,8 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     eigenspaces. The Hermitian part is diagonalized first and each of its
     eigenvalue clusters is then split by the anti-Hermitian part, so the
     returned columns simultaneously diagonalize both commuting pieces.
+    For a real matrix the Hermitian part is real, and only the cluster
+    splits run in complex arithmetic.
     """
     m = as_square_matrix(a)
     residual = unitarity_residual(m)
@@ -230,6 +263,11 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     real_part = (m + m.conj().T) / 2.0
     imag_part = (m - m.conj().T) / 2.0j
     w, v = np.linalg.eigh(real_part)
+    # The cluster rotations are complex; promote before writing them back.
+    # The Rayleigh quotients use a complex copy of m made once, not one
+    # implicit cast per column.
+    v = v.astype(np.complex128, copy=False)
+    m = m.astype(np.complex128, copy=False)
     values = np.empty(n, dtype=np.complex128)
     for start, stop in _cluster_slices(w, tol.cluster):
         block = v[:, start:stop]

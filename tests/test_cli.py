@@ -232,6 +232,20 @@ class TestErrorPaths:
         assert code == 1
         assert "tolerance" in err
 
+    def test_tolerance_below_machine_epsilon_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "model", "grover-search", "--qubits", "2",
+                               "--target", "1", "--tol-structural", "1e-300")
+        assert code == 1
+        assert "'structural'" in err
+
+    def test_boolean_matrix_entry_exits_one(self, tmp_path, capsys):
+        u_file = tmp_path / "u.json"
+        u_file.write_text(json.dumps({"dim": 1, "data": [[True, False]]}))
+        g_file = write_matrix(tmp_path / "gamma.json", np.eye(1))
+        code, _, err = run_cli(capsys, "index", str(u_file), g_file)
+        assert code == 1
+        assert "entry 0" in err
+
     def test_wrong_angle_count_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "model", "split-step", "--sites", "3",
                                "--p", "1.0", "--q-re", "0.0", "--angles", "0.1,0.2")

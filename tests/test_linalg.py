@@ -1,5 +1,7 @@
 """Tests for the tolerance-disciplined linear algebra core."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from chiralwalk.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _canonical_phases,
     eig_hermitian,
     eig_unitary,
     is_involution,
@@ -33,7 +36,7 @@ class TestTolerance:
         assert tol.rank == 1e-8
         assert tol.cluster == 1e-8
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0, 1e-300])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             Tolerance(structural=bad)
@@ -41,6 +44,34 @@ class TestTolerance:
             Tolerance(rank=bad)
         with pytest.raises(ValueError):
             Tolerance(cluster=bad)
+
+
+def _canonical_phases_by_column(v):
+    """Column-by-column reference for the vectorized phase convention."""
+    out = np.array(v)
+    pivots = np.argmax(np.abs(out), axis=0)
+    for k in range(out.shape[1]):
+        entry = out[pivots[k], k]
+        mag = abs(entry)
+        if mag > 0.0:
+            out[:, k] *= entry.conjugate() / mag
+    return out
+
+
+class TestCanonicalPhases:
+    def test_matches_column_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for rows, cols in ((1, 1), (7, 3), (40, 40)):
+            z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+            z[:, 0] = 0.0  # a zero column is left alone
+            assert np.array_equal(_canonical_phases(z), _canonical_phases_by_column(z))
+            x = rng.normal(size=(rows, cols))
+            assert np.array_equal(_canonical_phases(x), _canonical_phases_by_column(x))
+
+    def test_real_columns_stay_real(self):
+        v = _canonical_phases(np.array([[0.6, -0.8], [-0.8, -0.6]]))
+        assert v.dtype == np.float64
+        assert np.array_equal(v, [[-0.6, 0.8], [0.8, 0.6]])
 
 
 class TestPredicates:
@@ -98,6 +129,16 @@ class TestKernelBasis:
         gram = sub.basis.conj().T @ sub.basis
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
+    def test_purely_imaginary_input_is_factorized_as_real(self):
+        # A unit scalar leaves the kernel as it is, so 1j * a is handled
+        # as a, in real arithmetic.
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+        for m in (1j * a, a.astype(complex)):
+            sub = kernel_basis(m)
+            assert sub.basis.dtype == np.float64
+            assert np.array_equal(sub.basis, kernel_basis(a).basis)
+
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=8),
@@ -114,6 +155,12 @@ def test_nullity_plus_rank_is_dimension(n, r, seed):
 
 
 class TestEigHermitian:
+    def test_exactly_real_complex_input_is_factorized_as_real(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+        w, v = eig_hermitian(a)
+        assert v.dtype == np.float64
+        assert np.allclose(w, [1.0, 3.0])
+
     def test_diagonal_sorted_ascending(self):
         w, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(w, [1.0, 2.0, 3.0])
@@ -166,6 +213,23 @@ class TestEigUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             eig_unitary(np.diag([2.0, 1.0]))
+
+    def test_real_matrix_with_degenerate_clusters(self):
+        # The clusters of a real rotation's Hermitian part are split by
+        # complex rotations; they must not be cast into a real array.
+        c, s = np.cos(0.7), np.sin(0.7)
+        rotation = np.array([[c, -s], [s, c]])
+        q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(7, 7)))
+        blocks = np.zeros((7, 7))
+        blocks[:2, :2] = blocks[2:4, 2:4] = rotation
+        blocks[4:, 4:] = np.diag([1.0, -1.0, -1.0])
+        u = q @ blocks @ q.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            w, v = eig_unitary(u)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-12
+        assert np.max(np.abs(u @ v - v * w)) < 1e-10
+        assert np.allclose(w, np.exp(1j * np.array([-0.7, -0.7, 0.0, 0.7, 0.7, np.pi, np.pi])))
 
     def test_degenerate_eigenspace_stays_orthonormal(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 """Tests for the coisometry, discriminant, census, and mapping verification."""
 
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ import pytest
 from chiralwalk.chiral import ChiralPair, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected, OutOfRange
 from chiralwalk.linalg import Tolerance, eig_hermitian
-from chiralwalk.models import grover_search, grover_walk, toy_four_dim, Graph
-from chiralwalk.selfcheck import random_chiral_pair, random_involution
+from chiralwalk.models import (
+    Graph,
+    SplitStepParams,
+    grover_search,
+    grover_walk,
+    split_step_cycle,
+    toy_four_dim,
+)
+from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_involution
 from chiralwalk.spectral import (
     build_index_report,
     census,
@@ -268,6 +276,25 @@ class TestReportStructure:
         assert calls["svd"] <= 11
         assert calls["eigh"] <= 9
 
+    def test_real_pair_is_factorized_in_real_arithmetic(self, monkeypatch):
+        # Every factorization of a real pair's report runs on float64
+        # input except the cluster splits inside eig_unitary, whose
+        # eigenvectors are complex; a stray complex up-cast shows here.
+        pair = grover_search(5, 0)
+        assert pair.u.dtype == pair.gamma.dtype == pair.coin.dtype == np.float64
+        calls = []
+        for name in ("svd", "eigh"):
+            def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, sys._getframe(1).f_code.co_name, np.asarray(a).dtype))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        build_index_report(pair)
+        complex_calls = [call for call in calls if call[2] != np.float64]
+        assert complex_calls
+        assert all(call[:2] == ("eigh", "eig_unitary") for call in complex_calls)
+        assert calls.count(("eigh", "eig_unitary", np.float64)) == 1
+
     def test_squared_supercharge_spectrum_against_discriminant(self):
         # sigma(H) must be the doubled 1 - t^2 plus an explicit zero block
         pair = random_chiral_pair(np.random.default_rng(83), 11)
@@ -296,3 +323,41 @@ class TestPerturbationInvariance:
             for _ in range(5):
                 perturbed = make_pair(gamma @ random_involution(rng, dim), gamma)
                 assert index_alpha(perturbed) == expected
+
+
+def _report_summary(report):
+    return (
+        (report.index_alpha, report.index_witten, report.index_formula,
+         report.gamma_signature),
+        (report.census.m_plus, report.census.m_minus,
+         report.census.M_plus, report.census.M_minus),
+        report.flipped,
+        [(c.name, c.passed) for c in report.checks],
+    )
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda v=v: toy_four_dim(v), id=f"toy4-{v}") for v in range(1, 6)),
+    pytest.param(lambda: grover_search(3, 0), id="search-3-0"),
+    pytest.param(lambda: grover_search(3, 5), id="search-3-5"),
+    pytest.param(lambda: grover_walk(Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))),
+                 id="walk-paw"),
+    pytest.param(lambda: split_step_cycle(SplitStepParams(
+        8, 0.6, 0.8, tuple(np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 8)))),
+        id="split-step-8"),
+])
+def test_real_pair_report_matches_complex_twin(build):
+    # Conjugating a real pair by a Haar unitary gives a genuinely complex
+    # pair with the same report, which takes the complex path throughout.
+    # (A diagonal phase would leave the diagonal toy pairs real.)
+    pair = build()
+    assert pair.u.dtype == np.float64
+    w = haar_unitary(np.random.default_rng(20), pair.dim)
+    twin = make_pair(w @ pair.u @ w.conj().T, w @ pair.gamma @ w.conj().T)
+    assert twin.u.dtype == np.complex128
+    real, complex_ = build_index_report(pair), build_index_report(twin)
+    assert _report_summary(real) == _report_summary(complex_)
+    for key in ("spectrum_u", "spectrum_t", "spectrum_h"):
+        a, b = getattr(real, key), getattr(complex_, key)
+        assert [m for _, m in a] == [m for _, m in b]
+        assert max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0) <= 1e-12
