@@ -94,9 +94,10 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     """Validate a (evolution, grading) pair and cache its coin.
 
     Raises :class:`NotUnitary` if the evolution is not unitary,
-    :class:`NotInvolution` if the grading is not a unitary involution,
-    and :class:`ChiralSymmetryViolated` (with the residual) if the
-    grading fails to conjugate the evolution to its adjoint.
+    :class:`NotInvolution` if the grading is not a unitary involution or
+    the coin is further from Hermitian than ``tol.structural``, and
+    :class:`ChiralSymmetryViolated` (with the residual) if the grading
+    fails to conjugate the evolution to its adjoint.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -133,6 +134,14 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     ):
         if value > scale:
             raise InconsistencyDetected(label, value)
+    # Every report eigendecomposes the coin as a Hermitian matrix at this
+    # bound, so a pair that passes here never makes the report raise.
+    residual = hermiticity_residual(coin)
+    if residual > tol.structural:
+        raise NotInvolution(
+            f"coin is not Hermitian: residual {residual:.6e} exceeds "
+            f"{tol.structural:.6e}"
+        )
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
 
 

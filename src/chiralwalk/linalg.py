@@ -12,6 +12,16 @@ by the real LAPACK drivers (dsyevd and dgesdd in place of zheevd and
 zgesdd). The only complex factorizations a real pair needs are the
 cluster splits of :func:`eig_unitary`, whose eigenvectors are complex.
 
+A degenerate eigenspace costs what its complement costs.
+:func:`eig_unitary` splits only the clusters of the Hermitian part on
+which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
+of a real unitary is kept real and is not factorized again. A
+:class:`Subspace` can carry an orthonormal basis of its orthogonal
+complement where a factorization yields one for free, and
+:func:`subspace_intersection` then takes the principal-angle sines from
+a matrix no larger than that complement's dimension times the smaller
+subspace's.
+
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
 applies to singular values and the spectral code applies to the
@@ -23,7 +33,7 @@ compares principal-angle sines, already on the unit scale, with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,16 +122,31 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^ambient_dim given by orthonormal basis columns."""
+    """A subspace of C^ambient_dim given by orthonormal basis columns.
+
+    ``complement``, when given, is an orthonormal basis of the orthogonal
+    complement. It is filled only where a factorization yields it for
+    free (the other sign's eigenvectors of an involution, the leading
+    right singular vectors beside a kernel), lets
+    :func:`subspace_intersection` work with a small matrix, and takes no
+    part in equality or the repr.
+    """
 
     ambient_dim: int
     basis: np.ndarray
+    complement: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"basis of shape {self.basis.shape} does not sit in "
                 f"dimension {self.ambient_dim}"
+            )
+        if self.complement is not None and \
+                self.complement.shape != (self.ambient_dim, self.ambient_dim - self.dim):
+            raise DimensionMismatch(
+                f"complement of shape {self.complement.shape} does not "
+                f"complete a {self.dim}-dim subspace of dimension {self.ambient_dim}"
             )
 
     @property
@@ -177,7 +202,8 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
     Right singular vectors whose singular values count as zero under the
     cutoff of :func:`_near_unit` span the returned subspace; its dimension
-    is the numerical nullity. Rectangular inputs are allowed. A matrix
+    is the numerical nullity, and the other right singular vectors are its
+    ``complement``. Rectangular inputs are allowed. A matrix
     whose real or imaginary part is exactly zero is factorized through the
     other part, which has the same kernel; the supercharge of a real pair
     is purely imaginary.
@@ -194,7 +220,8 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     # its kernel; for a tall or square one the reduced set already has them.
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
     rank = int(np.sum(~_near_unit(s, 0.0, tol.rank)))
-    return Subspace(cols, _canonical_phases(vh[rank:].conj().T))
+    return Subspace(cols, _canonical_phases(vh[rank:].conj().T),
+                    complement=vh[:rank].conj().T)
 
 
 def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:
@@ -248,9 +275,13 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     (-pi, pi]; eigenvectors are orthonormal even inside degenerate
     eigenspaces. The Hermitian part is diagonalized first and each of its
     eigenvalue clusters is then split by the anti-Hermitian part, so the
-    returned columns simultaneously diagonalize both commuting pieces.
-    For a real matrix the Hermitian part is real, and only the cluster
-    splits run in complex arithmetic.
+    returned columns simultaneously diagonalize both commuting pieces. A
+    cluster on which the anti-Hermitian part's block is zero to within
+    ``tol.structural`` (Frobenius norm) is already an eigenspace and is
+    kept as it is. Each eigenvalue is the Rayleigh quotient of its column.
+    For a real matrix both parts are real, and only the clusters that
+    need a split run in complex arithmetic; the columns of the others,
+    such as a degenerate +-1 eigenspace, have zero imaginary part.
     """
     m = as_square_matrix(a)
     residual = unitarity_residual(m)
@@ -259,25 +290,21 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
             f"matrix is not unitary: residual {residual:.6e} exceeds "
             f"{tol.structural:.6e}"
         )
-    n = m.shape[0]
-    real_part = (m + m.conj().T) / 2.0
-    imag_part = (m - m.conj().T) / 2.0j
-    w, v = np.linalg.eigh(real_part)
-    # The cluster rotations are complex; promote before writing them back.
-    # The Rayleigh quotients use a complex copy of m made once, not one
-    # implicit cast per column.
-    v = v.astype(np.complex128, copy=False)
-    m = m.astype(np.complex128, copy=False)
-    values = np.empty(n, dtype=np.complex128)
+    skew = (m - m.conj().T) / 2.0
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     for start, stop in _cluster_slices(w, tol.cluster):
+        if stop - start == 1:
+            continue
         block = v[:, start:stop]
-        if stop - start > 1:
-            sub = block.conj().T @ imag_part @ block
-            _, rot = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-            block = block @ rot
-            v[:, start:stop] = block
-        for k in range(start, stop):
-            values[k] = v[:, k].conj() @ m @ v[:, k]
+        s = block.conj().T @ skew @ block
+        sub = (s - s.conj().T) / 2.0j
+        if np.linalg.norm(sub) <= tol.structural:
+            continue
+        _, rot = np.linalg.eigh(sub)
+        # The rotation is complex; promote before writing it back.
+        v = v.astype(np.complex128, copy=False)
+        v[:, start:stop] = block @ rot
+    values = np.einsum("ij,ij->j", v.conj(), m @ v).astype(np.complex128, copy=False)
     args = np.angle(values)
     args[args <= -np.pi + 1e-14] += 2.0 * np.pi
     order = np.argsort(args, kind="stable")
@@ -288,11 +315,13 @@ def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, 
     """The +1 and -1 eigenspaces of a unitary involution, from one eigensolve.
 
     An involution's eigenvalues sit at +-1 to within roundoff, so the sign
-    of each eigenvalue decides its side.
+    of each eigenvalue decides its side. Each side's eigenvectors are the
+    other side's ``complement``.
     """
     w, v = eig_hermitian(a, tol)
     n = v.shape[0]
-    return Subspace(n, v[:, w >= 0.0]), Subspace(n, v[:, w < 0.0])
+    plus, minus = v[:, w >= 0.0], v[:, w < 0.0]
+    return Subspace(n, plus, complement=minus), Subspace(n, minus, complement=plus)
 
 
 def _outside(b: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -307,7 +336,11 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     onto the other, the singular values of ``(1 - P2) B1`` are the sines
     of the principal angles between the two (Bjorck and Golub, Math.
     Comp. 27 (1973)). The intersection is spanned by ``B1`` times the
-    right singular vectors whose sine is at most ``tol.rank``.
+    right singular vectors whose sine is at most ``tol.rank``. When the
+    larger subspace carries a ``complement`` ``B2perp``, the sines come
+    from the small ``(n - k2) x k1`` matrix ``B2perp* B1``, factorized
+    through itself or its adjoint, whichever is wide; otherwise from the
+    ``n x k1`` matrix ``B1 - B2 (B2* B1)``.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
@@ -317,6 +350,15 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
         s1, s2 = s2, s1
     if s1.dim == 0:
         return s1
-    _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
-    shared = s1.basis @ vh[int(np.sum(sines > tol.rank)):].conj().T
+    if s2.complement is None:
+        _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
+        right = vh.conj().T
+    else:
+        y = s2.complement.conj().T @ s1.basis
+        if y.shape[0] < y.shape[1]:
+            _, sines, vh = np.linalg.svd(y, full_matrices=True)
+            right = vh.conj().T
+        else:
+            right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
+    shared = s1.basis @ right[:, int(np.sum(sines > tol.rank)):]
     return Subspace(s1.ambient_dim, _canonical_phases(shared))

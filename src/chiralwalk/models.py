@@ -108,7 +108,9 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
 
     The coin flips the sign of the marked state |target, ->; the grading
     reflects positions about the uniform superposition and acts as the
-    identity on the oracle register. The evolution is grading times coin.
+    identity on the oracle register. The evolution is grading times coin,
+    which is the grading with its marked column negated. All three are
+    real.
     """
     if qubits < 1:
         raise OutOfRange(f"qubit count must be at least 1, got {qubits}")
@@ -122,14 +124,12 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
         raise OutOfRange(
             f"target {target} outside position range [0, {n_positions})"
         )
-    dim = 2 * n_positions
-    marked = np.zeros(dim, dtype=np.complex128)
-    marked[2 * target + 1] = 1.0
-    coin = np.eye(dim) - 2.0 * np.outer(marked, marked.conj())
-    uniform = np.full(n_positions, 1.0 / math.sqrt(n_positions), dtype=np.complex128)
-    reflect = 2.0 * np.outer(uniform, uniform.conj()) - np.eye(n_positions)
+    uniform = np.full(n_positions, 1.0 / math.sqrt(n_positions))
+    reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
     gamma = np.kron(reflect, np.eye(2))
-    return make_pair(gamma @ coin, gamma, tol)
+    u = gamma.copy()
+    u[:, 2 * target + 1] *= -1.0
+    return make_pair(u, gamma, tol)
 
 
 def _search_initial_state(qubits: int) -> np.ndarray:
@@ -187,15 +187,15 @@ def grover_walk(graph: Graph, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     if dim == 0:
         raise GraphInvalid("graph has no edges")
     ne = graph.edge_count
-    shift = np.zeros((dim, dim), dtype=np.complex128)
+    shift = np.zeros((dim, dim))
     for i in range(ne):
         shift[i, ne + i] = 1.0
         shift[ne + i, i] = 1.0
     deg = graph.degrees()
-    d = np.zeros((graph.vertex_count, dim), dtype=np.complex128)
+    d = np.zeros((graph.vertex_count, dim))
     for j, (origin, _) in enumerate(directed):
         d[origin, j] = 1.0 / math.sqrt(deg[origin])
-    coin = 2.0 * d.conj().T @ d - np.eye(dim)
+    coin = 2.0 * d.T @ d - np.eye(dim)
     return make_pair(shift @ coin, shift, tol)
 
 

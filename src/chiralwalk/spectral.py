@@ -34,6 +34,7 @@ from .linalg import (
     _involution_eigenspaces,
     _maxabs,
     _near_unit,
+    _real_if_exact,
     eig_hermitian,
     eig_unitary,
     kernel_basis,
@@ -163,11 +164,15 @@ def _coisometry(pair: ChiralPair, coin_plus: Subspace,
 
 
 def _unit_split(values: np.ndarray, vectors: np.ndarray, tol: Tolerance):
-    """ker(A - 1), ker(A + 1) and the other eigenvalues of a normal operator."""
+    """ker(A - 1), ker(A + 1) and the other eigenvalues of a normal operator.
+
+    Bases whose entries are all exactly real are returned as float64.
+    """
     at_plus = _near_unit(values, 1.0, tol.rank)
     at_minus = _near_unit(values, -1.0, tol.rank)
     n = vectors.shape[0]
-    return (Subspace(n, vectors[:, at_plus]), Subspace(n, vectors[:, at_minus]),
+    return (Subspace(n, _real_if_exact(vectors[:, at_plus])),
+            Subspace(n, _real_if_exact(vectors[:, at_minus])),
             values[~(at_plus | at_minus)])
 
 
@@ -350,7 +355,8 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal.
     ker_q = kernel_basis(ops.q, tol)
-    ker_u_squared = Subspace(n, u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)])
+    ker_u_squared = Subspace(
+        n, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)]))
     checks.append(_span_check(
         "supercharge_kernel_matches_squared_evolution", pair, ((ker_q, ker_u_squared),)))
 

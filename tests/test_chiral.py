@@ -30,6 +30,20 @@ def phase_swap(angle):
     return np.array([[0.0, np.exp(1j * angle)], [np.exp(-1j * angle), 0.0]])
 
 
+def hadamard_grading_and_skewed_coin():
+    """Gamma = H_64 / 8 and a coin 7e-10 from Hermitian.
+
+    The pair (Gamma C, Gamma) is chiral to 8.75e-11, inside the default
+    structural bound, while C fails the bound by a factor of seven.
+    """
+    h = np.ones((1, 1))
+    for _ in range(6):
+        h = np.block([[h, h], [h, -h]])
+    phi = np.arcsin(3.5e-10)
+    coin = np.diag(np.concatenate([[np.exp(1j * phi)], np.ones(31), -np.ones(32)]))
+    return h / 8.0, coin
+
+
 class TestMakePair:
     def test_two_dim_phase_pair(self):
         beta, gamma_phase = 0.4, 1.1
@@ -61,6 +75,14 @@ class TestMakePair:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             make_pair(np.eye(2), np.eye(3))
+
+    def test_rejects_coin_beyond_hermitian_bound(self):
+        # Every report eigendecomposes the coin as Hermitian at the
+        # structural bound, so the pair must be refused up front.
+        gamma, coin = hadamard_grading_and_skewed_coin()
+        with pytest.raises(NotInvolution,
+                           match="coin is not Hermitian: residual 7.0+e-10 exceeds 1.0+e-10"):
+            make_pair(gamma @ coin, gamma)
 
 
 class TestSuperOperators:

@@ -246,6 +246,21 @@ class TestErrorPaths:
         assert code == 1
         assert "entry 0" in err
 
+    def test_coin_beyond_hermitian_bound_exits_one(self, tmp_path, capsys):
+        # Chiral to 8.75e-11 but with a coin 7e-10 from Hermitian.
+        h = np.ones((1, 1))
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        gamma = h / 8.0
+        phi = np.arcsin(3.5e-10)
+        coin = np.diag(np.concatenate([[np.exp(1j * phi)], np.ones(31), -np.ones(32)]))
+        u_file = write_matrix(tmp_path / "u.json", gamma @ coin)
+        g_file = write_matrix(tmp_path / "gamma.json", gamma)
+        code, out, err = run_cli(capsys, "index", u_file, g_file)
+        assert code == 1
+        assert out == ""
+        assert "coin is not Hermitian: residual 7.000000e-10" in err
+
     def test_wrong_angle_count_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "model", "split-step", "--sites", "3",
                                "--p", "1.0", "--q-re", "0.0", "--angles", "0.1,0.2")

@@ -13,6 +13,7 @@ from chiralwalk.linalg import (
     Subspace,
     Tolerance,
     _canonical_phases,
+    _involution_eigenspaces,
     eig_hermitian,
     eig_unitary,
     is_involution,
@@ -21,6 +22,8 @@ from chiralwalk.linalg import (
     spans_match,
     subspace_intersection,
 )
+from chiralwalk.models import grover_search
+from chiralwalk.selfcheck import haar_unitary
 
 
 def basis_vector(n, k):
@@ -192,6 +195,24 @@ class TestEigHermitian:
         assert np.array_equal(v1, v2)
 
 
+def _rayleigh_by_column(m, v):
+    """Column-by-column reference for eig_unitary's eigenvalues."""
+    m = np.asarray(m, dtype=complex)
+    return np.array([v[:, k].conj() @ m @ v[:, k] for k in range(v.shape[1])])
+
+
+def _rotated_real_unitary(seed, angles, signs):
+    """Real orthogonal matrix with rotation blocks and +-1 entries, in a random basis."""
+    n = 2 * len(angles) + len(signs)
+    blocks = np.zeros((n, n))
+    for k, a in enumerate(angles):
+        c, s = np.cos(a), np.sin(a)
+        blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    blocks[2 * len(angles):, 2 * len(angles):] = np.diag(signs)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q @ blocks @ q.T
+
+
 class TestEigUnitary:
     def test_identity(self):
         w, _ = eig_unitary(np.eye(2))
@@ -231,6 +252,36 @@ class TestEigUnitary:
         assert np.max(np.abs(u @ v - v * w)) < 1e-10
         assert np.allclose(w, np.exp(1j * np.array([-0.7, -0.7, 0.0, 0.7, 0.7, np.pi, np.pi])))
 
+    def test_degenerate_real_eigenspace_is_kept_real(self):
+        # The anti-Hermitian part vanishes on the search evolution's
+        # degenerate -1 eigenspace, so that cluster is not split and its
+        # columns keep a zero imaginary part.
+        u = grover_search(3, 1).u
+        w, v = eig_unitary(u)
+        minus = np.abs(w + 1.0) < 1e-8
+        assert minus.sum() > 1
+        assert not v[:, minus].imag.any()
+        assert np.max(np.abs(u @ v - v * w)) <= 1e-12
+
+    def test_cluster_with_small_nonzero_block_is_still_split(self):
+        # Eigenvalues -1 +- 1e-9 i share a cluster of the Hermitian part,
+        # but the anti-Hermitian block (norm ~1.4e-9) is above the
+        # structural bound, so the cluster is split.
+        u = _rotated_real_unitary(4, [np.pi - 1e-9], [1.0, -1.0, -1.0])
+        w, v = eig_unitary(u)
+        assert np.max(np.abs(u @ v - v * w)) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(5))) < 1e-12
+        near = np.sort(w[np.abs(w.imag) > 1e-12].imag)
+        assert near == pytest.approx([-np.sin(1e-9), np.sin(1e-9)], rel=1e-6)
+
+    def test_eigenvalues_match_column_rayleigh_quotients(self):
+        rng = np.random.default_rng(13)
+        for u in (haar_unitary(rng, 9),
+                  _rotated_real_unitary(6, [0.7, 0.7, 2.0], [1.0, -1.0]),
+                  grover_search(3, 5).u):
+            w, v = eig_unitary(u)
+            assert np.max(np.abs(w - _rayleigh_by_column(u, v))) <= 1e-14
+
     def test_degenerate_eigenspace_stays_orthonormal(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -252,6 +303,46 @@ def test_unitary_eigenvalues_unimodular(n, seed):
     w, v = eig_unitary(q)
     assert np.max(np.abs(np.abs(w) - 1.0)) <= DEFAULT_TOL.structural
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+
+
+def _eigenspaces_with_shared_part(rng, n, k1, k2, shared, real):
+    """+-1 eigenspaces of two random involutions whose +1 sides share ``shared`` dimensions."""
+    def orthonormal(cols):
+        z = rng.normal(size=(n, cols))
+        if not real:
+            z = z + 1j * rng.normal(size=(n, cols))
+        return np.linalg.qr(z)[0]
+
+    q1 = orthonormal(n)
+    q2, _ = np.linalg.qr(np.hstack([q1[:, :shared], orthonormal(n - shared)]))
+    spaces = []
+    for q, k in ((q1, k1), (q2, k2)):
+        p = q[:, :k] @ q[:, :k].conj().T
+        spaces.append(_involution_eigenspaces(2.0 * p - np.eye(n)))
+    return spaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=12),
+       k1=st.integers(min_value=0, max_value=12),
+       k2=st.integers(min_value=0, max_value=12),
+       shared=st.integers(min_value=0, max_value=12),
+       real=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_complement_route_matches_plain_route(n, k1, k2, shared, real, seed):
+    # Sines from B2perp* B1 and from B1 - B2 (B2* B1) must give the same
+    # intersection; dropping the complement selects the plain route.
+    k1, k2 = min(k1, n), min(k2, n)
+    shared = min(shared, k1, k2)
+    (plus1, minus1), (plus2, minus2) = _eigenspaces_with_shared_part(
+        np.random.default_rng(seed), n, k1, k2, shared, real)
+    for a, b in ((plus1, plus2), (plus1, minus2), (minus1, plus2), (minus1, minus2)):
+        assert a.complement is not None and b.complement is not None
+        fast = subspace_intersection(a, b)
+        plain = subspace_intersection(Subspace(n, a.basis), Subspace(n, b.basis))
+        same, residual = spans_match(fast, plain)
+        assert same and residual <= 1e-12
+    assert subspace_intersection(plus1, plus2).dim >= shared
 
 
 class TestSubspaceIntersection:
@@ -286,6 +377,12 @@ class TestSubspaceIntersection:
             out = subspace_intersection(Subspace(6, b1), Subspace(6, q[:, :3]))
             assert out.dim == 1
             assert np.abs(np.vdot(out.basis[:, 0], q[:, 0])) == pytest.approx(1.0)
+
+    def test_complement_shape_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace(3, basis_vector(3, 0), complement=basis_vector(3, 1))
+        s = Subspace(2, basis_vector(2, 0), complement=basis_vector(2, 1))
+        assert repr(s) == repr(Subspace(2, basis_vector(2, 0)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -262,19 +262,29 @@ class TestReportStructure:
                    for c in report.checks)
 
     def test_factorization_budget(self, monkeypatch):
-        # Each operator is factorized once per report; a reintroduced
-        # duplicate route raises these counts.
+        # Each operator is factorized once per report, and a degenerate
+        # +-1 eigenspace costs what its complement costs: intersections
+        # factorize a matrix no taller than a complement, and eig_unitary
+        # splits only the 2x2 clusters of conjugate eigenvalue pairs. A
+        # reintroduced duplicate route or full-size split shows here.
         pair = grover_search(5, 0)
-        calls = {"svd": 0, "eigh": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        calls = []
+        for name in ("svd", "eigh"):
+            def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                a = np.asarray(a)
+                calls.append((_name, sys._getframe(1).f_code.co_name, a.shape, a.dtype))
+                return _fn(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(np.linalg, name, recorded)
         build_index_report(pair)
-        assert calls["svd"] <= 11
-        assert calls["eigh"] <= 9
+        assert sum(call[0] == "svd" for call in calls) <= 11
+        assert sum(call[0] == "eigh" for call in calls) <= 8
+        rows = [shape[0] for name, caller, shape, _ in calls
+                if (name, caller) == ("svd", "subspace_intersection")]
+        assert rows and max(rows) <= 2
+        complex_eighs = [shape for name, _, shape, dtype in calls
+                         if name == "eigh" and dtype == np.complex128]
+        assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
 
     def test_real_pair_is_factorized_in_real_arithmetic(self, monkeypatch):
         # Every factorization of a real pair's report runs on float64
