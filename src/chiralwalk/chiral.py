@@ -7,7 +7,11 @@ a unitary involution. The anti-Hermitian part of the evolution acts as a
 supercharge: it anticommutes with the grading, so in the graded basis it
 is off-diagonal with a single block mapping the positive eigenspace to
 the negative one. The index of the pair is the Fredholm index of that
-block, which equals the Witten index of the squared supercharge.
+block, which equals the Witten index of the squared supercharge
+``H = q^2``. Because the supercharge is self-adjoint, ``ker H = ker q``,
+split by the grading; the spectrum of ``H``, its zero block and the
+Witten index all come from the supercharge's one SVD, under the same
+cutoff as ``ker q``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from .linalg import (
     Subspace,
     Tolerance,
     _involution_eigenspaces,
+    _kernel_svd,
     _maxabs,
     _near_unit,
     as_square_matrix,
     hermiticity_residual,
     involution_residual,
     kernel_basis,
+    subspace_intersection,
     unitarity_residual,
 )
 
@@ -81,6 +87,10 @@ class SuperOperators:
     ``q`` and ``r`` are the anti-Hermitian and Hermitian parts of the
     evolution (both self-adjoint as written); ``h = q @ q`` is block
     diagonal in the graded basis with blocks ``h_plus`` and ``h_minus``.
+    ``h`` and its blocks are formed here for inspection only: the index
+    report and :func:`witten_index` take the spectrum of ``h = q* q``
+    (the squared singular values of ``q``) and its kernel (``ker q``)
+    from the one SVD of ``q``.
     """
 
     q: np.ndarray
@@ -95,8 +105,8 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
 
     Raises :class:`NotUnitary` if the evolution is not unitary,
     :class:`NotInvolution` if the grading is not a unitary involution or
-    the coin is further from Hermitian than ``tol.structural``, and
-    :class:`ChiralSymmetryViolated` (with the residual) if the grading
+    the grading or the coin is further from Hermitian than
+    ``tol.structural``, and :class:`ChiralSymmetryViolated` (with the residual) if the grading
     fails to conjugate the evolution to its adjoint.
     """
     u = as_square_matrix(u)
@@ -134,14 +144,16 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     ):
         if value > scale:
             raise InconsistencyDetected(label, value)
-    # Every report eigendecomposes the coin as a Hermitian matrix at this
-    # bound, so a pair that passes here never makes the report raise.
-    residual = hermiticity_residual(coin)
-    if residual > tol.structural:
-        raise NotInvolution(
-            f"coin is not Hermitian: residual {residual:.6e} exceeds "
-            f"{tol.structural:.6e}"
-        )
+    # Every report eigendecomposes the coin and the grading as Hermitian
+    # matrices at this bound, so a pair that passes here never makes the
+    # report raise.
+    for label, m in (("coin", coin), ("grading", g)):
+        residual = hermiticity_residual(m)
+        if residual > tol.structural:
+            raise NotInvolution(
+                f"{label} is not Hermitian: residual {residual:.6e} exceeds "
+                f"{tol.structural:.6e}"
+            )
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
 
 
@@ -153,13 +165,9 @@ def super_operators(pair: ChiralPair) -> SuperOperators:
     are the graded diagonal blocks of the squared supercharge, written in
     the graded bases.
     """
-    return _super_operators(pair, graded_decomposition(pair))
-
-
-def _super_operators(pair: ChiralPair, graded: GradedDecomposition) -> SuperOperators:
     q = _supercharge(pair)
     r = (pair.u + pair.u.conj().T) / 2.0
-    a = graded.alpha
+    a = graded_decomposition(pair).alpha
     return SuperOperators(q=q, r=r, h=q @ q, h_plus=a.conj().T @ a, h_minus=a @ a.conj().T)
 
 
@@ -187,9 +195,27 @@ def index_alpha(pair: ChiralPair) -> int:
 
 
 def witten_index(pair: ChiralPair) -> int:
-    """Witten index of the squared supercharge: nullity gap of its blocks."""
-    ops = super_operators(pair)
-    return kernel_basis(ops.h_plus, pair.tol).dim - kernel_basis(ops.h_minus, pair.tol).dim
+    """Witten index of the squared supercharge ``H = q^2``.
+
+    ``ker H = ker q`` because ``q`` is self-adjoint, so the index is
+    ``dim(ker q & Gamma+) - dim(ker q & Gamma-)``, with ``ker q`` from one
+    SVD of the supercharge in the full space (not of the block ``alpha``).
+    """
+    _, _, plus, minus = _supercharge_kernel(
+        _supercharge(pair), graded_decomposition(pair), pair.tol)
+    return plus.dim - minus.dim
+
+
+def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition,
+                        tol: Tolerance) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
+    """``ker q``, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
+
+    The eigenvalues of ``H = q* q`` are the squared singular values, and
+    its zero block is ``ker q``, decided by the same cutoff.
+    """
+    ker_q, sigma = _kernel_svd(q, tol)
+    return (ker_q, sigma, subspace_intersection(ker_q, graded.plus_basis, tol),
+            subspace_intersection(ker_q, graded.minus_basis, tol))
 
 
 def gamma_signature(pair: ChiralPair) -> int:

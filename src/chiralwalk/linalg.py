@@ -208,20 +208,29 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     other part, which has the same kernel; the supercharge of a real pair
     is purely imaginary.
     """
+    return _kernel_svd(a, tol)[0]
+
+
+def _kernel_svd(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, np.ndarray]:
+    """:func:`kernel_basis` and the singular values it decided on, descending.
+
+    The singular values of the purely real or imaginary part that was
+    factorized equal those of the matrix itself.
+    """
     m = _real_if_exact(as_matrix(a))
     if np.iscomplexobj(m) and not m.real.any():
         m = m.imag
     cols = m.shape[1]
     if m.size == 0:
         if m.shape[0] == 0:
-            return Subspace(cols, np.eye(cols, dtype=np.complex128))
-        return Subspace(cols, np.empty((cols, 0), dtype=np.complex128))
+            return Subspace(cols, np.eye(cols, dtype=np.complex128)), np.empty(0)
+        return Subspace(cols, np.empty((cols, 0), dtype=np.complex128)), np.empty(0)
     # A wide matrix needs the full set of right singular vectors to span
     # its kernel; for a tall or square one the reduced set already has them.
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
     rank = int(np.sum(~_near_unit(s, 0.0, tol.rank)))
     return Subspace(cols, _canonical_phases(vh[rank:].conj().T),
-                    complement=vh[:rank].conj().T)
+                    complement=vh[:rank].conj().T), s
 
 
 def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:

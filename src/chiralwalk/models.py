@@ -133,8 +133,9 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
 
 
 def _search_initial_state(qubits: int) -> np.ndarray:
+    # Real, like the search evolution, so no step casts the evolution to complex.
     n_positions = 2**qubits
-    state = np.zeros(2 * n_positions, dtype=np.complex128)
+    state = np.zeros(2 * n_positions)
     state[1::2] = 1.0 / math.sqrt(n_positions)  # uniform positions, - coin
     return state
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .chiral import (
     ChiralPair,
-    _super_operators,
+    _supercharge,
+    _supercharge_kernel,
     graded_decomposition,
     make_pair,
     projection_pair_index,
@@ -325,7 +326,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     warnings: list[str] = []
 
     graded = graded_decomposition(pair)
-    ops = _super_operators(pair, graded)
+    q = _supercharge(pair)
     dec, counts, w_t, (ker_t_plus, ker_t_minus, interior_t) = _discriminant_census(
         pair, graded.plus_basis, graded.minus_basis)
     eff_counts = _flip_census(counts) if dec.flipped else counts
@@ -347,14 +348,16 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Commutation structure of the supercharge and its Hermitian partner.
     g = pair.gamma
-    res = _maxabs(g @ ops.q + ops.q @ g)
+    res = _maxabs(g @ q + q @ g)
     checks.append(CheckResult("supercharge_anticommutes", res <= tol.structural * n, res))
-    res = _maxabs(g @ ops.r - ops.r @ g)
+    r = (pair.u + pair.u.conj().T) / 2.0
+    res = _maxabs(g @ r - r @ g)
     checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
-    # is read from U's eigenvalues, since 1 - U^2 is normal.
-    ker_q = kernel_basis(ops.q, tol)
+    # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
+    # also gives the spectrum of H = q*q and, split by the grading, its kernel.
+    ker_q, sigma_q, ker_q_plus, ker_q_minus = _supercharge_kernel(q, graded, tol)
     ker_u_squared = Subspace(
         n, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)]))
     checks.append(_span_check(
@@ -365,9 +368,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     lifted_ker_alpha = Subspace(n, graded.plus_basis.basis @ ker_alpha.basis)
     lifted_ker_alpha_star = Subspace(n, graded.minus_basis.basis @ ker_alpha_star.basis)
     checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
-        (lifted_ker_alpha, subspace_intersection(ker_q, graded.plus_basis, tol)),
-        (lifted_ker_alpha_star, subspace_intersection(ker_q, graded.minus_basis, tol)),
-    )))
+        (lifted_ker_alpha, ker_q_plus), (lifted_ker_alpha_star, ker_q_minus))))
 
     # Discriminant eigenspace lifts (flip aware).
     checks.append(_lift_check(pair, dec, counts, ker_t_plus, ker_t_minus))
@@ -394,7 +395,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     )))
 
     # Spectra.
-    w_h, _ = eig_hermitian(ops.h, tol)
+    w_h = sigma_q[::-1] ** 2
     spectrum_u = cluster_unimodular(u_values, tol.cluster)
     spectrum_t = cluster_reals(w_t, tol.cluster)
     spectrum_h = cluster_reals(w_h, tol.cluster)
@@ -447,16 +448,16 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         checks.append(CheckResult(
             "spectral_mapping_multiplicities", ok, mapping_residual))
 
-    # Squared supercharge spectrum: doubled 1 - t^2 plus a zero block.
-    zero_h = _near_unit(w_h, 0.0, tol.rank)
-    nonzero_h = np.sort(w_h[~zero_h])
+    # Squared supercharge spectrum: doubled 1 - t^2 plus a zero block,
+    # which is ker q under the cutoff that decided it.
+    nonzero_h = w_h[ker_q.dim:]
     expected_zero = ker_u_plus.dim + ker_u_minus.dim
     expected_nonzero = np.sort(np.concatenate([1.0 - interior_t**2] * 2)) \
         if interior_t.size else np.empty(0)
-    if int(zero_h.sum()) != expected_zero or len(nonzero_h) != len(expected_nonzero):
+    if ker_q.dim != expected_zero or len(nonzero_h) != len(expected_nonzero):
         checks.append(CheckResult(
             "squared_supercharge_spectrum", False,
-            float(abs(int(zero_h.sum()) - expected_zero)
+            float(abs(ker_q.dim - expected_zero)
                   + abs(len(nonzero_h) - len(expected_nonzero))),
             "zero-block or doubled-spectrum size mismatch"))
     else:
@@ -466,7 +467,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # The four index routes.
     ia = ker_alpha.dim - ker_alpha_star.dim
-    iw = kernel_basis(ops.h_plus, tol).dim - kernel_basis(ops.h_minus, tol).dim
+    iw = ker_q_plus.dim - ker_q_minus.dim
     ifm = _formula(counts)
     sig = graded.plus_basis.dim - graded.minus_basis.dim
     routes = (ia, iw, ifm, sig)

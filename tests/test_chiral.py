@@ -24,6 +24,7 @@ from chiralwalk.errors import (
 from chiralwalk.linalg import kernel_basis, spans_match, subspace_intersection
 from chiralwalk.models import grover_search, toy_four_dim, toy_two_dim
 from chiralwalk.selfcheck import random_chiral_pair
+from chiralwalk.spectral import build_index_report
 
 
 def phase_swap(angle):
@@ -42,6 +43,25 @@ def hadamard_grading_and_skewed_coin():
     phi = np.arcsin(3.5e-10)
     coin = np.diag(np.concatenate([[np.exp(1j * phi)], np.ones(31), -np.ones(32)]))
     return h / 8.0, coin
+
+
+def hadamard_grading_skewed_by(delta, n=64):
+    """Gamma = H_n / sqrt(n) with +-delta added to one off-diagonal pair.
+
+    The grading's Hermiticity residual is 2 delta. With the coin
+    2 Q Q^T - 1 through a random n/2-dim real subspace, the pair
+    (Gamma C, Gamma) is unitary, involutive and chiral to well inside the
+    default structural bound for delta = 0.75e-10.
+    """
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    gamma = h / np.sqrt(n)
+    gamma[0, 1] += delta
+    gamma[1, 0] -= delta
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    coin = 2.0 * q[:, :n // 2] @ q[:, :n // 2].T - np.eye(n)
+    return gamma, coin
 
 
 class TestMakePair:
@@ -83,6 +103,21 @@ class TestMakePair:
         with pytest.raises(NotInvolution,
                            match="coin is not Hermitian: residual 7.0+e-10 exceeds 1.0+e-10"):
             make_pair(gamma @ coin, gamma)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_rejects_grading_beyond_hermitian_bound(self, n):
+        # Every report eigendecomposes the grading as Hermitian at the
+        # structural bound, so a grading that fails it must be refused up
+        # front, not by an unnamed error from inside the report.
+        gamma, coin = hadamard_grading_skewed_by(0.75e-10, n)
+        with pytest.raises(NotInvolution, match="grading is not Hermitian: "
+                           "residual 1.50+e-10 exceeds 1.0+e-10"):
+            make_pair(gamma @ coin, gamma)
+
+    def test_grading_inside_hermitian_bound_gets_a_report(self):
+        gamma, coin = hadamard_grading_skewed_by(0.25e-10)
+        report = build_index_report(make_pair(gamma @ coin, gamma))
+        assert report.index_alpha == report.index_witten == 0
 
 
 class TestSuperOperators:

@@ -261,6 +261,24 @@ class TestErrorPaths:
         assert out == ""
         assert "coin is not Hermitian: residual 7.000000e-10" in err
 
+    def test_grading_beyond_hermitian_bound_exits_one(self, tmp_path, capsys):
+        # Unitary, involutive and chiral to within the bound, but with a
+        # grading 1.5e-10 from Hermitian.
+        h = np.ones((1, 1))
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        gamma = h / 8.0
+        gamma[0, 1] += 0.75e-10
+        gamma[1, 0] -= 0.75e-10
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((64, 64)))
+        coin = 2.0 * q[:, :32] @ q[:, :32].T - np.eye(64)
+        u_file = write_matrix(tmp_path / "u.json", gamma @ coin)
+        g_file = write_matrix(tmp_path / "gamma.json", gamma)
+        code, out, err = run_cli(capsys, "index", u_file, g_file)
+        assert code == 1
+        assert out == ""
+        assert "grading is not Hermitian: residual 1.500000e-10 exceeds 1.000000e-10" in err
+
     def test_wrong_angle_count_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "model", "split-step", "--sites", "3",
                                "--p", "1.0", "--q-re", "0.0", "--angles", "0.1,0.2")

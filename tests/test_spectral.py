@@ -5,10 +5,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralwalk.chiral import ChiralPair, index_alpha, make_pair
+from chiralwalk.chiral import (
+    ChiralPair,
+    graded_decomposition,
+    index_alpha,
+    make_pair,
+    super_operators,
+    witten_index,
+)
 from chiralwalk.errors import InconsistencyDetected, OutOfRange
-from chiralwalk.linalg import Tolerance, eig_hermitian
+from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
 from chiralwalk.models import (
     Graph,
     SplitStepParams,
@@ -21,6 +30,7 @@ from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_involu
 from chiralwalk.spectral import (
     build_index_report,
     census,
+    cluster_reals,
     coisometry,
     flipped_pair,
     index_formula,
@@ -265,20 +275,32 @@ class TestReportStructure:
         # Each operator is factorized once per report, and a degenerate
         # +-1 eigenspace costs what its complement costs: intersections
         # factorize a matrix no taller than a complement, and eig_unitary
-        # splits only the 2x2 clusters of conjugate eigenvalue pairs. A
-        # reintroduced duplicate route or full-size split shows here.
+        # splits only the 2x2 clusters of conjugate eigenvalue pairs. The
+        # squared supercharge H is not factorized at all: its spectrum,
+        # zero block and Witten index come from the supercharge's SVD, the
+        # only large one. A reintroduced duplicate route or full-size
+        # split shows here.
         pair = grover_search(5, 0)
-        calls = []
+        n = pair.dim
+        calls, large_svds = [], []
         for name in ("svd", "eigh"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 a = np.asarray(a)
                 calls.append((_name, sys._getframe(1).f_code.co_name, a.shape, a.dtype))
+                if _name == "svd" and min(a.shape) > n / 2:
+                    large_svds.append(a)
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
         build_index_report(pair)
-        assert sum(call[0] == "svd" for call in calls) <= 11
-        assert sum(call[0] == "eigh" for call in calls) <= 8
+        assert sum(call[0] == "svd" for call in calls) <= 9
+        assert sum(call[0] == "eigh" for call in calls) <= 7
+        # A real pair's supercharge is purely imaginary, and its imaginary
+        # part is what gets factorized.
+        q = super_operators(pair).q
+        assert len(large_svds) == 1
+        assert large_svds[0].shape == (n, n)
+        assert np.array_equal(np.abs(large_svds[0]), np.abs(q))
         rows = [shape[0] for name, caller, shape, _ in calls
                 if (name, caller) == ("svd", "subspace_intersection")]
         assert rows and max(rows) <= 2
@@ -314,8 +336,6 @@ class TestReportStructure:
         dec = coisometry(pair)
         w_t, _ = eig_hermitian(dec.discriminant)
         interior = w_t[np.abs(np.abs(w_t) - 1.0) > 1e-8]
-        from chiralwalk.chiral import super_operators
-
         w_h = np.linalg.eigvalsh(super_operators(pair).h)
         nonzero = np.sort(w_h[np.abs(w_h) > 1e-8])
         expected = np.sort(np.concatenate([1.0 - interior**2] * 2))
@@ -371,3 +391,63 @@ def test_real_pair_report_matches_complex_twin(build):
         a, b = getattr(real, key), getattr(complex_, key)
         assert [m for _, m in a] == [m for _, m in b]
         assert max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0) <= 1e-12
+
+
+def _reflection(rng, m, real):
+    """2P - 1 through a random subspace of random dimension, real or complex."""
+    basis = np.linalg.qr(rng.standard_normal((m, m)))[0] if real else haar_unitary(rng, m)
+    basis = basis[:, :int(rng.integers(0, m + 1))]
+    return 2.0 * basis @ basis.conj().T - np.eye(m)
+
+
+def _pair_with_planted_directions(rng, n, planted, real):
+    """Grading and coin sharing ``planted`` eigenvectors, each +-1 for both.
+
+    Every shared direction is an eigenvector of U at +-1, so it lies in
+    ker q; the rest of the space carries independent random reflections.
+    """
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+    shared, rest = w[:, :planted], w[:, planted:]
+
+    def involution():
+        signs = rng.choice([-1.0, 1.0], size=planted)
+        return (shared * signs) @ shared.conj().T \
+            + rest @ _reflection(rng, n - planted, real) @ rest.conj().T
+
+    gamma = involution()
+    return make_pair(gamma @ involution(), gamma)
+
+
+def _assert_witten_and_h_routes(pair):
+    # Reference Witten index: the literal nullity gap of the graded blocks
+    # of H, alpha* alpha on Gamma+ and alpha alpha* on Gamma-.
+    a = graded_decomposition(pair).alpha
+    expected = kernel_basis(a.conj().T @ a).dim - kernel_basis(a @ a.conj().T).dim
+    report = build_index_report(pair)
+    assert report.index_witten == witten_index(pair) == expected
+    # Reference spectrum of H: a Hermitian eigensolve of q @ q.
+    q = super_operators(pair).q
+    reference = cluster_reals(np.linalg.eigvalsh(q @ q), pair.tol.cluster)
+    assert [m for _, m in report.spectrum_h] == [m for _, m in reference]
+    assert max(abs(x - y) for (x, _), (y, _) in zip(report.spectrum_h, reference)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=24),
+       planted=st.integers(min_value=0, max_value=8),
+       real=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_witten_index_and_h_spectrum_from_supercharge_svd(dim, planted, real, seed):
+    pair = _pair_with_planted_directions(
+        np.random.default_rng(seed), dim, min(planted, dim), real)
+    assert (pair.u.dtype == np.float64) == real
+    _assert_witten_and_h_routes(pair)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
+      for q in range(1, 5) for t in sorted({0, 2**q - 1})),
+    *(pytest.param(lambda v=v: toy_four_dim(v), id=f"toy4-{v}") for v in range(1, 6)),
+])
+def test_witten_index_and_h_spectrum_with_large_supercharge_kernel(build):
+    _assert_witten_and_h_routes(build())
