@@ -181,9 +181,20 @@ def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
     Bases come from the Hermitian eigensolver with a deterministic phase
     convention, so the block matrix is reproducible across runs.
     """
-    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
-    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
-    return GradedDecomposition(plus_basis=plus, minus_basis=minus, alpha=alpha)
+    return _graded(*_involution_eigenspaces(pair.gamma, pair.tol), _supercharge(pair))
+
+
+def _graded(plus: Subspace, minus: Subspace, q: np.ndarray,
+            basis: np.ndarray | None = None) -> GradedDecomposition:
+    """The decomposition from the grading's eigenspaces and the supercharge.
+
+    With ``basis`` an orthonormal basis ``B`` of a subspace outside which
+    q vanishes, ``q`` is given as ``q B`` and the block is
+    ``(G-* q B)(B* G+)``, which costs ``n^2 dim B`` instead of ``n^3``.
+    """
+    rows = plus.basis if basis is None else basis.conj().T @ plus.basis
+    return GradedDecomposition(plus_basis=plus, minus_basis=minus,
+                               alpha=minus.basis.conj().T @ q @ rows)
 
 
 def index_alpha(pair: ChiralPair) -> int:
@@ -206,16 +217,32 @@ def witten_index(pair: ChiralPair) -> int:
     return plus.dim - minus.dim
 
 
-def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition,
-                        tol: Tolerance) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
-    """``ker q``, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
+def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition, tol: Tolerance,
+                        basis: np.ndarray | None = None,
+                        outside: tuple[Subspace, Subspace] | None = None,
+                        ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
+    """``ker q`` on W, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
 
     The eigenvalues of ``H = q* q`` are the squared singular values, and
-    its zero block is ``ker q``, decided by the same cutoff.
+    its zero block is ``ker q``, decided by the same cutoff. By default W
+    is the whole space. Otherwise ``q`` is given as ``q B`` for an
+    orthonormal basis ``B`` of a Gamma-invariant subspace W outside which
+    q vanishes, and ``outside`` holds ``W-perp & Gamma+`` and
+    ``W-perp & Gamma-``. Then ``ker q = W-perp + B ker(q B)``, the other
+    singular values of q are zeros, and each ``ker q & Gamma+-`` is
+    ``(B ker(q B) & Gamma+-) + (W-perp & Gamma+-)``. The kernel returned
+    first is ``ker(q B)``, in W's coordinates.
     """
-    ker_q, sigma = _kernel_svd(q, tol)
-    return (ker_q, sigma, subspace_intersection(ker_q, graded.plus_basis, tol),
-            subspace_intersection(ker_q, graded.minus_basis, tol))
+    ker_w, sigma = _kernel_svd(q, tol)
+    n = graded.plus_basis.ambient_dim
+    if basis is None:
+        return (ker_w, sigma, subspace_intersection(ker_w, graded.plus_basis, tol),
+                subspace_intersection(ker_w, graded.minus_basis, tol))
+    lifted = Subspace(n, basis @ ker_w.basis)
+    plus, minus = (
+        Subspace(n, np.hstack([subspace_intersection(lifted, side, tol).basis, out.basis]))
+        for side, out in zip((graded.plus_basis, graded.minus_basis), outside))
+    return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
 
 def gamma_signature(pair: ChiralPair) -> int:
@@ -232,7 +259,7 @@ def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:
     """Index of a pair of orthogonal projections.
 
     Defined as the nullity of ``p1 - p2 - 1`` minus the nullity of
-    ``p1 - p2 + 1``, both read from one eigensolve of the Hermitian
+    ``p1 - p2 + 1``, both read from the eigenvalues of the Hermitian
     ``p1 - p2``. Raises :class:`NotProjection` unless both arguments are
     Hermitian idempotents within tolerance.
     """
@@ -248,6 +275,14 @@ def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:
                 f"{label} argument is not an orthogonal projection: "
                 f"hermiticity residual {herm:.6e}, idempotency residual {idem:.6e}"
             )
-    diff = p1 - p2
-    w, _ = np.linalg.eigh((diff + diff.conj().T) / 2.0)
+    return _projection_pair_index(p1 - p2, tol)
+
+
+def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
+    """:func:`projection_pair_index` from ``p1 - p2``, without validation.
+
+    Only the eigenvalues of the Hermitian part are needed, so no
+    eigenvectors are computed.
+    """
+    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
     return int(_near_unit(w, 1.0, tol.rank).sum() - _near_unit(w, -1.0, tol.rank).sum())

@@ -20,7 +20,8 @@ of a real unitary is kept real and is not factorized again. A
 complement where a factorization yields one for free, and
 :func:`subspace_intersection` then takes the principal-angle sines from
 a matrix no larger than that complement's dimension times the smaller
-subspace's.
+subspace's, and :func:`spans_match` compares a basis with a narrow
+complement instead of with a wide basis.
 
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
@@ -167,11 +168,20 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
 
     The residual is the larger of the two one-sided projection residuals;
     on a dimension mismatch it is the integer gap between the dimensions.
+    When a side carries a ``complement`` narrower than its basis, the
+    residual is instead the other side's basis projected onto the
+    narrowest such complement, a product no wider than that complement:
+    for equal dimensions both one-sided residuals have the largest
+    principal-angle sine as spectral norm, so one side suffices.
     """
     if a.dim != b.dim:
         return False, float(abs(a.dim - b.dim))
-    residual = max(a.residual_outside(b), b.residual_outside(a))
-    return True, residual
+    narrow = [s for s in (a, b) if s.complement is not None and s.complement.shape[1] < s.dim]
+    if narrow:
+        inside = min(narrow, key=lambda s: s.complement.shape[1])
+        perp, other = inside.complement, (b if inside is a else a).basis
+        return True, _maxabs(perp @ (perp.conj().T @ other))
+    return True, max(a.residual_outside(b), b.residual_outside(a))
 
 
 def unitarity_residual(a) -> float:
@@ -222,9 +232,11 @@ def _kernel_svd(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, np.ndarray]:
         m = m.imag
     cols = m.shape[1]
     if m.size == 0:
+        everything = np.eye(cols, dtype=np.complex128)
+        nothing = np.empty((cols, 0), dtype=np.complex128)
         if m.shape[0] == 0:
-            return Subspace(cols, np.eye(cols, dtype=np.complex128)), np.empty(0)
-        return Subspace(cols, np.empty((cols, 0), dtype=np.complex128)), np.empty(0)
+            return Subspace(cols, everything, complement=nothing), np.empty(0)
+        return Subspace(cols, nothing, complement=everything), np.empty(0)
     # A wide matrix needs the full set of right singular vectors to span
     # its kernel; for a tall or square one the reduced set already has them.
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)

@@ -8,6 +8,18 @@ of the evolution at +-1 split into inherited ones (lifted from the
 discriminant's +-1 eigenvalues) and birth ones (invisible to the
 discriminant). Counting the four sources gives the index formula, and
 everything here cross-checks the different routes against each other.
+
+The report computes U's and q's side on the walk's invariant subspace
+L = ran d* + Gamma ran d*, of dimension at most 2c for a coin space of
+dimension c. U maps L to itself; on L-perp the effective coin is -1, so
+U is -Gamma there (Gamma for a flipped coin) and q vanishes. U's
+eigensolve runs on the compression ``B* U B`` and the SVD of q on the
+``n x dim L`` matrix ``q B``; L-perp adds the eigenvalues +-1 on
+``L-perp & Gamma-+`` and a zero block of q. Two certificates,
+``|U B - B (B* U B)|`` and ``|q - (q B) B*|``, must lie within
+``tol.structural * n``. When one fails, or when 4c > n, the report
+runs on W = C^n instead, where the same code makes the dense
+factorizations.
 """
 
 from __future__ import annotations
@@ -20,11 +32,11 @@ import numpy as np
 
 from .chiral import (
     ChiralPair,
+    _graded,
+    _projection_pair_index,
     _supercharge,
     _supercharge_kernel,
-    graded_decomposition,
     make_pair,
-    projection_pair_index,
 )
 from .errors import InconsistencyDetected, OutOfRange
 from .linalg import (
@@ -164,17 +176,96 @@ def _coisometry(pair: ChiralPair, coin_plus: Subspace,
     return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t)
 
 
-def _unit_split(values: np.ndarray, vectors: np.ndarray, tol: Tolerance):
-    """ker(A - 1), ker(A + 1) and the other eigenvalues of a normal operator.
+@dataclass(frozen=True)
+class _Walk:
+    """The subspace W on which the report computes U's and q's spectra.
 
-    Bases whose entries are all exactly real are returned as float64.
+    ``basis`` is an orthonormal basis ``B`` of W, or None when W is the
+    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``. ``outside``
+    holds ``W-perp & Gamma+`` and ``W-perp & Gamma-``, on which U is
+    ``-Gamma`` for the effective coin; both are empty when W is the
+    whole space.
     """
-    at_plus = _near_unit(values, 1.0, tol.rank)
-    at_minus = _near_unit(values, -1.0, tol.rank)
-    n = vectors.shape[0]
-    return (Subspace(n, _real_if_exact(vectors[:, at_plus])),
-            Subspace(n, _real_if_exact(vectors[:, at_minus])),
-            values[~(at_plus | at_minus)])
+
+    basis: np.ndarray | None
+    u: np.ndarray
+    q: np.ndarray
+    outside: tuple[Subspace, Subspace]
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        return v if self.basis is None else self.basis @ v
+
+    def restrict(self, m: np.ndarray) -> np.ndarray:
+        """``m B``: the columns of ``m`` that act on W."""
+        return m if self.basis is None else m @ self.basis
+
+    def span(self, inner: np.ndarray, outer: Subspace, inner_rest: np.ndarray,
+             outer_rest: Subspace) -> Subspace:
+        """The lift of ``inner``'s columns plus ``outer``, a part of W-perp.
+
+        Its complement is the lift of ``inner_rest`` plus ``outer_rest``.
+        On a proper W the subspace carries that complement when it is
+        narrower than the basis, so :func:`spans_match` compares through
+        it; on the whole space only the dense basis is kept.
+        """
+        n = outer.ambient_dim
+        basis = _real_if_exact(np.hstack([self.lift(inner), outer.basis]))
+        if self.basis is None or inner_rest.shape[1] + outer_rest.dim >= basis.shape[1]:
+            return Subspace(n, basis)
+        return Subspace(n, basis, complement=_real_if_exact(
+            np.hstack([self.lift(inner_rest), outer_rest.basis])))
+
+    def lift_kernel(self, side: Subspace, other: Subspace, ker: Subspace) -> Subspace:
+        """A kernel of the supercharge block, lifted from the eigenspace ``side``.
+
+        Its complement is the lift of the kernel's SVD complement plus the
+        ``other`` eigenspace, carried on a proper W when it is narrow.
+        """
+        n, basis = side.ambient_dim, side.basis @ ker.basis
+        if self.basis is None or other.dim + ker.complement.shape[1] >= ker.dim:
+            return Subspace(n, basis)
+        return Subspace(n, basis, complement=np.hstack([other.basis,
+                                                         side.basis @ ker.complement]))
+
+
+def _certificate_bound(pair: ChiralPair) -> float:
+    """Largest certificate residual with which the report runs on L."""
+    return pair.tol.structural * pair.dim
+
+
+def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
+                   dec: CoisometryDecomposition, q: np.ndarray) -> _Walk:
+    """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
+
+    U maps L to itself, and on L-perp the effective coin is -1, so U is
+    -Gamma there for the effective coin and q vanishes (Szegedy's busy
+    subspace). With ``G+-`` the grading's eigenbases, L is the orthogonal
+    sum of ``G+- ran(G+-* d*)``, so the SVDs of the ``k+- x c`` matrices
+    ``G+-* d*`` give L's basis ``B`` and, from their other left singular
+    vectors, ``L-perp & Gamma+-``; the rank is decided by
+    :func:`_near_unit` on both SVDs' singular values together. L is used
+    when ``4c <= n`` and, to within ``tol.structural * n``,
+    ``U B = B (B* U B)`` and ``q = (q B) B*``; otherwise W is the whole
+    space and every factorization is the dense one.
+    """
+    n, tol = pair.dim, pair.tol
+    empty = Subspace(n, np.empty((n, 0)))
+    dense = _Walk(None, pair.u, q, (empty, empty))
+    if 4 * dec.coin_space_dim > n:
+        return dense
+    d_star = dec.d.conj().T
+    sides = (gamma_plus.basis, gamma_minus.basis)
+    lefts, sigmas = zip(*(np.linalg.svd(g.conj().T @ d_star)[:2] for g in sides))
+    keep = ~_near_unit(np.concatenate(sigmas), 0.0, tol.rank)
+    ranks = (int(keep[:sigmas[0].size].sum()), int(keep[sigmas[0].size:].sum()))
+    b = np.hstack([g @ left[:, :k] for g, left, k in zip(sides, lefts, ranks)])
+    ub, qb = pair.u @ b, q @ b
+    u_w = b.conj().T @ ub
+    bound = _certificate_bound(pair)
+    if _maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound:
+        return dense
+    return _Walk(b, u_w, qb, tuple(Subspace(n, g @ left[:, k:])
+                                   for g, left, k in zip(sides, lefts, ranks)))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -182,8 +273,12 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
 
     Returns the coisometry decomposition, the census of the supplied
     pair, the discriminant's eigenvalues, and ``ker(T - 1)``,
-    ``ker(T + 1)`` and the rest of its spectrum as split by
-    :func:`_unit_split`.
+    ``ker(T + 1)`` and the rest of its spectrum. The effective census
+    says how many of T's eigenvalues sit at +-1: its principal-angle
+    sines are linear in an eigenvalue's angle from +-1, as ``|lambda -+ 1|``
+    is for U, while ``1 -+ t`` is quadratic in it. The kernels are T's own
+    top ``m+`` and bottom ``m-`` eigenvectors, so their lift onto the
+    inherited spaces still compares two factorizations.
     """
     tol = pair.tol
     coin_plus, coin_minus = _involution_eigenspaces(pair.coin, tol)
@@ -203,7 +298,13 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
         birth_minus=birth_minus,
     )
     w_t, v_t = eig_hermitian(dec.discriminant, tol)
-    return dec, counts, w_t, _unit_split(w_t, v_t, tol)
+    eff = _flip_census(counts) if dec.flipped else counts
+    c, top = w_t.size, w_t.size - eff.m_plus
+    # Contiguous copies: a product with a strided view of the columns can
+    # take another BLAS path and round differently.
+    return dec, counts, w_t, (Subspace(c, _real_if_exact(v_t[:, top:].copy())),
+                              Subspace(c, _real_if_exact(v_t[:, :eff.m_minus].copy())),
+                              w_t[eff.m_minus:top])
 
 
 def _flip_census(c: EigenspaceCensus) -> EigenspaceCensus:
@@ -325,13 +426,27 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    graded = graded_decomposition(pair)
+    gamma_plus, gamma_minus = _involution_eigenspaces(pair.gamma, tol)
     q = _supercharge(pair)
     dec, counts, w_t, (ker_t_plus, ker_t_minus, interior_t) = _discriminant_census(
-        pair, graded.plus_basis, graded.minus_basis)
+        pair, gamma_plus, gamma_minus)
     eff_counts = _flip_census(counts) if dec.flipped else counts
-    u_values, u_vectors = eig_unitary(pair.u, tol)
-    ker_u_plus, ker_u_minus, interior_u = _unit_split(u_values, u_vectors, tol)
+    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, q)
+    graded = _graded(gamma_plus, gamma_minus, walk.q, walk.basis)
+    # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
+    # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
+    # Gamma+- at -1, the order swapping when the coin was flipped.
+    u_values, u_vectors = eig_unitary(walk.u, tol)
+    out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
+    w_dim = u_values.size
+    u_values = np.concatenate([u_values, np.ones(out_plus.dim), -np.ones(out_minus.dim)])
+    at_plus = _near_unit(u_values, 1.0, tol.rank)
+    at_minus = _near_unit(u_values, -1.0, tol.rank)
+    ker_u_plus = walk.span(u_vectors[:, at_plus[:w_dim]], out_plus,
+                           u_vectors[:, ~at_plus[:w_dim]], out_minus)
+    ker_u_minus = walk.span(u_vectors[:, at_minus[:w_dim]], out_minus,
+                            u_vectors[:, ~at_minus[:w_dim]], out_plus)
+    interior_u = u_values[~(at_plus | at_minus)]
 
     # Coisometry identities.
     coin_eff = -pair.coin if dec.flipped else pair.coin
@@ -346,27 +461,35 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     res = max(0.0, norm_t - 1.0)
     checks.append(CheckResult("discriminant_contraction", res <= tol.structural, res))
 
-    # Commutation structure of the supercharge and its Hermitian partner.
+    # Commutation structure of the supercharge and its Hermitian partner,
+    # on W: on W-perp q vanishes and U is -+Gamma, by the certificates and
+    # the coin identity above.
     g = pair.gamma
-    res = _maxabs(g @ q + q @ g)
+    g_w = walk.restrict(g)
+    res = _maxabs(g @ walk.q + q @ g_w)
     checks.append(CheckResult("supercharge_anticommutes", res <= tol.structural * n, res))
     r = (pair.u + pair.u.conj().T) / 2.0
-    res = _maxabs(g @ r - r @ g)
+    res = _maxabs(g @ walk.restrict(r) - r @ g_w)
     checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
-    # also gives the spectrum of H = q*q and, split by the grading, its kernel.
-    ker_q, sigma_q, ker_q_plus, ker_q_minus = _supercharge_kernel(q, graded, tol)
+    # also gives the spectrum of H = q*q and, split by the grading, its
+    # kernel. W-perp lies in both kernels, so they are compared on W.
+    ker_q_w, sigma_q, ker_q_plus, ker_q_minus = _supercharge_kernel(
+        walk.q, graded, tol, walk.basis, walk.outside)
+    ker_q_dim = ker_q_w.dim + n - w_dim
     ker_u_squared = Subspace(
-        n, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)]))
+        w_dim, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)[:w_dim]]))
     checks.append(_span_check(
-        "supercharge_kernel_matches_squared_evolution", pair, ((ker_q, ker_u_squared),)))
+        "supercharge_kernel_matches_squared_evolution", pair,
+        ((Subspace(w_dim, ker_q_w.basis), ker_u_squared),)))
 
     ker_alpha = kernel_basis(graded.alpha, tol)
     ker_alpha_star = kernel_basis(graded.alpha.conj().T, tol)
-    lifted_ker_alpha = Subspace(n, graded.plus_basis.basis @ ker_alpha.basis)
-    lifted_ker_alpha_star = Subspace(n, graded.minus_basis.basis @ ker_alpha_star.basis)
+    lifted_ker_alpha = walk.lift_kernel(graded.plus_basis, graded.minus_basis, ker_alpha)
+    lifted_ker_alpha_star = walk.lift_kernel(
+        graded.minus_basis, graded.plus_basis, ker_alpha_star)
     checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
         (lifted_ker_alpha, ker_q_plus), (lifted_ker_alpha_star, ker_q_minus))))
 
@@ -450,14 +573,14 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Squared supercharge spectrum: doubled 1 - t^2 plus a zero block,
     # which is ker q under the cutoff that decided it.
-    nonzero_h = w_h[ker_q.dim:]
+    nonzero_h = w_h[ker_q_dim:]
     expected_zero = ker_u_plus.dim + ker_u_minus.dim
     expected_nonzero = np.sort(np.concatenate([1.0 - interior_t**2] * 2)) \
         if interior_t.size else np.empty(0)
-    if ker_q.dim != expected_zero or len(nonzero_h) != len(expected_nonzero):
+    if ker_q_dim != expected_zero or len(nonzero_h) != len(expected_nonzero):
         checks.append(CheckResult(
             "squared_supercharge_spectrum", False,
-            float(abs(ker_q.dim - expected_zero)
+            float(abs(ker_q_dim - expected_zero)
                   + abs(len(nonzero_h) - len(expected_nonzero))),
             "zero-block or doubled-spectrum size mismatch"))
     else:
@@ -474,12 +597,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     res = float(max(routes) - min(routes))
     checks.append(CheckResult("index_routes_agree", res == 0.0, res))
 
-    # Projection-pair route.
-    gamma_plus = (eye + pair.gamma) / 2.0
-    coin_plus = (eye + pair.coin) / 2.0
-    coin_minus = (eye - pair.coin) / 2.0
-    pp = (projection_pair_index(gamma_plus, coin_plus, tol)
-          + projection_pair_index(gamma_plus, coin_minus, tol))
+    # Projection-pair route: P1 - P2 = (Gamma -+ C)/2 for P1 = Gamma+ and
+    # P2 = C+-, a factorization of its own rather than the census's.
+    pp = (_projection_pair_index((pair.gamma - pair.coin) / 2.0, tol)
+          + _projection_pair_index((pair.gamma + pair.coin) / 2.0, tol))
     checks.append(CheckResult(
         "projection_pair_identity", pp == ia, float(abs(pp - ia))))
 
@@ -518,7 +639,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                     f"{label} clusters separated by only {smallest:.3e}; "
                     f"multiplicities may be tolerance-sensitive")
 
-    consistent = max(routes) == min(routes) and mapping_residual <= tol.cluster
+    consistent = all(c.passed for c in checks)
 
     return IndexReport(
         dim=n,

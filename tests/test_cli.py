@@ -149,10 +149,6 @@ class TestModelCommand:
         assert code == 0
         assert json.loads(out)["indices"]["alpha"] == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the discriminant has an eigenvalue 1.2e-8 from -1, inside the rank "
-        "cutoff, while the matching evolution eigenvalue is 1.6e-4 from -1, "
-        "outside it: the +-1 decisions for T and U use different units"))
     def test_split_step_random_angles_passes_every_check(self, capsys):
         code, out, _ = run_cli(capsys, "model", "split-step", "--sites", "64", "--p", "0.6",
                                "--q-re", "0.8", "--angles", "random:7")
@@ -216,6 +212,24 @@ class TestModelCommand:
                                "--tol-rank", "1e-7")
         assert code == 0
         assert json.loads(out)["tolerances"]["rank"] == 1e-7
+
+
+class TestConsistentFlag:
+    def test_consistent_means_every_check_passed(self, capsys):
+        # toy2 with an evolution angle epsilon from 0 or pi: near the rank
+        # cutoff some checks fail, and a report must then never claim to be
+        # consistent; exit 2 happens exactly when it is not.
+        outcomes = set()
+        for eps in np.logspace(-12, -2, 31):
+            for beta in (np.pi - eps, eps):
+                code, out, _ = run_cli(capsys, "model", "toy2", "--beta", repr(float(beta)),
+                                       "--gamma", "0.3")
+                doc = json.loads(out)
+                passed = all(c["passed"] for c in doc["checks"])
+                assert doc["consistent"] == passed, beta
+                assert (code == 2) == (not doc["consistent"]), beta
+                outcomes.add(code)
+        assert outcomes == {0, 2}
 
 
 class TestErrorPaths:
