@@ -10,16 +10,10 @@ import numpy as np
 import pytest
 
 from chiralwalk import spectral
-from chiralwalk.chiral import graded_decomposition, make_pair
+from chiralwalk.chiral import _supercharge, graded_decomposition, make_pair
 from chiralwalk.models import grover_search, grover_walk
 from chiralwalk.selfcheck import haar_unitary, random_connected_multigraph
-from chiralwalk.spectral import (
-    _supercharge,
-    build_index_report,
-    cluster_reals,
-    cluster_unimodular,
-    coisometry,
-)
+from chiralwalk.spectral import build_index_report, cluster_reals, cluster_unimodular, coisometry
 
 
 def _planted_pair(seed, n, real, flipped):

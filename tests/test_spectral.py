@@ -271,8 +271,7 @@ class TestReportStructure:
         assert any(c.name == "balanced_grading_zero_index" and c.passed
                    for c in report.checks)
 
-    @pytest.mark.parametrize("qubits", [5, 6])
-    def test_factorization_budget(self, monkeypatch, qubits):
+    def test_factorization_budget(self, monkeypatch):
         # Each operator is factorized once per report, and a degenerate
         # +-1 eigenspace costs what its complement costs. The evolution
         # and the supercharge are factorized only on the walk's invariant
@@ -281,8 +280,6 @@ class TestReportStructure:
         # eighs of Gamma and C and the projection-pair route's eigvalsh of
         # (Gamma -+ C)/2. A dense evolution eigensolve, a full-size SVD of
         # q or an eigh with discarded vectors shows here.
-        pair = grover_search(qubits, 0)
-        n = pair.dim
         calls = []
         for name in ("svd", "eigh", "eigvalsh"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -291,23 +288,27 @@ class TestReportStructure:
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
-        build_index_report(pair)
-        counts = {name: sum(call[0] == name for call in calls)
-                  for name in ("svd", "eigh", "eigvalsh")}
-        assert counts["svd"] <= 9 and counts["eigh"] <= 5 and counts["eigvalsh"] == 2
-        large = [call for call in calls if min(call[2].shape) > n / 2]
-        assert [call[:2] for call in large] == [("eigh", "eig_hermitian")] * 2 \
-            + [("eigvalsh", "_projection_pair_index")] * 2
-        expected = (pair.gamma, pair.coin,
-                    (pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
-        for (_, _, a), m in zip(large, expected):
-            assert np.allclose(a, m, rtol=0.0, atol=1e-14)
-        rows = [a.shape[0] for name, caller, a in calls
-                if (name, caller) == ("svd", "subspace_intersection")]
-        assert rows and max(rows) <= 2
-        complex_eighs = [a.shape for name, _, a in calls
-                         if name == "eigh" and a.dtype == np.complex128]
-        assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
+        for qubits in (5, 6):
+            pair = grover_search(qubits, 0)
+            n = pair.dim
+            calls.clear()
+            build_index_report(pair)
+            counts = {name: sum(call[0] == name for call in calls)
+                      for name in ("svd", "eigh", "eigvalsh")}
+            assert counts["svd"] <= 9 and counts["eigh"] <= 5 and counts["eigvalsh"] == 2
+            large = [call for call in calls if min(call[2].shape) > n / 2]
+            assert [call[:2] for call in large] == [("eigh", "eig_hermitian")] * 2 \
+                + [("eigvalsh", "_projection_pair_index")] * 2
+            expected = (pair.gamma, pair.coin,
+                        (pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
+            for (_, _, a), m in zip(large, expected):
+                assert np.allclose(a, m, rtol=0.0, atol=1e-14)
+            rows = [a.shape[0] for name, caller, a in calls
+                    if (name, caller) == ("svd", "subspace_intersection")]
+            assert rows and max(rows) <= 2
+            complex_eighs = [a.shape for name, _, a in calls
+                             if name == "eigh" and a.dtype == np.complex128]
+            assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
 
     def test_real_pair_is_factorized_in_real_arithmetic(self, monkeypatch):
         # Every factorization of a real pair's report runs on float64
