@@ -181,20 +181,9 @@ def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
     Bases come from the Hermitian eigensolver with a deterministic phase
     convention, so the block matrix is reproducible across runs.
     """
-    return _graded(*_involution_eigenspaces(pair.gamma, pair.tol), _supercharge(pair))
-
-
-def _graded(plus: Subspace, minus: Subspace, q: np.ndarray,
-            basis: np.ndarray | None = None) -> GradedDecomposition:
-    """The decomposition from the grading's eigenspaces and the supercharge.
-
-    With ``basis`` an orthonormal basis ``B`` of a subspace outside which
-    q vanishes, ``q`` is given as ``q B`` and the block is
-    ``(G-* q B)(B* G+)``, which costs ``n^2 dim B`` instead of ``n^3``.
-    """
-    rows = plus.basis if basis is None else basis.conj().T @ plus.basis
-    return GradedDecomposition(plus_basis=plus, minus_basis=minus,
-                               alpha=minus.basis.conj().T @ q @ rows)
+    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
+    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
+    return GradedDecomposition(plus_basis=plus, minus_basis=minus, alpha=alpha)
 
 
 def index_alpha(pair: ChiralPair) -> int:
@@ -217,32 +206,16 @@ def witten_index(pair: ChiralPair) -> int:
     return plus.dim - minus.dim
 
 
-def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition, tol: Tolerance,
-                        basis: np.ndarray | None = None,
-                        outside: tuple[Subspace, Subspace] | None = None,
-                        ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
-    """``ker q`` on W, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
+def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition,
+                        tol: Tolerance) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
+    """``ker q``, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
 
     The eigenvalues of ``H = q* q`` are the squared singular values, and
-    its zero block is ``ker q``, decided by the same cutoff. By default W
-    is the whole space. Otherwise ``q`` is given as ``q B`` for an
-    orthonormal basis ``B`` of a Gamma-invariant subspace W outside which
-    q vanishes, and ``outside`` holds ``W-perp & Gamma+`` and
-    ``W-perp & Gamma-``. Then ``ker q = W-perp + B ker(q B)``, the other
-    singular values of q are zeros, and each ``ker q & Gamma+-`` is
-    ``(B ker(q B) & Gamma+-) + (W-perp & Gamma+-)``. The kernel returned
-    first is ``ker(q B)``, in W's coordinates.
+    its zero block is ``ker q``, decided by the same cutoff.
     """
-    ker_w, sigma = _kernel_svd(q, tol)
-    n = graded.plus_basis.ambient_dim
-    if basis is None:
-        return (ker_w, sigma, subspace_intersection(ker_w, graded.plus_basis, tol),
-                subspace_intersection(ker_w, graded.minus_basis, tol))
-    lifted = Subspace(n, basis @ ker_w.basis)
-    plus, minus = (
-        Subspace(n, np.hstack([subspace_intersection(lifted, side, tol).basis, out.basis]))
-        for side, out in zip((graded.plus_basis, graded.minus_basis), outside))
-    return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
+    ker_q, sigma = _kernel_svd(q, tol)
+    return (ker_q, sigma, subspace_intersection(ker_q, graded.plus_basis, tol),
+            subspace_intersection(ker_q, graded.minus_basis, tol))
 
 
 def gamma_signature(pair: ChiralPair) -> int:

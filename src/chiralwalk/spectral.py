@@ -17,9 +17,10 @@ eigensolve runs on the compression ``B* U B`` and the SVD of q on the
 ``n x dim L`` matrix ``q B``; L-perp adds the eigenvalues +-1 on
 ``L-perp & Gamma-+`` and a zero block of q. Two certificates,
 ``|U B - B (B* U B)|`` and ``|q - (q B) B*|``, must lie within
-``tol.structural * n``. When one fails, or when 4c > n, the report
-runs on W = C^n instead, where the same code makes the dense
-factorizations.
+``tol.structural * n``, and a third, the unitarity residual of
+``B* U B``, within ``tol.structural``. When one fails, or when 4c > n,
+the report runs on W = C^n instead, where the same code makes the
+dense factorizations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .chiral import (
     ChiralPair,
-    _graded,
+    GradedDecomposition,
     _projection_pair_index,
     _supercharge,
     _supercharge_kernel,
@@ -45,6 +46,7 @@ from .linalg import (
     Tolerance,
     _cluster_slices,
     _involution_eigenspaces,
+    _kernel_svd,
     _maxabs,
     _near_unit,
     _real_if_exact,
@@ -53,6 +55,7 @@ from .linalg import (
     kernel_basis,
     spans_match,
     subspace_intersection,
+    unitarity_residual,
 )
 
 
@@ -215,6 +218,31 @@ class _Walk:
         return Subspace(n, basis, complement=_real_if_exact(
             np.hstack([self.lift(inner_rest), outer_rest.basis])))
 
+    def graded(self, plus: Subspace, minus: Subspace) -> GradedDecomposition:
+        """The supercharge block ``G-* q G+``, as ``(G-* q B)(B* G+)`` on a proper W."""
+        rows = plus.basis if self.basis is None else self.basis.conj().T @ plus.basis
+        return GradedDecomposition(plus_basis=plus, minus_basis=minus,
+                                   alpha=minus.basis.conj().T @ self.q @ rows)
+
+    def supercharge_kernel(self, graded: GradedDecomposition, tol: Tolerance,
+                           ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
+        """``ker q`` on W, the singular values of ``q`` and ``ker q & Gamma+-``.
+
+        On a proper W, ``ker q = W-perp + B ker(q B)``, the singular
+        values of q on W-perp are zeros, and each ``ker q & Gamma+-`` is
+        ``(B ker(q B) & Gamma+-) + (W-perp & Gamma+-)``. The kernel
+        returned first is ``ker(q B)``, in W's coordinates.
+        """
+        if self.basis is None:
+            return _supercharge_kernel(self.q, graded, tol)
+        ker_w, sigma = _kernel_svd(self.q, tol)
+        n = self.basis.shape[0]
+        lifted = Subspace(n, self.basis @ ker_w.basis)
+        plus, minus = (
+            Subspace(n, np.hstack([subspace_intersection(lifted, side, tol).basis, out.basis]))
+            for side, out in zip((graded.plus_basis, graded.minus_basis), self.outside))
+        return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
+
     def lift_kernel(self, side: Subspace, other: Subspace, ker: Subspace) -> Subspace:
         """A kernel of the supercharge block, lifted from the eigenspace ``side``.
 
@@ -244,9 +272,13 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     ``G+-* d*`` give L's basis ``B`` and, from their other left singular
     vectors, ``L-perp & Gamma+-``; the rank is decided by
     :func:`_near_unit` on both SVDs' singular values together. L is used
-    when ``4c <= n`` and, to within ``tol.structural * n``,
-    ``U B = B (B* U B)`` and ``q = (q B) B*``; otherwise W is the whole
-    space and every factorization is the dense one.
+    when ``4c <= n``, when, to within ``tol.structural * n``,
+    ``U B = B (B* U B)`` and ``q = (q B) B*``, and when ``B* U B`` is
+    unitary to within the ``tol.structural`` that :func:`eig_unitary`
+    demands; otherwise W is the whole space and every factorization is
+    the dense one. The last certificate matters for a pair whose
+    unitarity error is coherent: :func:`make_pair` bounds ``U* U - 1``
+    entrywise, and a compression of it can be up to n times larger.
     """
     n, tol = pair.dim, pair.tol
     empty = Subspace(n, np.empty((n, 0)))
@@ -262,7 +294,8 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     ub, qb = pair.u @ b, q @ b
     u_w = b.conj().T @ ub
     bound = _certificate_bound(pair)
-    if _maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound:
+    if (_maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound
+            or unitarity_residual(u_w) > tol.structural):
         return dense
     return _Walk(b, u_w, qb, tuple(Subspace(n, g @ left[:, k:])
                                    for g, left, k in zip(sides, lefts, ranks)))
@@ -432,7 +465,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         pair, gamma_plus, gamma_minus)
     eff_counts = _flip_census(counts) if dec.flipped else counts
     walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, q)
-    graded = _graded(gamma_plus, gamma_minus, walk.q, walk.basis)
+    graded = walk.graded(gamma_plus, gamma_minus)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped.
@@ -476,8 +509,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
     # also gives the spectrum of H = q*q and, split by the grading, its
     # kernel. W-perp lies in both kernels, so they are compared on W.
-    ker_q_w, sigma_q, ker_q_plus, ker_q_minus = _supercharge_kernel(
-        walk.q, graded, tol, walk.basis, walk.outside)
+    ker_q_w, sigma_q, ker_q_plus, ker_q_minus = walk.supercharge_kernel(graded, tol)
     ker_q_dim = ker_q_w.dim + n - w_dim
     ker_u_squared = Subspace(
         w_dim, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)[:w_dim]]))

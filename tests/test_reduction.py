@@ -11,6 +11,7 @@ import pytest
 
 from chiralwalk import spectral
 from chiralwalk.chiral import _supercharge, graded_decomposition, make_pair
+from chiralwalk.linalg import unitarity_residual
 from chiralwalk.models import grover_search, grover_walk
 from chiralwalk.selfcheck import haar_unitary, random_connected_multigraph
 from chiralwalk.spectral import build_index_report, cluster_reals, cluster_unimodular, coisometry
@@ -106,6 +107,28 @@ def test_dense_graph_walk_subspace_is_smaller_than_twice_the_coin():
                                    coisometry(pair), _supercharge(pair))
     assert coisometry(pair).coin_space_dim == 20
     assert walk.basis.shape == (pair.dim, 39)
+
+
+@pytest.mark.parametrize("qubits", [3, 5, 7])
+def test_coherent_unitarity_error_falls_back_instead_of_raising(qubits):
+    # make_pair bounds U* U - 1 entrywise. Adding eps times the all-ones
+    # block on the oracle's - register to the search coin makes that
+    # error coherent: about 2 eps in every entry, just under the bound,
+    # but of norm about n eps on L = span(|0, ->, |s, ->), where the
+    # compression B* U B lives. The report must then run on the whole
+    # space, whose eigensolve accepts U, instead of raising NotUnitary.
+    base = grover_search(qubits, 0)
+    positions = 2**qubits
+    block = np.kron(np.ones((positions, positions)), np.diag([0.0, 1.0]))
+    pair = make_pair(base.gamma @ (base.coin + 0.45 * base.tol.structural * block),
+                     base.gamma)
+    assert unitarity_residual(pair.u) <= pair.tol.structural
+    basis = np.linalg.qr(np.stack([np.eye(pair.dim)[1], block[1] / positions**0.5], axis=1))[0]
+    assert unitarity_residual(basis.T @ pair.u @ basis) > pair.tol.structural
+    assert not _takes_reduced_path(pair)
+    report = build_index_report(pair)
+    assert report.consistent
+    assert _summary(report) == _summary(build_index_report(base))
 
 
 def _summary(report):

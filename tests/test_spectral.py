@@ -402,11 +402,12 @@ def _reflection(rng, m, real):
     return 2.0 * basis @ basis.conj().T - np.eye(m)
 
 
-def _pair_with_planted_directions(rng, n, planted, real):
-    """Grading and coin sharing ``planted`` eigenvectors, each +-1 for both.
+def _planted_directions(rng, n, planted, real):
+    """Evolution and grading whose coin shares ``planted`` eigenvectors with it.
 
-    Every shared direction is an eigenvector of U at +-1, so it lies in
-    ker q; the rest of the space carries independent random reflections.
+    Each shared direction is +-1 for both, so it is an eigenvector of U
+    at +-1 and lies in ker q; the rest of the space carries independent
+    random reflections. Returns the matrices ``(U, Gamma)`` as built.
     """
     w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
     shared, rest = w[:, :planted], w[:, planted:]
@@ -417,7 +418,7 @@ def _pair_with_planted_directions(rng, n, planted, real):
             + rest @ _reflection(rng, n - planted, real) @ rest.conj().T
 
     gamma = involution()
-    return make_pair(gamma @ involution(), gamma)
+    return gamma @ involution(), gamma
 
 
 def _assert_witten_and_h_routes(pair):
@@ -440,13 +441,12 @@ def _assert_witten_and_h_routes(pair):
        real=st.booleans(),
        seed=st.integers(min_value=0, max_value=10**6))
 def test_witten_index_and_h_spectrum_from_supercharge_svd(dim, planted, real, seed):
-    pair = _pair_with_planted_directions(
-        np.random.default_rng(seed), dim, min(planted, dim), real)
-    # A real draw stays real. A complex draw can come out exactly real
-    # (dimension 2 with one planted direction whose two signs agree makes
-    # the grading +-1), and is then rightly stored as float64.
-    if real:
-        assert pair.u.dtype == np.float64
+    u, gamma = _planted_directions(np.random.default_rng(seed), dim, min(planted, dim), real)
+    pair = make_pair(u, gamma)
+    # A real draw stays real and a complex one takes the complex path,
+    # unless its imaginary parts all cancel exactly (dimension 2 with one
+    # planted direction can give such a draw).
+    assert (pair.u.dtype == np.float64) == (real or not (u.imag.any() or gamma.imag.any()))
     _assert_witten_and_h_routes(pair)
 
 
