@@ -41,8 +41,6 @@ from .linalg import (
     eig_unitary,
     hermiticity_residual,
     involution_residual,
-    is_involution,
-    is_unitary,
     kernel_basis,
     spans_match,
     subspace_intersection,

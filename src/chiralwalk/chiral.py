@@ -178,8 +178,8 @@ def _supercharge(pair: ChiralPair) -> np.ndarray:
 def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
     """Orthonormal +1/-1 eigenbases of the grading and the supercharge block.
 
-    Bases come from the Hermitian eigensolver with a deterministic phase
-    convention, so the block matrix is reproducible across runs.
+    Bases come from an eigensolve, or from a narrow side's factor and QR,
+    both deterministic, so the block matrix is reproducible across runs.
     """
     plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
     alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis

@@ -23,6 +23,18 @@ a matrix no larger than that complement's dimension times the smaller
 subspace's, and :func:`spans_match` compares a basis with a narrow
 complement instead of with a wide basis.
 
+The same holds for the eigenspaces of an involution X, the grading and
+the coin. Their dimensions are read from the trace,
+``k+ = (n + tr X)/2``. From dimension 64 on, when the smaller side has
+k <= n/4 dimensions, it comes from a pivoted Cholesky factor of its
+projector ``(1 +- X)/2``, and both sides from one complete QR of that
+factor, at O(n^2 k) in place of an O(n^3) eigensolve. The certificate
+``|X B -+ B| <= tol.structural * n`` on the smaller side's basis gates
+this route; when it fails, the eigensolve runs. A wide basis whose
+orthogonal complement is narrow (at most n/32 columns) is likewise the
+trailing part of one complete QR of that complement, not a product of
+wide matrices.
+
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
 applies to singular values and the spectral code applies to the
@@ -199,14 +211,6 @@ def hermiticity_residual(a) -> float:
     return _maxabs(m - m.conj().T)
 
 
-def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return unitarity_residual(a) <= tol.structural
-
-
-def is_involution(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return involution_residual(a) <= tol.structural
-
-
 def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical null space of a matrix.
 
@@ -332,14 +336,106 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return values[order], _canonical_phases(v[:, order])
 
 
-def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
-    """The +1 and -1 eigenspaces of a unitary involution, from one eigensolve.
+# Narrow-side routes, measured with one BLAS thread: below this dimension
+# a dense eigensolve or product costs less than their per-call overhead.
+_NARROW_MIN_DIM = 64
 
-    An involution's eigenvalues sit at +-1 to within roundoff, so the sign
-    of each eigenvalue decides its side. Each side's eigenvectors are the
-    other side's ``complement``.
+
+def _narrow(width: int, n: int, share: int) -> bool:
+    """Whether ``width`` columns of C^n are few enough for a narrow-side route.
+
+    ``share`` is the measured crossover: the route wins when ``width`` is
+    at most ``n / share``.
     """
-    w, v = eig_hermitian(a, tol)
+    return n >= _NARROW_MIN_DIM and 0 < width * share <= n
+
+
+def _complete_basis(b: np.ndarray) -> np.ndarray:
+    """One complete Householder QR of the ``n x k`` full-rank ``b``.
+
+    Its first k columns span ``b``'s columns and the other ``n - k`` their
+    orthogonal complement, at O(n^2 k) rather than the O(n^3) of an
+    eigensolve or of writing a wide basis as a product.
+    """
+    return np.linalg.qr(b, mode="complete")[0]
+
+
+def _pivoted_cholesky(m: np.ndarray, sign: float, k: int) -> np.ndarray:
+    """``n x k`` factor ``L`` of the rank-k projector ``P = (1 + sign m)/2``, ``L L* = P``.
+
+    Each step takes the column of the largest remaining diagonal entry,
+    the first one on a tie. After j steps the remainder is the projector
+    onto the rest of ``ran P``, with trace k - j, so each pivot is at
+    least 1/n.
+    """
+    n = m.shape[0]
+    diag = (1.0 + sign * m.diagonal().real) / 2.0
+    factor = np.zeros((n, k), dtype=m.dtype)
+    for j in range(k):
+        i = int(np.argmax(diag))
+        col = sign * m[:, i] / 2.0
+        col[i] += 0.5
+        col -= factor[:, :j] @ factor[i, :j].conj()
+        factor[:, j] = col / np.sqrt(diag[i])
+        diag -= factor[:, j].real ** 2 + factor[:, j].imag ** 2
+    return factor
+
+
+def _narrow_certificate_bound(n: int, tol: Tolerance) -> float:
+    """Largest entry of ``X B -+ B`` with which a narrow eigenspace is accepted."""
+    return tol.structural * n
+
+
+def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspace] | None:
+    """Both eigenspaces of an involution whose smaller side is narrow, else None.
+
+    The trace gives the +1 side's dimension ``k+ = (n + tr X)/2``, which
+    must be an integer to within the certificate bound. When
+    ``k = min(k+, n - k+)`` is at most n/4, a pivoted Cholesky factor of
+    the smaller side's projector ``(1 +- X)/2`` (O(n k^2)) and one
+    complete QR of it (O(n^2 k)) give both sides. The smaller side ``B`` is accepted when
+    ``|X B -+ B|`` is entrywise at most the certificate bound and has
+    Frobenius norm below 1: that norm bounds ``|(X -+ 1) B|_2``, so by
+    Courant-Fischer X has k eigenvalues within it of +-1, on that side of
+    zero, and the trace leaves none for the other side.
+    """
+    n = m.shape[0]
+    k_plus = (n + float(np.trace(m).real)) / 2.0
+    k = round(min(k_plus, n - k_plus))
+    bound = _narrow_certificate_bound(n, tol)
+    if not _narrow(k, n, 4) or abs(min(k_plus, n - k_plus) - k) > bound:
+        return None
+    sign = 1.0 if k_plus <= n / 2.0 else -1.0
+    factor = _pivoted_cholesky(m, sign, k)
+    # When X is an involution only to within a tolerance, ran L is off the
+    # eigenspace by an angle of about that tolerance; one step of subspace
+    # iteration, P L, squares it.
+    q = _complete_basis(factor + sign * (m @ factor))
+    small, large = q[:, :k], q[:, k:]
+    residual = m @ small - sign * small
+    # Written so that a NaN residual fails.
+    if not (_maxabs(residual) <= bound and np.linalg.norm(residual) < 1.0):
+        return None
+    spaces = Subspace(n, small, complement=large), Subspace(n, large, complement=small)
+    return spaces if sign > 0 else spaces[::-1]
+
+
+def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+    """The +1 and -1 eigenspaces of a Hermitian unitary involution.
+
+    From dimension ``_NARROW_MIN_DIM`` on, an involution whose smaller
+    side has at most n/4 dimensions takes :func:`_narrow_eigenspaces`.
+    Otherwise, and when its certificate fails, one eigensolve decides: an
+    involution's eigenvalues sit at +-1 to within roundoff, so the sign of
+    each eigenvalue decides its side. Each side's basis is the other
+    side's ``complement``.
+    """
+    m = _real_if_exact(as_square_matrix(a))
+    # The size floor comes first, so small pairs pay nothing for the route.
+    narrow = _narrow_eigenspaces(m, tol) if m.shape[0] >= _NARROW_MIN_DIM else None
+    if narrow is not None:
+        return narrow
+    w, v = eig_hermitian(m, tol)
     n = v.shape[0]
     plus, minus = v[:, w >= 0.0], v[:, w < 0.0]
     return Subspace(n, plus, complement=minus), Subspace(n, minus, complement=plus)
@@ -361,7 +457,10 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     larger subspace carries a ``complement`` ``B2perp``, the sines come
     from the small ``(n - k2) x k1`` matrix ``B2perp* B1``, factorized
     through itself or its adjoint, whichever is wide; otherwise from the
-    ``n x k1`` matrix ``B1 - B2 (B2* B1)``.
+    ``n x k1`` matrix ``B1 - B2 (B2* B1)``. When ``B1`` carries a
+    complement and the intersection's complement is narrow, the
+    intersection is instead the complement of ``B1perp`` plus ``B1`` times
+    the other right singular vectors, from one complete QR.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
@@ -371,15 +470,21 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
         s1, s2 = s2, s1
     if s1.dim == 0:
         return s1
+    # (s1 & s2)-perp = s1-perp + s2-perp has at most this many dimensions.
+    n = s1.ambient_dim
+    narrow = s1.complement is not None and _narrow(2 * n - s1.dim - s2.dim, n, 32)
     if s2.complement is None:
         _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
         right = vh.conj().T
     else:
         y = s2.complement.conj().T @ s1.basis
         if y.shape[0] < y.shape[1]:
-            _, sines, vh = np.linalg.svd(y, full_matrices=True)
+            _, sines, vh = np.linalg.svd(y, full_matrices=not narrow)
             right = vh.conj().T
         else:
             right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
-    shared = s1.basis @ right[:, int(np.sum(sines > tol.rank)):]
-    return Subspace(s1.ambient_dim, _canonical_phases(shared))
+    kept = int(np.sum(sines > tol.rank))
+    if narrow:
+        perp = np.hstack([s1.complement, s1.basis @ right[:, :kept]])
+        return Subspace(n, _complete_basis(perp)[:, perp.shape[1]:])
+    return Subspace(n, _canonical_phases(s1.basis @ right[:, kept:]))

@@ -20,7 +20,9 @@ eigensolve runs on the compression ``B* U B`` and the SVD of q on the
 ``tol.structural * n``, and a third, the unitarity residual of
 ``B* U B``, within ``tol.structural``. When one fails, or when 4c > n,
 the report runs on W = C^n instead, where the same code makes the
-dense factorizations.
+dense factorizations. On L, a wide basis whose orthogonal complement is
+narrow (a part of L-perp, a lifted kernel) is written as the trailing
+columns of one complete QR of that complement, not as a wide product.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ from .linalg import (
     Subspace,
     Tolerance,
     _cluster_slices,
+    _complete_basis,
     _involution_eigenspaces,
     _kernel_svd,
     _maxabs,
+    _narrow,
     _near_unit,
     _real_if_exact,
     eig_hermitian,
@@ -247,13 +251,17 @@ class _Walk:
         """A kernel of the supercharge block, lifted from the eigenspace ``side``.
 
         Its complement is the lift of the kernel's SVD complement plus the
-        ``other`` eigenspace, carried on a proper W when it is narrow.
+        ``other`` eigenspace, carried on a proper W when it is narrow; the
+        basis is then that complement's complement, from one complete QR,
+        when the complement has at most n/32 columns.
         """
-        n, basis = side.ambient_dim, side.basis @ ker.basis
+        n = side.ambient_dim
         if self.basis is None or other.dim + ker.complement.shape[1] >= ker.dim:
-            return Subspace(n, basis)
-        return Subspace(n, basis, complement=np.hstack([other.basis,
-                                                         side.basis @ ker.complement]))
+            return Subspace(n, side.basis @ ker.basis)
+        perp = np.hstack([other.basis, side.basis @ ker.complement])
+        basis = (_complete_basis(perp)[:, perp.shape[1]:] if _narrow(perp.shape[1], n, 32)
+                 else side.basis @ ker.basis)
+        return Subspace(n, basis, complement=perp)
 
 
 def _certificate_bound(pair: ChiralPair) -> float:
@@ -271,7 +279,9 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     sum of ``G+- ran(G+-* d*)``, so the SVDs of the ``k+- x c`` matrices
     ``G+-* d*`` give L's basis ``B`` and, from their other left singular
     vectors, ``L-perp & Gamma+-``; the rank is decided by
-    :func:`_near_unit` on both SVDs' singular values together. L is used
+    :func:`_near_unit` on both SVDs' singular values together. When
+    ``L-perp & Gamma+-`` is wide, it is instead the complement of the
+    narrow ``[G-+ | G+- ran(G+-* d*)]``, from one complete QR. L is used
     when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``q = (q B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
@@ -287,18 +297,26 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
         return dense
     d_star = dec.d.conj().T
     sides = (gamma_plus.basis, gamma_minus.basis)
-    lefts, sigmas = zip(*(np.linalg.svd(g.conj().T @ d_star)[:2] for g in sides))
+    # [G-+ | G+- ran(G+-* d*)] has at most n - k+- + c columns; when that is
+    # narrow, the SVD need not write out G+-* d*'s other left vectors.
+    thin = [_narrow(n - g.shape[1] + dec.coin_space_dim, n, 32) for g in sides]
+    lefts, sigmas = zip(*(np.linalg.svd(g.conj().T @ d_star, full_matrices=not narrow)[:2]
+                          for g, narrow in zip(sides, thin)))
     keep = ~_near_unit(np.concatenate(sigmas), 0.0, tol.rank)
     ranks = (int(keep[:sigmas[0].size].sum()), int(keep[sigmas[0].size:].sum()))
-    b = np.hstack([g @ left[:, :k] for g, left, k in zip(sides, lefts, ranks)])
+    parts = [g @ left[:, :k] for g, left, k in zip(sides, lefts, ranks)]
+    b = np.hstack(parts)
     ub, qb = pair.u @ b, q @ b
     u_w = b.conj().T @ ub
     bound = _certificate_bound(pair)
     if (_maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound
             or unitarity_residual(u_w) > tol.structural):
         return dense
-    return _Walk(b, u_w, qb, tuple(Subspace(n, g @ left[:, k:])
-                                   for g, left, k in zip(sides, lefts, ranks)))
+    outside = (_complete_basis(np.hstack([other, part]))[:, other.shape[1] + k:] if narrow
+               else g @ left[:, k:]
+               for g, other, part, left, k, narrow in zip(sides, sides[::-1], parts, lefts,
+                                                          ranks, thin))
+    return _Walk(b, u_w, qb, tuple(Subspace(n, basis) for basis in outside))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):

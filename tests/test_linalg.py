@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralwalk import linalg
 from chiralwalk.errors import DimensionMismatch, NotHermitian, NotUnitary
 from chiralwalk.linalg import (
     DEFAULT_TOL,
@@ -16,11 +17,11 @@ from chiralwalk.linalg import (
     _involution_eigenspaces,
     eig_hermitian,
     eig_unitary,
-    is_involution,
-    is_unitary,
+    involution_residual,
     kernel_basis,
     spans_match,
     subspace_intersection,
+    unitarity_residual,
 )
 from chiralwalk.models import grover_search
 from chiralwalk.selfcheck import haar_unitary
@@ -79,26 +80,27 @@ class TestCanonicalPhases:
 
 class TestPredicates:
     def test_identity_is_unitary(self):
-        assert is_unitary(np.eye(5))
+        assert unitarity_residual(np.eye(5)) == 0.0
 
     def test_diagonal_phases_are_unitary(self):
         beta = 0.3
-        assert is_unitary(np.diag([np.exp(1j * beta), np.exp(-1j * beta)]))
+        assert unitarity_residual(np.diag([np.exp(1j * beta), np.exp(-1j * beta)])) \
+            <= DEFAULT_TOL.structural
 
     def test_stretched_diagonal_is_not_unitary(self):
-        assert not is_unitary(np.diag([2.0, 1.0]))
+        assert unitarity_residual(np.diag([2.0, 1.0])) == pytest.approx(3.0)
 
     def test_phase_swap_is_involution(self):
         gamma = 0.7
         swap = np.array([[0.0, np.exp(1j * gamma)], [np.exp(-1j * gamma), 0.0]])
-        assert is_involution(swap)
-        assert is_unitary(swap)
+        assert involution_residual(swap) <= DEFAULT_TOL.structural
+        assert unitarity_residual(swap) <= DEFAULT_TOL.structural
 
     def test_identity_is_involution(self):
-        assert is_involution(np.eye(3))
+        assert involution_residual(np.eye(3)) == 0.0
 
     def test_imaginary_diagonal_squares_to_minus_one(self):
-        assert not is_involution(np.diag([1j, -1j]))
+        assert involution_residual(np.diag([1j, -1j])) == pytest.approx(2.0)
 
 
 class TestKernelBasis:
@@ -400,3 +402,118 @@ class TestSubspaceIntersection:
         assert a.dim == b.dim == 2
         same, residual = spans_match(a, b)
         assert same and residual <= DEFAULT_TOL.structural
+
+
+def _narrow_involution(seed, n, k, sign, real, pinned, perturb):
+    """Involution whose ``sign`` side has dimension k, optionally uneven and perturbed.
+
+    With ``pinned`` the small side contains the first standard basis
+    vector and is Haar-random otherwise, so the projector's diagonal runs
+    from 1 down to about k/n. ``perturb`` adds a Hermitian matrix with
+    entries up to that fraction of ``tol.structural``.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.normal(size=(n, n)))[0] if real else haar_unitary(rng, n)
+    if pinned:
+        w = np.linalg.qr(np.hstack([np.eye(n)[:, :1], w[:, :n - 1]]))[0]
+    x = sign * (2.0 * w[:, :k] @ w[:, :k].conj().T - np.eye(n))
+    e = rng.uniform(-1.0, 1.0, size=(n, n))
+    if not real:
+        e = e + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
+    e = (e + e.conj().T) / 2.0
+    return x + perturb * DEFAULT_TOL.structural * e / np.max(np.abs(e))
+
+
+def _eigh_oracle(x):
+    """Both sides' projectors from numpy's own eigensolve, by the sign of each value."""
+    w, v = np.linalg.eigh(x)
+    plus, minus = v[:, w >= 0.0], v[:, w < 0.0]
+    return plus @ plus.conj().T, minus @ minus.conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=linalg._NARROW_MIN_DIM, max_value=128),
+       k_share=st.floats(min_value=0.0, max_value=1.0),
+       minus_small=st.booleans(),
+       real=st.booleans(),
+       pinned=st.booleans(),
+       perturb=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_narrow_eigenspaces_match_eigh(n, k_share, minus_small, real, pinned, perturb, seed):
+    # The trace, a pivoted Cholesky factor and one complete QR must give
+    # the eigenspaces numpy's eigensolve gives, on either sign, in real
+    # and complex arithmetic, for uneven diagonals and gradings that are
+    # involutions only to within tol.structural.
+    k = 1 + int(k_share * (n // 4 - 1))
+    x = _narrow_involution(seed, n, k, -1.0 if minus_small else 1.0, real, pinned, perturb)
+    spaces = linalg._narrow_eigenspaces(x, DEFAULT_TOL)
+    assert spaces is not None
+    plus, minus = spaces
+    assert (minus.dim if minus_small else plus.dim) == k
+    for side, other, oracle in zip((plus, minus), (minus, plus), _eigh_oracle(x)):
+        assert side.dim == round(np.trace(oracle).real)
+        assert side.basis.dtype == (np.float64 if real else np.complex128)
+        assert np.max(np.abs(side.basis @ side.basis.conj().T - oracle)) <= 1e-12
+        assert np.max(np.abs(side.basis.conj().T @ side.basis - np.eye(side.dim))) <= 1e-13
+        assert side.complement is other.basis
+    assert np.max(np.abs(plus.basis.conj().T @ minus.basis)) <= 1e-13
+    _assert_same_subspaces(linalg._involution_eigenspaces(x), spaces)
+
+
+def _eigh_calls(monkeypatch):
+    calls = []
+
+    def recorded(a, *args, _fn=np.linalg.eigh, **kwargs):
+        calls.append(np.asarray(a).shape)
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return calls
+
+
+def _eigh_route(x, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_NARROW_MIN_DIM", 10**9)
+        return linalg._involution_eigenspaces(x)
+
+
+def _assert_same_subspaces(a, b):
+    for s, t in zip(a, b):
+        assert np.array_equal(s.basis, t.basis)
+        assert np.array_equal(s.complement, t.complement)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("minus_small", [False, True])
+def test_failed_narrow_certificate_falls_back_to_eigh(monkeypatch, real, minus_small):
+    x = _narrow_involution(4, 96, 5, -1.0 if minus_small else 1.0, real, True, 0.0)
+    dense = _eigh_route(x, monkeypatch)
+    calls = _eigh_calls(monkeypatch)
+    assert linalg._involution_eigenspaces(x)[1 if minus_small else 0].dim == 5
+    assert calls == []
+    monkeypatch.setattr(linalg, "_narrow_certificate_bound", lambda n, tol: -1.0)
+    _assert_same_subspaces(linalg._involution_eigenspaces(x), dense)
+    assert calls == [(96, 96)]
+
+
+def test_grading_off_by_more_than_the_certificate_takes_eigh(monkeypatch):
+    # A traceless Hermitian perturbation of 1e-6 keeps the trace's count
+    # but moves the narrow side further from an eigenspace than the
+    # certificate allows.
+    x = _narrow_involution(6, 96, 3, 1.0, False, False, 1e4)
+    x -= np.trace(x - _narrow_involution(6, 96, 3, 1.0, False, False, 0.0)) / 96 * np.eye(96)
+    dense = _eigh_route(x, monkeypatch)
+    calls = _eigh_calls(monkeypatch)
+    _assert_same_subspaces(linalg._involution_eigenspaces(x), dense)
+    assert calls == [(96, 96)]
+
+
+@pytest.mark.parametrize("n, k", [(96, 25), (96, 48), (63, 2), (128, 0)])
+def test_involution_outside_the_narrow_gate_takes_eigh(monkeypatch, n, k):
+    # k above n/4, a balanced grading, a dimension below the size floor
+    # and an empty side all keep the eigensolve.
+    x = _narrow_involution(9, n, k, 1.0, False, False, 0.0)
+    dense = _eigh_route(x, monkeypatch)
+    calls = _eigh_calls(monkeypatch)
+    _assert_same_subspaces(linalg._involution_eigenspaces(x), dense)
+    assert calls == [(n, n)]

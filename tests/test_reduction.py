@@ -9,7 +9,7 @@ certificate falls back to.
 import numpy as np
 import pytest
 
-from chiralwalk import spectral
+from chiralwalk import linalg, spectral
 from chiralwalk.chiral import _supercharge, graded_decomposition, make_pair
 from chiralwalk.linalg import unitarity_residual
 from chiralwalk.models import grover_search, grover_walk
@@ -28,6 +28,19 @@ def _planted_pair(seed, n, real, flipped):
 
     gamma = reflection(int(rng.integers(0, n + 1)))
     return make_pair(gamma @ reflection(n - c if flipped else c), gamma)
+
+
+def _narrow_planted_pair(seed, n, real, flipped):
+    """Random pair whose grading and coin each have a side of dim <= n/4."""
+    rng = np.random.default_rng(seed)
+
+    def reflection(small):
+        w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+        return 2.0 * w[:, :small] @ w[:, :small].conj().T - np.eye(n)
+
+    gamma = float(rng.choice([-1.0, 1.0])) * reflection(int(rng.integers(1, n // 4 + 1)))
+    coin = reflection(int(rng.integers(1, n // 4 + 1)))
+    return make_pair(gamma @ (-coin if flipped else coin), gamma)
 
 
 def _graph_walk(seed, vertices, edges):
@@ -160,3 +173,55 @@ def test_failed_certificate_falls_back_to_the_dense_report(monkeypatch, build):
         assert max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0) <= 1e-12
     for a, b in zip(reduced.checks, dense.checks):
         assert abs(a.residual - b.residual) <= 1e-12
+
+
+NARROW = [
+    *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
+      for q in range(1, 9) for t in sorted({0, 1, 2**q - 1})),
+    *(pytest.param(lambda v=v, e=e: _graph_walk(v + e, v, e), id=f"graph-{v}-{e}")
+      for v, e in ((20, 200), (10, 40))),
+    *(pytest.param(lambda s=s, n=n, r=r, f=f: _narrow_planted_pair(s, n, r, f),
+                   id=f"narrow-{n}-{'real' if r else 'complex'}{'-flipped' if f else ''}")
+      for s, (n, r, f) in enumerate([(64, True, False), (64, False, True), (96, True, True),
+                                     (128, False, False), (160, True, False)], start=30)),
+]
+
+
+@pytest.mark.parametrize("build", NARROW)
+def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
+    # Eigenspaces of Gamma and C from their narrow sides, and wide bases
+    # from complete QRs of narrow ones, must give the report that
+    # eigensolves and products give.
+    pair = build()
+    if pair.dim >= 64:
+        assert any(linalg._narrow_eigenspaces(m, pair.tol) is not None
+                   for m in (pair.gamma, pair.coin))
+    narrow = build_index_report(pair)
+    monkeypatch.setattr(linalg, "_NARROW_MIN_DIM", 10**9)
+    dense = build_index_report(pair)
+    assert _summary(narrow) == _summary(dense)
+    assert narrow.mapping_residual == pytest.approx(dense.mapping_residual, abs=1e-12)
+    for key in ("spectrum_u", "spectrum_t", "spectrum_h"):
+        a, b = getattr(narrow, key), getattr(dense, key)
+        assert max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0) <= 1e-12
+    for a, b in zip(narrow.checks, dense.checks):
+        assert abs(a.residual - b.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", [6, 8])
+def test_lifted_kernel_from_its_narrow_complement(qubits):
+    # The lift of ker alpha* from the wide Gamma- comes from a complete QR
+    # of its narrow complement [Gamma+ | G- ker(alpha*)-perp]; it must span
+    # what the product G- ker(alpha*) spans.
+    pair = grover_search(qubits, 1)
+    graded = graded_decomposition(pair)
+    walk = spectral._walk_subspace(pair, graded.plus_basis, graded.minus_basis,
+                                   coisometry(pair), _supercharge(pair))
+    graded = walk.graded(graded.plus_basis, graded.minus_basis)
+    ker = linalg.kernel_basis(graded.alpha.conj().T, pair.tol)
+    lifted = walk.lift_kernel(graded.minus_basis, graded.plus_basis, ker)
+    product = graded.minus_basis.basis @ ker.basis
+    assert lifted.dim == ker.dim and lifted.complement.shape[1] == 2 + ker.complement.shape[1]
+    assert np.max(np.abs(lifted.basis @ lifted.basis.conj().T
+                         - product @ product.conj().T)) <= 1e-12
+    assert np.max(np.abs(lifted.basis.conj().T @ lifted.complement)) <= 1e-13

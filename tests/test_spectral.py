@@ -275,32 +275,39 @@ class TestReportStructure:
         # Each operator is factorized once per report, and a degenerate
         # +-1 eigenspace costs what its complement costs. The evolution
         # and the supercharge are factorized only on the walk's invariant
-        # subspace L = ran d* + Gamma ran d* (dimension 2 for search), so
-        # the only factorizations with both dimensions above n/2 are the
-        # eighs of Gamma and C and the projection-pair route's eigvalsh of
-        # (Gamma -+ C)/2. A dense evolution eigensolve, a full-size SVD of
-        # q or an eigh with discarded vectors shows here.
+        # subspace L = ran d* + Gamma ran d* (dimension 2 for search), the
+        # eigenspaces of Gamma and C come from their narrow sides (dims 2
+        # and 1) and wide bases from complete QRs of narrow ones, so the
+        # only factorizations with both dimensions above n/2 are the
+        # projection-pair route's eigvalsh of (Gamma -+ C)/2. An
+        # eigensolve of Gamma or C, a dense evolution eigensolve, a
+        # full-size SVD of q or an eigh with discarded vectors shows here.
         calls = []
-        for name in ("svd", "eigh", "eigvalsh"):
+        for name in ("svd", "eigh", "eigvalsh", "qr"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 a = np.asarray(a)
                 calls.append((_name, sys._getframe(1).f_code.co_name, a))
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
-        for qubits in (5, 6):
+        for qubits in (5, 6, 7):
             pair = grover_search(qubits, 0)
             n = pair.dim
             calls.clear()
             build_index_report(pair)
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
-            assert counts["svd"] <= 9 and counts["eigh"] <= 5 and counts["eigvalsh"] == 2
+            assert counts["svd"] <= 9 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
+            # One complete QR for each of Gamma and C and, from n = 128 on,
+            # where a QR of up to n/32 columns costs less than the product it
+            # replaces, for L-perp & Gamma-, the census's Gamma- & C+ and
+            # the lifted ker alpha*.
+            shapes = [a.shape for name, _, a in calls if name == "qr"]
+            assert len(shapes) == (2 if n < 128 else 5)
+            assert all(rows == n and cols <= 4 for rows, cols in shapes)
             large = [call for call in calls if min(call[2].shape) > n / 2]
-            assert [call[:2] for call in large] == [("eigh", "eig_hermitian")] * 2 \
-                + [("eigvalsh", "_projection_pair_index")] * 2
-            expected = (pair.gamma, pair.coin,
-                        (pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
+            assert [call[:2] for call in large] == [("eigvalsh", "_projection_pair_index")] * 2
+            expected = ((pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
             for (_, _, a), m in zip(large, expected):
                 assert np.allclose(a, m, rtol=0.0, atol=1e-14)
             rows = [a.shape[0] for name, caller, a in calls
