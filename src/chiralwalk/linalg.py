@@ -345,19 +345,21 @@ def _narrow(width: int, n: int, share: int) -> bool:
     """Whether ``width`` columns of C^n are few enough for a narrow-side route.
 
     ``share`` is the measured crossover: the route wins when ``width`` is
-    at most ``n / share``.
+    at most ``n / share``, with share 4 against an eigensolve and 32
+    against a product of wide matrices.
     """
     return n >= _NARROW_MIN_DIM and 0 < width * share <= n
 
 
-def _complete_basis(b: np.ndarray) -> np.ndarray:
-    """One complete Householder QR of the ``n x k`` full-rank ``b``.
+def _complete_basis(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the span of the full-rank ``n x k`` ``b`` and of its complement.
 
-    Its first k columns span ``b``'s columns and the other ``n - k`` their
-    orthogonal complement, at O(n^2 k) rather than the O(n^3) of an
-    eigensolve or of writing a wide basis as a product.
+    Both are columns of one complete Householder QR of ``b``, at O(n^2 k)
+    rather than the O(n^3) of an eigensolve or of writing a wide basis as
+    a product.
     """
-    return np.linalg.qr(b, mode="complete")[0]
+    q = np.linalg.qr(b, mode="complete")[0]
+    return q[:, :b.shape[1]], q[:, b.shape[1]:]
 
 
 def _pivoted_cholesky(m: np.ndarray, sign: float, k: int) -> np.ndarray:
@@ -410,8 +412,7 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     # When X is an involution only to within a tolerance, ran L is off the
     # eigenspace by an angle of about that tolerance; one step of subspace
     # iteration, P L, squares it.
-    q = _complete_basis(factor + sign * (m @ factor))
-    small, large = q[:, :k], q[:, k:]
+    small, large = _complete_basis(factor + sign * (m @ factor))
     residual = m @ small - sign * small
     # Written so that a NaN residual fails.
     if not (_maxabs(residual) <= bound and np.linalg.norm(residual) < 1.0):
@@ -430,12 +431,12 @@ def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, 
     each eigenvalue decides its side. Each side's basis is the other
     side's ``complement``.
     """
-    m = _real_if_exact(as_square_matrix(a))
     # The size floor comes first, so small pairs pay nothing for the route.
-    narrow = _narrow_eigenspaces(m, tol) if m.shape[0] >= _NARROW_MIN_DIM else None
-    if narrow is not None:
-        return narrow
-    w, v = eig_hermitian(m, tol)
+    if len(a) >= _NARROW_MIN_DIM:
+        narrow = _narrow_eigenspaces(_real_if_exact(as_square_matrix(a)), tol)
+        if narrow is not None:
+            return narrow
+    w, v = eig_hermitian(a, tol)
     n = v.shape[0]
     plus, minus = v[:, w >= 0.0], v[:, w < 0.0]
     return Subspace(n, plus, complement=minus), Subspace(n, minus, complement=plus)
@@ -486,5 +487,5 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     kept = int(np.sum(sines > tol.rank))
     if narrow:
         perp = np.hstack([s1.complement, s1.basis @ right[:, :kept]])
-        return Subspace(n, _complete_basis(perp)[:, perp.shape[1]:])
+        return Subspace(n, _complete_basis(perp)[1])
     return Subspace(n, _canonical_phases(s1.basis @ right[:, kept:]))

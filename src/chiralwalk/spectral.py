@@ -259,7 +259,7 @@ class _Walk:
         if self.basis is None or other.dim + ker.complement.shape[1] >= ker.dim:
             return Subspace(n, side.basis @ ker.basis)
         perp = np.hstack([other.basis, side.basis @ ker.complement])
-        basis = (_complete_basis(perp)[:, perp.shape[1]:] if _narrow(perp.shape[1], n, 32)
+        basis = (_complete_basis(perp)[1] if _narrow(perp.shape[1], n, 32)
                  else side.basis @ ker.basis)
         return Subspace(n, basis, complement=perp)
 
@@ -312,8 +312,7 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     if (_maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound
             or unitarity_residual(u_w) > tol.structural):
         return dense
-    outside = (_complete_basis(np.hstack([other, part]))[:, other.shape[1] + k:] if narrow
-               else g @ left[:, k:]
+    outside = (_complete_basis(np.hstack([other, part]))[1] if narrow else g @ left[:, k:]
                for g, other, part, left, k, narrow in zip(sides, sides[::-1], parts, lefts,
                                                           ranks, thin))
     return _Walk(b, u_w, qb, tuple(Subspace(n, basis) for basis in outside))
