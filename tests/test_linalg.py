@@ -500,8 +500,10 @@ def test_grading_off_by_more_than_the_certificate_takes_eigh(monkeypatch):
     # A traceless Hermitian perturbation of 1e-6 keeps the trace's count
     # but moves the narrow side further from an eigenspace than the
     # certificate allows.
+    exact = _narrow_involution(6, 96, 3, 1.0, False, False, 0.0)
     x = _narrow_involution(6, 96, 3, 1.0, False, False, 1e4)
-    x -= np.trace(x - _narrow_involution(6, 96, 3, 1.0, False, False, 0.0)) / 96 * np.eye(96)
+    x -= np.trace(x - exact) / 96 * np.eye(96)
+    assert np.trace(x - exact) == pytest.approx(0.0, abs=1e-12)
     dense = _eigh_route(x, monkeypatch)
     calls = _eigh_calls(monkeypatch)
     _assert_same_subspaces(linalg._involution_eigenspaces(x), dense)
