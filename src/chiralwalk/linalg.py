@@ -395,11 +395,12 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     must be an integer to within the certificate bound. When
     ``k = min(k+, n - k+)`` is at most n/4, a pivoted Cholesky factor of
     the smaller side's projector ``(1 +- X)/2`` (O(n k^2)) and one
-    complete QR of it (O(n^2 k)) give both sides. The smaller side ``B`` is accepted when
-    ``|X B -+ B|`` is entrywise at most the certificate bound and has
-    Frobenius norm below 1: that norm bounds ``|(X -+ 1) B|_2``, so by
-    Courant-Fischer X has k eigenvalues within it of +-1, on that side of
-    zero, and the trace leaves none for the other side.
+    complete QR of it (O(n^2 k)) give both sides. The smaller side ``B``
+    is accepted when ``|X B -+ B|`` is entrywise at most the certificate
+    bound and has Frobenius norm below 1: that norm bounds
+    ``|(X -+ 1) B|_2``, so by Courant-Fischer X has k eigenvalues within
+    it of +-1, on that side of zero, and the trace leaves none for the
+    other side.
     """
     n = m.shape[0]
     k_plus = (n + float(np.trace(m).real)) / 2.0
