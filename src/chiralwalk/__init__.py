@@ -52,7 +52,6 @@ from .models import (
     grover_search,
     grover_walk,
     search_probability_table,
-    search_success_probability,
     split_step_cycle,
     toy_four_dim,
     toy_two_dim,
@@ -67,9 +66,7 @@ from .spectral import (
     cluster_reals,
     cluster_unimodular,
     coisometry,
-    flipped_pair,
     index_formula,
-    joukowski,
     spectral_image,
     verify_spectral_mapping,
 )

@@ -33,7 +33,6 @@ from .linalg import (
     Subspace,
     Tolerance,
     _involution_eigenspaces,
-    _kernel_svd,
     _maxabs,
     _near_unit,
     as_square_matrix,
@@ -82,22 +81,17 @@ class GradedDecomposition:
 
 @dataclass(frozen=True)
 class SuperOperators:
-    """Supercharge, its Hermitian partner, and the squared supercharge.
+    """Supercharge and its Hermitian partner.
 
     ``q`` and ``r`` are the anti-Hermitian and Hermitian parts of the
-    evolution (both self-adjoint as written); ``h = q @ q`` is block
-    diagonal in the graded basis with blocks ``h_plus`` and ``h_minus``.
-    ``h`` and its blocks are formed here for inspection only: the index
-    report and :func:`witten_index` take the spectrum of ``h = q* q``
+    evolution (both self-adjoint as written). The squared supercharge is
+    ``q @ q``; the index report and :func:`witten_index` take its spectrum
     (the squared singular values of ``q``) and its kernel (``ker q``)
     from the one SVD of ``q``.
     """
 
     q: np.ndarray
     r: np.ndarray
-    h: np.ndarray
-    h_plus: np.ndarray
-    h_minus: np.ndarray
 
 
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
@@ -161,14 +155,9 @@ def super_operators(pair: ChiralPair) -> SuperOperators:
     """Split the evolution into supercharge and Hermitian partner.
 
     The supercharge is ``(u - u*)/2i`` and anticommutes with the grading;
-    the partner ``(u + u*)/2`` commutes with it. ``h_plus``/``h_minus``
-    are the graded diagonal blocks of the squared supercharge, written in
-    the graded bases.
+    the partner ``(u + u*)/2`` commutes with it.
     """
-    q = _supercharge(pair)
-    r = (pair.u + pair.u.conj().T) / 2.0
-    a = graded_decomposition(pair).alpha
-    return SuperOperators(q=q, r=r, h=q @ q, h_plus=a.conj().T @ a, h_minus=a @ a.conj().T)
+    return SuperOperators(q=_supercharge(pair), r=(pair.u + pair.u.conj().T) / 2.0)
 
 
 def _supercharge(pair: ChiralPair) -> np.ndarray:
@@ -199,23 +188,13 @@ def witten_index(pair: ChiralPair) -> int:
 
     ``ker H = ker q`` because ``q`` is self-adjoint, so the index is
     ``dim(ker q & Gamma+) - dim(ker q & Gamma-)``, with ``ker q`` from one
-    SVD of the supercharge in the full space (not of the block ``alpha``).
+    SVD of the supercharge in the full space, intersected with the
+    grading's eigenspaces; the block ``alpha`` is never formed.
     """
-    _, _, plus, minus = _supercharge_kernel(
-        _supercharge(pair), graded_decomposition(pair), pair.tol)
-    return plus.dim - minus.dim
-
-
-def _supercharge_kernel(q: np.ndarray, graded: GradedDecomposition,
-                        tol: Tolerance) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
-    """``ker q``, the singular values of ``q`` and ``ker q`` in ``Gamma+-``.
-
-    The eigenvalues of ``H = q* q`` are the squared singular values, and
-    its zero block is ``ker q``, decided by the same cutoff.
-    """
-    ker_q, sigma = _kernel_svd(q, tol)
-    return (ker_q, sigma, subspace_intersection(ker_q, graded.plus_basis, tol),
-            subspace_intersection(ker_q, graded.minus_basis, tol))
+    ker_q = kernel_basis(_supercharge(pair), pair.tol)
+    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
+    return (subspace_intersection(ker_q, plus, pair.tol).dim
+            - subspace_intersection(ker_q, minus, pair.tol).dim)
 
 
 def gamma_signature(pair: ChiralPair) -> int:
@@ -224,8 +203,8 @@ def gamma_signature(pair: ChiralPair) -> int:
     At finite dimension this equals the index of the pair, because the
     supercharge block maps between spaces of exactly these dimensions.
     """
-    graded = graded_decomposition(pair)
-    return graded.plus_basis.dim - graded.minus_basis.dim
+    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
+    return plus.dim - minus.dim
 
 
 def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:

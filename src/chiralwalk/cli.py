@@ -15,8 +15,8 @@ with ``dim**2`` row-major entries. Graph files are plain text: a
 per line; ``#`` starts a comment. Reports are JSON with a fixed key
 order, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 input or validation error, 2 a consistency
-check failed (the report is still printed).
+Exit codes: 0 success, 1 usage, input or validation error, 2 a
+consistency check failed (the report is still printed).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def load_matrix_file(path) -> np.ndarray:
         raise ValueError(f"{path}: matrix file needs 'dim' and 'data' fields")
     dim = doc["dim"]
     data = doc["data"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"{path}: 'dim' must be a positive integer")
     if not isinstance(data, list) or len(data) != dim * dim:
         raise ValueError(f"{path}: 'data' must list exactly dim**2 entries")
@@ -332,11 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a failed check here.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InconsistencyDetected as exc:
-        # raised outside report assembly (e.g. by a builder's census check)
+        # raised outside report assembly, by make_pair's derived-coin checks
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
     except (ChiralWalkError, ValueError, OSError, json.JSONDecodeError) as exc:

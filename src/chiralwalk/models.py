@@ -169,13 +169,6 @@ def search_probability_table(
     return rows
 
 
-def search_success_probability(
-    qubits: int, target: int, steps: int, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Probability of finding the marked position after ``steps`` applications."""
-    return search_probability_table(qubits, target, steps, tol=tol)[-1][1]
-
-
 def grover_walk(graph: Graph, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     """Edge-reversal walk pair on the directed edges of a graph.
 

@@ -133,12 +133,12 @@ class TestSuperOperators:
         pair = make_pair(gamma, gamma)  # coin is the identity
         ops = super_operators(pair)
         assert np.max(np.abs(ops.q)) < 1e-12
-        assert np.max(np.abs(ops.h)) < 1e-12
+        assert np.max(np.abs(ops.q @ ops.q)) < 1e-12
 
     def test_squared_supercharge_spectrum_bounded(self):
         pair = random_chiral_pair(np.random.default_rng(17), 8)
         ops = super_operators(pair)
-        w = np.linalg.eigvalsh(ops.h)
+        w = np.linalg.eigvalsh(ops.q @ ops.q)
         assert np.all(w >= -1e-12)
         assert np.all(w <= 1.0 + 1e-12)
 

@@ -260,6 +260,34 @@ class TestErrorPaths:
         assert code == 1
         assert "entry 0" in err
 
+    def test_boolean_dim_exits_one(self, tmp_path, capsys):
+        # True passes isinstance(dim, int) and matches one data entry.
+        u_file = tmp_path / "u.json"
+        u_file.write_text(json.dumps({"dim": True, "data": [[1, 0]]}))
+        code, out, err = run_cli(capsys, "index", str(u_file), str(u_file))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {u_file}: 'dim' must be a positive integer\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "toy4", "--variant", "6"],
+        ["model", "grover-search", "--qubits", "abc", "--target", "0"],
+        ["model", "grover-search", "--target", "0"],
+        ["index"],
+        ["frobnicate"],
+    ], ids=["bad-choice", "bad-int", "missing-option", "missing-files", "unknown-command"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        # Exit 2 is reserved for a failed consistency check.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error: " in err and err.startswith("usage: chiralwalk")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "model", "--help")
+        assert code == 0
+        assert out.startswith("usage: chiralwalk model")
+
     def test_coin_beyond_hermitian_bound_exits_one(self, tmp_path, capsys):
         # Chiral to 8.75e-11 but with a coin 7e-10 from Hermitian.
         h = np.ones((1, 1))

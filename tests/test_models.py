@@ -13,7 +13,6 @@ from chiralwalk.models import (
     grover_search,
     grover_walk,
     search_probability_table,
-    search_success_probability,
     split_step_cycle,
     toy_four_dim,
     toy_two_dim,
@@ -83,7 +82,7 @@ class TestGroverSearch:
 class TestSearchProbability:
     def test_initial_probability_is_uniform(self):
         for qubits in (1, 2, 3):
-            assert search_success_probability(qubits, 0, 0) == pytest.approx(
+            assert search_probability_table(qubits, 0, 0)[-1][1] == pytest.approx(
                 1.0 / 2**qubits, abs=1e-15
             )
 
@@ -94,7 +93,7 @@ class TestSearchProbability:
         state[1::2] = 0.5
         oracle = np.linalg.matrix_power(pair.u, 1) @ state
         oracle_prob = abs(oracle[6]) ** 2 + abs(oracle[7]) ** 2
-        value = search_success_probability(2, 3, 1)
+        value = search_probability_table(2, 3, 1)[-1][1]
         assert value == pytest.approx(oracle_prob, abs=1e-14)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert value >= 0.25

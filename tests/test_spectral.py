@@ -31,10 +31,9 @@ from chiralwalk.spectral import (
     build_index_report,
     census,
     cluster_reals,
+    cluster_unimodular,
     coisometry,
-    flipped_pair,
     index_formula,
-    joukowski,
     spectral_image,
     verify_spectral_mapping,
 )
@@ -116,14 +115,14 @@ class TestSpectralImage:
     def test_round_trip_interior(self):
         xs = np.linspace(-0.99, 0.99, 41)
         for x, (upper, lower) in zip(xs, spectral_image(xs)):
-            assert abs(joukowski(upper) - x) < 1e-14
-            assert abs(joukowski(lower) - x) < 1e-14
+            assert abs((upper + 1 / upper) / 2 - x) < 1e-14
+            assert abs((lower + 1 / lower) / 2 - x) < 1e-14
 
     def test_round_trip_near_endpoints(self):
         # arccos conditioning costs accuracy near +-1
         for x in (1.0 - 1e-12, -1.0 + 1e-12):
             (upper, _), = spectral_image([x])
-            assert abs(joukowski(upper) - x) < 1e-7
+            assert abs((upper + 1 / upper) / 2 - x) < 1e-7
 
 
 class TestCensus:
@@ -131,7 +130,7 @@ class TestCensus:
     def test_search_pair_census_after_flip(self, qubits):
         n_positions = 2**qubits
         pair = grover_search(qubits, 0)
-        counts = census(flipped_pair(pair))
+        counts = census(make_pair(-pair.u, pair.gamma))
         assert (counts.m_plus, counts.m_minus) == (0, 0)
         assert counts.M_minus == 1
         assert counts.M_plus == 2 * n_positions - 3
@@ -223,6 +222,16 @@ class TestVerifySpectralMapping:
         at_minus_one = [m for v, m in report.spectrum_u if abs(v + 1.0) < 1e-10]
         assert at_minus_one == [13]
         assert len(report.spectrum_u) == 4
+
+    def test_cluster_unimodular_merges_first_and_last_groups(self):
+        # e^{-i(pi - eps)} sorts first and e^{i(pi - eps)} and -1 last; with
+        # +1 sorted between them, only the wrap-around merge joins the two
+        near_minus_one = [cmath.exp(1j * (np.pi - 1e-10)), cmath.exp(-1j * (np.pi - 1e-10)), -1.0]
+        for values, expected in ((near_minus_one, ((-1.0, 3),)),
+                                 (near_minus_one + [1.0], ((1.0, 1), (-1.0, 3)))):
+            clusters = cluster_unimodular(values, 1e-8)
+            assert [m for _, m in clusters] == [m for _, m in expected]
+            assert all(abs(v - w) < 1e-12 for (v, _), (w, _) in zip(clusters, expected))
 
     def test_flip_tie_prefers_unflipped(self):
         # coin eigenspaces of equal dimension: keep the original pair
@@ -345,7 +354,8 @@ class TestReportStructure:
         dec = coisometry(pair)
         w_t, _ = eig_hermitian(dec.discriminant)
         interior = w_t[np.abs(np.abs(w_t) - 1.0) > 1e-8]
-        w_h = np.linalg.eigvalsh(super_operators(pair).h)
+        q = super_operators(pair).q
+        w_h = np.linalg.eigvalsh(q @ q)
         nonzero = np.sort(w_h[np.abs(w_h) > 1e-8])
         expected = np.sort(np.concatenate([1.0 - interior**2] * 2))
         assert nonzero.shape == expected.shape
