@@ -38,7 +38,7 @@ print("  per-check results:")
 for check in report.checks:
     print(f"    {'ok ' if check.passed else 'FAIL'} {check.name} "
           f"(residual {check.residual:.2e})")
-for check in transformation_checks(pair, rng):
+for check in transformation_checks(pair, report.index_alpha, rng):
     print(f"    {'ok ' if check.passed else 'FAIL'} {check.name}")
 
 print()

@@ -32,15 +32,15 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _identity_residual,
     _involution_eigenspaces,
     _maxabs,
     _near_unit,
+    _rank_svd,
     as_square_matrix,
     hermiticity_residual,
-    involution_residual,
     kernel_basis,
     subspace_intersection,
-    unitarity_residual,
 )
 
 
@@ -115,25 +115,29 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         # An exactly real pair is kept real, so its coin and every
         # factorization downstream run in real arithmetic.
         u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
-    residual = unitarity_residual(u)
+    # u and g are coerced matrices from here on, so each residual is taken
+    # from a fresh product without coercing it again, the identity
+    # subtracted in place.
+    residual = _identity_residual(u.conj().T @ u)
     if residual > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {residual:.6e}")
-    residual = unitarity_residual(g)
+    residual = _identity_residual(g.conj().T @ g)
     if residual > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {residual:.6e}")
-    residual = involution_residual(g)
+    residual = _identity_residual(g @ g)
     if residual > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {residual:.6e}")
-    chirality = _maxabs(g @ u @ g - u.conj().T)
+    coin = g @ u
+    # (g @ u) @ g is how Python evaluates g @ u @ g.
+    chirality = _maxabs(coin @ g - u.conj().T)
     if chirality > tol.structural:
         raise ChiralSymmetryViolated(chirality, tol.structural)
-    coin = g @ u
     # The coin inherits involutivity from chirality; re-verify so
     # downstream code can rely on it without rechecking.
     scale = tol.structural * u.shape[0]
     for label, value in (
-        ("coin involution", involution_residual(coin)),
-        ("coin unitarity", unitarity_residual(coin)),
+        ("coin involution", _identity_residual(coin @ coin)),
+        ("coin unitarity", _identity_residual(coin.conj().T @ coin)),
         ("product recovery", _maxabs(u - g @ coin)),
     ):
         if value > scale:
@@ -142,7 +146,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # matrices at this bound, so a pair that passes here never makes the
     # report raise.
     for label, m in (("coin", coin), ("grading", g)):
-        residual = hermiticity_residual(m)
+        residual = _maxabs(m - m.conj().T)
         if residual > tol.structural:
             raise NotInvolution(
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
@@ -171,15 +175,30 @@ def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
     both deterministic, so the block matrix is reproducible across runs.
     """
     plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
-    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
-    return GradedDecomposition(plus_basis=plus, minus_basis=minus, alpha=alpha)
+    return GradedDecomposition(plus_basis=plus, minus_basis=minus,
+                               alpha=_alpha(pair, plus, minus))
+
+
+def _alpha(pair: ChiralPair, plus: Subspace, minus: Subspace) -> np.ndarray:
+    return minus.basis.conj().T @ _supercharge(pair) @ plus.basis
 
 
 def index_alpha(pair: ChiralPair) -> int:
-    """Fredholm index of the supercharge block: dim ker minus dim coker."""
-    graded = graded_decomposition(pair)
-    ker = kernel_basis(graded.alpha, pair.tol).dim
-    coker = kernel_basis(graded.alpha.conj().T, pair.tol).dim
+    """Fredholm index of the supercharge block: dim ker minus dim coker.
+
+    Both dimensions are read from ranks, ``(cols - rank alpha) -
+    (rows - rank alpha*)``, each counted from singular values alone under
+    the cutoff :func:`kernel_basis` applies; no kernel basis is formed.
+    """
+    return _graded_index(pair, *_involution_eigenspaces(pair.gamma, pair.tol))
+
+
+def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
+    """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces."""
+    alpha = _alpha(pair, plus, minus)
+    rows, cols = alpha.shape
+    ker = cols - _rank_svd(alpha, pair.tol, vectors=False)[0]
+    coker = rows - _rank_svd(alpha.conj().T, pair.tol, vectors=False)[0]
     return ker - coker
 
 

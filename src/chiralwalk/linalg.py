@@ -37,11 +37,11 @@ wide matrices.
 
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
-applies to singular values and the spectral code applies to the
-distances ``|lambda - target|`` of a normal operator's eigenvalues, which
-are the singular values of ``A - target``. :func:`subspace_intersection`
-compares principal-angle sines, already on the unit scale, with
-``tol.rank``.
+and the rank count of :func:`_rank_svd` apply to singular values and the
+spectral code applies to the distances ``|lambda - target|`` of a normal
+operator's eigenvalues, which are the singular values of ``A - target``.
+:func:`subspace_intersection` compares principal-angle sines, already on
+the unit scale, with ``tol.rank``.
 """
 
 from __future__ import annotations
@@ -198,12 +198,22 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
 
 def unitarity_residual(a) -> float:
     m = as_square_matrix(a)
-    return _maxabs(m.conj().T @ m - np.eye(m.shape[0]))
+    return _identity_residual(m.conj().T @ m)
 
 
 def involution_residual(a) -> float:
     m = as_square_matrix(a)
-    return _maxabs(m @ m - np.eye(m.shape[0]))
+    return _identity_residual(m @ m)
+
+
+def _identity_residual(p: np.ndarray) -> float:
+    """Largest entry of ``p - 1`` for a fresh square product ``p``, which it overwrites.
+
+    Subtracting 1 from the diagonal in place rounds as ``p - np.eye(n)``
+    does, without allocating the identity.
+    """
+    p.flat[::p.shape[0] + 1] -= 1.0
+    return _maxabs(p)
 
 
 def hermiticity_residual(a) -> float:
@@ -226,27 +236,37 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def _kernel_svd(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, np.ndarray]:
-    """:func:`kernel_basis` and the singular values it decided on, descending.
+    """:func:`kernel_basis` and the singular values it decided on, descending."""
+    m = as_matrix(a)
+    rank, s, vh = _rank_svd(m, tol, vectors=True)
+    return Subspace(m.shape[1], _canonical_phases(vh[rank:].conj().T),
+                    complement=vh[:rank].conj().T), s
 
-    The singular values of the purely real or imaginary part that was
-    factorized equal those of the matrix itself.
+
+def _rank_svd(
+    m: np.ndarray, tol: Tolerance, vectors: bool
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Numerical rank of the matrix ``m``, its singular values, descending, and its ``vh``.
+
+    A matrix whose real or imaginary part is exactly zero is factorized
+    through the other part, which has the same singular values and right
+    singular vectors. Singular values that count as zero under the cutoff
+    of :func:`_near_unit` are outside the rank. With ``vectors`` the right
+    singular vectors come too, all of them for a wide matrix, whose
+    kernel needs the ones beyond the reduced set; without, ``vh`` is None
+    and LAPACK computes the singular values alone. An empty matrix has
+    rank 0 and is not factorized.
     """
-    m = _real_if_exact(as_matrix(a))
+    m = _real_if_exact(m)
     if np.iscomplexobj(m) and not m.real.any():
         m = m.imag
-    cols = m.shape[1]
     if m.size == 0:
-        everything = np.eye(cols, dtype=np.complex128)
-        nothing = np.empty((cols, 0), dtype=np.complex128)
-        if m.shape[0] == 0:
-            return Subspace(cols, everything, complement=nothing), np.empty(0)
-        return Subspace(cols, nothing, complement=everything), np.empty(0)
-    # A wide matrix needs the full set of right singular vectors to span
-    # its kernel; for a tall or square one the reduced set already has them.
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
-    rank = int(np.sum(~_near_unit(s, 0.0, tol.rank)))
-    return Subspace(cols, _canonical_phases(vh[rank:].conj().T),
-                    complement=vh[:rank].conj().T), s
+        return 0, np.empty(0), np.eye(m.shape[1], dtype=np.complex128) if vectors else None
+    if vectors:
+        _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    else:
+        s, vh = np.linalg.svd(m, compute_uv=False), None
+    return int(np.sum(~_near_unit(s, 0.0, tol.rank))), s, vh
 
 
 def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:

@@ -23,7 +23,10 @@ from .chiral import ChiralPair, make_pair
 from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
-MAX_SEARCH_QUBITS = 12  # dense eigensolves beyond dim 2^13 get silently slow
+# Beyond dimension 2^13 a search pair gets silently slow. Its report makes
+# no n x n eigensolve, but make_pair's eight n x n products and the
+# projection-pair route's two eigvalsh of (Gamma -+ C)/2 still cost O(n^3).
+MAX_SEARCH_QUBITS = 12
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ built as a reflection 2P - 1 through a Haar-random subspace of random
 dimension; that construction is exactly involutory up to roundoff and
 exercises every grading signature. The battery combines the per-pair
 report checks with invariances under sign flips, inversion, unitary
-conjugation, and coin re-randomization.
+conjugation, and coin re-randomization. Each transformed pair is built
+and validated by ``make_pair``, and its index is compared with the
+report's. Nothing is computed twice: the three transforms that keep the
+grading share one eigensolve of it, while the negated and the conjugated
+grading are each factorized on their own, so those checks stay
+independent; and each index is read from singular values alone.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, index_alpha, make_pair
-from .linalg import DEFAULT_TOL, Tolerance
+from .chiral import ChiralPair, _graded_index, index_alpha, make_pair
+from .linalg import DEFAULT_TOL, Tolerance, _involution_eigenspaces
 from .models import Graph
 from .spectral import CheckResult, build_index_report
 
@@ -70,35 +75,46 @@ def random_connected_multigraph(
     return Graph(vertices, tuple(edge_list))
 
 
-def transformation_checks(pair: ChiralPair, rng: np.random.Generator) -> list[CheckResult]:
+def transformation_checks(
+    pair: ChiralPair, reference: int, rng: np.random.Generator
+) -> list[CheckResult]:
     """Index invariance under the standard pair transformations.
 
     Negating the evolution or taking its adjoint preserves the index;
     negating the grading negates it; conjugating both members by any
     unitary preserves it; and so does replacing the coin by an arbitrary
-    fresh involution, the finite-rank perturbation statement.
+    fresh involution, the finite-rank perturbation statement. Each
+    transformed pair is built and validated by :func:`make_pair`, and its
+    index is compared with ``reference``, the index of ``pair`` itself
+    (the ``index_alpha`` of its report). The three transforms that keep
+    the grading share one factorization of it; the negated and the
+    conjugated grading are each factorized afresh.
     """
     tol = pair.tol
     n = pair.dim
-    reference = index_alpha(pair)
+    # make_pair keeps the grading it is given, so the pairs built on this
+    # one share its eigenspaces, factorized here once.
+    graded = _involution_eigenspaces(pair.gamma, tol)
 
-    def delta(candidate_pair: ChiralPair, expected: int) -> float:
-        return float(abs(index_alpha(candidate_pair) - expected))
+    def result(name: str, index: int, expected: int) -> CheckResult:
+        res = float(abs(index - expected))
+        return CheckResult(name, res == 0.0, res)
 
-    results = []
-    res = delta(make_pair(-pair.u, pair.gamma, tol), reference)
-    results.append(CheckResult("index_negated_evolution", res == 0.0, res))
-    res = delta(make_pair(pair.u, -pair.gamma, tol), -reference)
-    results.append(CheckResult("index_negated_grading", res == 0.0, res))
-    res = delta(make_pair(pair.u.conj().T, pair.gamma, tol), reference)
-    results.append(CheckResult("index_inverse_evolution", res == 0.0, res))
+    def same_grading(u: np.ndarray) -> int:
+        return _graded_index(make_pair(u, pair.gamma, tol), *graded)
+
+    results = [
+        result("index_negated_evolution", same_grading(-pair.u), reference),
+        result("index_negated_grading",
+               index_alpha(make_pair(pair.u, -pair.gamma, tol)), -reference),
+        result("index_inverse_evolution", same_grading(pair.u.conj().T), reference),
+    ]
     v = haar_unitary(rng, n)
     conjugated = make_pair(v @ pair.u @ v.conj().T, v @ pair.gamma @ v.conj().T, tol)
-    res = delta(conjugated, reference)
-    results.append(CheckResult("index_unitary_conjugation", res == 0.0, res))
+    results.append(result("index_unitary_conjugation", index_alpha(conjugated), reference))
     fresh_coin = random_involution(rng, n)
-    res = delta(make_pair(pair.gamma @ fresh_coin, pair.gamma, tol), reference)
-    results.append(CheckResult("index_coin_perturbation", res == 0.0, res))
+    results.append(result("index_coin_perturbation",
+                          same_grading(pair.gamma @ fresh_coin), reference))
     return results
 
 
@@ -134,7 +150,8 @@ def run_selftest(
             pair = random_chiral_pair(rng, dim, tol)
             pairs += 1
             report = build_index_report(pair)
-            for check in list(report.checks) + transformation_checks(pair, rng):
+            battery = transformation_checks(pair, report.index_alpha, rng)
+            for check in list(report.checks) + battery:
                 totals[check.name] = totals.get(check.name, 0) + 1
                 if check.passed:
                     passes[check.name] = passes.get(check.name, 0) + 1

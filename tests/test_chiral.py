@@ -21,9 +21,16 @@ from chiralwalk.errors import (
     NotProjection,
     NotUnitary,
 )
-from chiralwalk.linalg import kernel_basis, spans_match, subspace_intersection
+from chiralwalk.linalg import (
+    _identity_residual,
+    _maxabs,
+    _rank_svd,
+    kernel_basis,
+    spans_match,
+    subspace_intersection,
+)
 from chiralwalk.models import grover_search, toy_four_dim, toy_two_dim
-from chiralwalk.selfcheck import random_chiral_pair
+from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_involution
 from chiralwalk.spectral import build_index_report
 
 
@@ -118,6 +125,62 @@ class TestMakePair:
         gamma, coin = hadamard_grading_skewed_by(0.25e-10)
         report = build_index_report(make_pair(gamma @ coin, gamma))
         assert report.index_alpha == report.index_witten == 0
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_inputs_are_never_mutated(self, real):
+        # Every residual is taken in place from a fresh product, so the
+        # arrays passed in are left as they were, also when refused.
+        rng = np.random.default_rng(5)
+        n = 6
+        dtype = np.float64 if real else np.complex128
+        if real:
+            def orthogonal():
+                return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+            def involution():
+                basis = orthogonal()[:, :3]
+                return 2.0 * basis @ basis.T - np.eye(n)
+
+            skewed = hadamard_grading_skewed_by(0.75e-10)
+        else:
+            def orthogonal():
+                return haar_unitary(rng, n)
+
+            def involution():
+                return random_involution(rng, n)
+
+            skewed = hadamard_grading_and_skewed_coin()
+        gamma = involution()
+        cases = [
+            (gamma @ involution(), gamma, None, None),
+            (gamma @ involution() * 1.1, gamma, NotUnitary, "evolution is not unitary"),
+            (involution(), gamma * 1.1, NotInvolution, "grading is not unitary"),
+            (involution(), orthogonal(), NotInvolution, "grading does not square to one"),
+            (orthogonal(), gamma, ChiralSymmetryViolated, None),
+            (skewed[0] @ skewed[1], skewed[0], NotInvolution, "is not Hermitian"),
+            (np.eye(n, dtype=dtype), np.eye(n + 1, dtype=dtype), DimensionMismatch, None),
+        ]
+        for u, g, error, match in cases:
+            assert u.dtype == dtype
+            u_copy, g_copy = u.copy(), g.copy()
+            if error is None:
+                make_pair(u, g)
+            else:
+                with pytest.raises(error, match=match):
+                    make_pair(u, g)
+            assert u.tobytes() == u_copy.tobytes() and g.tobytes() == g_copy.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_identity_residual_rounds_as_subtracting_the_identity(self, real):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 5, 16, 33):
+            for m in (rng.standard_normal((n, n)) if real else haar_unitary(rng, n),
+                      np.linalg.qr(rng.standard_normal((n, n)))[0]):
+                for p in (m.conj().T @ m, m @ m):
+                    expected = p - np.eye(n)
+                    got = p.copy()
+                    assert _identity_residual(got) == _maxabs(expected)
+                    assert got.tobytes() == expected.tobytes()
 
 
 class TestSuperOperators:
@@ -217,6 +280,33 @@ class TestIndexRoutes:
             rank = np.linalg.matrix_rank(graded.alpha, tol=1e-10)
             oracle = (d_plus - rank) - (d_minus - rank)
             assert index_alpha(pair) == oracle == d_plus - d_minus
+
+    @pytest.mark.parametrize("factor,rank", [(0.5, 2), (2.0, 3)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_ranks_from_singular_values_match_kernel_bases(self, factor, rank, real):
+        # Rotations through angles with sines 1, 0.6 and a planted sine,
+        # each graded by diag(1, -1), give alpha those singular values;
+        # an extra direction with U = Gamma = 1 adds a zero column. The
+        # planted sine sits at `factor` times the rank cutoff, which is
+        # tol.rank times the largest singular value, 1.
+        sines = (1.0, 0.6, factor * 1e-8)
+        n = 2 * len(sines) + 1
+        u, gamma = np.eye(n), np.eye(n)
+        for k, s in enumerate(sines):
+            c = np.sqrt(1.0 - s * s)
+            u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+            gamma[2 * k + 1, 2 * k + 1] = -1.0
+        rng = np.random.default_rng(13)
+        w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+        pair = make_pair(w @ u @ w.conj().T, w @ gamma @ w.conj().T)
+        assert (pair.u.dtype == np.float64) == real
+        alpha = graded_decomposition(pair).alpha
+        assert alpha.shape == (3, 4)
+        for block in (alpha, alpha.conj().T):
+            assert _rank_svd(block, pair.tol, vectors=False)[0] == rank
+            assert kernel_basis(block, pair.tol).dim == block.shape[1] - rank
+        kernel_route = kernel_basis(alpha).dim - kernel_basis(alpha.conj().T).dim
+        assert index_alpha(pair) == kernel_route == 1
 
 
 class TestProjectionPairIndex:

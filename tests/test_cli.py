@@ -403,7 +403,7 @@ class TestSelftestCommand:
         import chiralwalk.selfcheck as selfcheck
         from chiralwalk.spectral import CheckResult
 
-        def broken(pair, rng):
+        def broken(pair, reference, rng):
             return [CheckResult("index_negated_evolution", False, 1.0)]
 
         monkeypatch.setattr(selfcheck, "transformation_checks", broken)

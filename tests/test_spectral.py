@@ -26,7 +26,12 @@ from chiralwalk.models import (
     split_step_cycle,
     toy_four_dim,
 )
-from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_involution
+from chiralwalk.selfcheck import (
+    haar_unitary,
+    random_chiral_pair,
+    random_involution,
+    transformation_checks,
+)
 from chiralwalk.spectral import (
     build_index_report,
     census,
@@ -325,6 +330,32 @@ class TestReportStructure:
             complex_eighs = [a.shape for name, _, a in calls
                              if name == "eigh" and a.dtype == np.complex128]
             assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
+
+    def test_battery_factorization_budget(self, monkeypatch):
+        # The invariant battery eigendecomposes the grading once for the
+        # three transforms that keep it, and the negated and conjugated
+        # gradings once each; each of its five indices takes two
+        # singular-value-only SVDs, of alpha and of alpha*.
+        calls = []
+        for name in ("svd", "eigh"):
+            def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.asarray(a), kwargs))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        pair = random_chiral_pair(np.random.default_rng(19), 12)
+        assert pair.u.dtype == np.complex128
+        transformation_checks(pair, 0, np.random.default_rng(20))
+        eighs = [a for name, a, _ in calls if name == "eigh"]
+        svds = [kwargs for name, _, kwargs in calls if name == "svd"]
+        assert len(eighs) == 3 and len(svds) == 10
+        assert np.array_equal(eighs[0], pair.gamma) and np.array_equal(eighs[1], -pair.gamma)
+        assert all(kwargs == {"compute_uv": False} for kwargs in svds)
+        # With the grading 1 every alpha is empty, and nothing is factorized.
+        calls.clear()
+        coin = random_involution(np.random.default_rng(21), 12)
+        transformation_checks(make_pair(coin, np.eye(12)), 0, np.random.default_rng(22))
+        assert [name for name, _, _ in calls] == ["eigh"] * 3
 
     def test_real_pair_is_factorized_in_real_arithmetic(self, monkeypatch):
         # Every factorization of a real pair's report runs on float64
