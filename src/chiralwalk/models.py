@@ -157,10 +157,12 @@ def search_probability_table(
     """
     if steps < 0:
         raise OutOfRange(f"step count must be nonnegative, got {steps}")
+    # The measured position is checked before the dense pair is built;
+    # grover_search rejects a qubit count or target out of range.
+    if measure is not None and 1 <= qubits <= MAX_SEARCH_QUBITS and not 0 <= measure < 2**qubits:
+        raise OutOfRange(f"measured position {measure} outside [0, {2**qubits})")
     pair = grover_search(qubits, target, tol)
     x = target if measure is None else measure
-    if not 0 <= x < 2**qubits:
-        raise OutOfRange(f"measured position {x} outside [0, {2**qubits})")
     state = _search_initial_state(qubits)
     rows = []
     for step in range(steps + 1):

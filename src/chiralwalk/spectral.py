@@ -15,14 +15,14 @@ dimension c. U maps L to itself; on L-perp the effective coin is -1, so
 U is -Gamma there (Gamma for a flipped coin) and q vanishes. U's
 eigensolve runs on the compression ``B* U B`` and the SVD of q on the
 ``n x dim L`` matrix ``q B``; L-perp adds the eigenvalues +-1 on
-``L-perp & Gamma-+`` and a zero block of q. Two certificates,
-``|U B - B (B* U B)|`` and ``|q - (q B) B*|``, must lie within
-``tol.structural * n``, and a third, the unitarity residual of
-``B* U B``, within ``tol.structural``. When one fails, or when 4c > n,
-the report runs on W = C^n instead, where the same code makes the
-dense factorizations. On L, a wide basis whose orthogonal complement is
-narrow (a part of L-perp, a lifted kernel) is written as the trailing
-columns of one complete QR of that complement, not as a wide product.
+``L-perp & Gamma-+`` and a zero block of q. L-perp is ``C- & Gamma C-``
+for the effective coin, so ``L-perp & Gamma+-`` are the effective
+census's birth spaces, and L's rank on each side of the grading comes
+from the census. Two certificates, ``|U B - B (B* U B)|`` and
+``|q - (q B) B*|``, must lie within ``tol.structural * n``, and a third,
+the unitarity residual of ``B* U B``, within ``tol.structural``. When
+one fails, or when 4c > n, the report runs on W = C^n instead, where the
+same code makes the dense factorizations.
 """
 
 from __future__ import annotations
@@ -33,23 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import (
-    ChiralPair,
-    GradedDecomposition,
-    _projection_pair_index,
-    _supercharge,
-)
+from .chiral import ChiralPair, _projection_pair_index, _supercharge
 from .errors import InconsistencyDetected, OutOfRange
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
     _cluster_slices,
-    _complete_basis,
     _involution_eigenspaces,
     _kernel_svd,
     _maxabs,
-    _narrow,
     _near_unit,
     _real_if_exact,
     eig_hermitian,
@@ -175,15 +168,19 @@ class _Walk:
     """The subspace W on which the report computes U's and q's spectra.
 
     ``basis`` is an orthonormal basis ``B`` of W, or None when W is the
-    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``. ``outside``
-    holds ``W-perp & Gamma+`` and ``W-perp & Gamma-``, on which U is
-    ``-Gamma`` for the effective coin; both are empty when W is the
-    whole space.
+    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``. ``sides`` holds
+    ``W & Gamma+`` and ``W & Gamma-`` in W's coordinates: the grading's
+    eigenspaces on the whole space, and on L the leading and trailing
+    columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
+    ``W-perp & Gamma+`` and ``W-perp & Gamma-``, on which U is ``-Gamma``
+    for the effective coin: on L the effective census's birth spaces,
+    and empty when W is the whole space.
     """
 
     basis: np.ndarray | None
     u: np.ndarray
     q: np.ndarray
+    sides: tuple[Subspace, Subspace]
     outside: tuple[Subspace, Subspace]
 
     def lift(self, v: np.ndarray) -> np.ndarray:
@@ -193,14 +190,15 @@ class _Walk:
         """``m B``: the columns of ``m`` that act on W."""
         return m if self.basis is None else m @ self.basis
 
-    def span(self, inner: np.ndarray, outer: Subspace, inner_rest: np.ndarray,
+    def span(self, inner: np.ndarray, outer: Subspace, inner_rest: np.ndarray | None,
              outer_rest: Subspace) -> Subspace:
         """The lift of ``inner``'s columns plus ``outer``, a part of W-perp.
 
         Its complement is the lift of ``inner_rest`` plus ``outer_rest``.
         On a proper W the subspace carries that complement when it is
         narrower than the basis, so :func:`spans_match` compares through
-        it; on the whole space only the dense basis is kept.
+        it; on the whole space only the dense basis is kept and
+        ``inner_rest`` is not read.
         """
         n = outer.ambient_dim
         basis = _real_if_exact(np.hstack([self.lift(inner), outer.basis]))
@@ -209,46 +207,43 @@ class _Walk:
         return Subspace(n, basis, complement=_real_if_exact(
             np.hstack([self.lift(inner_rest), outer_rest.basis])))
 
-    def graded(self, plus: Subspace, minus: Subspace) -> GradedDecomposition:
-        """The supercharge block ``G-* q G+``, as ``(G-* q B)(B* G+)`` on a proper W."""
-        rows = plus.basis if self.basis is None else self.basis.conj().T @ plus.basis
-        return GradedDecomposition(plus_basis=plus, minus_basis=minus,
-                                   alpha=minus.basis.conj().T @ self.q @ rows)
-
-    def supercharge_kernel(self, graded: GradedDecomposition, tol: Tolerance,
+    def supercharge_kernel(self, tol: Tolerance,
                            ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
         """``ker q`` on W, the singular values of ``q`` and ``ker q & Gamma+-``.
 
         On a proper W, ``ker q = W-perp + B ker(q B)``, the singular
         values of q on W-perp are zeros, and each ``ker q & Gamma+-`` is
-        ``(B ker(q B) & Gamma+-) + (W-perp & Gamma+-)``. The kernel
-        returned first is ``ker(q B)``, in W's coordinates. On the whole
-        space the lifted kernel is ``ker q`` itself, W-perp is empty and
-        no zeros are added.
+        the lift of ``ker(q B) & (W & Gamma+-)``, intersected in W's
+        coordinates, plus ``W-perp & Gamma+-``. The kernel returned first
+        is ``ker(q B)``, in W's coordinates. On the whole space it is
+        ``ker q`` itself, W-perp is empty and no zeros are added.
         """
         ker_w, sigma = _kernel_svd(self.q, tol)
         n = self.q.shape[0]
-        lifted = ker_w if self.basis is None else Subspace(n, self.basis @ ker_w.basis)
         plus, minus = (
-            Subspace(n, np.hstack([subspace_intersection(lifted, side, tol).basis, out.basis]))
-            for side, out in zip((graded.plus_basis, graded.minus_basis), self.outside))
+            Subspace(n, np.hstack([self.lift(subspace_intersection(ker_w, side, tol).basis),
+                                   out.basis]))
+            for side, out in zip(self.sides, self.outside))
         return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
-    def lift_kernel(self, side: Subspace, other: Subspace, ker: Subspace) -> Subspace:
-        """A kernel of the supercharge block, lifted from the eigenspace ``side``.
+    def alpha_kernels(self, tol: Tolerance) -> tuple[Subspace, Subspace]:
+        """``ker alpha`` and ``ker alpha*`` of the supercharge block, in C^n.
 
-        Its complement is the lift of the kernel's SVD complement plus the
-        ``other`` eigenspace, carried on a proper W when it is narrow; the
-        basis is then that complement's complement, from one complete QR,
-        when the complement has at most n/32 columns.
+        The block ``alpha`` maps ``W & Gamma+`` to ``W & Gamma-``; on L it
+        is the at most c x c matrix ``B-* (q B)+``. q vanishes on W-perp,
+        so each kernel is the lift of the block's kernel plus that side of
+        W-perp. On a proper W its complement is the lift of the kernel's
+        SVD complement and of W's other side, plus W-perp's other side.
         """
-        n = side.ambient_dim
-        if self.basis is None or other.dim + ker.complement.shape[1] >= ker.dim:
-            return Subspace(n, side.basis @ ker.basis)
-        perp = np.hstack([other.basis, side.basis @ ker.complement])
-        basis = (_complete_basis(perp)[1] if _narrow(perp.shape[1], n, 32)
-                 else side.basis @ ker.basis)
-        return Subspace(n, basis, complement=perp)
+        plus, minus = self.sides
+        alpha = self.lift(minus.basis).conj().T @ self.q @ plus.basis
+        kernels = kernel_basis(alpha, tol), kernel_basis(alpha.conj().T, tol)
+        return tuple(
+            self.span(side.basis @ ker.basis, outer,
+                      None if self.basis is None
+                      else np.hstack([side.basis @ ker.complement, side.complement]), rest)
+            for side, ker, outer, rest in zip(self.sides, kernels, self.outside,
+                                              self.outside[::-1]))
 
 
 def _certificate_bound(pair: ChiralPair) -> float:
@@ -257,19 +252,20 @@ def _certificate_bound(pair: ChiralPair) -> float:
 
 
 def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
-                   dec: CoisometryDecomposition, q: np.ndarray) -> _Walk:
+                   dec: CoisometryDecomposition, eff: EigenspaceCensus,
+                   q: np.ndarray) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
 
     U maps L to itself, and on L-perp the effective coin is -1, so U is
     -Gamma there for the effective coin and q vanishes (Szegedy's busy
-    subspace). With ``G+-`` the grading's eigenbases, L is the orthogonal
-    sum of ``G+- ran(G+-* d*)``, so the SVDs of the ``k+- x c`` matrices
-    ``G+-* d*`` give L's basis ``B`` and, from their other left singular
-    vectors, ``L-perp & Gamma+-``; the rank is decided by
-    :func:`_near_unit` on both SVDs' singular values together. When
-    ``L-perp & Gamma+-`` is wide, it is instead the complement of the
-    narrow ``[G-+ | G+- ran(G+-* d*)]``, from one complete QR. L is used
-    when ``4c <= n``, when, to within ``tol.structural * n``,
+    subspace). As ``L-perp = C- & Gamma C-`` for the effective coin,
+    ``L-perp & Gamma+-`` are the effective census's birth spaces
+    ``Gamma+- & C-``, and L's part in Gamma+- has the rank
+    ``r+- = dim Gamma+- - dim(Gamma+- & C-)`` that the census decided.
+    With ``G+-`` the grading's eigenbases, that part is
+    ``G+- ran(G+-* d*)``, so the leading r+- left singular vectors of the
+    ``k+- x c`` matrices ``G+-* d*`` give L's basis ``B = [B+ | B-]``.
+    L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``q = (q B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
     demands; otherwise W is the whole space and every factorization is
@@ -279,30 +275,26 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     """
     n, tol = pair.dim, pair.tol
     empty = Subspace(n, np.empty((n, 0)))
-    dense = _Walk(None, pair.u, q, (empty, empty))
+    dense = _Walk(None, pair.u, q, (gamma_plus, gamma_minus), (empty, empty))
     if 4 * dec.coin_space_dim > n:
         return dense
     d_star = dec.d.conj().T
-    sides = (gamma_plus.basis, gamma_minus.basis)
-    # [G-+ | G+- ran(G+-* d*)] has at most n - k+- + c columns; when that is
-    # narrow, the SVD need not write out G+-* d*'s other left vectors.
-    thin = [_narrow(n - g.shape[1] + dec.coin_space_dim, n, 32) for g in sides]
-    lefts, sigmas = zip(*(np.linalg.svd(g.conj().T @ d_star, full_matrices=not narrow)[:2]
-                          for g, narrow in zip(sides, thin)))
-    keep = ~_near_unit(np.concatenate(sigmas), 0.0, tol.rank)
-    ranks = (int(keep[:sigmas[0].size].sum()), int(keep[sigmas[0].size:].sum()))
-    parts = [g @ left[:, :k] for g, left, k in zip(sides, lefts, ranks)]
-    b = np.hstack(parts)
+    ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
+    b = np.hstack([
+        g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
+        for g, r in zip((gamma_plus, gamma_minus), ranks)])
     ub, qb = pair.u @ b, q @ b
     u_w = b.conj().T @ ub
     bound = _certificate_bound(pair)
-    if (_maxabs(ub - b @ u_w) > bound or _maxabs(q - qb @ b.conj().T) > bound
-            or unitarity_residual(u_w) > tol.structural):
+    # The census cannot leave L more directions on a side of the grading
+    # than G+-* d* has singular vectors; if it does, L is not used.
+    if (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
+            or _maxabs(q - qb @ b.conj().T) > bound or unitarity_residual(u_w) > tol.structural):
         return dense
-    outside = (_complete_basis(np.hstack([other, part]))[1] if narrow else g @ left[:, k:]
-               for g, other, part, left, k, narrow in zip(sides, sides[::-1], parts, lefts,
-                                                          ranks, thin))
-    return _Walk(b, u_w, qb, tuple(Subspace(n, basis) for basis in outside))
+    eye, r = np.eye(b.shape[1]), ranks[0]
+    sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
+             Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
+    return _Walk(b, u_w, qb, sides, (eff.birth_minus, eff.birth_plus))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -310,8 +302,8 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
 
     Returns the coisometry decomposition, the census of the supplied
     pair and of the effective one (flipped with the coin), the
-    discriminant's eigenvalues, and ``ker(T - 1)``,
-    ``ker(T + 1)`` and the rest of its spectrum. The effective census
+    discriminant's eigenvalues, and the lifts ``d* ker(T - 1)`` and
+    ``d* ker(T + 1)`` and the rest of its spectrum. The effective census
     says how many of T's eigenvalues sit at +-1: its principal-angle
     sines are linear in an eigenvalue's angle from +-1, as ``|lambda -+ 1|``
     is for U, while ``1 -+ t`` is quadratic in it. The kernels are T's own
@@ -337,11 +329,12 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     )
     w_t, v_t = eig_hermitian(dec.discriminant, tol)
     eff = _flip_census(counts) if dec.flipped else counts
-    c, top = w_t.size, w_t.size - eff.m_plus
+    top = w_t.size - eff.m_plus
     # Contiguous copies: a product with a strided view of the columns can
     # take another BLAS path and round differently.
-    return dec, counts, eff, w_t, (Subspace(c, _real_if_exact(v_t[:, top:].copy())),
-                                   Subspace(c, _real_if_exact(v_t[:, :eff.m_minus].copy())),
+    lift = dec.d.conj().T
+    return dec, counts, eff, w_t, (lift @ _real_if_exact(v_t[:, top:].copy()),
+                                   lift @ _real_if_exact(v_t[:, :eff.m_minus].copy()),
                                    w_t[eff.m_minus:top])
 
 
@@ -360,14 +353,12 @@ def _flip_census(c: EigenspaceCensus) -> EigenspaceCensus:
     )
 
 
-def _lift_check(pair: ChiralPair, dec: CoisometryDecomposition,
-                eff: EigenspaceCensus, ker_t_plus: Subspace,
-                ker_t_minus: Subspace) -> CheckResult:
+def _lift_check(pair: ChiralPair, eff: EigenspaceCensus, lift_t_plus: np.ndarray,
+                lift_t_minus: np.ndarray) -> CheckResult:
     """Effective inherited spaces must be the coisometry lifts of ker(T -+ 1)."""
-    lift = dec.d.conj().T
     return _span_check("inherited_spaces_lift", pair, (
-        (Subspace(pair.dim, lift @ ker_t_plus.basis), eff.inherited_plus),
-        (Subspace(pair.dim, lift @ ker_t_minus.basis), eff.inherited_minus),
+        (Subspace(pair.dim, lift_t_plus), eff.inherited_plus),
+        (Subspace(pair.dim, lift_t_minus), eff.inherited_minus),
     ))
 
 
@@ -388,9 +379,9 @@ def census(pair: ChiralPair) -> EigenspaceCensus:
     the coisometry onto the matching intersection spaces, raising
     :class:`InconsistencyDetected` if they do not.
     """
-    dec, counts, eff, _, (ker_t_plus, ker_t_minus, _) = _discriminant_census(
+    _, counts, eff, _, (lift_t_plus, lift_t_minus, _) = _discriminant_census(
         pair, *_involution_eigenspaces(pair.gamma, pair.tol))
-    check = _lift_check(pair, dec, eff, ker_t_plus, ker_t_minus)
+    check = _lift_check(pair, eff, lift_t_plus, lift_t_minus)
     if not check.passed:
         raise InconsistencyDetected(check.name, check.residual)
     return counts
@@ -465,10 +456,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     gamma_plus, gamma_minus = _involution_eigenspaces(pair.gamma, tol)
     q = _supercharge(pair)
-    dec, counts, eff_counts, w_t, (ker_t_plus, ker_t_minus, interior_t) = \
+    dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
         _discriminant_census(pair, gamma_plus, gamma_minus)
-    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, q)
-    graded = walk.graded(gamma_plus, gamma_minus)
+    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, q)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped.
@@ -512,7 +502,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
     # also gives the spectrum of H = q*q and, split by the grading, its
     # kernel. W-perp lies in both kernels, so they are compared on W.
-    ker_q_w, sigma_q, ker_q_plus, ker_q_minus = walk.supercharge_kernel(graded, tol)
+    ker_q_w, sigma_q, ker_q_plus, ker_q_minus = walk.supercharge_kernel(tol)
     ker_q_dim = ker_q_w.dim + n - w_dim
     ker_u_squared = Subspace(
         w_dim, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)[:w_dim]]))
@@ -520,16 +510,12 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         "supercharge_kernel_matches_squared_evolution", pair,
         ((Subspace(w_dim, ker_q_w.basis), ker_u_squared),)))
 
-    ker_alpha = kernel_basis(graded.alpha, tol)
-    ker_alpha_star = kernel_basis(graded.alpha.conj().T, tol)
-    lifted_ker_alpha = walk.lift_kernel(graded.plus_basis, graded.minus_basis, ker_alpha)
-    lifted_ker_alpha_star = walk.lift_kernel(
-        graded.minus_basis, graded.plus_basis, ker_alpha_star)
+    ker_alpha, ker_alpha_star = walk.alpha_kernels(tol)
     checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
-        (lifted_ker_alpha, ker_q_plus), (lifted_ker_alpha_star, ker_q_minus))))
+        (ker_alpha, ker_q_plus), (ker_alpha_star, ker_q_minus))))
 
     # Discriminant eigenspace lifts (flip aware).
-    checks.append(_lift_check(pair, dec, eff_counts, ker_t_plus, ker_t_minus))
+    checks.append(_lift_check(pair, eff_counts, lift_t_plus, lift_t_minus))
 
     # ker(U -+ 1) splits into orthogonal inherited and birth parts.
     sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
@@ -544,12 +530,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                               max(split.residual, cross)))
 
     # Kernel of the supercharge block: discriminant lift plus birth space.
-    lift = dec.d.conj().T
     checks.append(_span_check("alpha_kernel_decomposition", pair, (
-        (lifted_ker_alpha,
-         Subspace(n, np.hstack([lift @ ker_t_plus.basis, eff_counts.birth_minus.basis]))),
-        (lifted_ker_alpha_star,
-         Subspace(n, np.hstack([lift @ ker_t_minus.basis, eff_counts.birth_plus.basis]))),
+        (ker_alpha, Subspace(n, np.hstack([lift_t_plus, eff_counts.birth_minus.basis]))),
+        (ker_alpha_star, Subspace(n, np.hstack([lift_t_minus, eff_counts.birth_plus.basis]))),
     )))
 
     # Spectra.
@@ -621,7 +604,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     ia = ker_alpha.dim - ker_alpha_star.dim
     iw = ker_q_plus.dim - ker_q_minus.dim
     ifm = _formula(counts)
-    sig = graded.plus_basis.dim - graded.minus_basis.dim
+    sig = gamma_plus.dim - gamma_minus.dim
     routes = (ia, iw, ifm, sig)
     res = float(max(routes) - min(routes))
     checks.append(CheckResult("index_routes_agree", res == 0.0, res))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chiralwalk
+from chiralwalk import models
 from chiralwalk.cli import (
     load_graph_file,
     load_matrix_file,
@@ -333,7 +334,12 @@ class TestErrorPaths:
         assert code == 1
         assert "step count" in err
 
-    def test_bad_measure_position_exits_one(self, capsys):
+    def test_bad_measure_position_exits_one(self, capsys, monkeypatch):
+        # The position is rejected before the dense search pair is built.
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the search pair was built")
+
+        monkeypatch.setattr(models, "grover_search", unbuilt)
         code, _, err = run_cli(capsys, "evolve", "--qubits", "2", "--target", "0",
                                "--steps", "1", "--measure", "7")
         assert code == 1

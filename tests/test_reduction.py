@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chiralwalk import linalg, spectral
-from chiralwalk.chiral import _supercharge, graded_decomposition, make_pair
+from chiralwalk.chiral import _supercharge, make_pair
 from chiralwalk.linalg import unitarity_residual
 from chiralwalk.models import grover_search, grover_walk
 from chiralwalk.selfcheck import haar_unitary, random_connected_multigraph
@@ -61,10 +61,14 @@ OTHERS = [
 ]
 
 
+def _walk(pair):
+    plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
+    dec, _, eff, _, _ = spectral._discriminant_census(pair, plus, minus)
+    return spectral._walk_subspace(pair, plus, minus, dec, eff, _supercharge(pair))
+
+
 def _takes_reduced_path(pair):
-    graded = graded_decomposition(pair)
-    return spectral._walk_subspace(pair, graded.plus_basis, graded.minus_basis,
-                                   coisometry(pair), _supercharge(pair)).basis is not None
+    return _walk(pair).basis is not None
 
 
 def _nullity(m, rank_tol):
@@ -115,11 +119,8 @@ def test_dense_graph_walk_subspace_is_smaller_than_twice_the_coin():
     # eigenvector of the discriminant, so ran d* and Gamma ran d* share a
     # direction and L has dimension 2c - 1.
     pair = _graph_walk(7, 20, 200)
-    graded = graded_decomposition(pair)
-    walk = spectral._walk_subspace(pair, graded.plus_basis, graded.minus_basis,
-                                   coisometry(pair), _supercharge(pair))
     assert coisometry(pair).coin_space_dim == 20
-    assert walk.basis.shape == (pair.dim, 39)
+    assert _walk(pair).basis.shape == (pair.dim, 39)
 
 
 @pytest.mark.parametrize("qubits", [3, 5, 7])
@@ -154,10 +155,26 @@ def _summary(report):
                                          report.spectrum_h)])
 
 
+NARROW = [
+    *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
+      for q in range(1, 9) for t in sorted({0, 1, 2**q - 1})),
+    *(pytest.param(lambda v=v, e=e: _graph_walk(v + e, v, e), id=f"graph-{v}-{e}")
+      for v, e in ((20, 200), (10, 40))),
+    *(pytest.param(lambda s=s, n=n, r=r, f=f: _narrow_planted_pair(s, n, r, f),
+                   id=f"narrow-{n}-{'real' if r else 'complex'}{'-flipped' if f else ''}")
+      for s, (n, r, f) in enumerate([(64, True, False), (64, False, True), (96, True, True),
+                                     (128, False, False), (160, True, False)], start=30)),
+]
+
+
 @pytest.mark.parametrize("build", [
     *(pytest.param(lambda q=q: grover_search(q, 2**q - 1), id=f"search-{q}")
       for q in range(1, 7)),
-    *OTHERS[:6],
+    *OTHERS,
+    # NARROW's graph walks are those of OTHERS, and its search-q-(2**q - 1)
+    # for q <= 6 are the search-q above.
+    *(p for p in NARROW if p.id not in {other.id for other in OTHERS}
+      | {f"search-{q}-{2**q - 1}" for q in range(1, 7)}),
 ])
 def test_failed_certificate_falls_back_to_the_dense_report(monkeypatch, build):
     # With no certificate accepted, W is the whole space and every
@@ -173,18 +190,6 @@ def test_failed_certificate_falls_back_to_the_dense_report(monkeypatch, build):
         assert max((abs(x - y) for (x, _), (y, _) in zip(a, b)), default=0.0) <= 1e-12
     for a, b in zip(reduced.checks, dense.checks):
         assert abs(a.residual - b.residual) <= 1e-12
-
-
-NARROW = [
-    *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
-      for q in range(1, 9) for t in sorted({0, 1, 2**q - 1})),
-    *(pytest.param(lambda v=v, e=e: _graph_walk(v + e, v, e), id=f"graph-{v}-{e}")
-      for v, e in ((20, 200), (10, 40))),
-    *(pytest.param(lambda s=s, n=n, r=r, f=f: _narrow_planted_pair(s, n, r, f),
-                   id=f"narrow-{n}-{'real' if r else 'complex'}{'-flipped' if f else ''}")
-      for s, (n, r, f) in enumerate([(64, True, False), (64, False, True), (96, True, True),
-                                     (128, False, False), (160, True, False)], start=30)),
-]
 
 
 @pytest.mark.parametrize("build", NARROW)
@@ -209,19 +214,20 @@ def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
 
 
 @pytest.mark.parametrize("qubits", [6, 8])
-def test_lifted_kernel_from_its_narrow_complement(qubits):
-    # The lift of ker alpha* from the wide Gamma- comes from a complete QR
-    # of its narrow complement [Gamma+ | G- ker(alpha*)-perp]; it must span
-    # what the product G- ker(alpha*) spans.
+def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
+    # The report lifts ker alpha* from the c x c block on L and adds
+    # L-perp & Gamma-, the census's birth space; it must span what
+    # G- ker(G+* q G-) spans, with the block formed on the whole space,
+    # and carry a narrow complement orthogonal to it.
     pair = grover_search(qubits, 1)
-    graded = graded_decomposition(pair)
-    walk = spectral._walk_subspace(pair, graded.plus_basis, graded.minus_basis,
-                                   coisometry(pair), _supercharge(pair))
-    graded = walk.graded(graded.plus_basis, graded.minus_basis)
-    ker = linalg.kernel_basis(graded.alpha.conj().T, pair.tol)
-    lifted = walk.lift_kernel(graded.minus_basis, graded.plus_basis, ker)
-    product = graded.minus_basis.basis @ ker.basis
-    assert lifted.dim == ker.dim and lifted.complement.shape[1] == 2 + ker.complement.shape[1]
+    walk = _walk(pair)
+    assert walk.basis.shape == (pair.dim, 2)
+    lifted = walk.alpha_kernels(pair.tol)[1]
+    plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
+    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
+    oracle = minus.basis @ linalg.kernel_basis(alpha.conj().T, pair.tol).basis
+    assert lifted.dim == oracle.shape[1]
     assert np.max(np.abs(lifted.basis @ lifted.basis.conj().T
-                         - product @ product.conj().T)) <= 1e-12
+                         - oracle @ oracle.conj().T)) <= 1e-12
+    assert lifted.complement.shape[1] < lifted.dim
     assert np.max(np.abs(lifted.basis.conj().T @ lifted.complement)) <= 1e-13

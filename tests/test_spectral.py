@@ -314,11 +314,19 @@ class TestReportStructure:
             assert counts["svd"] <= 9 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
             # One complete QR for each of Gamma and C and, from n = 128 on,
             # where a QR of up to n/32 columns costs less than the product it
-            # replaces, for L-perp & Gamma-, the census's Gamma- & C+ and
-            # the lifted ker alpha*.
+            # replaces, for the census's Gamma- & C+. L-perp & Gamma+- are the
+            # census's birth spaces, and the lifted kernels of the
+            # supercharge block are stacked from their parts, so neither
+            # takes a QR of its own.
             shapes = [a.shape for name, _, a in calls if name == "qr"]
-            assert len(shapes) == (2 if n < 128 else 5)
-            assert all(rows == n and cols <= 4 for rows, cols in shapes)
+            assert len(shapes) == (2 if n < 128 else 3)
+            assert all(rows == n and cols <= 3 for rows, cols in shapes)
+            # The SVD of q B, then those of the supercharge block and its
+            # adjoint, formed on L & Gamma+- with both sides at most dim L.
+            kernel_svds = [a.shape for name, caller, a in calls
+                           if (name, caller) == ("svd", "_rank_svd")]
+            assert kernel_svds[0] == (n, 2)
+            assert len(kernel_svds) == 3 and all(max(shape) <= 2 for shape in kernel_svds[1:])
             large = [call for call in calls if min(call[2].shape) > n / 2]
             assert [call[:2] for call in large] == [("eigvalsh", "_projection_pair_index")] * 2
             expected = ((pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
