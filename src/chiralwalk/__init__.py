@@ -40,7 +40,6 @@ from .linalg import (
     eig_hermitian,
     eig_unitary,
     hermiticity_residual,
-    involution_residual,
     kernel_basis,
     spans_match,
     subspace_intersection,

@@ -266,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="gap below which eigenvalues are grouped")
     shared.add_argument("--output", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
-    shared.add_argument("--dump-matrices", metavar="DIR", default=None,
-                        help="write the pair's matrices to DIR as MatrixFiles")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for commands that draw random numbers")
+    # Flags that act only on some commands are declared only there, so a
+    # misplaced one is a usage error instead of being ignored.
+    reported = argparse.ArgumentParser(add_help=False, parents=[shared])
+    reported.add_argument("--dump-matrices", metavar="DIR", default=None,
+                          help="write the pair's matrices to DIR as MatrixFiles")
 
     parser = argparse.ArgumentParser(
         prog="chiralwalk",
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", parents=[shared],
+    p_index = sub.add_parser("index", parents=[reported],
                              help="report on a pair read from matrix files")
     p_index.add_argument("u_file", help="MatrixFile with the evolution")
     p_index.add_argument("gamma_file", help="MatrixFile with the grading involution")
@@ -286,16 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="build a bundled model and report on it")
     model_sub = p_model.add_subparsers(dest="model", required=True)
 
-    p = model_sub.add_parser("grover-search", parents=[shared])
+    p = model_sub.add_parser("grover-search", parents=[reported])
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.set_defaults(func=cmd_model)
 
-    p = model_sub.add_parser("grover-walk", parents=[shared])
+    p = model_sub.add_parser("grover-walk", parents=[reported])
     p.add_argument("--graph", required=True, help="GraphFile path")
     p.set_defaults(func=cmd_model)
 
-    p = model_sub.add_parser("split-step", parents=[shared])
+    p = model_sub.add_parser("split-step", parents=[reported])
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q-re", type=float, required=True)
@@ -304,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of per-site angles, or random:<seed>")
     p.set_defaults(func=cmd_model)
 
-    p = model_sub.add_parser("toy2", parents=[shared])
+    p = model_sub.add_parser("toy2", parents=[reported])
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.set_defaults(func=cmd_model)
 
-    p = model_sub.add_parser("toy4", parents=[shared])
+    p = model_sub.add_parser("toy4", parents=[reported])
     p.add_argument("--variant", type=int, required=True, choices=range(1, 6))
     p.set_defaults(func=cmd_model)
 
@@ -326,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run the randomized invariant battery")
     p_self.add_argument("--dim-max", type=int, default=8)
     p_self.add_argument("--trials", type=int, default=10)
+    p_self.add_argument("--seed", type=int, default=0,
+                        help="seed of the random pairs")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -166,14 +166,6 @@ class Subspace:
     def dim(self) -> int:
         return int(self.basis.shape[1])
 
-    def residual_outside(self, other: "Subspace") -> float:
-        """Largest component of this basis outside the other subspace."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces live in different ambient dimensions")
-        if self.dim == 0:
-            return 0.0
-        return _maxabs(_outside(self.basis, other.basis))
-
 
 def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
     """Whether two subspaces coincide: equal dimension and mutual residual.
@@ -193,17 +185,14 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
         inside = min(narrow, key=lambda s: s.complement.shape[1])
         perp, other = inside.complement, (b if inside is a else a).basis
         return True, _maxabs(perp @ (perp.conj().T @ other))
-    return True, max(a.residual_outside(b), b.residual_outside(a))
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch("subspaces live in different ambient dimensions")
+    return True, max(_maxabs(_outside(a.basis, b.basis)), _maxabs(_outside(b.basis, a.basis)))
 
 
 def unitarity_residual(a) -> float:
     m = as_square_matrix(a)
     return _identity_residual(m.conj().T @ m)
-
-
-def involution_residual(a) -> float:
-    m = as_square_matrix(a)
-    return _identity_residual(m @ m)
 
 
 def _identity_residual(p: np.ndarray) -> float:

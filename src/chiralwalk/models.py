@@ -24,8 +24,9 @@ from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
 # Beyond dimension 2^13 a search pair gets silently slow. Its report makes
-# no n x n eigensolve, but make_pair's eight n x n products and the
-# projection-pair route's two eigvalsh of (Gamma -+ C)/2 still cost O(n^3).
+# no factorization with both dimensions above n/2 (the projection-pair
+# route takes the eigenvalues of 2 x 2 compressions), but make_pair's five
+# n x n products still cost O(n^3), and the report holds n x n temporaries.
 MAX_SEARCH_QUBITS = 12
 
 

@@ -23,6 +23,15 @@ from the census. Two certificates, ``|U B - B (B* U B)|`` and
 the unitarity residual of ``B* U B``, within ``tol.structural``. When
 one fails, or when 4c > n, the report runs on W = C^n instead, where the
 same code makes the dense factorizations.
+
+The projection-pair route, the index of (Gamma+, C+) plus that of
+(Gamma+, C-), shares only the coin's narrow basis d* with the census. On
+Halmos's reduction S = ran d* + Gamma ran d* it takes the eigenvalues of
+the compressed differences ``B* (Gamma -+ C) B / 2``, with B from its own
+SVD of ``[d*, Gamma d*]``, where the census takes principal-angle sines
+between the eigenspaces of Gamma and C. The two stay separate
+factorizations: merged into the census, the route would repeat the
+census's decisions instead of checking them.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _projection_pair_index, _supercharge
+from .chiral import ChiralPair, _coin_pair_index, _supercharge
 from .errors import InconsistencyDetected, OutOfRange
 from .linalg import (
     DEFAULT_TOL,
@@ -450,7 +459,6 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     """
     tol = pair.tol
     n = pair.dim
-    eye = np.eye(n)
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
@@ -474,11 +482,14 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                             u_vectors[:, ~at_minus[:w_dim]], out_plus)
     interior_u = u_values[~(at_plus | at_minus)]
 
-    # Coisometry identities.
-    coin_eff = -pair.coin if dec.flipped else pair.coin
+    # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
+    # the identity subtracted in place, which rounds as subtracting
+    # np.eye(n) does; adding the coin subtracts its negation exactly.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    res = _maxabs(2.0 * dec.d.conj().T @ dec.d - eye - coin_eff)
+    recovered = 2.0 * dec.d.conj().T @ dec.d
+    recovered.flat[::n + 1] -= 1.0
+    res = _maxabs(recovered + pair.coin if dec.flipped else recovered - pair.coin)
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     checks.append(CheckResult("discriminant_hermitian", res <= tol.structural, res))
@@ -497,6 +508,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     r = (pair.u + pair.u.conj().T) / 2.0
     res = _maxabs(g @ walk.restrict(r) - r @ g_w)
     checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
+    # The report's own n x n matrices are not read below; dropped here,
+    # they are not held through the span checks, where its memory peaks.
+    del q, r, recovered
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
@@ -610,9 +624,11 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     checks.append(CheckResult("index_routes_agree", res == 0.0, res))
 
     # Projection-pair route: P1 - P2 = (Gamma -+ C)/2 for P1 = Gamma+ and
-    # P2 = C+-, a factorization of its own rather than the census's.
-    pp = (_projection_pair_index((pair.gamma - pair.coin) / 2.0, tol)
-          + _projection_pair_index((pair.gamma + pair.coin) / 2.0, tol))
+    # P2 = C+-. It shares d* with the census but takes the eigenvalues of
+    # the differences (compressed to ran d* + Gamma ran d* when d* is
+    # narrow), not principal-angle sines: a factorization of its own, so
+    # it cross-checks the census rather than repeating it.
+    pp = _coin_pair_index(pair, dec.d.conj().T, -1.0 if dec.flipped else 1.0)
     checks.append(CheckResult(
         "projection_pair_identity", pp == ia, float(abs(pp - ia))))
 

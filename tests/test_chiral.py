@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk.chiral import (
+    _derived_bounds,
     gamma_signature,
     graded_decomposition,
     index_alpha,
@@ -16,12 +17,15 @@ from chiralwalk.chiral import (
 )
 from chiralwalk.errors import (
     ChiralSymmetryViolated,
+    ChiralWalkError,
     DimensionMismatch,
+    InconsistencyDetected,
     NotInvolution,
     NotProjection,
     NotUnitary,
 )
 from chiralwalk.linalg import (
+    DEFAULT_TOL,
     _identity_residual,
     _maxabs,
     _rank_svd,
@@ -181,6 +185,91 @@ class TestMakePair:
                     got = p.copy()
                     assert _identity_residual(got) == _maxabs(expected)
                     assert got.tobytes() == expected.tobytes()
+
+
+def _outcome(error: ChiralWalkError | None):
+    return None if error is None else (type(error), getattr(error, "check", None))
+
+
+def _reference_make_pair_outcome(u, gamma, tol):
+    """make_pair's outcome with all eight n x n products formed.
+
+    None when the pair is accepted, else the error class and, for a
+    failed derived identity, its name.
+    """
+    u, g = np.asarray(u, dtype=complex), np.asarray(gamma, dtype=complex)
+    if not (u.imag.any() or g.imag.any()):
+        u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
+    scale = tol.structural * len(u)
+    coin = g @ u
+    checks = [
+        (_identity_residual(u.conj().T @ u), tol.structural, NotUnitary("")),
+        (_identity_residual(g.conj().T @ g), tol.structural, NotInvolution("")),
+        (_identity_residual(g @ g), tol.structural, NotInvolution("")),
+        (_maxabs(coin @ g - u.conj().T), tol.structural, ChiralSymmetryViolated(0.0, 0.0)),
+        (_identity_residual(coin @ coin), scale, InconsistencyDetected("coin involution", 0.0)),
+        (_identity_residual(coin.conj().T @ coin), scale,
+         InconsistencyDetected("coin unitarity", 0.0)),
+        (_maxabs(u - g @ coin), scale, InconsistencyDetected("product recovery", 0.0)),
+        (_maxabs(coin - coin.conj().T), tol.structural, NotInvolution("")),
+        (_maxabs(g - g.conj().T), tol.structural, NotInvolution("")),
+    ]
+    return _outcome(next((error for residual, bound, error in checks if residual > bound), None))
+
+
+def _make_pair_outcome(u, gamma):
+    try:
+        make_pair(u, gamma)
+    except ChiralWalkError as error:
+        return _outcome(error)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       real=st.booleans(),
+       target=st.sampled_from(["evolution", "grading", "coin", "none"]),
+       coherent=st.booleans(),
+       factor=st.floats(min_value=0.5, max_value=2.0))
+def test_make_pair_outcome_matches_all_eight_products(dim, seed, real, target, coherent,
+                                                      factor):
+    # The coin's involution and unitarity and the recovery of u are
+    # formed only where their derived bounds exceed tol.structural * n,
+    # which takes residuals near the tolerance at a small dimension. A
+    # pair perturbed to within a factor of 2 of tol.structural must be
+    # accepted or refused, and with the same error, as when all eight are
+    # formed.
+    rng = np.random.default_rng(seed)
+
+    def involution():
+        if not real:
+            return random_involution(rng, dim)
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rng.integers(0, dim + 1)]
+        return 2.0 * basis @ basis.T - np.eye(dim)
+
+    gamma, coin = involution(), involution()
+    noise = np.ones((dim, dim)) if coherent else rng.uniform(-1.0, 1.0, (dim, dim))
+    if not real:
+        noise = noise * np.exp(2j * np.pi * rng.uniform(size=(dim, dim)))
+    noise *= factor * DEFAULT_TOL.structural / (2.0 * np.max(np.abs(noise)))
+    if target == "coin":
+        coin = coin + noise
+    elif target == "grading":
+        gamma = gamma + noise
+    u = gamma @ coin + (noise if target == "evolution" else 0.0)
+    assert _make_pair_outcome(u, gamma) == _reference_make_pair_outcome(u, gamma, DEFAULT_TOL)
+
+
+def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
+    # Bounds in the order coin involution, coin unitarity, product recovery.
+    tol = DEFAULT_TOL.structural
+    near = [0.9 * tol] * 5
+    for n in (1, 2, 3):
+        involution, unitarity, _ = _derived_bounds(n, *near)
+        assert unitarity > tol * n and (involution > tol * n) == (n < 3)
+    assert _derived_bounds(1, *[tol] * 5)[2] > tol
+    assert all(bound < 1e-2 * tol * 256 for bound in _derived_bounds(256, *[1e-15] * 5))
 
 
 class TestSuperOperators:

@@ -276,9 +276,17 @@ class TestErrorPaths:
         ["model", "grover-search", "--target", "0"],
         ["index"],
         ["frobnicate"],
-    ], ids=["bad-choice", "bad-int", "missing-option", "missing-files", "unknown-command"])
+        ["evolve", "--qubits", "2", "--target", "3", "--steps", "1", "--dump-matrices", "d"],
+        ["selftest", "--dim-max", "2", "--dump-matrices", "d"],
+        ["model", "toy2", "--beta", "0.3", "--gamma", "1.0", "--seed", "3"],
+        ["index", "u.json", "gamma.json", "--seed", "3"],
+        ["evolve", "--qubits", "2", "--target", "3", "--steps", "1", "--seed", "3"],
+    ], ids=["bad-choice", "bad-int", "missing-option", "missing-files", "unknown-command",
+            "dump-matrices-on-evolve", "dump-matrices-on-selftest", "seed-on-model",
+            "seed-on-index", "seed-on-evolve"])
     def test_usage_error_exits_one(self, argv, capsys):
-        # Exit 2 is reserved for a failed consistency check.
+        # Exit 2 is reserved for a failed consistency check. A flag given
+        # to a command it does not act on is a usage error too.
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

@@ -14,10 +14,10 @@ from chiralwalk.linalg import (
     Subspace,
     Tolerance,
     _canonical_phases,
+    _identity_residual,
     _involution_eigenspaces,
     eig_hermitian,
     eig_unitary,
-    involution_residual,
     kernel_basis,
     spans_match,
     subspace_intersection,
@@ -93,14 +93,15 @@ class TestPredicates:
     def test_phase_swap_is_involution(self):
         gamma = 0.7
         swap = np.array([[0.0, np.exp(1j * gamma)], [np.exp(-1j * gamma), 0.0]])
-        assert involution_residual(swap) <= DEFAULT_TOL.structural
+        assert _identity_residual(swap @ swap) <= DEFAULT_TOL.structural
         assert unitarity_residual(swap) <= DEFAULT_TOL.structural
 
     def test_identity_is_involution(self):
-        assert involution_residual(np.eye(3)) == 0.0
+        assert _identity_residual(np.eye(3) @ np.eye(3)) == 0.0
 
     def test_imaginary_diagonal_squares_to_minus_one(self):
-        assert involution_residual(np.diag([1j, -1j])) == pytest.approx(2.0)
+        m = np.diag([1j, -1j])
+        assert _identity_residual(m @ m) == pytest.approx(2.0)
 
 
 class TestKernelBasis:

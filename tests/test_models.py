@@ -5,7 +5,7 @@ import pytest
 
 from chiralwalk.chiral import index_alpha, make_pair
 from chiralwalk.errors import GraphInvalid, OutOfRange, ParamInvariantViolated
-from chiralwalk.linalg import involution_residual, unitarity_residual
+from chiralwalk.linalg import _identity_residual, unitarity_residual
 from chiralwalk.models import (
     Graph,
     SplitStepParams,
@@ -165,7 +165,7 @@ class TestGroverWalk:
         pair = grover_walk(g)
         assert set(np.unique(pair.gamma.real)) <= {0.0, 1.0}
         assert np.max(np.abs(pair.gamma.imag)) == 0.0
-        assert involution_residual(pair.gamma) == 0.0
+        assert _identity_residual(pair.gamma @ pair.gamma) == 0.0
 
     def test_coin_space_has_vertex_count_dimension(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
@@ -196,7 +196,7 @@ class TestSplitStep:
         )
         pair = split_step_cycle(params)
         assert unitarity_residual(pair.gamma) < 1e-12
-        assert involution_residual(pair.gamma) < 1e-12
+        assert _identity_residual(pair.gamma @ pair.gamma) < 1e-12
 
     def test_all_routes_zero_for_three_four_five(self):
         rng = np.random.default_rng(15)

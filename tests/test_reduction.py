@@ -3,13 +3,16 @@
 Reports of pairs with a small coin space take U's spectrum, ker q and the
 spectrum of H from L and lift them. Here they are compared with dense
 numpy oracles written out below, and with the dense report that a failed
-certificate falls back to.
+certificate falls back to. The projection-pair route's compression to
+Halmos's reduction S = ran d* + Gamma ran d* is compared with the
+eigenvalues of the whole differences of projections.
 """
 
 import numpy as np
 import pytest
 
 from chiralwalk import linalg, spectral
+from chiralwalk import chiral
 from chiralwalk.chiral import _supercharge, make_pair
 from chiralwalk.linalg import unitarity_residual
 from chiralwalk.models import grover_search, grover_walk
@@ -231,3 +234,76 @@ def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
                          - oracle @ oracle.conj().T)) <= 1e-12
     assert lifted.complement.shape[1] < lifted.dim
     assert np.max(np.abs(lifted.basis.conj().T @ lifted.complement)) <= 1e-13
+
+
+def _dense_coin_pair_index(pair):
+    return (chiral._projection_pair_index((pair.gamma - pair.coin) / 2.0, pair.tol)
+            + chiral._projection_pair_index((pair.gamma + pair.coin) / 2.0, pair.tol))
+
+
+def _coin_narrow_side(pair):
+    dec = coisometry(pair)
+    return dec.d.conj().T, -1.0 if dec.flipped else 1.0
+
+
+def _reflection(rng, n, plus_dim, real):
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+    return 2.0 * w[:, :plus_dim] @ w[:, :plus_dim].conj().T - np.eye(n)
+
+
+def _route_pair(seed, n, c, plus_dim, real, flipped):
+    """Random grading with ``plus_dim`` +1 directions and a coin with a c-dim side."""
+    rng = np.random.default_rng(seed)
+    gamma = _reflection(rng, n, plus_dim, real)
+    return make_pair(gamma @ _reflection(rng, n, n - c if flipped else c, real), gamma)
+
+
+ROUTE = [
+    *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
+      for q in range(1, 9) for t in sorted({0, 1, 3, 2**q - 1}) if t < 2**q),
+    *(pytest.param(lambda v=v, e=e: _graph_walk(v + e, v, e), id=f"graph-{v}-{e}")
+      for v, e in ((20, 200), (10, 40), (8, 20), (5, 30), (3, 3))),
+    *(pytest.param(lambda s=s, n=n, c=c, k=k, r=r, f=f: _route_pair(s, n, c, k, r, f),
+                   id=f"planted-{n}-c{c}-plus{k}-{'real' if r else 'complex'}"
+                      f"{'-flipped' if f else ''}")
+      for s, (n, c, k, r, f) in enumerate([
+          (8, 2, 4, True, False), (16, 3, 1, False, True), (32, 8, 32, True, False),
+          (64, 1, 32, True, False), (64, 16, 32, False, True), (64, 5, 0, False, False),
+          (96, 12, 90, True, True), (128, 32, 3, False, False), (128, 7, 64, True, True),
+          (200, 40, 100, False, False), (256, 64, 255, True, False),
+          (256, 9, 128, False, True), (512, 2, 256, True, True)], start=60)),
+]
+
+
+@pytest.mark.parametrize("build", ROUTE)
+def test_projection_pair_route_on_halmos_reduction(build):
+    # The compression of (Gamma -+ C)/2 to S = ran Y + Gamma ran Y, with
+    # S-perp counted from traces, must give the integer that eigvalsh of
+    # the two n x n differences gives; the size gate is bypassed, so pairs
+    # below it are compared too.
+    pair = build()
+    narrow, sign = _coin_narrow_side(pair)
+    assert chiral._compressed_coin_pair_index(pair, narrow, sign) == _dense_coin_pair_index(pair)
+    assert chiral._coin_pair_index(pair, narrow, sign) == _dense_coin_pair_index(pair)
+
+
+@pytest.mark.parametrize("qubits", [5, 7])
+def test_uncertified_reduction_falls_back_to_the_dense_route(monkeypatch, qubits):
+    # Tilted out of the coin's eigenspace, Y no longer spans a side of C,
+    # so S = ran Y + Gamma ran Y is not invariant under the coin: the
+    # certificate refuses S and the route takes eigvalsh of both n x n
+    # differences, which still gives the pair's index.
+    pair = grover_search(qubits, 1)
+    narrow, sign = _coin_narrow_side(pair)
+    rng = np.random.default_rng(qubits)
+    tilted = np.linalg.qr(narrow + 1e-6 * rng.standard_normal(narrow.shape))[0]
+    assert chiral._compressed_coin_pair_index(pair, tilted, sign) is None
+    shapes = []
+
+    def recorded(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    assert chiral._coin_pair_index(pair, tilted, sign) == build_index_report(pair).index_alpha
+    assert shapes[:2] == [(pair.dim, pair.dim)] * 2

@@ -48,6 +48,9 @@ INVOCATIONS = [
     ["index", "{dir}/u.json", "{dir}/gamma.json"],
     ["selftest", "--dim-max", "8", "--trials", "2", "--seed", "5"],
     ["evolve", "--qubits", "4", "--target", "5", "--steps", "20"],
+    # Flags declared only where they act: elsewhere they are usage errors.
+    ["evolve", "--qubits", "4", "--target", "5", "--steps", "20", "--dump-matrices", "m"],
+    ["model", "toy2", "--beta", "0.3", "--gamma", "1.0", "--seed", "3"],
 ]
 
 

@@ -291,11 +291,12 @@ class TestReportStructure:
         # and the supercharge are factorized only on the walk's invariant
         # subspace L = ran d* + Gamma ran d* (dimension 2 for search), the
         # eigenspaces of Gamma and C come from their narrow sides (dims 2
-        # and 1) and wide bases from complete QRs of narrow ones, so the
-        # only factorizations with both dimensions above n/2 are the
-        # projection-pair route's eigvalsh of (Gamma -+ C)/2. An
-        # eigensolve of Gamma or C, a dense evolution eigensolve, a
-        # full-size SVD of q or an eigh with discarded vectors shows here.
+        # and 1), wide bases from complete QRs of narrow ones, and the
+        # projection-pair route's eigvalsh of (Gamma -+ C)/2 from their
+        # compressions to S = ran d* + Gamma ran d*, so from n = 64 no
+        # factorization has both dimensions above n/2. An eigensolve of
+        # Gamma or C, a dense evolution eigensolve, a full-size SVD of q,
+        # an eigh with discarded vectors or an n x n eigvalsh shows here.
         calls = []
         for name in ("svd", "eigh", "eigvalsh", "qr"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -311,7 +312,7 @@ class TestReportStructure:
             build_index_report(pair)
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
-            assert counts["svd"] <= 9 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
+            assert counts["svd"] <= 10 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
             # One complete QR for each of Gamma and C and, from n = 128 on,
             # where a QR of up to n/32 columns costs less than the product it
             # replaces, for the census's Gamma- & C+. L-perp & Gamma+- are the
@@ -327,11 +328,12 @@ class TestReportStructure:
                            if (name, caller) == ("svd", "_rank_svd")]
             assert kernel_svds[0] == (n, 2)
             assert len(kernel_svds) == 3 and all(max(shape) <= 2 for shape in kernel_svds[1:])
-            large = [call for call in calls if min(call[2].shape) > n / 2]
-            assert [call[:2] for call in large] == [("eigvalsh", "_projection_pair_index")] * 2
-            expected = ((pair.gamma - pair.coin) / 2.0, (pair.gamma + pair.coin) / 2.0)
-            for (_, _, a), m in zip(large, expected):
-                assert np.allclose(a, m, rtol=0.0, atol=1e-14)
+            assert not [call for call in calls if min(call[2].shape) > n / 2]
+            # The route's own SVD of [d*, Gamma d*], then the eigenvalues of
+            # the two 2 x 2 compressions of (Gamma -+ C)/2.
+            route = [(name, a.shape) for name, caller, a in calls
+                     if caller == "_compressed_coin_pair_index"]
+            assert route == [("svd", (n, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (2, 2))]
             rows = [a.shape[0] for name, caller, a in calls
                     if (name, caller) == ("svd", "subspace_intersection")]
             assert rows and max(rows) <= 2
