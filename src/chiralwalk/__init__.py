@@ -16,9 +16,7 @@ from .chiral import (
     graded_decomposition,
     index_alpha,
     make_pair,
-    projection_pair_index,
     super_operators,
-    witten_index,
 )
 from .errors import (
     ChiralSymmetryViolated,
@@ -28,7 +26,6 @@ from .errors import (
     InconsistencyDetected,
     NotHermitian,
     NotInvolution,
-    NotProjection,
     NotUnitary,
     OutOfRange,
     ParamInvariantViolated,

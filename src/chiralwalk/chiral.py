@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     InconsistencyDetected,
     NotInvolution,
-    NotProjection,
     NotUnitary,
 )
 from .linalg import (
@@ -41,9 +40,6 @@ from .linalg import (
     _near_unit,
     _rank_svd,
     as_square_matrix,
-    hermiticity_residual,
-    kernel_basis,
-    subspace_intersection,
 )
 
 
@@ -88,9 +84,8 @@ class SuperOperators:
 
     ``q`` and ``r`` are the anti-Hermitian and Hermitian parts of the
     evolution (both self-adjoint as written). The squared supercharge is
-    ``q @ q``; the index report and :func:`witten_index` take its spectrum
-    (the squared singular values of ``q``) and its kernel (``ker q``)
-    from the one SVD of ``q``.
+    ``q @ q``; the index report takes its spectrum (the squared singular
+    values of ``q``) and its kernel (``ker q``) from the one SVD of ``q``.
     """
 
     q: np.ndarray
@@ -240,20 +235,6 @@ def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     return ker - coker
 
 
-def witten_index(pair: ChiralPair) -> int:
-    """Witten index of the squared supercharge ``H = q^2``.
-
-    ``ker H = ker q`` because ``q`` is self-adjoint, so the index is
-    ``dim(ker q & Gamma+) - dim(ker q & Gamma-)``, with ``ker q`` from one
-    SVD of the supercharge in the full space, intersected with the
-    grading's eigenspaces; the block ``alpha`` is never formed.
-    """
-    ker_q = kernel_basis(_supercharge(pair), pair.tol)
-    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
-    return (subspace_intersection(ker_q, plus, pair.tol).dim
-            - subspace_intersection(ker_q, minus, pair.tol).dim)
-
-
 def gamma_signature(pair: ChiralPair) -> int:
     """Signature of the grading: dim of its +1 eigenspace minus the -1 one.
 
@@ -264,34 +245,12 @@ def gamma_signature(pair: ChiralPair) -> int:
     return plus.dim - minus.dim
 
 
-def projection_pair_index(p1, p2, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Index of a pair of orthogonal projections.
-
-    Defined as the nullity of ``p1 - p2 - 1`` minus the nullity of
-    ``p1 - p2 + 1``, both read from the eigenvalues of the Hermitian
-    ``p1 - p2``. Raises :class:`NotProjection` unless both arguments are
-    Hermitian idempotents within tolerance.
-    """
-    p1 = as_square_matrix(p1)
-    p2 = as_square_matrix(p2)
-    if p1.shape != p2.shape:
-        raise DimensionMismatch("projections must have equal shapes")
-    for label, p in (("first", p1), ("second", p2)):
-        herm = hermiticity_residual(p)
-        idem = _maxabs(p @ p - p)
-        if herm > tol.structural or idem > tol.structural:
-            raise NotProjection(
-                f"{label} argument is not an orthogonal projection: "
-                f"hermiticity residual {herm:.6e}, idempotency residual {idem:.6e}"
-            )
-    return _projection_pair_index(p1 - p2, tol)
-
-
 def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
-    """:func:`projection_pair_index` from ``p1 - p2``, without validation.
+    """Index of a pair of orthogonal projections from their difference ``p1 - p2``.
 
-    Only the eigenvalues of the Hermitian part are needed, so no
-    eigenvectors are computed.
+    The nullity of ``p1 - p2 - 1`` minus that of ``p1 - p2 + 1``, read
+    from the eigenvalues of the Hermitian part alone; the arguments are
+    not validated.
     """
     return _unit_count(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0), tol)
 

@@ -27,10 +27,6 @@ class NotInvolution(ChiralWalkError):
     """A matrix required to be a unitary involution is not, within tolerance."""
 
 
-class NotProjection(ChiralWalkError):
-    """A matrix required to be an orthogonal projection is not, within tolerance."""
-
-
 class ChiralSymmetryViolated(ChiralWalkError):
     """The grading involution does not conjugate the evolution to its inverse."""
 

@@ -15,25 +15,21 @@ cluster splits of :func:`eig_unitary`, whose eigenvectors are complex.
 A degenerate eigenspace costs what its complement costs.
 :func:`eig_unitary` splits only the clusters of the Hermitian part on
 which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
-of a real unitary is kept real and is not factorized again. A
-:class:`Subspace` can carry an orthonormal basis of its orthogonal
-complement where a factorization yields one for free, and
-:func:`subspace_intersection` then takes the principal-angle sines from
-a matrix no larger than that complement's dimension times the smaller
-subspace's, and :func:`spans_match` compares a basis with a narrow
-complement instead of with a wide basis.
+of a real unitary is kept real and is not factorized again. A wide
+:class:`Subspace` is held by the orthonormal basis of its narrow
+complement alone, and :func:`subspace_intersection`,
+:func:`spans_match` and :func:`_orthogonal_sum` work from that
+complement, so no n x (n - k) basis is written.
 
 The same holds for the eigenspaces of an involution X, the grading and
 the coin. Their dimensions are read from the trace,
 ``k+ = (n + tr X)/2``. From dimension 64 on, when the smaller side has
-k <= n/4 dimensions, it comes from a pivoted Cholesky factor of its
-projector ``(1 +- X)/2``, and both sides from one complete QR of that
-factor, at O(n^2 k) in place of an O(n^3) eigensolve. The certificate
-``|X B -+ B| <= tol.structural * n`` on the smaller side's basis gates
-this route; when it fails, the eigensolve runs. A wide basis whose
-orthogonal complement is narrow (at most n/32 columns) is likewise the
-trailing part of one complete QR of that complement, not a product of
-wide matrices.
+k <= n/4 dimensions, its basis comes from a pivoted Cholesky factor of
+its projector ``(1 +- X)/2`` and one reduced QR, at O(n^2 k) in place of
+an O(n^3) eigensolve, and the larger side is held by it as its
+complement. The certificate ``|X B -+ B| <= tol.structural * n`` on the
+smaller side's basis gates this route; when it fails, the eigensolve
+runs.
 
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
@@ -46,7 +42,8 @@ the unit scale, with ``tol.rank``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,38 +130,42 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
     return v * phase
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of C^ambient_dim given by orthonormal basis columns.
 
     ``complement``, when given, is an orthonormal basis of the orthogonal
-    complement. It is filled only where a factorization yields it for
-    free (the other sign's eigenvectors of an involution, the leading
-    right singular vectors beside a kernel), lets
-    :func:`subspace_intersection` work with a small matrix, and takes no
-    part in equality or the repr.
+    complement and takes no part in the repr. A wide subspace may be held
+    by its narrow complement alone; its ``basis`` is then formed when
+    first read, as the trailing columns of one complete QR of the
+    complement. Otherwise the complement is filled only where a
+    factorization yields it for free (the leading right singular vectors
+    beside a kernel, the other sign's eigenvectors of an involution).
     """
 
-    ambient_dim: int
-    basis: np.ndarray
-    complement: np.ndarray | None = field(default=None, compare=False, repr=False)
+    def __init__(self, ambient_dim: int, basis: np.ndarray | None = None,
+                 complement: np.ndarray | None = None) -> None:
+        self.ambient_dim, self.complement = ambient_dim, complement
+        held = complement if basis is None else basis
+        if held is None or held.ndim != 2 or held.shape[0] != ambient_dim or not (
+                basis is None or complement is None
+                or complement.shape == (ambient_dim, ambient_dim - basis.shape[1])):
+            raise DimensionMismatch(f"basis of shape {np.shape(basis)} and complement of "
+                                    f"shape {np.shape(complement)} do not split C^{ambient_dim}")
+        if basis is not None:
+            self.basis = basis
+        self.dim = ambient_dim - held.shape[1] if basis is None else held.shape[1]
 
-    def __post_init__(self) -> None:
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"basis of shape {self.basis.shape} does not sit in "
-                f"dimension {self.ambient_dim}"
-            )
-        if self.complement is not None and \
-                self.complement.shape != (self.ambient_dim, self.ambient_dim - self.dim):
-            raise DimensionMismatch(
-                f"complement of shape {self.complement.shape} does not "
-                f"complete a {self.dim}-dim subspace of dimension {self.ambient_dim}"
-            )
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.linalg.qr(self.complement, mode="complete")[0][:, self.complement.shape[1]:]
 
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[1])
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+
+
+def _by_complement(s: Subspace) -> bool:
+    """Whether ``s`` is held by its complement alone, its basis not formed."""
+    return "basis" not in vars(s)
 
 
 def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
@@ -172,22 +173,32 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
 
     The residual is the larger of the two one-sided projection residuals;
     on a dimension mismatch it is the integer gap between the dimensions.
-    When a side carries a ``complement`` narrower than its basis, the
-    residual is instead the other side's basis projected onto the
-    narrowest such complement, a product no wider than that complement:
-    for equal dimensions both one-sided residuals have the largest
-    principal-angle sine as spectral norm, so one side suffices.
+    When both sides carry a ``complement`` narrower than their basis, the
+    two complements are compared in the same way; when one side does, the
+    residual is instead the other side's basis projected onto that
+    complement, a product no wider than it. For equal dimensions each
+    one-sided residual has the largest principal-angle sine as spectral
+    norm, so one side suffices.
     """
     if a.dim != b.dim:
         return False, float(abs(a.dim - b.dim))
-    narrow = [s for s in (a, b) if s.complement is not None and s.complement.shape[1] < s.dim]
-    if narrow:
-        inside = min(narrow, key=lambda s: s.complement.shape[1])
-        perp, other = inside.complement, (b if inside is a else a).basis
-        return True, _maxabs(perp @ (perp.conj().T @ other))
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient dimensions")
-    return True, max(_maxabs(_outside(a.basis, b.basis)), _maxabs(_outside(b.basis, a.basis)))
+    narrow = [s for s in (a, b) if s.complement is not None and s.complement.shape[1] < s.dim]
+    if len(narrow) == 1:
+        perp, other = narrow[0].complement, (b if narrow[0] is a else a).basis
+        return True, _maxabs(perp @ (perp.conj().T @ other))
+    a, b = (a.complement, b.complement) if narrow else (a.basis, b.basis)
+    return True, max(_maxabs(_outside(a, b)), _maxabs(_outside(b, a)))
+
+
+def _overlap(a: Subspace, b: Subspace) -> float:
+    """Largest entry of ``A* B``, or of ``B - A-perp (A-perp* B)`` for an ``a`` held by its complement."""
+    if _by_complement(b):
+        a, b = b, a
+    if _by_complement(a):
+        return _maxabs(_outside(b.basis, a.complement))
+    return _maxabs(a.basis.conj().T @ b.basis)
 
 
 def unitarity_residual(a) -> float:
@@ -360,17 +371,6 @@ def _narrow(width: int, n: int, share: int) -> bool:
     return n >= _NARROW_MIN_DIM and 0 < width * share <= n
 
 
-def _complete_basis(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the span of the full-rank ``n x k`` ``b`` and of its complement.
-
-    Both are columns of one complete Householder QR of ``b``, at O(n^2 k)
-    rather than the O(n^3) of an eigensolve or of writing a wide basis as
-    a product.
-    """
-    q = np.linalg.qr(b, mode="complete")[0]
-    return q[:, :b.shape[1]], q[:, b.shape[1]:]
-
-
 def _pivoted_cholesky(m: np.ndarray, sign: float, k: int) -> np.ndarray:
     """``n x k`` factor ``L`` of the rank-k projector ``P = (1 + sign m)/2``, ``L L* = P``.
 
@@ -404,7 +404,8 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     must be an integer to within the certificate bound. When
     ``k = min(k+, n - k+)`` is at most n/4, a pivoted Cholesky factor of
     the smaller side's projector ``(1 +- X)/2`` (O(n k^2)) and one
-    complete QR of it (O(n^2 k)) give both sides. The smaller side ``B``
+    reduced QR of it (O(n^2 k)) give the smaller side ``B``, and the
+    larger side is held by ``B`` as its complement. ``B``
     is accepted when ``|X B -+ B|`` is entrywise at most the certificate
     bound and has Frobenius norm below 1: that norm bounds
     ``|(X -+ 1) B|_2``, so by Courant-Fischer X has k eigenvalues within
@@ -422,12 +423,12 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     # When X is an involution only to within a tolerance, ran L is off the
     # eigenspace by an angle of about that tolerance; one step of subspace
     # iteration, P L, squares it.
-    small, large = _complete_basis(factor + sign * (m @ factor))
+    small = np.linalg.qr(factor + sign * (m @ factor))[0]
     residual = m @ small - sign * small
     # Written so that a NaN residual fails.
     if not (_maxabs(residual) <= bound and np.linalg.norm(residual) < 1.0):
         return None
-    spaces = Subspace(n, small, complement=large), Subspace(n, large, complement=small)
+    spaces = Subspace(n, small), Subspace(n, complement=small)
     return spaces if sign > 0 else spaces[::-1]
 
 
@@ -438,7 +439,7 @@ def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, 
     side has at most n/4 dimensions takes :func:`_narrow_eigenspaces`.
     Otherwise, and when its certificate fails, one eigensolve decides: an
     involution's eigenvalues sit at +-1 to within roundoff, so the sign of
-    each eigenvalue decides its side. Each side's basis is the other
+    each eigenvalue decides its side, and each side's basis is the other
     side's ``complement``.
     """
     # The size floor comes first, so small pairs pay nothing for the route.
@@ -463,15 +464,17 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     With ``B1`` the basis of the smaller subspace and ``P2`` the projector
     onto the other, the singular values of ``(1 - P2) B1`` are the sines
     of the principal angles between the two (Bjorck and Golub, Math.
-    Comp. 27 (1973)). The intersection is spanned by ``B1`` times the
-    right singular vectors whose sine is at most ``tol.rank``. When the
-    larger subspace carries a ``complement`` ``B2perp``, the sines come
-    from the small ``(n - k2) x k1`` matrix ``B2perp* B1``, factorized
-    through itself or its adjoint, whichever is wide; otherwise from the
-    ``n x k1`` matrix ``B1 - B2 (B2* B1)``. When ``B1`` carries a
-    complement and the intersection's complement is narrow, the
-    intersection is instead the complement of ``B1perp`` plus ``B1`` times
-    the other right singular vectors, from one complete QR.
+    Comp. 27 (1973)); the intersection is spanned by ``B1`` times the
+    right singular vectors whose sine is at most ``tol.rank``. The sines
+    come from the small ``B2perp* B1`` when the larger subspace carries a
+    complement ``B2perp``, factorized through itself or its adjoint,
+    whichever is wide, and else from ``B1 - B2 (B2* B1)``. When ``s1`` is
+    held by its complement, or carries one and the intersection's
+    complement is narrow, the intersection is held by its complement
+    alone: the orthonormalized ``B1perp`` plus the kept directions of
+    ``s1``, which for an ``s1`` held by its complement are the left
+    singular vectors of ``P1 B2perp = B2perp - B1perp (B1perp* B2perp)``,
+    with the same sines.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
@@ -483,19 +486,45 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
         return s1
     # (s1 & s2)-perp = s1-perp + s2-perp has at most this many dimensions.
     n = s1.ambient_dim
-    narrow = s1.complement is not None and _narrow(2 * n - s1.dim - s2.dim, n, 32)
-    if s2.complement is None:
-        _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
-        right = vh.conj().T
+    narrow = s1.complement is not None and (
+        _by_complement(s1) or _narrow(2 * n - s1.dim - s2.dim, n, 32))
+    if _by_complement(s1) and s2.complement is not None:
+        left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement),
+                                       full_matrices=False)
+        kept = left[:, :int(np.sum(sines > tol.rank))]
     else:
-        y = s2.complement.conj().T @ s1.basis
-        if y.shape[0] < y.shape[1]:
-            _, sines, vh = np.linalg.svd(y, full_matrices=not narrow)
+        if s2.complement is None:
+            _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
             right = vh.conj().T
         else:
-            right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
-    kept = int(np.sum(sines > tol.rank))
-    if narrow:
-        perp = np.hstack([s1.complement, s1.basis @ right[:, :kept]])
-        return Subspace(n, _complete_basis(perp)[1])
-    return Subspace(n, _canonical_phases(s1.basis @ right[:, kept:]))
+            y = s2.complement.conj().T @ s1.basis
+            if y.shape[0] < y.shape[1]:
+                _, sines, vh = np.linalg.svd(y, full_matrices=not narrow)
+                right = vh.conj().T
+            else:
+                right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
+        count = int(np.sum(sines > tol.rank))
+        if not narrow:
+            return Subspace(n, _canonical_phases(s1.basis @ right[:, count:]))
+        kept = s1.basis @ right[:, :count]
+    return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
+
+
+def _orthogonal_sum(n: int, parts: list[Subspace], rest: list[Subspace] | None = None) -> Subspace:
+    """The orthogonal sum of ``parts``, held by its complement alone when that is narrower.
+
+    The complement is the sum of ``rest`` when given, and otherwise, for
+    a part X held by its complement, X-perp less the other parts, which
+    lie in it: X-perp times the right singular vectors of the small
+    ``others* X-perp`` beyond the others' rank.
+    """
+    wide = [p for p in parts if _by_complement(p)]
+    if 2 * sum(p.dim for p in parts) <= n or not (rest or wide):
+        return Subspace(n, np.hstack([p.basis for p in parts]))
+    if rest:
+        return Subspace(n, complement=np.hstack([p.basis for p in rest]))
+    perp, others = wide[0].complement, [p.basis for p in parts if p.dim and p is not wide[0]]
+    if others:
+        others = np.hstack(others)
+        perp = perp @ np.linalg.svd(others.conj().T @ perp)[2][others.shape[1]:].conj().T
+    return Subspace(n, complement=perp)

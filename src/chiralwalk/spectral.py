@@ -48,11 +48,15 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _by_complement,
     _cluster_slices,
     _involution_eigenspaces,
     _kernel_svd,
     _maxabs,
     _near_unit,
+    _orthogonal_sum,
+    _outside,
+    _overlap,
     _real_if_exact,
     eig_hermitian,
     eig_unitary,
@@ -177,7 +181,9 @@ class _Walk:
     """The subspace W on which the report computes U's and q's spectra.
 
     ``basis`` is an orthonormal basis ``B`` of W, or None when W is the
-    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``. ``sides`` holds
+    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``, or on L for an
+    exactly real pair ``A B``, where ``q = -iA``: the real ``A B`` has the
+    kernels, singular values and residuals of ``q B``. ``sides`` holds
     ``W & Gamma+`` and ``W & Gamma-`` in W's coordinates: the grading's
     eigenspaces on the whole space, and on L the leading and trailing
     columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
@@ -204,17 +210,15 @@ class _Walk:
         """The lift of ``inner``'s columns plus ``outer``, a part of W-perp.
 
         Its complement is the lift of ``inner_rest`` plus ``outer_rest``.
-        On a proper W the subspace carries that complement when it is
-        narrower than the basis, so :func:`spans_match` compares through
+        On a proper W the subspace is held by that complement alone when
+        it is the narrower side, so :func:`spans_match` compares through
         it; on the whole space only the dense basis is kept and
         ``inner_rest`` is not read.
         """
         n = outer.ambient_dim
-        basis = _real_if_exact(np.hstack([self.lift(inner), outer.basis]))
-        if self.basis is None or inner_rest.shape[1] + outer_rest.dim >= basis.shape[1]:
-            return Subspace(n, basis)
-        return Subspace(n, basis, complement=_real_if_exact(
-            np.hstack([self.lift(inner_rest), outer_rest.basis])))
+        rest = None if self.basis is None else [
+            Subspace(n, _real_if_exact(self.lift(inner_rest))), outer_rest]
+        return _orthogonal_sum(n, [Subspace(n, _real_if_exact(self.lift(inner))), outer], rest)
 
     def supercharge_kernel(self, tol: Tolerance,
                            ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
@@ -230,8 +234,8 @@ class _Walk:
         ker_w, sigma = _kernel_svd(self.q, tol)
         n = self.q.shape[0]
         plus, minus = (
-            Subspace(n, np.hstack([self.lift(subspace_intersection(ker_w, side, tol).basis),
-                                   out.basis]))
+            _orthogonal_sum(n, [Subspace(n, self.lift(subspace_intersection(ker_w, side, tol).basis)),
+                                out])
             for side, out in zip(self.sides, self.outside))
         return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
@@ -262,7 +266,7 @@ def _certificate_bound(pair: ChiralPair) -> float:
 
 def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
                    dec: CoisometryDecomposition, eff: EigenspaceCensus,
-                   q: np.ndarray) -> _Walk:
+                   skew: np.ndarray) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
 
     U maps L to itself, and on L-perp the effective coin is -1, so U is
@@ -273,37 +277,43 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     ``r+- = dim Gamma+- - dim(Gamma+- & C-)`` that the census decided.
     With ``G+-`` the grading's eigenbases, that part is
     ``G+- ran(G+-* d*)``, so the leading r+- left singular vectors of the
-    ``k+- x c`` matrices ``G+-* d*`` give L's basis ``B = [B+ | B-]``.
-    L is used when ``4c <= n``, when, to within ``tol.structural * n``,
-    ``U B = B (B* U B)`` and ``q = (q B) B*``, and when ``B* U B`` is
-    unitary to within the ``tol.structural`` that :func:`eig_unitary`
-    demands; otherwise W is the whole space and every factorization is
-    the dense one. The last certificate matters for a pair whose
-    unitarity error is coherent: :func:`make_pair` bounds ``U* U - 1``
-    entrywise, and a compression of it can be up to n times larger.
+    ``k+- x c`` matrices ``G+-* d*`` give L's basis ``B = [B+ | B-]``
+    (for a side held by its complement ``G-perp``, those of the ``n x c``
+    ``d* - G-perp (G-perp* d*)``). ``skew`` is q, or the real
+    ``A = (U - U^T)/2`` of an exactly real pair, ``q = -iA``; the complex
+    q is formed only for the whole space. L is used when ``4c <= n``,
+    when, to within ``tol.structural * n``, ``U B = B (B* U B)`` and
+    ``skew = (skew B) B*``, and when ``B* U B`` is unitary to within the
+    ``tol.structural`` that :func:`eig_unitary` demands; otherwise W is
+    the whole space and every factorization is the dense one. The last
+    certificate matters for a pair whose unitarity error is coherent:
+    :func:`make_pair` bounds ``U* U - 1`` entrywise, and a compression of
+    it can be up to n times larger.
     """
     n, tol = pair.dim, pair.tol
+    if 4 * dec.coin_space_dim <= n:
+        d_star = dec.d.conj().T
+        ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
+        b = np.hstack([
+            np.linalg.svd(_outside(d_star, g.complement), full_matrices=False)[0][:, :r]
+            if _by_complement(g) else
+            g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
+            for g, r in zip((gamma_plus, gamma_minus), ranks)])
+        ub, sb = pair.u @ b, skew @ b
+        u_w = b.conj().T @ ub
+        bound = _certificate_bound(pair)
+        # The census cannot leave L more directions on a side of the grading
+        # than G+-* d* has singular vectors; if it does, L is not used.
+        if not (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
+                or _maxabs(skew - sb @ b.conj().T) > bound
+                or unitarity_residual(u_w) > tol.structural):
+            eye, r = np.eye(b.shape[1]), ranks[0]
+            sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
+                     Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
+            return _Walk(b, u_w, sb, sides, (eff.birth_minus, eff.birth_plus))
     empty = Subspace(n, np.empty((n, 0)))
-    dense = _Walk(None, pair.u, q, (gamma_plus, gamma_minus), (empty, empty))
-    if 4 * dec.coin_space_dim > n:
-        return dense
-    d_star = dec.d.conj().T
-    ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
-    b = np.hstack([
-        g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
-        for g, r in zip((gamma_plus, gamma_minus), ranks)])
-    ub, qb = pair.u @ b, q @ b
-    u_w = b.conj().T @ ub
-    bound = _certificate_bound(pair)
-    # The census cannot leave L more directions on a side of the grading
-    # than G+-* d* has singular vectors; if it does, L is not used.
-    if (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
-            or _maxabs(q - qb @ b.conj().T) > bound or unitarity_residual(u_w) > tol.structural):
-        return dense
-    eye, r = np.eye(b.shape[1]), ranks[0]
-    sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
-             Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
-    return _Walk(b, u_w, qb, sides, (eff.birth_minus, eff.birth_plus))
+    q = skew if np.iscomplexobj(skew) else _supercharge(pair)
+    return _Walk(None, pair.u, q, (gamma_plus, gamma_minus), (empty, empty))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -463,10 +473,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     warnings: list[str] = []
 
     gamma_plus, gamma_minus = _involution_eigenspaces(pair.gamma, tol)
-    q = _supercharge(pair)
+    skew = (pair.u - pair.u.T) / 2.0 if pair.u.dtype == np.float64 else _supercharge(pair)
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
         _discriminant_census(pair, gamma_plus, gamma_minus)
-    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, q)
+    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, skew)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped.
@@ -500,17 +510,18 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Commutation structure of the supercharge and its Hermitian partner,
     # on W: on W-perp q vanishes and U is -+Gamma, by the certificates and
-    # the coin identity above.
+    # the coin identity above. On L the columns are those of skew, A for a
+    # real pair, which differ from q's by a unimodular factor.
     g = pair.gamma
     g_w = walk.restrict(g)
-    res = _maxabs(g @ walk.q + q @ g_w)
+    res = _maxabs(g @ walk.q + (walk.q if walk.basis is None else skew) @ g_w)
     checks.append(CheckResult("supercharge_anticommutes", res <= tol.structural * n, res))
     r = (pair.u + pair.u.conj().T) / 2.0
     res = _maxabs(g @ walk.restrict(r) - r @ g_w)
     checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
     # The report's own n x n matrices are not read below; dropped here,
     # they are not held through the span checks, where its memory peaks.
-    del q, r, recovered
+    del skew, r, recovered
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q
@@ -535,18 +546,17 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
                (counts.inherited_minus, counts.birth_minus, ker_u_minus))
     split = _span_check("unit_eigenspace_split", pair, [
-        (Subspace(n, np.hstack([inherited.basis, birth.basis])), eigenspace)
+        (_orthogonal_sum(n, [inherited, birth]), eigenspace)
         for inherited, birth, eigenspace in sources])
-    cross = max(_maxabs(inherited.basis.conj().T @ birth.basis)
-                for inherited, birth, _ in sources)
+    cross = max(_overlap(inherited, birth) for inherited, birth, _ in sources)
     checks.append(CheckResult("unit_eigenspace_split",
                               split.passed and cross <= tol.structural * n,
                               max(split.residual, cross)))
 
     # Kernel of the supercharge block: discriminant lift plus birth space.
     checks.append(_span_check("alpha_kernel_decomposition", pair, (
-        (ker_alpha, Subspace(n, np.hstack([lift_t_plus, eff_counts.birth_minus.basis]))),
-        (ker_alpha_star, Subspace(n, np.hstack([lift_t_minus, eff_counts.birth_plus.basis]))),
+        (ker_alpha, _orthogonal_sum(n, [Subspace(n, lift_t_plus), eff_counts.birth_minus])),
+        (ker_alpha_star, _orthogonal_sum(n, [Subspace(n, lift_t_minus), eff_counts.birth_plus])),
     )))
 
     # Spectra.

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from chiralwalk.chiral import (
     _derived_bounds,
+    _projection_pair_index,
     gamma_signature,
     graded_decomposition,
     index_alpha,
     make_pair,
-    projection_pair_index,
     super_operators,
-    witten_index,
 )
 from chiralwalk.errors import (
     ChiralSymmetryViolated,
@@ -21,7 +20,6 @@ from chiralwalk.errors import (
     DimensionMismatch,
     InconsistencyDetected,
     NotInvolution,
-    NotProjection,
     NotUnitary,
 )
 from chiralwalk.linalg import (
@@ -340,22 +338,22 @@ class TestIndexRoutes:
     def test_witten_index_trivial_grading(self):
         # coin equals the evolution, which is an involution here
         pair = toy_four_dim(5)
-        assert witten_index(pair) == 4
+        assert build_index_report(pair).index_witten == 4
 
     def test_witten_index_evolution_equal_to_grading(self):
         gamma = np.diag([1.0, 1.0, -1.0])
         pair = make_pair(gamma, gamma)
-        assert witten_index(pair) == 2 - 1
+        assert build_index_report(pair).index_witten == 2 - 1
 
     def test_two_dim_swap_index_zero(self):
-        assert witten_index(toy_two_dim(0.7, 1.9)) == 0
+        assert build_index_report(toy_two_dim(0.7, 1.9)).index_witten == 0
 
     def test_routes_agree_on_random_pairs(self):
         rng = np.random.default_rng(31)
         for dim in (2, 5, 9, 16):
             pair = random_chiral_pair(rng, dim)
             ia = index_alpha(pair)
-            assert witten_index(pair) == ia
+            assert build_index_report(pair).index_witten == ia
             assert gamma_signature(pair) == ia
 
     def test_signature_closed_form_against_nullity_oracle(self):
@@ -401,22 +399,18 @@ class TestIndexRoutes:
 class TestProjectionPairIndex:
     def test_equal_projections(self):
         p = np.diag([1.0, 0.0, 0.0])
-        assert projection_pair_index(p, p) == 0
+        assert _projection_pair_index(p - p, DEFAULT_TOL) == 0
 
     def test_identity_versus_zero(self):
         n = 4
-        assert projection_pair_index(np.eye(n), np.zeros((n, n))) == n
-
-    def test_rejects_non_projection(self):
-        with pytest.raises(NotProjection):
-            projection_pair_index(np.diag([2.0, 0.0]), np.zeros((2, 2)))
+        assert _projection_pair_index(np.eye(n) - np.zeros((n, n)), DEFAULT_TOL) == n
 
     def test_search_pair_identity(self):
         pair = grover_search(2, 3)
         eye = np.eye(pair.dim)
         gamma_plus = (eye + pair.gamma) / 2
-        total = (projection_pair_index(gamma_plus, (eye + pair.coin) / 2)
-                 + projection_pair_index(gamma_plus, (eye - pair.coin) / 2))
+        total = (_projection_pair_index(gamma_plus - (eye + pair.coin) / 2, pair.tol)
+                 + _projection_pair_index(gamma_plus - (eye - pair.coin) / 2, pair.tol))
         assert total == index_alpha(pair) == -4
 
 
@@ -457,7 +451,7 @@ class TestKernelIdentities:
 def test_index_routes_and_anticommutation_property(dim, seed):
     pair = random_chiral_pair(np.random.default_rng(seed), dim)
     ia = index_alpha(pair)
-    assert witten_index(pair) == ia
+    assert build_index_report(pair).index_witten == ia
     assert gamma_signature(pair) == ia
     ops = super_operators(pair)
     assert np.max(np.abs(pair.gamma @ ops.q + ops.q @ pair.gamma)) <= 1e-10 * dim

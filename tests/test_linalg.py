@@ -405,6 +405,89 @@ class TestSubspaceIntersection:
         assert same and residual <= DEFAULT_TOL.structural
 
 
+def _orthonormal(rng, n, cols, real):
+    z = rng.normal(size=(n, cols))
+    if not real:
+        z = z + 1j * rng.normal(size=(n, cols))
+    return np.linalg.qr(z)[0]
+
+
+def _dense_complement(perp):
+    """A basis of ``perp``'s orthogonal complement from an SVD, not from a QR of it."""
+    return np.linalg.svd(perp, full_matrices=True)[0][:, perp.shape[1]:]
+
+
+class TestSubspaceHeldByComplement:
+    def test_dimension_and_lazy_basis(self):
+        rng = np.random.default_rng(5)
+        for real in (True, False):
+            perp = _orthonormal(rng, 70, 3, real)
+            s = Subspace(70, complement=perp)
+            assert s.dim == 67 and linalg._by_complement(s)
+            basis = s.basis
+            assert not linalg._by_complement(s) and s.basis is basis
+            assert basis.shape == (70, 67) and basis.dtype == perp.dtype
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(67))) <= 1e-13
+            assert np.max(np.abs(perp.conj().T @ basis)) <= 1e-13
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace(3)
+        with pytest.raises(DimensionMismatch):
+            Subspace(3, complement=np.zeros((2, 1)))
+        assert Subspace(3, complement=np.zeros((3, 0))).dim == 3
+
+    def test_orthogonal_sum_held_by_its_complement(self):
+        # X is held by a 4-column complement; Y, two directions inside it,
+        # joins X. The sum's complement is the other two directions.
+        rng = np.random.default_rng(9)
+        q = _orthonormal(rng, 80, 80, False)
+        x = Subspace(80, complement=q[:, :4])
+        total = linalg._orthogonal_sum(80, [x, Subspace(80, q[:, 1:3])])
+        assert linalg._by_complement(total) and total.dim == 78
+        same, residual = spans_match(total, Subspace(80, np.hstack([q[:, 1:3], q[:, 4:]])))
+        assert same and residual <= 1e-13
+        assert linalg._by_complement(x)
+        # Y is orthogonal to X, while a direction of X is not.
+        assert linalg._overlap(x, Subspace(80, q[:, 1:3])) <= 1e-13
+        assert linalg._overlap(Subspace(80, q[:, 4:5]), x) > 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=linalg._NARROW_MIN_DIM, max_value=128),
+       k1=st.integers(min_value=1, max_value=16),
+       k2=st.integers(min_value=1, max_value=16),
+       shared=st.integers(min_value=0, max_value=16),
+       real=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_subspaces_held_by_complements_match_dense_ones(n, k1, k2, shared, real, seed):
+    # Two wide subspaces held by complements that share ``shared``
+    # directions must give the intersection and the span decisions that
+    # dense bases of the same subspaces give, and the intersection must
+    # be held by its complement too.
+    rng = np.random.default_rng(seed)
+    shared = min(shared, k1, k2)
+    perp1 = _orthonormal(rng, n, k1, real)
+    perp2 = np.linalg.qr(np.hstack([perp1[:, :shared], _orthonormal(rng, n, k2 - shared, real)]))[0]
+    held = [Subspace(n, complement=p) for p in (perp1, perp2)]
+    dense = [Subspace(n, _dense_complement(p)) for p in (perp1, perp2)]
+    for a, b in zip(held, dense):
+        assert a.dim == b.dim
+        same, residual = spans_match(a, b)
+        assert same and residual <= 1e-12
+    fast = subspace_intersection(*held)
+    assert linalg._by_complement(fast)
+    plain = subspace_intersection(*dense)
+    assert fast.dim == plain.dim == n - (k1 + k2 - shared)
+    same, residual = spans_match(fast, plain)
+    assert same and residual <= 1e-12
+    # Equal or different spans are told apart the same way.
+    for other_held, other_dense in ((held[1], dense[1]), (Subspace(n, complement=perp1[:, ::-1]),
+                                                         dense[0])):
+        got, want = spans_match(held[0], other_held), spans_match(dense[0], other_dense)
+        assert got[0] == want[0] and (got[1] <= 1e-12) == (want[1] <= 1e-12)
+
+
 def _narrow_involution(seed, n, k, sign, real, pinned, perturb):
     """Involution whose ``sign`` side has dimension k, optionally uneven and perturbed.
 
@@ -451,12 +534,15 @@ def test_narrow_eigenspaces_match_eigh(n, k_share, minus_small, real, pinned, pe
     assert spaces is not None
     plus, minus = spaces
     assert (minus.dim if minus_small else plus.dim) == k
-    for side, other, oracle in zip((plus, minus), (minus, plus), _eigh_oracle(x)):
+    # The larger side is held by the smaller side's basis alone; its own
+    # basis is formed when read below.
+    small, large = (minus, plus) if minus_small else (plus, minus)
+    assert linalg._by_complement(large) and large.complement is small.basis
+    for side, oracle in zip((plus, minus), _eigh_oracle(x)):
         assert side.dim == round(np.trace(oracle).real)
         assert side.basis.dtype == (np.float64 if real else np.complex128)
         assert np.max(np.abs(side.basis @ side.basis.conj().T - oracle)) <= 1e-12
         assert np.max(np.abs(side.basis.conj().T @ side.basis - np.eye(side.dim))) <= 1e-13
-        assert side.complement is other.basis
     assert np.max(np.abs(plus.basis.conj().T @ minus.basis)) <= 1e-13
     _assert_same_subspaces(linalg._involution_eigenspaces(x), spaces)
 

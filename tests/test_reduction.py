@@ -160,13 +160,22 @@ def _summary(report):
 
 NARROW = [
     *(pytest.param(lambda q=q, t=t: grover_search(q, t), id=f"search-{q}-{t}")
-      for q in range(1, 9) for t in sorted({0, 1, 2**q - 1})),
+      for q in range(1, 9) for t in sorted({0, 1, 3, 2**q - 1} & set(range(2**q)))),
     *(pytest.param(lambda v=v, e=e: _graph_walk(v + e, v, e), id=f"graph-{v}-{e}")
       for v, e in ((20, 200), (10, 40))),
     *(pytest.param(lambda s=s, n=n, r=r, f=f: _narrow_planted_pair(s, n, r, f),
                    id=f"narrow-{n}-{'real' if r else 'complex'}{'-flipped' if f else ''}")
       for s, (n, r, f) in enumerate([(64, True, False), (64, False, True), (96, True, True),
                                      (128, False, False), (160, True, False)], start=30)),
+]
+# The larger inputs take the narrow routes only against the eigensolves.
+NARROW_LARGE = [
+    *(pytest.param(lambda t=t: grover_search(9, t), id=f"search-9-{t}") for t in (0, 1, 3, 511)),
+    *(p for p in OTHERS if p.id.startswith("graph") and p.id not in {q.id for q in NARROW}),
+    *(pytest.param(lambda s=s, n=n, r=r, f=f: _narrow_planted_pair(s, n, r, f),
+                   id=f"narrow-{n}-{'real' if r else 'complex'}{'-flipped' if f else ''}")
+      for s, (n, r, f) in enumerate([(256, True, False), (256, False, True), (512, True, True),
+                                     (512, False, False)], start=40)),
 ]
 
 
@@ -195,11 +204,13 @@ def test_failed_certificate_falls_back_to_the_dense_report(monkeypatch, build):
         assert abs(a.residual - b.residual) <= 1e-12
 
 
-@pytest.mark.parametrize("build", NARROW)
+@pytest.mark.parametrize("build", NARROW + NARROW_LARGE)
 def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
-    # Eigenspaces of Gamma and C from their narrow sides, and wide bases
-    # from complete QRs of narrow ones, must give the report that
-    # eigensolves and products give.
+    # Eigenspaces of Gamma and C from their narrow sides, wide subspaces
+    # held by their narrow complements, and the projection-pair route on
+    # Halmos's reduction must give the report that eigensolves, dense
+    # bases and the whole differences give: the same exit code, indices,
+    # census, check names and outcomes, and floats to within 1e-12.
     pair = build()
     if pair.dim >= 64:
         assert any(linalg._narrow_eigenspaces(m, pair.tol) is not None

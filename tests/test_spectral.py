@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralwalk import linalg
 from chiralwalk.chiral import (
     ChiralPair,
     graded_decomposition,
     index_alpha,
     make_pair,
     super_operators,
-    witten_index,
 )
 from chiralwalk.errors import InconsistencyDetected, OutOfRange
 from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
@@ -291,17 +291,20 @@ class TestReportStructure:
         # and the supercharge are factorized only on the walk's invariant
         # subspace L = ran d* + Gamma ran d* (dimension 2 for search), the
         # eigenspaces of Gamma and C come from their narrow sides (dims 2
-        # and 1), wide bases from complete QRs of narrow ones, and the
-        # projection-pair route's eigvalsh of (Gamma -+ C)/2 from their
-        # compressions to S = ran d* + Gamma ran d*, so from n = 64 no
-        # factorization has both dimensions above n/2. An eigensolve of
-        # Gamma or C, a dense evolution eigensolve, a full-size SVD of q,
-        # an eigh with discarded vectors or an n x n eigvalsh shows here.
+        # and 1), each wide side is held by its narrow complement and no
+        # n x (n - k) basis is written, and the projection-pair route's
+        # eigvalsh of (Gamma -+ C)/2 come from their compressions to
+        # S = ran d* + Gamma ran d*, so from n = 64 no factorization has
+        # both dimensions above n/2. An eigensolve of Gamma or C, a dense
+        # evolution eigensolve, a full-size SVD of q, an eigh with
+        # discarded vectors, an n x n eigvalsh, a complete QR or the basis
+        # of a subspace held by its complement shows here.
         calls = []
         for name in ("svd", "eigh", "eigvalsh", "qr"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 a = np.asarray(a)
-                calls.append((_name, sys._getframe(1).f_code.co_name, a))
+                calls.append((_name, sys._getframe(1).f_code.co_name, a,
+                              kwargs.get("mode", args[0] if args else "reduced")))
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
@@ -309,35 +312,38 @@ class TestReportStructure:
             pair = grover_search(qubits, 0)
             n = pair.dim
             calls.clear()
-            build_index_report(pair)
+            report = build_index_report(pair)
+            assert report.consistent and report.census.m_minus == n - 3
+            # A basis held by its complement is formed by a complete QR.
+            assert linalg._by_complement(report.census.inherited_minus)
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
             assert counts["svd"] <= 10 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
-            # One complete QR for each of Gamma and C and, from n = 128 on,
-            # where a QR of up to n/32 columns costs less than the product it
-            # replaces, for the census's Gamma- & C+. L-perp & Gamma+- are the
-            # census's birth spaces, and the lifted kernels of the
-            # supercharge block are stacked from their parts, so neither
-            # takes a QR of its own.
-            shapes = [a.shape for name, _, a in calls if name == "qr"]
-            assert len(shapes) == (2 if n < 128 else 3)
-            assert all(rows == n and cols <= 3 for rows, cols in shapes)
+            # One reduced QR for each of Gamma's and C's narrow sides, and
+            # one that orthonormalizes the complement of the census's
+            # Gamma- & C+. L-perp & Gamma+- are the census's birth spaces,
+            # and the sums the span checks compare are held by their
+            # complements, so none takes a QR of its own.
+            qrs = [(a.shape, mode) for name, _, a, mode in calls if name == "qr"]
+            assert [mode for _, mode in qrs] == ["reduced"] * 3
+            assert all(rows == n and cols <= 3 for (rows, cols), _ in qrs)
             # The SVD of q B, then those of the supercharge block and its
             # adjoint, formed on L & Gamma+- with both sides at most dim L.
-            kernel_svds = [a.shape for name, caller, a in calls
+            kernel_svds = [a.shape for name, caller, a, _ in calls
                            if (name, caller) == ("svd", "_rank_svd")]
             assert kernel_svds[0] == (n, 2)
             assert len(kernel_svds) == 3 and all(max(shape) <= 2 for shape in kernel_svds[1:])
             assert not [call for call in calls if min(call[2].shape) > n / 2]
             # The route's own SVD of [d*, Gamma d*], then the eigenvalues of
             # the two 2 x 2 compressions of (Gamma -+ C)/2.
-            route = [(name, a.shape) for name, caller, a in calls
+            route = [(name, a.shape) for name, caller, a, _ in calls
                      if caller == "_compressed_coin_pair_index"]
             assert route == [("svd", (n, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (2, 2))]
-            rows = [a.shape[0] for name, caller, a in calls
-                    if (name, caller) == ("svd", "subspace_intersection")]
-            assert rows and max(rows) <= 2
-            complex_eighs = [a.shape for name, _, a in calls
+            # The census's sines come from matrices at most 2 columns wide.
+            shapes = [a.shape for name, caller, a, _ in calls
+                      if (name, caller) == ("svd", "subspace_intersection")]
+            assert shapes and max(min(shape) for shape in shapes) <= 2
+            complex_eighs = [a.shape for name, _, a, _ in calls
                              if name == "eigh" and a.dtype == np.complex128]
             assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
 
@@ -485,7 +491,7 @@ def _assert_witten_and_h_routes(pair):
     a = graded_decomposition(pair).alpha
     expected = kernel_basis(a.conj().T @ a).dim - kernel_basis(a @ a.conj().T).dim
     report = build_index_report(pair)
-    assert report.index_witten == witten_index(pair) == expected
+    assert report.index_witten == expected
     # Reference spectrum of H: a Hermitian eigensolve of q @ q.
     q = super_operators(pair).q
     reference = cluster_reals(np.linalg.eigvalsh(q @ q), pair.tol.cluster)
