@@ -16,10 +16,9 @@ A degenerate eigenspace costs what its complement costs.
 :func:`eig_unitary` splits only the clusters of the Hermitian part on
 which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
 of a real unitary is kept real and is not factorized again. A wide
-:class:`Subspace` is held by the orthonormal basis of its narrow
-complement alone, and :func:`subspace_intersection`,
-:func:`spans_match` and :func:`_orthogonal_sum` work from that
-complement, so no n x (n - k) basis is written.
+:class:`Subspace` is held by its narrow complement alone, and the
+subspace arithmetic works from that complement: no n x (n - k) basis is
+written.
 
 The same holds for the eigenspaces of an involution X, the grading and
 the coin. Their dimensions are read from the trace,
@@ -28,8 +27,7 @@ k <= n/4 dimensions, its basis comes from a pivoted Cholesky factor of
 its projector ``(1 +- X)/2`` and one reduced QR, at O(n^2 k) in place of
 an O(n^3) eigensolve, and the larger side is held by it as its
 complement. The certificate ``|X B -+ B| <= tol.structural * n`` on the
-smaller side's basis gates this route; when it fails, the eigensolve
-runs.
+smaller side's basis gates this route; if it fails, the eigensolve runs.
 
 Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 :func:`_near_unit` holds the relative cutoff that :func:`kernel_basis`
@@ -82,7 +80,10 @@ DEFAULT_TOL = Tolerance()
 
 
 def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """Largest entry magnitude; of a real array from its extremes, without forming ``|a|``."""
+    if np.iscomplexobj(a) or not a.size:
+        return float(np.max(np.abs(a))) if a.size else 0.0
+    return max(abs(float(a.max())), abs(float(a.min())))
 
 
 def as_matrix(a) -> np.ndarray:

@@ -209,11 +209,9 @@ class _Walk:
              outer_rest: Subspace) -> Subspace:
         """The lift of ``inner``'s columns plus ``outer``, a part of W-perp.
 
-        Its complement is the lift of ``inner_rest`` plus ``outer_rest``.
-        On a proper W the subspace is held by that complement alone when
-        it is the narrower side, so :func:`spans_match` compares through
-        it; on the whole space only the dense basis is kept and
-        ``inner_rest`` is not read.
+        On a proper W it is held by its complement, the lift of
+        ``inner_rest`` plus ``outer_rest``, when that is the narrower side;
+        on the whole space ``inner_rest`` is not read.
         """
         n = outer.ambient_dim
         rest = None if self.basis is None else [
@@ -494,12 +492,14 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
     # the identity subtracted in place, which rounds as subtracting
-    # np.eye(n) does; adding the coin subtracts its negation exactly.
+    # np.eye(n) does, and the coin added in place (its negation
+    # subtracted exactly) without another n x n array.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    recovered = 2.0 * dec.d.conj().T @ dec.d
+    recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
     recovered.flat[::n + 1] -= 1.0
-    res = _maxabs(recovered + pair.coin if dec.flipped else recovered - pair.coin)
+    (np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered)
+    res = _maxabs(recovered)
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     checks.append(CheckResult("discriminant_hermitian", res <= tol.structural, res))
