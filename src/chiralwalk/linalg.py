@@ -404,14 +404,13 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     The trace gives the +1 side's dimension ``k+ = (n + tr X)/2``, which
     must be an integer to within the certificate bound. When
     ``k = min(k+, n - k+)`` is at most n/4, a pivoted Cholesky factor of
-    the smaller side's projector ``(1 +- X)/2`` (O(n k^2)) and one
-    reduced QR of it (O(n^2 k)) give the smaller side ``B``, and the
-    larger side is held by ``B`` as its complement. ``B``
-    is accepted when ``|X B -+ B|`` is entrywise at most the certificate
-    bound and has Frobenius norm below 1: that norm bounds
-    ``|(X -+ 1) B|_2``, so by Courant-Fischer X has k eigenvalues within
-    it of +-1, on that side of zero, and the trace leaves none for the
-    other side.
+    the smaller side's projector ``(1 +- X)/2`` (O(n k^2)) and one reduced
+    QR of it (O(n^2 k)) give the smaller side ``B``, which holds the
+    larger side as its complement. ``B`` is accepted when ``|X B -+ B|``
+    is entrywise at most the certificate bound and has Frobenius norm
+    below 1: that norm bounds ``|(X -+ 1) B|_2``, so by Courant-Fischer X
+    has k eigenvalues within it of +-1, on that side of zero, and the
+    trace leaves none for the other side.
     """
     n = m.shape[0]
     k_plus = (n + float(np.trace(m).real)) / 2.0

@@ -19,7 +19,8 @@ eigensolve runs on the compression ``B* U B`` and the SVD of q on the
 for the effective coin, so ``L-perp & Gamma+-`` are the effective
 census's birth spaces, and L's rank on each side of the grading comes
 from the census. Two certificates, ``|U B - B (B* U B)|`` and
-``|q - (q B) B*|``, must lie within ``tol.structural * n``, and a third,
+``|q - (q B) B*|`` (real for a real pair, whose q is -i times a real
+matrix), must lie within ``tol.structural * n``, and a third,
 the unitarity residual of ``B* U B``, within ``tol.structural``. When
 one fails, or when 4c > n, the report runs on W = C^n instead, where the
 same code makes the dense factorizations.
@@ -182,8 +183,8 @@ class _Walk:
 
     ``basis`` is an orthonormal basis ``B`` of W, or None when W is the
     whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``, or on L for an
-    exactly real pair ``A B``, where ``q = -iA``: the real ``A B`` has the
-    kernels, singular values and residuals of ``q B``. ``sides`` holds
+    exactly real pair the real ``A B``, where ``q = -iA``, with the same
+    kernels and singular values. ``sides`` holds
     ``W & Gamma+`` and ``W & Gamma-`` in W's coordinates: the grading's
     eigenspaces on the whole space, and on L the leading and trailing
     columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
@@ -200,10 +201,6 @@ class _Walk:
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis @ v
-
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        """``m B``: the columns of ``m`` that act on W."""
-        return m if self.basis is None else m @ self.basis
 
     def span(self, inner: np.ndarray, outer: Subspace, inner_rest: np.ndarray | None,
              outer_rest: Subspace) -> Subspace:
@@ -263,30 +260,23 @@ def _certificate_bound(pair: ChiralPair) -> float:
 
 
 def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
-                   dec: CoisometryDecomposition, eff: EigenspaceCensus,
-                   skew: np.ndarray) -> _Walk:
+                   dec: CoisometryDecomposition, eff: EigenspaceCensus) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
 
-    U maps L to itself, and on L-perp the effective coin is -1, so U is
-    -Gamma there for the effective coin and q vanishes (Szegedy's busy
-    subspace). As ``L-perp = C- & Gamma C-`` for the effective coin,
-    ``L-perp & Gamma+-`` are the effective census's birth spaces
-    ``Gamma+- & C-``, and L's part in Gamma+- has the rank
-    ``r+- = dim Gamma+- - dim(Gamma+- & C-)`` that the census decided.
-    With ``G+-`` the grading's eigenbases, that part is
-    ``G+- ran(G+-* d*)``, so the leading r+- left singular vectors of the
-    ``k+- x c`` matrices ``G+-* d*`` give L's basis ``B = [B+ | B-]``
-    (for a side held by its complement ``G-perp``, those of the ``n x c``
-    ``d* - G-perp (G-perp* d*)``). ``skew`` is q, or the real
-    ``A = (U - U^T)/2`` of an exactly real pair, ``q = -iA``; the complex
-    q is formed only for the whole space. L is used when ``4c <= n``,
-    when, to within ``tol.structural * n``, ``U B = B (B* U B)`` and
-    ``skew = (skew B) B*``, and when ``B* U B`` is unitary to within the
-    ``tol.structural`` that :func:`eig_unitary` demands; otherwise W is
-    the whole space and every factorization is the dense one. The last
-    certificate matters for a pair whose unitarity error is coherent:
-    :func:`make_pair` bounds ``U* U - 1`` entrywise, and a compression of
-    it can be up to n times larger.
+    L's part in Gamma+- has the rank ``r+- = dim Gamma+- - dim(Gamma+- & C-)``
+    that the effective census decided and is ``G+- ran(G+-* d*)`` for the
+    grading's eigenbases ``G+-``, so the leading r+- left singular vectors
+    of ``G+-* d*`` give L's basis ``B = [B+ | B-]``; for a side held by its
+    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``. On L, q is
+    taken as ``S = (U - U*)/(2 unit)``: q itself, or for an exactly real
+    pair the real ``A = (U - U^T)/2`` (unit 1, ``q = -iA``), with ``S B``
+    from ``U B`` and ``U* B``. L is used when ``4c <= n``, when, to within
+    ``tol.structural * n``, ``U B = B (B* U B)`` and ``S = (S B) B*``, and
+    when ``B* U B`` is unitary to within the ``tol.structural`` that
+    :func:`eig_unitary` demands; otherwise W is the whole space, with the
+    dense factorizations and the n x n q. The last certificate matters for
+    a pair whose unitarity error is coherent: :func:`make_pair` bounds
+    ``U* U - 1`` entrywise, and a compression of it can be n times larger.
     """
     n, tol = pair.dim, pair.tol
     if 4 * dec.coin_space_dim <= n:
@@ -297,21 +287,41 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             if _by_complement(g) else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
-        ub, sb = pair.u @ b, skew @ b
+        unit = 1.0 if np.isrealobj(pair.u) else 1j
+        ub = pair.u @ b
+        sb = (ub - pair.u.conj().T @ b) / (2.0 * unit)
         u_w = b.conj().T @ ub
+        # 2 unit (S - (S B) B*) = U - U* - 2 unit (S B) B*, formed in place.
+        cert = (-2.0 * unit * sb) @ b.conj().T
+        cert += pair.u
+        cert -= pair.u.conj().T
         bound = _certificate_bound(pair)
         # The census cannot leave L more directions on a side of the grading
         # than G+-* d* has singular vectors; if it does, L is not used.
         if not (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
-                or _maxabs(skew - sb @ b.conj().T) > bound
-                or unitarity_residual(u_w) > tol.structural):
+                or _maxabs(cert) / 2.0 > bound or unitarity_residual(u_w) > tol.structural):
             eye, r = np.eye(b.shape[1]), ranks[0]
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
             return _Walk(b, u_w, sb, sides, (eff.birth_minus, eff.birth_plus))
     empty = Subspace(n, np.empty((n, 0)))
-    q = skew if np.iscomplexobj(skew) else _supercharge(pair)
-    return _Walk(None, pair.u, q, (gamma_plus, gamma_minus), (empty, empty))
+    return _Walk(None, pair.u, _supercharge(pair), (gamma_plus, gamma_minus), (empty, empty))
+
+
+def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]:
+    """Largest entries of ``Gamma q + q Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
+
+    On L, ``walk.q`` is ``S B`` and the products of S and r with
+    ``Gamma B`` come from those of U and U*, so neither is formed.
+    """
+    g, u, b = pair.gamma, pair.u, walk.basis
+    if b is None:
+        r = (u + u.conj().T) / 2.0
+        return _maxabs(g @ walk.q + walk.q @ g), _maxabs(g @ r - r @ g)
+    g_b = g @ b
+    ug, uhg = u @ g_b, u.conj().T @ g_b
+    return (_maxabs(g @ walk.q + (ug - uhg) / (2.0 if np.isrealobj(u) else 2j)),
+            _maxabs(g @ ((u @ b + u.conj().T @ b) / 2.0) - (ug + uhg) / 2.0))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -471,10 +481,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     warnings: list[str] = []
 
     gamma_plus, gamma_minus = _involution_eigenspaces(pair.gamma, tol)
-    skew = (pair.u - pair.u.T) / 2.0 if pair.u.dtype == np.float64 else _supercharge(pair)
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
         _discriminant_census(pair, gamma_plus, gamma_minus)
-    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, skew)
+    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped.
@@ -510,18 +519,13 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Commutation structure of the supercharge and its Hermitian partner,
     # on W: on W-perp q vanishes and U is -+Gamma, by the certificates and
-    # the coin identity above. On L the columns are those of skew, A for a
-    # real pair, which differ from q's by a unimodular factor.
-    g = pair.gamma
-    g_w = walk.restrict(g)
-    res = _maxabs(g @ walk.q + (walk.q if walk.basis is None else skew) @ g_w)
-    checks.append(CheckResult("supercharge_anticommutes", res <= tol.structural * n, res))
-    r = (pair.u + pair.u.conj().T) / 2.0
-    res = _maxabs(g @ walk.restrict(r) - r @ g_w)
-    checks.append(CheckResult("hermitian_part_commutes", res <= tol.structural * n, res))
-    # The report's own n x n matrices are not read below; dropped here,
-    # they are not held through the span checks, where its memory peaks.
-    del skew, r, recovered
+    # the coin identity above.
+    anti, commute = _commutation_residuals(pair, walk)
+    checks.append(CheckResult("supercharge_anticommutes", anti <= tol.structural * n, anti))
+    checks.append(CheckResult("hermitian_part_commutes", commute <= tol.structural * n, commute))
+    # The report's own n x n matrix is not read below; dropped here, it is
+    # not held through the span checks, where its memory peaks.
+    del recovered
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q

@@ -67,7 +67,7 @@ OTHERS = [
 def _walk(pair):
     plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
     dec, _, eff, _, _ = spectral._discriminant_census(pair, plus, minus)
-    return spectral._walk_subspace(pair, plus, minus, dec, eff, _supercharge(pair))
+    return spectral._walk_subspace(pair, plus, minus, dec, eff)
 
 
 def _takes_reduced_path(pair):
