@@ -81,7 +81,7 @@ DEFAULT_TOL = Tolerance()
 
 def _maxabs(a: np.ndarray) -> float:
     """Largest entry magnitude; of a real array from its extremes, without forming ``|a|``."""
-    if np.iscomplexobj(a) or not a.size:
+    if a.dtype.kind == "c" or not a.size:
         return float(np.max(np.abs(a))) if a.size else 0.0
     return max(abs(float(a.max())), abs(float(a.min())))
 
