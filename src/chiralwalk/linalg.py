@@ -194,7 +194,7 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
 
 
 def _overlap(a: Subspace, b: Subspace) -> float:
-    """Largest entry of ``A* B``, or of ``B - A-perp (A-perp* B)`` for an ``a`` held by its complement."""
+    """Largest entry of ``A* B``; for an ``a`` held by its complement, of ``B - P(A-perp) B``."""
     if _by_complement(b):
         a, b = b, a
     if _by_complement(a):
@@ -486,9 +486,9 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
         return s1
     # (s1 & s2)-perp = s1-perp + s2-perp has at most this many dimensions.
     n = s1.ambient_dim
-    narrow = s1.complement is not None and (
-        _by_complement(s1) or _narrow(2 * n - s1.dim - s2.dim, n, 32))
-    if _by_complement(s1) and s2.complement is not None:
+    held = s1.complement is not None and _by_complement(s1)
+    narrow = held or (s1.complement is not None and _narrow(2 * n - s1.dim - s2.dim, n, 32))
+    if held and s2.complement is not None:
         left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement),
                                        full_matrices=False)
         kept = left[:, :int(np.sum(sines > tol.rank))]
@@ -518,8 +518,8 @@ def _orthogonal_sum(n: int, parts: list[Subspace], rest: list[Subspace] | None =
     lie in it: X-perp times the right singular vectors of the small
     ``others* X-perp`` beyond the others' rank.
     """
-    wide = [p for p in parts if _by_complement(p)]
-    if 2 * sum(p.dim for p in parts) <= n or not (rest or wide):
+    wide = [p for p in parts if _by_complement(p)] if 2 * sum(p.dim for p in parts) > n else None
+    if wide is None or not (rest or wide):
         return Subspace(n, np.hstack([p.basis for p in parts]))
     if rest:
         return Subspace(n, complement=np.hstack([p.basis for p in rest]))

@@ -25,8 +25,11 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 # Beyond dimension 2^13 a search pair gets silently slow. Its report makes
 # no factorization with both dimensions above n/2 (the projection-pair
-# route takes the eigenvalues of 2 x 2 compressions), but make_pair's five
-# n x n products still cost O(n^3), and the report holds n x n temporaries.
+# route takes the eigenvalues of 2 x 2 compressions) and writes no
+# n x (n - k) basis (wide subspaces are held by their narrow complements),
+# but make_pair's five n x n products still cost O(n^3), and the report
+# still forms a few n x n matrices: the certificate of its walk subspace
+# and the recovered coin.
 MAX_SEARCH_QUBITS = 12
 
 

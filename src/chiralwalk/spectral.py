@@ -229,8 +229,8 @@ class _Walk:
         ker_w, sigma = _kernel_svd(self.q, tol)
         n = self.q.shape[0]
         plus, minus = (
-            _orthogonal_sum(n, [Subspace(n, self.lift(subspace_intersection(ker_w, side, tol).basis)),
-                                out])
+            _orthogonal_sum(n, [
+                Subspace(n, self.lift(subspace_intersection(ker_w, side, tol).basis)), out])
             for side, out in zip(self.sides, self.outside))
         return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
