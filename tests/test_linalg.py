@@ -438,8 +438,8 @@ class TestSubspaceHeldByComplement:
         assert Subspace(3, complement=np.zeros((3, 0))).dim == 3
 
     def test_orthogonal_sum_held_by_its_complement(self):
-        # X is held by a 4-column complement; Y, two directions inside it,
-        # joins X. The sum's complement is the other two directions.
+        # X is held by a 4-column complement, and Y, two of its columns,
+        # joins X. The sum's complement is the other two columns.
         rng = np.random.default_rng(9)
         q = _orthonormal(rng, 80, 80, False)
         x = Subspace(80, complement=q[:, :4])

@@ -314,7 +314,9 @@ class TestReportStructure:
             calls.clear()
             report = build_index_report(pair)
             assert report.consistent and report.census.m_minus == n - 3
-            # A basis held by its complement is formed by a complete QR.
+            # The census's Gamma- & C+ is held by its complement, and no
+            # basis of such a subspace is formed: that takes a complete QR,
+            # and every QR below is a reduced one.
             assert linalg._by_complement(report.census.inherited_minus)
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
@@ -339,7 +341,8 @@ class TestReportStructure:
             route = [(name, a.shape) for name, caller, a, _ in calls
                      if caller == "_compressed_coin_pair_index"]
             assert route == [("svd", (n, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (2, 2))]
-            # The census's sines come from matrices at most 2 columns wide.
+            # The census's sines come from matrices with at most 2 columns
+            # or rows.
             shapes = [a.shape for name, caller, a, _ in calls
                       if (name, caller) == ("svd", "subspace_intersection")]
             assert shapes and max(min(shape) for shape in shapes) <= 2
