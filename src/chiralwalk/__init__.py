@@ -10,9 +10,6 @@ finite graphs, split-step walks on cycles, and small toy pairs.
 
 from .chiral import (
     ChiralPair,
-    GradedDecomposition,
-    SuperOperators,
-    gamma_signature,
     graded_decomposition,
     index_alpha,
     make_pair,
@@ -58,11 +55,9 @@ from .spectral import (
     EigenspaceCensus,
     IndexReport,
     build_index_report,
-    census,
     cluster_reals,
     cluster_unimodular,
     coisometry,
-    index_formula,
     spectral_image,
     verify_spectral_mapping,
 )

@@ -235,16 +235,6 @@ def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     return ker - coker
 
 
-def gamma_signature(pair: ChiralPair) -> int:
-    """Signature of the grading: dim of its +1 eigenspace minus the -1 one.
-
-    At finite dimension this equals the index of the pair, because the
-    supercharge block maps between spaces of exactly these dimensions.
-    """
-    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
-    return plus.dim - minus.dim
-
-
 def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
     """Index of a pair of orthogonal projections from their difference ``p1 - p2``.
 
@@ -269,7 +259,7 @@ def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
     reduction; otherwise, or when its certificate fails, they come from
     the eigenvalues of the two whole differences.
     """
-    if _narrow(narrow.shape[1], pair.dim, 4):
+    if _narrow(narrow.shape[1], pair.dim):
         index = _compressed_coin_pair_index(pair, narrow, sign)
         if index is not None:
             return index

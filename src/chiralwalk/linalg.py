@@ -16,9 +16,10 @@ A degenerate eigenspace costs what its complement costs.
 :func:`eig_unitary` splits only the clusters of the Hermitian part on
 which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
 of a real unitary is kept real and is not factorized again. A wide
-:class:`Subspace` is held by its narrow complement alone, and the
-subspace arithmetic works from that complement: no n x (n - k) basis is
-written.
+:class:`Subspace` is held by its narrow complement alone: the
+intersection of two such subspaces is held by its complement too, and a
+span check measures the other side against the narrow complement, so no
+n x (n - k) basis is written.
 
 The same holds for the eigenspaces of an involution X, the grading and
 the coin. Their dimensions are read from the trace,
@@ -174,8 +175,7 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
 
     The residual is the larger of the two one-sided projection residuals;
     on a dimension mismatch it is the integer gap between the dimensions.
-    When both sides carry a ``complement`` narrower than their basis, the
-    two complements are compared in the same way; when one side does, the
+    When a side carries a ``complement`` narrower than its basis, the
     residual is instead the other side's basis projected onto that
     complement, a product no wider than it. For equal dimensions each
     one-sided residual has the largest principal-angle sine as spectral
@@ -185,12 +185,10 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
         return False, float(abs(a.dim - b.dim))
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient dimensions")
-    narrow = [s for s in (a, b) if s.complement is not None and s.complement.shape[1] < s.dim]
-    if len(narrow) == 1:
-        perp, other = narrow[0].complement, (b if narrow[0] is a else a).basis
-        return True, _maxabs(perp @ (perp.conj().T @ other))
-    a, b = (a.complement, b.complement) if narrow else (a.basis, b.basis)
-    return True, max(_maxabs(_outside(a, b)), _maxabs(_outside(b, a)))
+    for s, other in ((a, b), (b, a)):
+        if s.complement is not None and s.complement.shape[1] < s.dim:
+            return True, _maxabs(s.complement @ (s.complement.conj().T @ other.basis))
+    return True, max(_maxabs(_outside(a.basis, b.basis)), _maxabs(_outside(b.basis, a.basis)))
 
 
 def _overlap(a: Subspace, b: Subspace) -> float:
@@ -362,14 +360,12 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
 _NARROW_MIN_DIM = 64
 
 
-def _narrow(width: int, n: int, share: int) -> bool:
+def _narrow(width: int, n: int) -> bool:
     """Whether ``width`` columns of C^n are few enough for a narrow-side route.
 
-    ``share`` is the measured crossover: the route wins when ``width`` is
-    at most ``n / share``, with share 4 against an eigensolve and 32
-    against a product of wide matrices.
+    The measured crossover against an eigensolve is ``width <= n/4``.
     """
-    return n >= _NARROW_MIN_DIM and 0 < width * share <= n
+    return n >= _NARROW_MIN_DIM and 0 < width * 4 <= n
 
 
 def _pivoted_cholesky(m: np.ndarray, sign: float, k: int) -> np.ndarray:
@@ -416,7 +412,7 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     k_plus = (n + float(np.trace(m).real)) / 2.0
     k = round(min(k_plus, n - k_plus))
     bound = _narrow_certificate_bound(n, tol)
-    if not _narrow(k, n, 4) or abs(min(k_plus, n - k_plus) - k) > bound:
+    if not _narrow(k, n) or abs(min(k_plus, n - k_plus) - k) > bound:
         return None
     sign = 1.0 if k_plus <= n / 2.0 else -1.0
     factor = _pivoted_cholesky(m, sign, k)
@@ -469,12 +465,10 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     come from the small ``B2perp* B1`` when the larger subspace carries a
     complement ``B2perp``, factorized through itself or its adjoint,
     whichever is wide, and else from ``B1 - B2 (B2* B1)``. When ``s1`` is
-    held by its complement, or carries one and the intersection's
-    complement is narrow, the intersection is held by its complement
-    alone: the orthonormalized ``B1perp`` plus the kept directions of
-    ``s1``, which for an ``s1`` held by its complement are the left
-    singular vectors of ``P1 B2perp = B2perp - B1perp (B1perp* B2perp)``,
-    with the same sines.
+    held by its complement and ``s2`` carries one, the intersection is
+    held by its complement alone: the orthonormalized ``B1perp`` plus the
+    kept directions of ``s1``, the left singular vectors of
+    ``P1 B2perp = B2perp - B1perp (B1perp* B2perp)``, with the same sines.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
@@ -484,47 +478,21 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
         s1, s2 = s2, s1
     if s1.dim == 0:
         return s1
-    # (s1 & s2)-perp = s1-perp + s2-perp has at most this many dimensions.
     n = s1.ambient_dim
-    held = s1.complement is not None and _by_complement(s1)
-    narrow = held or (s1.complement is not None and _narrow(2 * n - s1.dim - s2.dim, n, 32))
-    if held and s2.complement is not None:
+    if _by_complement(s1) and s2.complement is not None:
         left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement),
                                        full_matrices=False)
         kept = left[:, :int(np.sum(sines > tol.rank))]
+        return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
+    if s2.complement is None:
+        _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
+        right = vh.conj().T
     else:
-        if s2.complement is None:
-            _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
+        y = s2.complement.conj().T @ s1.basis
+        if y.shape[0] < y.shape[1]:
+            _, sines, vh = np.linalg.svd(y)
             right = vh.conj().T
         else:
-            y = s2.complement.conj().T @ s1.basis
-            if y.shape[0] < y.shape[1]:
-                _, sines, vh = np.linalg.svd(y, full_matrices=not narrow)
-                right = vh.conj().T
-            else:
-                right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
-        count = int(np.sum(sines > tol.rank))
-        if not narrow:
-            return Subspace(n, _canonical_phases(s1.basis @ right[:, count:]))
-        kept = s1.basis @ right[:, :count]
-    return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
+            right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
+    return Subspace(n, _canonical_phases(s1.basis @ right[:, int(np.sum(sines > tol.rank)):]))
 
-
-def _orthogonal_sum(n: int, parts: list[Subspace], rest: list[Subspace] | None = None) -> Subspace:
-    """The orthogonal sum of ``parts``, held by its complement alone when that is narrower.
-
-    The complement is the sum of ``rest`` when given, and otherwise, for
-    a part X held by its complement, X-perp less the other parts, which
-    lie in it: X-perp times the right singular vectors of the small
-    ``others* X-perp`` beyond the others' rank.
-    """
-    wide = [p for p in parts if _by_complement(p)] if 2 * sum(p.dim for p in parts) > n else None
-    if wide is None or not (rest or wide):
-        return Subspace(n, np.hstack([p.basis for p in parts]))
-    if rest:
-        return Subspace(n, complement=np.hstack([p.basis for p in rest]))
-    perp, others = wide[0].complement, [p.basis for p in parts if p.dim and p is not wide[0]]
-    if others:
-        others = np.hstack(others)
-        perp = perp @ np.linalg.svd(others.conj().T @ perp)[2][others.shape[1]:].conj().T
-    return Subspace(n, complement=perp)

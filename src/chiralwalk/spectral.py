@@ -25,6 +25,12 @@ the unitarity residual of ``B* U B``, within ``tol.structural``. When
 one fails, or when 4c > n, the report runs on W = C^n instead, where the
 same code makes the dense factorizations.
 
+The span checks that split ker(U -+ 1) and the kernels of the supercharge
+block into inherited and birth parts compare only the parts in W, of
+dimension at most 2c on L: both sides of each check add the same part of
+W-perp, one of the census's own spaces, which enters only by its
+dimension, in the counts and the index routes.
+
 The projection-pair route, the index of (Gamma+, C+) plus that of
 (Gamma+, C-), shares only the coin's narrow basis d* with the census. On
 Halmos's reduction S = ran d* + Gamma ran d* it takes the eigenvalues of
@@ -55,7 +61,6 @@ from .linalg import (
     _kernel_svd,
     _maxabs,
     _near_unit,
-    _orthogonal_sum,
     _outside,
     _overlap,
     _real_if_exact,
@@ -202,56 +207,31 @@ class _Walk:
     def lift(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis @ v
 
-    def span(self, inner: np.ndarray, outer: Subspace, inner_rest: np.ndarray | None,
-             outer_rest: Subspace) -> Subspace:
-        """The lift of ``inner``'s columns plus ``outer``, a part of W-perp.
-
-        On a proper W it is held by its complement, the lift of
-        ``inner_rest`` plus ``outer_rest``, when that is the narrower side;
-        on the whole space ``inner_rest`` is not read.
-        """
-        n = outer.ambient_dim
-        rest = None if self.basis is None else [
-            Subspace(n, _real_if_exact(self.lift(inner_rest))), outer_rest]
-        return _orthogonal_sum(n, [Subspace(n, _real_if_exact(self.lift(inner))), outer], rest)
-
     def supercharge_kernel(self, tol: Tolerance,
                            ) -> tuple[Subspace, np.ndarray, Subspace, Subspace]:
-        """``ker q`` on W, the singular values of ``q`` and ``ker q & Gamma+-``.
+        """``ker q`` on W, the singular values of ``q`` and ``ker q & W & Gamma+-``.
 
-        On a proper W, ``ker q = W-perp + B ker(q B)``, the singular
-        values of q on W-perp are zeros, and each ``ker q & Gamma+-`` is
-        the lift of ``ker(q B) & (W & Gamma+-)``, intersected in W's
-        coordinates, plus ``W-perp & Gamma+-``. The kernel returned first
-        is ``ker(q B)``, in W's coordinates. On the whole space it is
-        ``ker q`` itself, W-perp is empty and no zeros are added.
+        All three kernels are in W's coordinates. On a proper W the
+        singular values of q on W-perp are zeros, and ``ker q & Gamma+-``
+        adds ``W-perp & Gamma+-`` to the lift of ``ker q & W & Gamma+-``.
+        On the whole space W-perp is empty and no zeros are added.
         """
         ker_w, sigma = _kernel_svd(self.q, tol)
         n = self.q.shape[0]
-        plus, minus = (
-            _orthogonal_sum(n, [
-                Subspace(n, self.lift(subspace_intersection(ker_w, side, tol).basis)), out])
-            for side, out in zip(self.sides, self.outside))
+        plus, minus = (subspace_intersection(ker_w, side, tol) for side in self.sides)
         return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
     def alpha_kernels(self, tol: Tolerance) -> tuple[Subspace, Subspace]:
-        """``ker alpha`` and ``ker alpha*`` of the supercharge block, in C^n.
+        """``ker alpha`` and ``ker alpha*`` of the supercharge block, in W's coordinates.
 
         The block ``alpha`` maps ``W & Gamma+`` to ``W & Gamma-``; on L it
         is the at most c x c matrix ``B-* (q B)+``. q vanishes on W-perp,
-        so each kernel is the lift of the block's kernel plus that side of
-        W-perp. On a proper W its complement is the lift of the kernel's
-        SVD complement and of W's other side, plus W-perp's other side.
+        so on C^n each kernel adds that side of W-perp to its lift.
         """
         plus, minus = self.sides
         alpha = self.lift(minus.basis).conj().T @ self.q @ plus.basis
-        kernels = kernel_basis(alpha, tol), kernel_basis(alpha.conj().T, tol)
-        return tuple(
-            self.span(side.basis @ ker.basis, outer,
-                      None if self.basis is None
-                      else np.hstack([side.basis @ ker.complement, side.complement]), rest)
-            for side, ker, outer, rest in zip(self.sides, kernels, self.outside,
-                                              self.outside[::-1]))
+        return tuple(_span(side.basis @ kernel_basis(a, tol).basis)
+                     for side, a in zip(self.sides, (alpha, alpha.conj().T)))
 
 
 def _certificate_bound(pair: ChiralPair) -> float:
@@ -380,15 +360,6 @@ def _flip_census(c: EigenspaceCensus) -> EigenspaceCensus:
     )
 
 
-def _lift_check(pair: ChiralPair, eff: EigenspaceCensus, lift_t_plus: np.ndarray,
-                lift_t_minus: np.ndarray) -> CheckResult:
-    """Effective inherited spaces must be the coisometry lifts of ker(T -+ 1)."""
-    return _span_check("inherited_spaces_lift", pair, (
-        (Subspace(pair.dim, lift_t_plus), eff.inherited_plus),
-        (Subspace(pair.dim, lift_t_minus), eff.inherited_minus),
-    ))
-
-
 def _span_check(name: str, pair: ChiralPair, span_pairs) -> CheckResult:
     """Each pair of subspaces must coincide to within ``tol.structural * dim``."""
     ok, worst = True, 0.0
@@ -399,28 +370,28 @@ def _span_check(name: str, pair: ChiralPair, span_pairs) -> CheckResult:
     return CheckResult(name, ok, worst)
 
 
-def census(pair: ChiralPair) -> EigenspaceCensus:
-    """Count the four +-1 eigenvalue sources of the supplied pair.
+def _span(v: np.ndarray) -> Subspace:
+    """The span of ``v``'s columns, held contiguous, and real when exactly real.
 
-    Also verifies that the discriminant's +-1 eigenspaces lift through
-    the coisometry onto the matching intersection spaces, raising
-    :class:`InconsistencyDetected` if they do not.
+    A product with a strided basis can take another BLAS path and round
+    differently, so the basis is copied when it is a view.
     """
-    _, counts, eff, _, (lift_t_plus, lift_t_minus, _) = _discriminant_census(
-        pair, *_involution_eigenspaces(pair.gamma, pair.tol))
-    check = _lift_check(pair, eff, lift_t_plus, lift_t_minus)
-    if not check.passed:
-        raise InconsistencyDetected(check.name, check.residual)
-    return counts
+    return Subspace(len(v), np.ascontiguousarray(_real_if_exact(v)))
+
+
+def _sum_inside(n: int, parts, outside: Subspace) -> Subspace:
+    """The orthogonal sum of the ``parts`` other than ``outside``, W-perp's part.
+
+    On L, ``outside`` is one of the census's own spaces. An empty
+    intersection is returned as its smaller argument, so an empty part
+    can be that same object too, and then no part is left.
+    """
+    return Subspace(n, np.hstack([np.empty((n, 0))]
+                                 + [p.basis for p in parts if p is not outside]))
 
 
 def _formula(counts: EigenspaceCensus) -> int:
     return (counts.M_minus - counts.m_minus) - (counts.M_plus - counts.m_plus)
-
-
-def index_formula(pair: ChiralPair) -> int:
-    """Index from the eigenvalue census: (M- - m-) - (M+ - m+)."""
-    return _formula(census(pair))
 
 
 def cluster_reals(values, gap: float) -> tuple[tuple[float, int], ...]:
@@ -493,10 +464,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     u_values = np.concatenate([u_values, np.ones(out_plus.dim), -np.ones(out_minus.dim)])
     at_plus = _near_unit(u_values, 1.0, tol.rank)
     at_minus = _near_unit(u_values, -1.0, tol.rank)
-    ker_u_plus = walk.span(u_vectors[:, at_plus[:w_dim]], out_plus,
-                           u_vectors[:, ~at_plus[:w_dim]], out_minus)
-    ker_u_minus = walk.span(u_vectors[:, at_minus[:w_dim]], out_minus,
-                            u_vectors[:, ~at_minus[:w_dim]], out_plus)
+    # ker(U -+ 1) & W, lifted; ker(U -+ 1) adds that sign's part of W-perp.
+    ker_u_plus, ker_u_minus = (_span(walk.lift(u_vectors[:, at[:w_dim]]))
+                               for at in (at_plus, at_minus))
     interior_u = u_values[~(at_plus | at_minus)]
 
     # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
@@ -539,29 +509,37 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         "supercharge_kernel_matches_squared_evolution", pair,
         ((Subspace(w_dim, ker_q_w.basis), ker_u_squared),)))
 
+    # The kernels of alpha and of q on each side of the grading, and the
+    # unit eigenspaces, each add the same part of W-perp on both sides of
+    # their span checks, so each check compares the parts in W only.
     ker_alpha, ker_alpha_star = walk.alpha_kernels(tol)
     checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
-        (ker_alpha, ker_q_plus), (ker_alpha_star, ker_q_minus))))
+        (ker_alpha, Subspace(w_dim, ker_q_plus.basis)),
+        (ker_alpha_star, Subspace(w_dim, ker_q_minus.basis)))))
 
     # Discriminant eigenspace lifts (flip aware).
-    checks.append(_lift_check(pair, eff_counts, lift_t_plus, lift_t_minus))
+    checks.append(_span_check("inherited_spaces_lift", pair, (
+        (Subspace(n, lift_t_plus), eff_counts.inherited_plus),
+        (Subspace(n, lift_t_minus), eff_counts.inherited_minus))))
 
     # ker(U -+ 1) splits into orthogonal inherited and birth parts.
-    sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
-               (counts.inherited_minus, counts.birth_minus, ker_u_minus))
+    sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus, out_plus),
+               (counts.inherited_minus, counts.birth_minus, ker_u_minus, out_minus))
     split = _span_check("unit_eigenspace_split", pair, [
-        (_orthogonal_sum(n, [inherited, birth]), eigenspace)
-        for inherited, birth, eigenspace in sources])
-    cross = max(_overlap(inherited, birth) for inherited, birth, _ in sources)
+        (_sum_inside(n, (inherited, birth), out), eigenspace)
+        for inherited, birth, eigenspace, out in sources])
+    cross = max(_overlap(inherited, birth) for inherited, birth, _, _ in sources)
     checks.append(CheckResult("unit_eigenspace_split",
                               split.passed and cross <= tol.structural * n,
                               max(split.residual, cross)))
 
     # Kernel of the supercharge block: discriminant lift plus birth space.
-    checks.append(_span_check("alpha_kernel_decomposition", pair, (
-        (ker_alpha, _orthogonal_sum(n, [Subspace(n, lift_t_plus), eff_counts.birth_minus])),
-        (ker_alpha_star, _orthogonal_sum(n, [Subspace(n, lift_t_minus), eff_counts.birth_plus])),
-    )))
+    checks.append(_span_check("alpha_kernel_decomposition", pair, [
+        (_span(walk.lift(kernel.basis)),
+         _sum_inside(n, (Subspace(n, lift_t), birth), out))
+        for kernel, lift_t, birth, out in (
+            (ker_alpha, lift_t_plus, eff_counts.birth_minus, walk.outside[0]),
+            (ker_alpha_star, lift_t_minus, eff_counts.birth_plus, walk.outside[1]))]))
 
     # Spectra.
     w_h = sigma_q[::-1] ** 2
@@ -570,10 +548,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     spectrum_h = cluster_reals(w_h, tol.cluster)
 
     # Multiplicities at +-1 must match the census.
-    res = float(
-        abs(ker_u_plus.dim - counts.m_plus - counts.M_plus)
-        + abs(ker_u_minus.dim - counts.m_minus - counts.M_minus)
-    )
+    unit_plus, unit_minus = int(at_plus.sum()), int(at_minus.sum())
+    res = float(abs(unit_plus - counts.m_plus - counts.M_plus)
+                + abs(unit_minus - counts.m_minus - counts.M_minus))
     checks.append(CheckResult("unit_eigenvalue_counts", res == 0.0, res))
 
     # Spectral mapping away from +-1, with multiplicity bookkeeping. The
@@ -614,7 +591,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # Squared supercharge spectrum: doubled 1 - t^2 plus a zero block,
     # which is ker q under the cutoff that decided it.
     nonzero_h = w_h[ker_q_dim:]
-    expected_zero = ker_u_plus.dim + ker_u_minus.dim
+    expected_zero = unit_plus + unit_minus
     expected_nonzero = np.sort(np.concatenate([1.0 - interior_t**2] * 2)) \
         if interior_t.size else np.empty(0)
     if ker_q_dim != expected_zero or len(nonzero_h) != len(expected_nonzero):
@@ -629,8 +606,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
             "squared_supercharge_spectrum", res <= tol.cluster, res))
 
     # The four index routes.
-    ia = ker_alpha.dim - ker_alpha_star.dim
-    iw = ker_q_plus.dim - ker_q_minus.dim
+    shift = walk.outside[0].dim - walk.outside[1].dim
+    ia = ker_alpha.dim - ker_alpha_star.dim + shift
+    iw = ker_q_plus.dim - ker_q_minus.dim + shift
     ifm = _formula(counts)
     sig = gamma_plus.dim - gamma_minus.dim
     routes = (ia, iw, ifm, sig)
@@ -647,7 +625,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         "projection_pair_identity", pp == ia, float(abs(pp - ia))))
 
     # Unit eigenvalue count bounds the index magnitude.
-    total_unit = ker_u_plus.dim + ker_u_minus.dim
+    total_unit = unit_plus + unit_minus
     checks.append(CheckResult(
         "eigenvalue_count_lower_bound", total_unit >= abs(ia),
         float(max(0, abs(ia) - total_unit))))

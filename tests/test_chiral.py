@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chiralwalk.chiral import (
     _derived_bounds,
     _projection_pair_index,
-    gamma_signature,
     graded_decomposition,
     index_alpha,
     make_pair,
@@ -353,8 +352,8 @@ class TestIndexRoutes:
         for dim in (2, 5, 9, 16):
             pair = random_chiral_pair(rng, dim)
             ia = index_alpha(pair)
-            assert build_index_report(pair).index_witten == ia
-            assert gamma_signature(pair) == ia
+            report = build_index_report(pair)
+            assert report.index_witten == report.gamma_signature == ia
 
     def test_signature_closed_form_against_nullity_oracle(self):
         # independent oracle: rank-nullity on the supercharge block
@@ -451,8 +450,8 @@ class TestKernelIdentities:
 def test_index_routes_and_anticommutation_property(dim, seed):
     pair = random_chiral_pair(np.random.default_rng(seed), dim)
     ia = index_alpha(pair)
-    assert build_index_report(pair).index_witten == ia
-    assert gamma_signature(pair) == ia
+    report = build_index_report(pair)
+    assert report.index_witten == report.gamma_signature == ia
     ops = super_operators(pair)
     assert np.max(np.abs(pair.gamma @ ops.q + ops.q @ pair.gamma)) <= 1e-10 * dim
     assert np.max(np.abs(pair.gamma @ ops.r - ops.r @ pair.gamma)) <= 1e-10 * dim

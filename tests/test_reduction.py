@@ -229,22 +229,19 @@ def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
 
 @pytest.mark.parametrize("qubits", [6, 8])
 def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
-    # The report lifts ker alpha* from the c x c block on L and adds
-    # L-perp & Gamma-, the census's birth space; it must span what
-    # G- ker(G+* q G-) spans, with the block formed on the whole space,
-    # and carry a narrow complement orthogonal to it.
+    # The report takes ker alpha* from the c x c block on L; lifted and
+    # joined by L-perp & Gamma-, the census's birth space, it must span
+    # what G- ker(G+* q G-) spans, with the block formed on the whole space.
     pair = grover_search(qubits, 1)
     walk = _walk(pair)
     assert walk.basis.shape == (pair.dim, 2)
-    lifted = walk.alpha_kernels(pair.tol)[1]
+    inside = walk.lift(walk.alpha_kernels(pair.tol)[1].basis)
+    lifted = np.hstack([inside, walk.outside[1].basis])
     plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
     alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
     oracle = minus.basis @ linalg.kernel_basis(alpha.conj().T, pair.tol).basis
-    assert lifted.dim == oracle.shape[1]
-    assert np.max(np.abs(lifted.basis @ lifted.basis.conj().T
-                         - oracle @ oracle.conj().T)) <= 1e-12
-    assert lifted.complement.shape[1] < lifted.dim
-    assert np.max(np.abs(lifted.basis.conj().T @ lifted.complement)) <= 1e-13
+    assert lifted.shape[1] == oracle.shape[1]
+    assert np.max(np.abs(lifted @ lifted.conj().T - oracle @ oracle.conj().T)) <= 1e-12
 
 
 def _dense_coin_pair_index(pair):
@@ -318,3 +315,82 @@ def test_uncertified_reduction_falls_back_to_the_dense_route(monkeypatch, qubits
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     assert chiral._coin_pair_index(pair, tilted, sign) == build_index_report(pair).index_alpha
     assert shapes[:2] == [(pair.dim, pair.dim)] * 2
+
+
+def _inherited_pair(seed, n, c, plus_dim, real, flipped):
+    """Pair on L whose coin space meets both sides of the grading in a line each.
+
+    The effective inherited spaces Gamma+- & C+ are then nonempty and lie
+    in L, so U has +1 and -1 eigenvectors in L and the supercharge block
+    has a kernel on each side.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+    fresh = w[:, 1:] @ (rng.standard_normal((n - 1, c - 2)) if real
+                        else haar_unitary(rng, n - 1)[:, :c - 2])
+    fresh -= w[:, plus_dim:plus_dim + 1] @ (w[:, plus_dim:plus_dim + 1].conj().T @ fresh)
+    space = np.linalg.qr(np.hstack([w[:, :1], w[:, plus_dim:plus_dim + 1], fresh]))[0]
+    gamma = 2.0 * w[:, :plus_dim] @ w[:, :plus_dim].conj().T - np.eye(n)
+    coin = 2.0 * space @ space.conj().T - np.eye(n)
+    return make_pair(gamma @ (-coin if flipped else coin), gamma)
+
+
+def _turned(v, i, toward, angle=1e-6):
+    """``v`` with column i turned by ``angle`` toward the unit vector ``toward``."""
+    v = v.copy()
+    v[:, i] = np.cos(angle) * v[:, i] + np.sin(angle) * toward
+    return v
+
+
+def _failed(report):
+    return {c.name: c.residual for c in report.checks if not c.passed}
+
+
+LIVE = [pytest.param(lambda: _inherited_pair(5, 64, 12, 30, False, False), id="complex-64"),
+        pytest.param(lambda: _inherited_pair(6, 96, 20, 40, True, True), id="real-96-flipped")]
+
+
+@pytest.mark.parametrize("build", LIVE)
+def test_span_checks_on_invariant_subspace_are_live(monkeypatch, build):
+    # On L each of the three span checks compares only the parts in L, so
+    # a column of U's or alpha's kernels there turned 1e-6 out of its span
+    # must fail the checks that read it and no other.
+    pair = build()
+    walk = _walk(pair)
+    assert walk.basis is not None and walk.basis.shape[1] < pair.dim
+    bound = pair.tol.structural * pair.dim
+    assert build_index_report(pair).consistent
+
+    def turned_eig_unitary(m, tol, _fn=spectral.eig_unitary):
+        # A +1 column turned toward a -1 column stays in ker(1 - U^2).
+        values, vectors = _fn(m, tol)
+        plus, minus = (np.flatnonzero(np.abs(values - s) <= 1e-8)[0] for s in (1.0, -1.0))
+        return values, _turned(_turned(vectors, plus, vectors[:, minus]), minus,
+                               -vectors[:, plus])
+
+    def turned_kernel_basis(a, tol, _fn=spectral.kernel_basis):
+        ker = _fn(a, tol)
+        assert ker.dim and ker.complement.shape[1]
+        return linalg.Subspace(ker.ambient_dim, _turned(ker.basis, 0, ker.complement[:, 0]))
+
+    def turned_intersection(s1, s2, tol, _fn=spectral.subspace_intersection):
+        out = _fn(s1, s2, tol)
+        if out.ambient_dim == pair.dim or not out.dim:
+            return out
+        # Turned toward a direction of L outside the kernel, on L's other side.
+        other = np.eye(out.ambient_dim)[:, ::-1][:, :1]
+        other = linalg._outside(other, out.basis)
+        return linalg.Subspace(out.ambient_dim,
+                               _turned(out.basis, 0, other[:, 0] / np.linalg.norm(other)))
+
+    for name, fn, failing in (
+            ("eig_unitary", turned_eig_unitary, {"unit_eigenspace_split"}),
+            ("subspace_intersection", turned_intersection,
+             {"alpha_kernel_graded_intersection"}),
+            ("kernel_basis", turned_kernel_basis,
+             {"alpha_kernel_graded_intersection", "alpha_kernel_decomposition"})):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, name, fn)
+            failed = _failed(build_index_report(pair))
+        assert set(failed) == failing, name
+        assert all(bound < residual < 1e-5 for residual in failed.values()), name

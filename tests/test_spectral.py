@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import linalg
+from chiralwalk import linalg, spectral
 from chiralwalk.chiral import (
     ChiralPair,
     graded_decomposition,
@@ -34,11 +34,9 @@ from chiralwalk.selfcheck import (
 )
 from chiralwalk.spectral import (
     build_index_report,
-    census,
     cluster_reals,
     cluster_unimodular,
     coisometry,
-    index_formula,
     spectral_image,
     verify_spectral_mapping,
 )
@@ -130,29 +128,41 @@ class TestSpectralImage:
             assert abs((upper + 1 / upper) / 2 - x) < 1e-7
 
 
+def _record_span_checks(monkeypatch):
+    """Record every subspace the report passes to ``spans_match``."""
+    spans = []
+
+    def recorded(a, b, _fn=spectral.spans_match):
+        spans.extend((a, b))
+        return _fn(a, b)
+
+    monkeypatch.setattr(spectral, "spans_match", recorded)
+    return spans
+
+
 class TestCensus:
     @pytest.mark.parametrize("qubits", [1, 2, 3])
     def test_search_pair_census_after_flip(self, qubits):
         n_positions = 2**qubits
         pair = grover_search(qubits, 0)
-        counts = census(make_pair(-pair.u, pair.gamma))
+        counts = build_index_report(make_pair(-pair.u, pair.gamma)).census
         assert (counts.m_plus, counts.m_minus) == (0, 0)
         assert counts.M_minus == 1
         assert counts.M_plus == 2 * n_positions - 3
 
     def test_four_dim_variant_four(self):
-        counts = census(toy_four_dim(4))
+        counts = build_index_report(toy_four_dim(4)).census
         assert (counts.M_plus, counts.M_minus, counts.m_plus, counts.m_minus) == (1, 1, 2, 0)
 
     def test_identity_pair(self):
         n = 5
-        counts = census(make_pair(np.eye(n), np.eye(n)))
+        counts = build_index_report(make_pair(np.eye(n), np.eye(n))).census
         assert counts.m_plus == n
         assert counts.m_minus == counts.M_plus == counts.M_minus == 0
 
     def test_counts_match_space_dimensions(self):
         rng = np.random.default_rng(19)
-        counts = census(random_chiral_pair(rng, 12))
+        counts = build_index_report(random_chiral_pair(rng, 12)).census
         assert counts.m_plus == counts.inherited_plus.dim
         assert counts.m_minus == counts.inherited_minus.dim
         assert counts.M_plus == counts.birth_plus.dim
@@ -161,13 +171,14 @@ class TestCensus:
 
 class TestIndexFormula:
     def test_search_two_qubits(self):
-        assert index_formula(grover_search(2, 1)) == -4
+        assert build_index_report(grover_search(2, 1)).index_formula == -4
 
     def test_four_dim_variant_four(self):
-        assert index_formula(toy_four_dim(4)) == 2
+        assert build_index_report(toy_four_dim(4)).index_formula == 2
 
     def test_finite_graph_walk(self):
-        assert index_formula(grover_walk(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))) == 0
+        pair = grover_walk(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))
+        assert build_index_report(pair).index_formula == 0
 
 
 class TestVerifySpectralMapping:
@@ -308,12 +319,17 @@ class TestReportStructure:
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
+        spans = _record_span_checks(monkeypatch)
         for qubits in (5, 6, 7):
             pair = grover_search(qubits, 0)
             n = pair.dim
             calls.clear()
+            spans.clear()
             report = build_index_report(pair)
             assert report.consistent and report.census.m_minus == n - 3
+            # Every span check compares subspaces of dimension at most
+            # dim L = 2.
+            assert spans and max(s.dim for s in spans) <= 2
             # The census's Gamma- & C+ is held by its complement, and no
             # basis of such a subspace is formed: that takes a complete QR,
             # and every QR below is a reduced one.
@@ -324,8 +340,8 @@ class TestReportStructure:
             # One reduced QR for each of Gamma's and C's narrow sides, and
             # one that orthonormalizes the complement of the census's
             # Gamma- & C+. L-perp & Gamma+- are the census's birth spaces,
-            # and the sums the span checks compare are held by their
-            # complements, so none takes a QR of its own.
+            # which the span checks leave out on both sides, so no check
+            # takes a QR of its own.
             qrs = [(a.shape, mode) for name, _, a, mode in calls if name == "qr"]
             assert [mode for _, mode in qrs] == ["reduced"] * 3
             assert all(rows == n and cols <= 3 for (rows, cols), _ in qrs)
@@ -349,6 +365,20 @@ class TestReportStructure:
             complex_eighs = [a.shape for name, _, a, _ in calls
                              if name == "eigh" and a.dtype == np.complex128]
             assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
+
+    def test_span_checks_on_a_wide_grading_compare_narrow_bases(self, monkeypatch):
+        # A random complex pair with a balanced grading and a narrow coin:
+        # both birth spaces are wide and have no narrow complement, but the
+        # span checks compare only the parts in L, of dimension at most 2c.
+        rng = np.random.default_rng(512)
+        n, c = 512, 20
+        gamma = random_involution(rng, n, plus_dim=256)
+        pair = make_pair(gamma @ random_involution(rng, n, plus_dim=c), gamma)
+        assert pair.u.dtype == np.complex128
+        spans = _record_span_checks(monkeypatch)
+        report = build_index_report(pair)
+        assert report.consistent and report.census.M_plus == report.census.M_minus == 236
+        assert spans and max(s.dim for s in spans) <= 2 * c
 
     def test_battery_factorization_budget(self, monkeypatch):
         # The invariant battery eigendecomposes the grading once for the
