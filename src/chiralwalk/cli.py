@@ -234,10 +234,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    tol = _tolerance(args)
-    rows = search_probability_table(
-        args.qubits, args.target, args.steps, measure=args.measure, tol=tol
-    )
+    rows = search_probability_table(args.qubits, args.target, args.steps, args.measure)
     lines = [f"{step}, {prob!r}, {total!r}" for step, prob, total in rows]
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -257,17 +254,18 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    # Flags that act only on some commands are declared only there, so a
+    # misplaced one is a usage error instead of being ignored.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="PATH", default=None,
+                        help="write output to PATH instead of stdout")
+    shared = argparse.ArgumentParser(add_help=False, parents=[output])
     shared.add_argument("--tol-structural", type=float, default=1e-10,
                         help="residual bound for structural identities")
     shared.add_argument("--tol-rank", type=float, default=1e-8,
                         help="relative singular-value cutoff for rank decisions")
     shared.add_argument("--tol-cluster", type=float, default=1e-8,
                         help="gap below which eigenvalues are grouped")
-    shared.add_argument("--output", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
-    # Flags that act only on some commands are declared only there, so a
-    # misplaced one is a usage error instead of being ignored.
     reported = argparse.ArgumentParser(add_help=False, parents=[shared])
     reported.add_argument("--dump-matrices", metavar="DIR", default=None,
                           help="write the pair's matrices to DIR as MatrixFiles")
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, required=True, choices=range(1, 6))
     p.set_defaults(func=cmd_model)
 
-    p_evolve = sub.add_parser("evolve", parents=[shared],
+    p_evolve = sub.add_parser("evolve", parents=[output],
                               help="success-probability table of the search walk")
     p_evolve.add_argument("--qubits", type=int, required=True)
     p_evolve.add_argument("--target", type=int, required=True)

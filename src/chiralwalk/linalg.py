@@ -312,6 +312,13 @@ def _cluster_slices(sorted_values: np.ndarray, gap: float):
         yield start, n
 
 
+def _principal_order(values) -> np.ndarray:
+    """Stable order by argument in (-pi, pi]; one within 1e-14 of -pi is taken as pi."""
+    args = np.angle(values)
+    args[args <= -np.pi + 1e-14] += 2.0 * np.pi
+    return np.argsort(args, kind="stable")
+
+
 def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary matrix.
 
@@ -349,9 +356,7 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
         v = v.astype(np.complex128, copy=False)
         v[:, start:stop] = block @ rot
     values = np.einsum("ij,ij->j", v.conj(), m @ v).astype(np.complex128, copy=False)
-    args = np.angle(values)
-    args[args <= -np.pi + 1e-14] += 2.0 * np.pi
-    order = np.argsort(args, kind="stable")
+    order = _principal_order(values)
     return values[order], _canonical_phases(v[:, order])
 
 

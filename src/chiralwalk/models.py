@@ -29,7 +29,8 @@ from .linalg import DEFAULT_TOL, Tolerance
 # n x (n - k) basis (wide subspaces are held by their narrow complements),
 # but make_pair's five n x n products still cost O(n^3), and the report
 # still forms a few n x n matrices: the certificate of its walk subspace
-# and the recovered coin.
+# and the recovered coin. The probability table builds no pair and steps
+# in O(n), but takes the same limit, so both accept the same qubit counts.
 MAX_SEARCH_QUBITS = 12
 
 
@@ -110,15 +111,8 @@ class SplitStepParams:
     coin_angles: tuple[float, ...]
 
 
-def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
-    """Search-operator pair on n qubits plus a 2-dim oracle register.
-
-    The coin flips the sign of the marked state |target, ->; the grading
-    reflects positions about the uniform superposition and acts as the
-    identity on the oracle register. The evolution is grading times coin,
-    which is the grading with its marked column negated. All three are
-    real.
-    """
+def _search_positions(qubits: int, target: int) -> int:
+    """Position count 2^qubits, after checking the qubit count and target."""
     if qubits < 1:
         raise OutOfRange(f"qubit count must be at least 1, got {qubits}")
     if qubits > MAX_SEARCH_QUBITS:
@@ -131,6 +125,19 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
         raise OutOfRange(
             f"target {target} outside position range [0, {n_positions})"
         )
+    return n_positions
+
+
+def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
+    """Search-operator pair on n qubits plus a 2-dim oracle register.
+
+    The coin flips the sign of the marked state |target, ->; the grading
+    reflects positions about the uniform superposition and acts as the
+    identity on the oracle register. The evolution is grading times coin,
+    which is the grading with its marked column negated. All three are
+    real.
+    """
+    n_positions = _search_positions(qubits, target)
     uniform = np.full(n_positions, 1.0 / math.sqrt(n_positions))
     reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
     gamma = np.kron(reflect, np.eye(2))
@@ -139,42 +146,33 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
     return make_pair(u, gamma, tol)
 
 
-def _search_initial_state(qubits: int) -> np.ndarray:
-    # Real, like the search evolution, so no step casts the evolution to complex.
-    n_positions = 2**qubits
-    state = np.zeros(2 * n_positions)
-    state[1::2] = 1.0 / math.sqrt(n_positions)  # uniform positions, - coin
-    return state
-
-
 def search_probability_table(
-    qubits: int,
-    target: int,
-    steps: int,
-    measure: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    qubits: int, target: int, steps: int, measure: int | None = None
 ) -> list[tuple[int, float, float]]:
     """Rows (step, probability at the measured position, total probability).
 
     Starts from the uniform superposition tensored with the - oracle
-    state and applies the search evolution step by step.
+    state. Each step is the search evolution's two reflections on a real
+    (positions, oracle register) array, whose C order is the
+    position-major basis of :func:`grover_search`: the coin flips the
+    sign of |target, ->, then the grading reflects positions about the
+    uniform superposition. No pair is built.
     """
     if steps < 0:
         raise OutOfRange(f"step count must be nonnegative, got {steps}")
-    # The measured position is checked before the dense pair is built;
-    # grover_search rejects a qubit count or target out of range.
-    if measure is not None and 1 <= qubits <= MAX_SEARCH_QUBITS and not 0 <= measure < 2**qubits:
-        raise OutOfRange(f"measured position {measure} outside [0, {2**qubits})")
-    pair = grover_search(qubits, target, tol)
+    n_positions = _search_positions(qubits, target)
     x = target if measure is None else measure
-    state = _search_initial_state(qubits)
+    if not 0 <= x < n_positions:
+        raise OutOfRange(f"measured position {measure} outside [0, {n_positions})")
+    state = np.zeros((n_positions, 2))
+    state[:, 1] = 1.0 / math.sqrt(n_positions)
     rows = []
     for step in range(steps + 1):
-        prob = float(abs(state[2 * x]) ** 2 + abs(state[2 * x + 1]) ** 2)
-        total = float(np.vdot(state, state).real)
-        rows.append((step, prob, total))
+        prob = float(state[x, 0] ** 2 + state[x, 1] ** 2)
+        rows.append((step, prob, float(np.vdot(state, state))))
         if step < steps:
-            state = pair.u @ state
+            state[target, 1] = -state[target, 1]
+            state = 2.0 * state.mean(axis=0) - state
     return rows
 
 

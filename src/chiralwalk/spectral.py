@@ -63,6 +63,7 @@ from .linalg import (
     _near_unit,
     _outside,
     _overlap,
+    _principal_order,
     _real_if_exact,
     eig_hermitian,
     eig_unitary,
@@ -412,9 +413,7 @@ def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         return ()
-    args = np.angle(vals)
-    args[args <= -np.pi + 1e-14] += 2.0 * np.pi
-    vals = vals[np.argsort(args, kind="stable")]
+    vals = vals[_principal_order(vals)]
     groups: list[list[complex]] = []
     for v in vals:
         if groups and abs(v - groups[-1][-1]) <= gap:
@@ -430,13 +429,7 @@ def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
         return rep / mag if mag > 0 else rep
 
     out = [(normalized_mean(g), len(g)) for g in groups]
-
-    def principal_arg(z: complex) -> float:
-        a = cmath.phase(z)
-        return a + 2.0 * np.pi if a <= -np.pi + 1e-14 else a
-
-    out.sort(key=lambda item: principal_arg(item[0]))
-    return tuple(out)
+    return tuple(out[k] for k in _principal_order([z for z, _ in out]))
 
 
 def build_index_report(pair: ChiralPair) -> IndexReport:
@@ -564,7 +557,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         upper, lower = spectral_image([t], tol)[0]
         predicted.append((upper, mult))
         predicted.append((lower, mult))
-    predicted.sort(key=lambda item: cmath.phase(item[0]))
+    predicted = [predicted[k] for k in _principal_order([z for z, _ in predicted])]
     mapping_residual = 0.0
     if len(observed) != len(predicted):
         # the sorted lists cannot be aligned; fall back to the two-sided

@@ -281,9 +281,12 @@ class TestErrorPaths:
         ["model", "toy2", "--beta", "0.3", "--gamma", "1.0", "--seed", "3"],
         ["index", "u.json", "gamma.json", "--seed", "3"],
         ["evolve", "--qubits", "2", "--target", "3", "--steps", "1", "--seed", "3"],
+        *(["evolve", "--qubits", "2", "--target", "3", "--steps", "1", flag, "1e-9"]
+          for flag in ("--tol-structural", "--tol-rank", "--tol-cluster")),
     ], ids=["bad-choice", "bad-int", "missing-option", "missing-files", "unknown-command",
             "dump-matrices-on-evolve", "dump-matrices-on-selftest", "seed-on-model",
-            "seed-on-index", "seed-on-evolve"])
+            "seed-on-index", "seed-on-evolve", "tol-structural-on-evolve",
+            "tol-rank-on-evolve", "tol-cluster-on-evolve"])
     def test_usage_error_exits_one(self, argv, capsys):
         # Exit 2 is reserved for a failed consistency check. A flag given
         # to a command it does not act on is a usage error too.
@@ -343,11 +346,17 @@ class TestErrorPaths:
         assert "step count" in err
 
     def test_bad_measure_position_exits_one(self, capsys, monkeypatch):
-        # The position is rejected before the dense search pair is built.
+        # evolve steps the walk's two reflections; it neither builds nor
+        # validates a dense search pair, at 10 qubits or at a bad position.
         def unbuilt(*args, **kwargs):
-            raise AssertionError("the search pair was built")
+            raise AssertionError("a search pair was built")
 
+        monkeypatch.setattr(models, "make_pair", unbuilt)
         monkeypatch.setattr(models, "grover_search", unbuilt)
+        code, out, _ = run_cli(capsys, "evolve", "--qubits", "10", "--target", "3",
+                               "--steps", "200")
+        assert code == 0
+        assert len(out.splitlines()) == 201
         code, _, err = run_cli(capsys, "evolve", "--qubits", "2", "--target", "0",
                                "--steps", "1", "--measure", "7")
         assert code == 1

@@ -9,7 +9,6 @@ from chiralwalk.linalg import _identity_residual, unitarity_residual
 from chiralwalk.models import (
     Graph,
     SplitStepParams,
-    _search_initial_state,
     grover_search,
     grover_walk,
     search_probability_table,
@@ -109,27 +108,22 @@ class TestSearchProbability:
 
     @pytest.mark.parametrize("qubits", range(1, 9))
     def test_rows_match_two_reflection_steps(self, qubits):
-        # Reference in O(dim) per step on an (N, 2) array: the coin flips
-        # the sign of |target, ->, then the grading reflects positions
-        # about the uniform superposition.
-        n_positions, target, steps = 2**qubits, 2**qubits - 1, 200
-        for measure in sorted({target, 0}):
-            state = np.zeros((n_positions, 2))
-            state[:, 1] = 1.0 / np.sqrt(n_positions)
-            expected = []
-            for step in range(steps + 1):
-                expected.append((step, float(np.sum(state[measure] ** 2)),
-                                 float(np.sum(state**2))))
-                state[target, 1] *= -1.0
-                state = 2.0 * state.mean(axis=0) - state
-            rows = search_probability_table(qubits, target, steps, measure=measure)
-            assert [row[0] for row in rows] == [row[0] for row in expected]
-            assert np.max(np.abs(np.array(rows) - np.array(expected))) <= 1e-12
-
-    def test_initial_state_is_real(self):
-        # The search evolution is real; a complex state would cast the
-        # whole evolution to complex at every step.
-        assert grover_search(3, 0).u.dtype == _search_initial_state(3).dtype == np.float64
+        # Oracle: the validated dense evolution, grading times coin, applied
+        # to the position-major state (coordinate 2x + s for |x, s>).
+        n_positions, steps = 2**qubits, 200
+        for target in sorted({0, n_positions - 1}):
+            u = grover_search(qubits, target).u
+            for measure in sorted({target, 0}):
+                state = np.zeros(2 * n_positions)
+                state[1::2] = 1.0 / np.sqrt(n_positions)
+                expected = []
+                for step in range(steps + 1):
+                    expected.append((step, float(np.sum(state[2 * measure:][:2] ** 2)),
+                                     float(state @ state)))
+                    state = u @ state
+                rows = search_probability_table(qubits, target, steps, measure=measure)
+                assert [row[0] for row in rows] == [row[0] for row in expected]
+                assert np.max(np.abs(np.array(rows) - np.array(expected))) <= 1e-12
 
     def test_norm_conserved_along_trajectory(self):
         rows = search_probability_table(2, 2, 1000)
