@@ -150,7 +150,8 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         if bound > scale and (value := residual()) > scale:
             raise InconsistencyDetected(label, value)
     # Every report eigendecomposes the coin and the grading as Hermitian
-    # matrices at this bound, so a pair that passes here never makes the
+    # matrices at this bound, and checks the discriminant's Hermiticity
+    # instead of raising on it, so a pair that passes here never makes the
     # report raise.
     for label, residual in hermiticity.items():
         if residual > tol.structural:

@@ -22,6 +22,7 @@ consistency check failed (the report is still printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -183,15 +184,14 @@ def _tolerance(args) -> Tolerance:
 
 
 def _report_and_emit(args, pair) -> int:
-    tol = _tolerance(args)
     try:
         report = verify_spectral_mapping(pair)
     except InconsistencyDetected as exc:
         if exc.report is not None:
-            _emit(args, render_report(exc.report, tol))
+            _emit(args, render_report(exc.report, pair.tol))
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
-    _emit(args, render_report(report, tol))
+    _emit(args, render_report(report, pair.tol))
     _dump_matrices(args, pair)
     return 0
 
@@ -253,7 +253,9 @@ def cmd_selftest(args) -> int:
     return 0 if result.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser as it was.
     # Flags that act only on some commands are declared only there, so a
     # misplaced one is a usage error instead of being ignored.
     output = argparse.ArgumentParser(add_help=False)

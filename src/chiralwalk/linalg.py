@@ -17,9 +17,9 @@ A degenerate eigenspace costs what its complement costs.
 which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
 of a real unitary is kept real and is not factorized again. A wide
 :class:`Subspace` is held by its narrow complement alone: the
-intersection of two such subspaces is held by its complement too, and a
-span check measures the other side against the narrow complement, so no
-n x (n - k) basis is written.
+intersection of two such subspaces is held by its complement too, and an
+overlap is measured against the narrow complement, so neither writes an
+n x (n - k) basis.
 
 The same holds for the eigenspaces of an involution X, the grading and
 the coin. Their dimensions are read from the trace,
@@ -142,6 +142,8 @@ class Subspace:
     complement. Otherwise the complement is filled only where a
     factorization yields it for free (the leading right singular vectors
     beside a kernel, the other sign's eigenvectors of an involution).
+    ``by_complement`` says whether it was built from ``complement`` alone;
+    it is fixed at construction, so reading ``basis`` changes no route.
     """
 
     def __init__(self, ambient_dim: int, basis: np.ndarray | None = None,
@@ -153,6 +155,7 @@ class Subspace:
                 or complement.shape == (ambient_dim, ambient_dim - basis.shape[1])):
             raise DimensionMismatch(f"basis of shape {np.shape(basis)} and complement of "
                                     f"shape {np.shape(complement)} do not split C^{ambient_dim}")
+        self.by_complement = basis is None
         if basis is not None:
             self.basis = basis
         self.dim = ambient_dim - held.shape[1] if basis is None else held.shape[1]
@@ -165,37 +168,24 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
 
-def _by_complement(s: Subspace) -> bool:
-    """Whether ``s`` is held by its complement alone, its basis not formed."""
-    return "basis" not in vars(s)
-
-
 def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
     """Whether two subspaces coincide: equal dimension and mutual residual.
 
     The residual is the larger of the two one-sided projection residuals;
     on a dimension mismatch it is the integer gap between the dimensions.
-    When a side carries a ``complement`` narrower than its basis, the
-    residual is instead the other side's basis projected onto that
-    complement, a product no wider than it. For equal dimensions each
-    one-sided residual has the largest principal-angle sine as spectral
-    norm, so one side suffices.
     """
     if a.dim != b.dim:
         return False, float(abs(a.dim - b.dim))
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient dimensions")
-    for s, other in ((a, b), (b, a)):
-        if s.complement is not None and s.complement.shape[1] < s.dim:
-            return True, _maxabs(s.complement @ (s.complement.conj().T @ other.basis))
     return True, max(_maxabs(_outside(a.basis, b.basis)), _maxabs(_outside(b.basis, a.basis)))
 
 
 def _overlap(a: Subspace, b: Subspace) -> float:
     """Largest entry of ``A* B``; for an ``a`` held by its complement, of ``B - P(A-perp) B``."""
-    if _by_complement(b):
+    if b.by_complement:
         a, b = b, a
-    if _by_complement(a):
+    if a.by_complement:
         return _maxabs(_outside(b.basis, a.complement))
     return _maxabs(a.basis.conj().T @ b.basis)
 
@@ -296,6 +286,11 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
             f"matrix is not Hermitian: residual {residual:.6e} exceeds "
             f"{tol.structural:.6e}"
         )
+    return _eigh(m)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` of a matrix whose Hermiticity its caller checks."""
     w, v = np.linalg.eigh(m)
     return w, _canonical_phases(v)
 
@@ -484,7 +479,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     if s1.dim == 0:
         return s1
     n = s1.ambient_dim
-    if _by_complement(s1) and s2.complement is not None:
+    if s1.by_complement and s2.complement is not None:
         left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement),
                                        full_matrices=False)
         kept = left[:, :int(np.sum(sines > tol.rank))]

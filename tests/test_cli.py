@@ -1,5 +1,7 @@
 """Tests for the command line interface and file formats."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import chiralwalk
-from chiralwalk import models
+from chiralwalk import models, spectral
 from chiralwalk.cli import (
     load_graph_file,
     load_matrix_file,
@@ -132,6 +134,48 @@ class TestIndexCommand:
         assert doc["consistent"] is True
         assert all(c["passed"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("positions", [16, 64])
+    def test_coherent_grading_error_gets_a_report(self, tmp_path, capsys, positions):
+        # Gamma = (2 u u^T - 1) x I2 + i delta (1 1^T x I2) with u uniform
+        # and the coin 1 - 2 w w^T with w uniform: Gamma is Hermitian to
+        # within 2 delta = 4e-11 per entry, but the discriminant d Gamma d*
+        # sums the error over the positions, to 2 delta N. Its eigensolve
+        # used to refuse that at tol.structural, so a pair that make_pair
+        # accepts made the report raise (exit 1).
+        n = 2 * positions
+        u = np.full(positions, positions ** -0.5)
+        gamma = (np.kron(2.0 * np.outer(u, u) - np.eye(positions), np.eye(2))
+                 + 2e-11j * np.kron(np.ones((positions, positions)), np.eye(2)))
+        coin = np.eye(n) - np.full((n, n), 2.0 / n)
+        u_file = write_matrix(tmp_path / "u.json", gamma @ coin)
+        g_file = write_matrix(tmp_path / "gamma.json", gamma)
+        code, out, err = run_cli(capsys, "index", u_file, g_file)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["consistent"] is True
+        check = next(c for c in doc["checks"] if c["name"] == "discriminant_hermitian")
+        assert 1e-10 < check["residual"] <= 1e-10 * n
+        assert set(doc["indices"].values()) == {4 - n}
+
+    def test_non_hermitian_discriminant_fails_its_check(self, capsys, monkeypatch):
+        # An entry of T's strict upper triangle moved past tol.structural * n
+        # leaves T's eigensolve, which reads the lower triangle, as it was;
+        # the Hermiticity check alone must fail, with the report printed.
+        def skewed(pair, coin_plus, coin_minus, _fn=spectral._coisometry):
+            dec = _fn(pair, coin_plus, coin_minus)
+            t = dec.discriminant.copy()
+            t[0, -1] += 2.0 * pair.tol.structural * pair.dim
+            return dataclasses.replace(dec, discriminant=t)
+
+        monkeypatch.setattr(spectral, "_coisometry", skewed)
+        code, out, err = run_cli(capsys, "model", "split-step", "--sites", "8", "--p", "0.6",
+                                 "--q-re", "0.8", "--angles", "random:7")
+        assert code == 2
+        assert "discriminant_hermitian" in err
+        doc = json.loads(out)
+        assert len(doc["spectrum_t"]) > 1
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["discriminant_hermitian"]
+
 
 class TestModelCommand:
     def test_grover_search_report(self, capsys):
@@ -183,6 +227,21 @@ class TestModelCommand:
         pair = toy_four_dim(1)
         assert np.array_equal(load_matrix_file(dump / "u.json"), pair.u)
         assert np.array_equal(load_matrix_file(dump / "gamma.json"), pair.gamma)
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run_cli(capsys, "model", "toy4", "--variant", "1")[0] == 0
+        parsers = len(built)
+        for variant in ("2", "3"):
+            assert run_cli(capsys, "model", "toy4", "--variant", variant)[0] == 0
+        assert len(built) == parsers
 
     def test_inconsistency_exits_two_with_report(self, capsys):
         # folding distinct clusters together must be reported, not ignored

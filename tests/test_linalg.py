@@ -423,9 +423,10 @@ class TestSubspaceHeldByComplement:
         for real in (True, False):
             perp = _orthonormal(rng, 70, 3, real)
             s = Subspace(70, complement=perp)
-            assert s.dim == 67 and linalg._by_complement(s)
+            assert s.dim == 67 and s.by_complement
             basis = s.basis
-            assert not linalg._by_complement(s) and s.basis is basis
+            # Reading the basis leaves the subspace held by its complement.
+            assert s.by_complement and s.basis is basis
             assert basis.shape == (70, 67) and basis.dtype == perp.dtype
             assert np.max(np.abs(basis.conj().T @ basis - np.eye(67))) <= 1e-13
             assert np.max(np.abs(perp.conj().T @ basis)) <= 1e-13
@@ -446,7 +447,7 @@ class TestSubspaceHeldByComplement:
         x = Subspace(80, complement=q[:, :4])
         assert linalg._overlap(x, Subspace(80, q[:, 1:3])) <= 1e-13
         assert linalg._overlap(Subspace(80, q[:, 4:5]), x) > 0.1
-        assert linalg._by_complement(x)
+        assert x.by_complement
 
 
 @settings(max_examples=40, deadline=None)
@@ -472,7 +473,7 @@ def test_subspaces_held_by_complements_match_dense_ones(n, k1, k2, shared, real,
         same, residual = spans_match(a, b)
         assert same and residual <= 1e-12
     fast = subspace_intersection(*held)
-    assert linalg._by_complement(fast)
+    assert fast.by_complement
     plain = subspace_intersection(*dense)
     assert fast.dim == plain.dim == n - (k1 + k2 - shared)
     same, residual = spans_match(fast, plain)
@@ -533,7 +534,7 @@ def test_narrow_eigenspaces_match_eigh(n, k_share, minus_small, real, pinned, pe
     # The larger side is held by the smaller side's basis alone; its own
     # basis is formed when read below.
     small, large = (minus, plus) if minus_small else (plus, minus)
-    assert linalg._by_complement(large) and large.complement is small.basis
+    assert large.by_complement and large.complement is small.basis
     for side, oracle in zip((plus, minus), _eigh_oracle(x)):
         assert side.dim == round(np.trace(oracle).real)
         assert side.basis.dtype == (np.float64 if real else np.complex128)

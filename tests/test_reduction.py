@@ -227,6 +227,34 @@ def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
         assert abs(a.residual - b.residual) <= 1e-12
 
 
+def _trivial_walk(seed, n, k, real, sign):
+    """U = sign Gamma for a grading whose smaller side has k <= n/4 dimensions."""
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+    gamma = float(rng.choice([-1.0, 1.0])) * (2.0 * w[:, :k] @ w[:, :k].conj().T - np.eye(n))
+    return make_pair(sign * gamma, gamma)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda s=s, n=n, k=k, r=r, g=g: _trivial_walk(s, n, k, r, g),
+                 id=f"trivial-{n}-k{k}-{'real' if r else 'complex'}{'-minus' if g < 0 else ''}")
+    for s, (n, k, r, g) in enumerate([(64, 16, True, 1.0), (64, 3, False, -1.0),
+                                      (96, 24, False, 1.0), (96, 1, True, -1.0),
+                                      (128, 32, True, -1.0), (128, 7, False, 1.0)], start=80)])
+def test_trivial_walk_with_a_narrow_grading(build):
+    # The coin is +-1, so the report runs on the whole space and the
+    # census's inherited spaces are Gamma's eigenspaces, the wide one held
+    # by its narrow complement; the lift of T's +-1 eigenvectors is
+    # compared with that side's basis, formed from the complement.
+    pair = build()
+    report = build_index_report(pair)
+    assert report.consistent
+    assert report.index_alpha == report.index_witten == report.index_formula \
+        == report.gamma_signature
+    checks = {c.name: c.residual for c in report.checks}
+    assert checks["inherited_spaces_lift"] <= 1e-14
+
+
 @pytest.mark.parametrize("qubits", [6, 8])
 def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
     # The report takes ker alpha* from the c x c block on L; lifted and
@@ -236,8 +264,9 @@ def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
     walk = _walk(pair)
     assert walk.basis.shape == (pair.dim, 2)
     inside = walk.lift(walk.alpha_kernels(pair.tol)[1].basis)
-    lifted = np.hstack([inside, walk.outside[1].basis])
     plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
+    eff = spectral._discriminant_census(pair, plus, minus)[2]
+    lifted = np.hstack([inside, eff.birth_plus.basis])
     alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
     oracle = minus.basis @ linalg.kernel_basis(alpha.conj().T, pair.tol).basis
     assert lifted.shape[1] == oracle.shape[1]

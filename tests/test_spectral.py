@@ -333,7 +333,7 @@ class TestReportStructure:
             # The census's Gamma- & C+ is held by its complement, and no
             # basis of such a subspace is formed: that takes a complete QR,
             # and every QR below is a reduced one.
-            assert linalg._by_complement(report.census.inherited_minus)
+            assert report.census.inherited_minus.by_complement
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
             assert counts["svd"] <= 10 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
