@@ -9,28 +9,26 @@ of dimensions the way the command line selftest does.
 
 import numpy as np
 
-from chiralwalk import (
-    build_index_report,
-    coisometry,
-    graded_decomposition,
-    super_operators,
-)
+from chiralwalk import build_index_report, coisometry
 from chiralwalk.selfcheck import random_chiral_pair, run_selftest, transformation_checks
 
 rng = np.random.default_rng(42)
 pair = random_chiral_pair(rng, 12)
-graded = graded_decomposition(pair)
-ops = super_operators(pair)
+report = build_index_report(pair)
 dec = coisometry(pair)
+# The grading's eigenspaces have dimensions (n +- signature)/2, and the
+# supercharge q = (U - U*)/2i maps Gamma+ to Gamma- through its block alpha.
+plus = (pair.dim + report.gamma_signature) // 2
+minus = pair.dim - plus
+q = (pair.u - pair.u.conj().T) / 2j
 
 print(f"one random pair, dim {pair.dim}:")
-print(f"  grading signature: +{graded.plus_basis.dim} / -{graded.minus_basis.dim}")
-print(f"  supercharge block alpha: {graded.alpha.shape[0]}x{graded.alpha.shape[1]}")
-print(f"  anticommutator residual: {np.max(np.abs(pair.gamma @ ops.q + ops.q @ pair.gamma)):.2e}")
+print(f"  grading signature: +{plus} / -{minus}")
+print(f"  supercharge block alpha: {minus}x{plus}")
+print(f"  anticommutator residual: {np.max(np.abs(pair.gamma @ q + q @ pair.gamma)):.2e}")
 print(f"  coin space dim {dec.coin_space_dim}, flipped={dec.flipped}, "
       f"discriminant norm {np.max(np.abs(np.linalg.eigvalsh(dec.discriminant))):.6f}")
 
-report = build_index_report(pair)
 print(f"  index routes: alpha={report.index_alpha} witten={report.index_witten} "
       f"formula={report.index_formula} signature={report.gamma_signature}")
 print(f"  mapping residual: {report.mapping_residual:.2e}")

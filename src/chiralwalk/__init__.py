@@ -8,13 +8,7 @@ standard models: the search operator on qubits, edge-reversal walks on
 finite graphs, split-step walks on cycles, and small toy pairs.
 """
 
-from .chiral import (
-    ChiralPair,
-    graded_decomposition,
-    index_alpha,
-    make_pair,
-    super_operators,
-)
+from .chiral import ChiralPair, index_alpha, make_pair
 from .errors import (
     ChiralSymmetryViolated,
     ChiralWalkError,
@@ -33,7 +27,6 @@ from .linalg import (
     Tolerance,
     eig_hermitian,
     eig_unitary,
-    hermiticity_residual,
     kernel_basis,
     spans_match,
     subspace_intersection,
@@ -58,7 +51,6 @@ from .spectral import (
     cluster_reals,
     cluster_unimodular,
     coisometry,
-    spectral_image,
     verify_spectral_mapping,
 )
 

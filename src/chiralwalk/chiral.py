@@ -64,34 +64,6 @@ class ChiralPair:
         return int(self.u.shape[0])
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Graded bases of the involution and the supercharge block between them.
-
-    ``alpha`` is the matrix of the supercharge restricted from the +1
-    eigenspace of the grading to the -1 eigenspace, written in the two
-    orthonormal bases; its shape is (minus dim, plus dim).
-    """
-
-    plus_basis: Subspace
-    minus_basis: Subspace
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class SuperOperators:
-    """Supercharge and its Hermitian partner.
-
-    ``q`` and ``r`` are the anti-Hermitian and Hermitian parts of the
-    evolution (both self-adjoint as written). The squared supercharge is
-    ``q @ q``; the index report takes its spectrum (the squared singular
-    values of ``q``) and its kernel (``ker q``) from the one SVD of ``q``.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-
-
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     """Validate a (evolution, grading) pair and cache its coin.
 
@@ -189,32 +161,8 @@ def _derived_bounds(n: int, r_u: float, r_g: float, r_2: float, chirality: float
             root_n * nu * r_2 + slack)
 
 
-def super_operators(pair: ChiralPair) -> SuperOperators:
-    """Split the evolution into supercharge and Hermitian partner.
-
-    The supercharge is ``(u - u*)/2i`` and anticommutes with the grading;
-    the partner ``(u + u*)/2`` commutes with it.
-    """
-    return SuperOperators(q=_supercharge(pair), r=(pair.u + pair.u.conj().T) / 2.0)
-
-
 def _supercharge(pair: ChiralPair) -> np.ndarray:
     return (pair.u - pair.u.conj().T) / 2.0j
-
-
-def graded_decomposition(pair: ChiralPair) -> GradedDecomposition:
-    """Orthonormal +1/-1 eigenbases of the grading and the supercharge block.
-
-    Bases come from an eigensolve, or from a narrow side's factor and QR,
-    both deterministic, so the block matrix is reproducible across runs.
-    """
-    plus, minus = _involution_eigenspaces(pair.gamma, pair.tol)
-    return GradedDecomposition(plus_basis=plus, minus_basis=minus,
-                               alpha=_alpha(pair, plus, minus))
-
-
-def _alpha(pair: ChiralPair, plus: Subspace, minus: Subspace) -> np.ndarray:
-    return minus.basis.conj().T @ _supercharge(pair) @ plus.basis
 
 
 def index_alpha(pair: ChiralPair) -> int:
@@ -229,7 +177,7 @@ def index_alpha(pair: ChiralPair) -> int:
 
 def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces."""
-    alpha = _alpha(pair, plus, minus)
+    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
     rows, cols = alpha.shape
     ker = cols - _rank_svd(alpha, pair.tol, vectors=False)[0]
     coker = rows - _rank_svd(alpha.conj().T, pair.tol, vectors=False)[0]

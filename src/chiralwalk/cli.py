@@ -31,7 +31,7 @@ import numpy as np
 
 from .chiral import make_pair
 from .errors import ChiralWalkError, InconsistencyDetected
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .models import (
     Graph,
     SplitStepParams,
@@ -262,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
     shared = argparse.ArgumentParser(add_help=False, parents=[output])
-    shared.add_argument("--tol-structural", type=float, default=1e-10,
+    shared.add_argument("--tol-structural", type=float, default=DEFAULT_TOL.structural,
                         help="residual bound for structural identities")
-    shared.add_argument("--tol-rank", type=float, default=1e-8,
+    shared.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank,
                         help="relative singular-value cutoff for rank decisions")
-    shared.add_argument("--tol-cluster", type=float, default=1e-8,
+    shared.add_argument("--tol-cluster", type=float, default=DEFAULT_TOL.cluster,
                         help="gap below which eigenvalues are grouped")
     reported = argparse.ArgumentParser(add_help=False, parents=[shared])
     reported.add_argument("--dump-matrices", metavar="DIR", default=None,

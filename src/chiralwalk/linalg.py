@@ -205,11 +205,6 @@ def _identity_residual(p: np.ndarray) -> float:
     return _maxabs(p)
 
 
-def hermiticity_residual(a) -> float:
-    m = as_square_matrix(a)
-    return _maxabs(m - m.conj().T)
-
-
 def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the numerical null space of a matrix.
 
@@ -280,7 +275,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     Hermiticity residual exceeds ``tol.structural``.
     """
     m = _real_if_exact(as_square_matrix(a))
-    residual = hermiticity_residual(m)
+    residual = _maxabs(m - m.conj().T)
     if residual > tol.structural:
         raise NotHermitian(
             f"matrix is not Hermitian: residual {residual:.6e} exceeds "

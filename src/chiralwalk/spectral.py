@@ -52,7 +52,6 @@ import numpy as np
 from .chiral import ChiralPair, _coin_pair_index, _supercharge
 from .errors import InconsistencyDetected, OutOfRange
 from .linalg import (
-    DEFAULT_TOL,
     Subspace,
     Tolerance,
     _cluster_slices,
@@ -146,22 +145,18 @@ class IndexReport:
     warnings: tuple[str, ...]
 
 
-def spectral_image(xs, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, complex]]:
-    """Unit-circle preimages (upper branch, lower branch) of each value.
+def _preimages(t: float, tol: Tolerance) -> tuple[complex, complex]:
+    """Unit-circle preimages (upper branch, lower branch) of a discriminant eigenvalue.
 
-    Values are clamped to [-1, 1]; anything farther outside than
+    The value is clamped to [-1, 1]; anything farther outside than
     ``tol.cluster`` raises :class:`OutOfRange` since it signals a broken
     discriminant rather than roundoff.
     """
-    out = []
-    for x in xs:
-        x = float(x)
-        if abs(x) > 1.0 + tol.cluster:
-            raise OutOfRange(f"value {x!r} lies outside [-1, 1] beyond tolerance")
-        x = min(1.0, max(-1.0, x))
-        theta = math.acos(x)
-        out.append((cmath.exp(1j * theta), cmath.exp(-1j * theta)))
-    return out
+    t = float(t)
+    if abs(t) > 1.0 + tol.cluster:
+        raise OutOfRange(f"value {t!r} lies outside [-1, 1] beyond tolerance")
+    theta = math.acos(min(1.0, max(-1.0, t)))
+    return cmath.exp(1j * theta), cmath.exp(-1j * theta)
 
 
 def coisometry(pair: ChiralPair) -> CoisometryDecomposition:
@@ -452,7 +447,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     norm_t = float(np.max(np.abs(w_t))) if w_t.size else 0.0
     res = max(0.0, norm_t - 1.0)
-    checks.append(CheckResult("discriminant_contraction", res <= tol.structural, res))
+    # The compression has |T|_2 <= |Gamma|_2, and |Gamma|_2^2 <= 1 + n r for
+    # Gamma's unitarity residual r <= tol.structural (nu in
+    # chiral._derived_bounds), so |T|_2 - 1 <= n tol.structural / 2 + rounding.
+    checks.append(CheckResult("discriminant_contraction", res <= tol.structural * n, res))
 
     # Commutation structure of the supercharge and its Hermitian partner,
     # on W: on W-perp q vanishes and U is -+Gamma, by the certificates and
@@ -529,7 +527,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     observed = cluster_unimodular(interior_u, tol.cluster)
     predicted: list[tuple[complex, int]] = []
     for t, mult in cluster_reals(interior_t, tol.cluster):
-        upper, lower = spectral_image([t], tol)[0]
+        upper, lower = _preimages(t, tol)
         predicted.append((upper, mult))
         predicted.append((lower, mult))
     predicted = [predicted[k] for k in _principal_order([z for z, _ in predicted])]

@@ -1,18 +1,13 @@
-"""Tests for chiral pair validation, super operators, and index routes."""
+"""Tests for chiral pair validation, the supercharge, and index routes."""
+
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk.chiral import (
-    _derived_bounds,
-    _projection_pair_index,
-    graded_decomposition,
-    index_alpha,
-    make_pair,
-    super_operators,
-)
+from chiralwalk.chiral import _derived_bounds, _projection_pair_index, index_alpha, make_pair
 from chiralwalk.errors import (
     ChiralSymmetryViolated,
     ChiralWalkError,
@@ -23,6 +18,7 @@ from chiralwalk.errors import (
 )
 from chiralwalk.linalg import (
     DEFAULT_TOL,
+    Subspace,
     _identity_residual,
     _maxabs,
     _rank_svd,
@@ -33,6 +29,7 @@ from chiralwalk.linalg import (
 from chiralwalk.models import grover_search, toy_four_dim, toy_two_dim
 from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_involution
 from chiralwalk.spectral import build_index_report
+from oracles import alpha, grading_bases, supercharge
 
 
 def phase_swap(angle):
@@ -269,64 +266,42 @@ def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
     assert all(bound < 1e-2 * tol * 256 for bound in _derived_bounds(256, *[1e-15] * 5))
 
 
-class TestSuperOperators:
-    def test_diagonal_phases(self):
+class TestSuperchargeOnReport:
+    def test_toy_two_dim_squared_supercharge_spectrum(self):
+        # q = diag(sin beta, -sin beta), so H = q^2 is sin^2 beta twice
         beta = 0.8
-        pair = toy_two_dim(beta, 1.3)
-        ops = super_operators(pair)
-        assert np.allclose(ops.q, np.diag([np.sin(beta), -np.sin(beta)]))
-        assert np.allclose(ops.r, np.diag([np.cos(beta), np.cos(beta)]))
+        report = build_index_report(toy_two_dim(beta, 1.3))
+        assert [m for _, m in report.spectrum_h] == [2]
+        assert report.spectrum_h[0][0] == pytest.approx(np.sin(beta) ** 2, abs=1e-12)
 
-    def test_evolution_equal_to_grading_kills_supercharge(self):
+    def test_evolution_equal_to_grading_has_zero_squared_supercharge(self):
         gamma = phase_swap(0.2)
-        pair = make_pair(gamma, gamma)  # coin is the identity
-        ops = super_operators(pair)
-        assert np.max(np.abs(ops.q)) < 1e-12
-        assert np.max(np.abs(ops.q @ ops.q)) < 1e-12
+        report = build_index_report(make_pair(gamma, gamma))  # coin is the identity
+        assert [m for _, m in report.spectrum_h] == [2]
+        assert abs(report.spectrum_h[0][0]) < 1e-12
 
     def test_squared_supercharge_spectrum_bounded(self):
-        pair = random_chiral_pair(np.random.default_rng(17), 8)
-        ops = super_operators(pair)
-        w = np.linalg.eigvalsh(ops.q @ ops.q)
-        assert np.all(w >= -1e-12)
-        assert np.all(w <= 1.0 + 1e-12)
+        report = build_index_report(random_chiral_pair(np.random.default_rng(17), 8))
+        assert sum(m for _, m in report.spectrum_h) == 8
+        assert all(-1e-12 <= w <= 1.0 + 1e-12 for w, _ in report.spectrum_h)
 
     def test_commutation_structure(self):
-        pair = random_chiral_pair(np.random.default_rng(23), 10)
-        ops = super_operators(pair)
-        g = pair.gamma
-        assert np.max(np.abs(g @ ops.q + ops.q @ g)) < 1e-10 * 10
-        assert np.max(np.abs(g @ ops.r - ops.r @ g)) < 1e-10 * 10
+        report = build_index_report(random_chiral_pair(np.random.default_rng(23), 10))
+        checks = {c.name: c for c in report.checks}
+        for name in ("supercharge_anticommutes", "hermitian_part_commutes"):
+            assert checks[name].passed and checks[name].residual < 1e-10 * 10
 
-
-class TestGradedDecomposition:
     def test_identity_grading_has_empty_minus_block(self):
-        pair = make_pair(np.eye(4), np.eye(4))
-        graded = graded_decomposition(pair)
-        assert graded.minus_basis.dim == 0
-        assert graded.alpha.shape == (0, 4)
+        # alpha has shape ((n - signature)/2, (n + signature)/2) = (0, 4)
+        assert build_index_report(make_pair(np.eye(4), np.eye(4))).gamma_signature == 4
 
     def test_swap_grading_gives_one_by_one_block(self):
-        gamma = phase_swap(0.0)
-        coin = phase_swap(0.9)
-        pair = make_pair(gamma @ coin, gamma)
-        graded = graded_decomposition(pair)
-        assert graded.alpha.shape == (1, 1)
-        # eigenvectors of the swap are (e1 +- e2)/sqrt(2)
-        assert np.allclose(np.abs(graded.plus_basis.basis), np.full((2, 1), 1 / np.sqrt(2)))
+        pair = make_pair(phase_swap(0.0) @ phase_swap(0.9), phase_swap(0.0))
+        assert build_index_report(pair).gamma_signature == 0
 
     def test_four_dim_block_shape(self):
-        graded = graded_decomposition(toy_four_dim(2))
-        assert graded.alpha.shape == (3, 1)
-
-    def test_block_reconstructs_supercharge(self):
-        pair = random_chiral_pair(np.random.default_rng(5), 9)
-        graded = graded_decomposition(pair)
-        ops = super_operators(pair)
-        plus, minus = graded.plus_basis.basis, graded.minus_basis.basis
-        rebuilt = (minus @ graded.alpha @ plus.conj().T
-                   + plus @ graded.alpha.conj().T @ minus.conj().T)
-        assert np.max(np.abs(rebuilt - ops.q)) < 1e-10 * 9
+        # a (3, 1) block
+        assert build_index_report(toy_four_dim(2)).gamma_signature == -2
 
 
 class TestIndexRoutes:
@@ -360,10 +335,9 @@ class TestIndexRoutes:
         rng = np.random.default_rng(47)
         for dim in (3, 8, 17, 32):
             pair = random_chiral_pair(rng, dim)
-            graded = graded_decomposition(pair)
-            d_plus = graded.plus_basis.dim
-            d_minus = graded.minus_basis.dim
-            rank = np.linalg.matrix_rank(graded.alpha, tol=1e-10)
+            block = alpha(pair)
+            d_minus, d_plus = block.shape
+            rank = np.linalg.matrix_rank(block, tol=1e-10)
             oracle = (d_plus - rank) - (d_minus - rank)
             assert index_alpha(pair) == oracle == d_plus - d_minus
 
@@ -386,12 +360,12 @@ class TestIndexRoutes:
         w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
         pair = make_pair(w @ u @ w.conj().T, w @ gamma @ w.conj().T)
         assert (pair.u.dtype == np.float64) == real
-        alpha = graded_decomposition(pair).alpha
-        assert alpha.shape == (3, 4)
-        for block in (alpha, alpha.conj().T):
+        a = alpha(pair)
+        assert a.shape == (3, 4)
+        for block in (a, a.conj().T):
             assert _rank_svd(block, pair.tol, vectors=False)[0] == rank
             assert kernel_basis(block, pair.tol).dim == block.shape[1] - rank
-        kernel_route = kernel_basis(alpha).dim - kernel_basis(alpha.conj().T).dim
+        kernel_route = kernel_basis(a).dim - kernel_basis(a.conj().T).dim
         assert index_alpha(pair) == kernel_route == 1
 
 
@@ -418,8 +392,7 @@ class TestKernelIdentities:
         rng = np.random.default_rng(13)
         for dim in (4, 7, 12):
             pair = random_chiral_pair(rng, dim)
-            ops = super_operators(pair)
-            ker_q = kernel_basis(ops.q)
+            ker_q = kernel_basis(supercharge(pair))
             ker_u2 = kernel_basis(np.eye(dim) - pair.u @ pair.u)
             same, residual = spans_match(ker_q, ker_u2)
             assert same and residual < 1e-8
@@ -428,13 +401,10 @@ class TestKernelIdentities:
         rng = np.random.default_rng(29)
         for dim in (4, 9, 14):
             pair = random_chiral_pair(rng, dim)
-            ops = super_operators(pair)
-            graded = graded_decomposition(pair)
-            ker_q = kernel_basis(ops.q)
-            for block, grading_space in (
-                (graded.alpha, graded.plus_basis),
-                (graded.alpha.conj().T, graded.minus_basis),
-            ):
+            a = alpha(pair)
+            ker_q = kernel_basis(supercharge(pair))
+            for block, grading_space in zip((a, a.conj().T),
+                                            (Subspace(dim, b) for b in grading_bases(pair))):
                 lifted = grading_space.basis @ kernel_basis(block).basis
                 expected = subspace_intersection(ker_q, grading_space)
                 assert lifted.shape[1] == expected.dim
@@ -452,9 +422,9 @@ def test_index_routes_and_anticommutation_property(dim, seed):
     ia = index_alpha(pair)
     report = build_index_report(pair)
     assert report.index_witten == report.gamma_signature == ia
-    ops = super_operators(pair)
-    assert np.max(np.abs(pair.gamma @ ops.q + ops.q @ pair.gamma)) <= 1e-10 * dim
-    assert np.max(np.abs(pair.gamma @ ops.r - ops.r @ pair.gamma)) <= 1e-10 * dim
+    q, r = supercharge(pair), (pair.u + pair.u.conj().T) / 2
+    assert np.max(np.abs(pair.gamma @ q + q @ pair.gamma)) <= 1e-10 * dim
+    assert np.max(np.abs(pair.gamma @ r - r @ pair.gamma)) <= 1e-10 * dim
 
 
 @settings(max_examples=30, deadline=None)
@@ -500,3 +470,12 @@ class TestIndexInvariances:
             eye = np.eye(dim)
             count = kernel_basis(pair.u - eye).dim + kernel_basis(pair.u + eye).dim
             assert count >= abs(index_alpha(pair))
+
+
+@pytest.mark.parametrize("module", ["chiralwalk", "chiralwalk.chiral", "chiralwalk.linalg",
+                                    "chiralwalk.spectral"])
+def test_deleted_names_stay_out_of_the_public_surface(module):
+    # The supercharge block is computed inside the index routes alone.
+    deleted = {"graded_decomposition", "super_operators", "GradedDecomposition",
+               "SuperOperators", "hermiticity_residual", "spectral_image"}
+    assert deleted.isdisjoint(vars(importlib.import_module(module)))

@@ -157,6 +157,56 @@ class TestIndexCommand:
         assert 1e-10 < check["residual"] <= 1e-10 * n
         assert set(doc["indices"].values()) == {4 - n}
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_grading_error_along_a_shared_direction_gets_a_report(self, tmp_path, capsys, n):
+        # Gamma = 2 B B^T - 1 + e v v^T, with v uniform in the ranges of both
+        # Gamma's and the coin's +1 projections: Gamma's unitarity residual
+        # is about 2e/n = 8e-11, but the discriminant's norm is 1 + e. Its
+        # contraction check used to bound that at tol.structural (exit 2).
+        rng = np.random.default_rng(5)
+        v = np.full(n, n ** -0.5)
+
+        def basis():
+            w = np.linalg.qr(np.column_stack([v, rng.standard_normal((n, n - 1))]))[0]
+            w[:, 0] = v
+            return w
+
+        w_gamma, w_coin = basis(), basis()
+        e = 0.4e-10 * n
+        gamma = (2.0 * w_gamma[:, :n // 2] @ w_gamma[:, :n // 2].T - np.eye(n)
+                 + e * np.outer(v, v))
+        coin = 2.0 * w_coin[:, :n // 4 + 1] @ w_coin[:, :n // 4 + 1].T - np.eye(n)
+        u_file = write_matrix(tmp_path / "u.json", gamma @ coin)
+        g_file = write_matrix(tmp_path / "gamma.json", gamma)
+        code, out, err = run_cli(capsys, "index", u_file, g_file)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["consistent"] is True and doc["warnings"] == []
+        check = next(c for c in doc["checks"] if c["name"] == "discriminant_contraction")
+        assert 1e-10 < check["residual"] <= 1e-10 * n
+
+    def test_expanding_discriminant_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        # T's +1 eigenvalue moved past 1 + tol.structural * n stays inside
+        # the rank cutoff at +1, so its eigenvectors and every count are as
+        # they were; the contraction check alone must fail, with the report
+        # printed.
+        def expanded(pair, coin_plus, coin_minus, _fn=spectral._coisometry):
+            dec = _fn(pair, coin_plus, coin_minus)
+            w, x = np.linalg.eigh(dec.discriminant)
+            w[w > 0.5] *= 1.0 + 2.0 * pair.tol.structural * pair.dim
+            return dataclasses.replace(dec, discriminant=(x * w) @ x.conj().T)
+
+        monkeypatch.setattr(spectral, "_coisometry", expanded)
+        graph = tmp_path / "triangle.g"
+        graph.write_text("vertices 3\n0 1\n1 2\n2 0\n0 1\n")
+        code, out, err = run_cli(capsys, "model", "grover-walk", "--graph", str(graph))
+        assert code == 2
+        assert "discriminant_contraction" in err
+        doc = json.loads(out)
+        assert len(doc["spectrum_t"]) == 3
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+            "discriminant_contraction"]
+
     def test_non_hermitian_discriminant_fails_its_check(self, capsys, monkeypatch):
         # An entry of T's strict upper triangle moved past tol.structural * n
         # leaves T's eigensolve, which reads the lower triangle, as it was;

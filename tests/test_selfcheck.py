@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chiralwalk.chiral import graded_decomposition, make_pair
+from chiralwalk.chiral import make_pair
 from chiralwalk.linalg import kernel_basis
 from chiralwalk.models import grover_search, toy_four_dim
 from chiralwalk.selfcheck import (
@@ -13,12 +13,13 @@ from chiralwalk.selfcheck import (
     transformation_checks,
 )
 from chiralwalk.spectral import build_index_report
+from oracles import alpha
 
 
 def _kernel_index(pair):
     """Index as the nullity of alpha minus that of alpha*, from kernel bases."""
-    alpha = graded_decomposition(pair).alpha
-    return kernel_basis(alpha, pair.tol).dim - kernel_basis(alpha.conj().T, pair.tol).dim
+    a = alpha(pair)
+    return kernel_basis(a, pair.tol).dim - kernel_basis(a.conj().T, pair.tol).dim
 
 
 def _recomputed_checks(pair, rng):
