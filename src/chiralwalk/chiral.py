@@ -161,8 +161,13 @@ def _derived_bounds(n: int, r_u: float, r_g: float, r_2: float, chirality: float
             root_n * nu * r_2 + slack)
 
 
+def _unit(pair: ChiralPair) -> complex:
+    return 1.0 if np.isrealobj(pair.u) else 1j
+
+
 def _supercharge(pair: ChiralPair) -> np.ndarray:
-    return (pair.u - pair.u.conj().T) / 2.0j
+    """``S = (U - U*)/(2 unit)``: q, or for an exactly real pair the real A with ``q = -iA``."""
+    return (pair.u - pair.u.conj().T) / (2.0 * _unit(pair))
 
 
 def index_alpha(pair: ChiralPair) -> int:

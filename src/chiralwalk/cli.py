@@ -16,7 +16,8 @@ per line; ``#`` starts a comment. Reports are JSON with a fixed key
 order, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
-consistency check failed (the report is still printed).
+consistency check failed. A pair that validates always gets its report,
+and ``--dump-matrices`` writes on exit 2 too.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .models import (
     toy_two_dim,
 )
 from .selfcheck import run_selftest
-from .spectral import IndexReport, verify_spectral_mapping
+from .spectral import IndexReport, build_index_report
 
 
 def load_matrix_file(path) -> np.ndarray:
@@ -67,7 +68,10 @@ def load_matrix_file(path) -> np.ndarray:
                        for x in item)
         ):
             raise ValueError(f"{path}: entry {k} is not a [re, im] pair")
-        entries[k] = complex(item[0], item[1])
+        try:
+            entries[k] = complex(item[0], item[1])
+        except OverflowError:
+            raise ValueError(f"{path}: entry {k} lies beyond the float range") from None
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"{path}: matrix entries must be finite")
     return entries.reshape(dim, dim)
@@ -184,16 +188,14 @@ def _tolerance(args) -> Tolerance:
 
 
 def _report_and_emit(args, pair) -> int:
-    try:
-        report = verify_spectral_mapping(pair)
-    except InconsistencyDetected as exc:
-        if exc.report is not None:
-            _emit(args, render_report(exc.report, pair.tol))
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
+    report = build_index_report(pair)
     _emit(args, render_report(report, pair.tol))
     _dump_matrices(args, pair)
-    return 0
+    failed = [c for c in report.checks if not c.passed]
+    if failed:
+        exc = InconsistencyDetected(failed[0].name, failed[0].residual)
+        print(f"inconsistency: {exc}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def cmd_index(args) -> int:

@@ -211,10 +211,7 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     Right singular vectors whose singular values count as zero under the
     cutoff of :func:`_near_unit` span the returned subspace; its dimension
     is the numerical nullity, and the other right singular vectors are its
-    ``complement``. Rectangular inputs are allowed. A matrix
-    whose real or imaginary part is exactly zero is factorized through the
-    other part, which has the same kernel; the supercharge of a real pair
-    is purely imaginary.
+    ``complement``. Rectangular inputs are allowed.
     """
     return _kernel_svd(a, tol)[0]
 
@@ -232,18 +229,14 @@ def _rank_svd(
 ) -> tuple[int, np.ndarray, np.ndarray | None]:
     """Numerical rank of the matrix ``m``, its singular values, descending, and its ``vh``.
 
-    A matrix whose real or imaginary part is exactly zero is factorized
-    through the other part, which has the same singular values and right
-    singular vectors. Singular values that count as zero under the cutoff
-    of :func:`_near_unit` are outside the rank. With ``vectors`` the right
+    Singular values that count as zero under the cutoff of
+    :func:`_near_unit` are outside the rank. With ``vectors`` the right
     singular vectors come too, all of them for a wide matrix, whose
     kernel needs the ones beyond the reduced set; without, ``vh`` is None
     and LAPACK computes the singular values alone. An empty matrix has
     rank 0 and is not factorized.
     """
     m = _real_if_exact(m)
-    if np.iscomplexobj(m) and not m.real.any():
-        m = m.imag
     if m.size == 0:
         return 0, np.empty(0), np.eye(m.shape[1], dtype=np.complex128) if vectors else None
     if vectors:
@@ -325,7 +318,7 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     such as a degenerate +-1 eigenspace, have zero imaginary part.
     """
     m = as_square_matrix(a)
-    residual = unitarity_residual(m)
+    residual = _identity_residual(m.conj().T @ m)
     if residual > tol.structural:
         raise NotUnitary(
             f"matrix is not unitary: residual {residual:.6e} exceeds "
@@ -426,16 +419,17 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
 def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """The +1 and -1 eigenspaces of a Hermitian unitary involution.
 
-    From dimension ``_NARROW_MIN_DIM`` on, an involution whose smaller
-    side has at most n/4 dimensions takes :func:`_narrow_eigenspaces`.
-    Otherwise, and when its certificate fails, one eigensolve decides: an
-    involution's eigenvalues sit at +-1 to within roundoff, so the sign of
-    each eigenvalue decides its side, and each side's basis is the other
-    side's ``complement``.
+    ``a`` is an array as :func:`make_pair` stores it, taken as real when
+    it is complex but exactly real. From dimension ``_NARROW_MIN_DIM`` on,
+    an involution whose smaller side has at most n/4 dimensions takes
+    :func:`_narrow_eigenspaces`. Otherwise, and when its certificate
+    fails, one eigensolve decides: an involution's eigenvalues sit at +-1
+    to within roundoff, so the sign of each eigenvalue decides its side,
+    and each side's basis is the other side's ``complement``.
     """
     # The size floor comes first, so small pairs pay nothing for the route.
     if len(a) >= _NARROW_MIN_DIM:
-        narrow = _narrow_eigenspaces(_real_if_exact(as_square_matrix(a)), tol)
+        narrow = _narrow_eigenspaces(_real_if_exact(a), tol)
         if narrow is not None:
             return narrow
     w, v = eig_hermitian(a, tol)

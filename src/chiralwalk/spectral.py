@@ -14,16 +14,17 @@ L = ran d* + Gamma ran d*, of dimension at most 2c for a coin space of
 dimension c. U maps L to itself; on L-perp the effective coin is -1, so
 U is -Gamma there (Gamma for a flipped coin) and q vanishes. U's
 eigensolve runs on the compression ``B* U B`` and the SVD of q on the
-``n x dim L`` matrix ``q B``; L-perp adds the eigenvalues +-1 on
-``L-perp & Gamma-+`` and a zero block of q. L-perp is ``C- & Gamma C-``
-for the effective coin, so ``L-perp & Gamma+-`` are the effective
-census's birth spaces, and L's rank on each side of the grading comes
-from the census. Two certificates, ``|U B - B (B* U B)|`` and
-``|q - (q B) B*|`` (real for a real pair, whose q is -i times a real
-matrix), must lie within ``tol.structural * n``, and a third,
-the unitarity residual of ``B* U B``, within ``tol.structural``. When
-one fails, or when 4c > n, the report runs on W = C^n instead, where the
-same code makes the dense factorizations.
+``n x dim L`` matrix ``S B``, where ``S = (U - U*)/(2 unit)`` is q's one
+form (:func:`chiral._supercharge`; real for an exactly real pair); L-perp
+adds the eigenvalues +-1 on ``L-perp & Gamma-+`` and a zero block of q.
+L-perp is ``C- & Gamma C-`` for the effective coin, so ``L-perp &
+Gamma+-`` are the effective census's birth spaces, and L's rank on each
+side of the grading comes from the census. Two certificates,
+``|U B - B (B* U B)|`` and ``|S - (S B) B*|``, must lie within
+``tol.structural * n``, and a third, the unitarity residual of
+``B* U B``, within ``tol.structural``. When one fails, or when 4c > n,
+the report runs on W = C^n instead, where the same code makes the dense
+factorizations of U and S.
 
 The span checks that split ker(U -+ 1) and the kernels of the supercharge
 block into inherited and birth parts compare only the parts in W, of
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _coin_pair_index, _supercharge
-from .errors import InconsistencyDetected, OutOfRange
+from .chiral import ChiralPair, _coin_pair_index, _supercharge, _unit
+from .errors import InconsistencyDetected
 from .linalg import (
     Subspace,
     Tolerance,
@@ -145,17 +146,13 @@ class IndexReport:
     warnings: tuple[str, ...]
 
 
-def _preimages(t: float, tol: Tolerance) -> tuple[complex, complex]:
+def _preimages(t: float) -> tuple[complex, complex]:
     """Unit-circle preimages (upper branch, lower branch) of a discriminant eigenvalue.
 
-    The value is clamped to [-1, 1]; anything farther outside than
-    ``tol.cluster`` raises :class:`OutOfRange` since it signals a broken
-    discriminant rather than roundoff.
+    The value is clamped to [-1, 1]. How far T's spectrum may lie outside
+    is judged once, by the ``discriminant_contraction`` check.
     """
-    t = float(t)
-    if abs(t) > 1.0 + tol.cluster:
-        raise OutOfRange(f"value {t!r} lies outside [-1, 1] beyond tolerance")
-    theta = math.acos(min(1.0, max(-1.0, t)))
+    theta = math.acos(min(1.0, max(-1.0, float(t))))
     return cmath.exp(1j * theta), cmath.exp(-1j * theta)
 
 
@@ -183,9 +180,10 @@ class _Walk:
     """The subspace W on which the report computes U's and q's spectra.
 
     ``basis`` is an orthonormal basis ``B`` of W, or None when W is the
-    whole space. ``u`` is ``B* U B`` and ``q`` is ``q B``, or on L for an
-    exactly real pair the real ``A B``, where ``q = -iA``, with the same
-    kernels and singular values. ``sides`` holds
+    whole space. ``u`` is ``B* U B`` and ``q`` is ``S B``, with S the
+    supercharge in its one form ``(U - U*)/(2 unit)``: q, or the real A
+    with ``q = -iA`` for an exactly real pair, which has q's kernels and
+    singular values. ``sides`` holds
     ``W & Gamma+`` and ``W & Gamma-`` in W's coordinates: the grading's
     eigenspaces on the whole space, and on L the leading and trailing
     columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
@@ -243,14 +241,13 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     that the effective census decided and is ``G+- ran(G+-* d*)`` for the
     grading's eigenbases ``G+-``, so the leading r+- left singular vectors
     of ``G+-* d*`` give L's basis ``B = [B+ | B-]``; for a side held by its
-    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``. On L, q is
-    taken as ``S = (U - U*)/(2 unit)``: q itself, or for an exactly real
-    pair the real ``A = (U - U^T)/2`` (unit 1, ``q = -iA``), with ``S B``
-    from ``U B`` and ``U* B``. L is used when ``4c <= n``, when, to within
-    ``tol.structural * n``, ``U B = B (B* U B)`` and ``S = (S B) B*``, and
-    when ``B* U B`` is unitary to within the ``tol.structural`` that
-    :func:`eig_unitary` demands; otherwise W is the whole space, with the
-    dense factorizations and the n x n q. The last certificate matters for
+    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``. On L,
+    ``S B`` comes from ``U B`` and ``U* B``, with S as in :class:`_Walk`.
+    L is used when ``4c <= n``, when, to within ``tol.structural * n``,
+    ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
+    unitary to within the ``tol.structural`` that :func:`eig_unitary`
+    demands; otherwise W is the whole space, with the dense
+    factorizations and the n x n S. The last certificate matters for
     a pair whose unitarity error is coherent: :func:`make_pair` bounds
     ``U* U - 1`` entrywise, and a compression of it can be n times larger.
     """
@@ -263,7 +260,7 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
-        unit = 1.0 if np.isrealobj(pair.u) else 1j
+        unit = _unit(pair)
         ub = pair.u @ b
         sb = (ub - pair.u.conj().T @ b) / (2.0 * unit)
         u_w = b.conj().T @ ub
@@ -284,9 +281,10 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
 
 
 def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]:
-    """Largest entries of ``Gamma q + q Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
+    """Largest entries of ``Gamma S + S Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
 
-    On L, ``walk.q`` is ``S B`` and the products of S and r with
+    S is q up to a unit scalar, so the first is q's anticommutator. On L,
+    ``walk.q`` is ``S B`` and the products of S and r with
     ``Gamma B`` come from those of U and U*, so neither is formed.
     """
     g, u, b = pair.gamma, pair.u, walk.basis
@@ -295,7 +293,7 @@ def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]
         return _maxabs(g @ walk.q + walk.q @ g), _maxabs(g @ r - r @ g)
     g_b = g @ b
     ug, uhg = u @ g_b, u.conj().T @ g_b
-    return (_maxabs(g @ walk.q + (ug - uhg) / (2.0 if np.isrealobj(u) else 2j)),
+    return (_maxabs(g @ walk.q + (ug - uhg) / (2.0 * _unit(pair))),
             _maxabs(g @ ((u @ b + u.conj().T @ b) / 2.0) - (ug + uhg) / 2.0))
 
 
@@ -402,9 +400,11 @@ def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
 def build_index_report(pair: ChiralPair) -> IndexReport:
     """Assemble spectra, census, all four index routes, and every check.
 
-    Never raises for a valid pair: failing checks are recorded with their
-    residuals. Use :func:`verify_spectral_mapping` to turn failures into
-    :class:`InconsistencyDetected`.
+    Never raises for a pair that :func:`make_pair` accepts: failing checks
+    are recorded with their residuals. A discriminant eigenvalue beyond
+    +-1 is judged by ``discriminant_contraction`` and clamped to +-1 for
+    the spectral mapping. Use :func:`verify_spectral_mapping` to turn
+    failures into :class:`InconsistencyDetected`.
     """
     tol = pair.tol
     n = pair.dim
@@ -527,7 +527,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     observed = cluster_unimodular(interior_u, tol.cluster)
     predicted: list[tuple[complex, int]] = []
     for t, mult in cluster_reals(interior_t, tol.cluster):
-        upper, lower = _preimages(t, tol)
+        upper, lower = _preimages(t)
         predicted.append((upper, mult))
         predicted.append((lower, mult))
     predicted = [predicted[k] for k in _principal_order([z for z, _ in predicted])]

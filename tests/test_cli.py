@@ -13,12 +13,14 @@ import pytest
 
 import chiralwalk
 from chiralwalk import models, spectral
+from chiralwalk.chiral import make_pair
 from chiralwalk.cli import (
     load_graph_file,
     load_matrix_file,
     main,
     save_matrix_file,
 )
+from chiralwalk.linalg import DEFAULT_TOL
 from chiralwalk.models import toy_four_dim
 
 SRC = Path(chiralwalk.__file__).resolve().parents[1]
@@ -185,6 +187,36 @@ class TestIndexCommand:
         check = next(c for c in doc["checks"] if c["name"] == "discriminant_contraction")
         assert 1e-10 < check["residual"] <= 1e-10 * n
 
+    def test_discriminant_beyond_one_gets_a_report(self, tmp_path, capsys):
+        # Gamma = 2 B B^T - 1 + e v v^T with v uniform and e = 1.02e-8, and a
+        # coin whose +1 range holds a direction 3e-8 from v: T has an
+        # eigenvalue 1 + 1.02e-8, inside the contraction check's bound
+        # tol.structural * n but beyond 1 + tol.cluster. The spectral
+        # mapping used to refuse that value a second time and raise (exit 1).
+        n = 256
+        rng = np.random.default_rng(5)
+        v = np.full(n, n ** -0.5)
+
+        def basis(first, width):
+            w = np.linalg.qr(np.column_stack([first, rng.standard_normal((n, width - 1))]))[0]
+            w[:, 0] = first
+            return w
+
+        w_gamma = basis(v, n)
+        gamma = (2.0 * w_gamma[:, :n // 2] @ w_gamma[:, :n // 2].T - np.eye(n)
+                 + 1.02e-8 * np.outer(v, v))
+        y = basis(np.cos(3e-8) * v + np.sin(3e-8) * w_gamma[:, -1], n // 8)
+        u = gamma @ (2.0 * y @ y.T - np.eye(n))
+        report = spectral.build_index_report(make_pair(u, gamma))
+        check = next(c for c in report.checks if c.name == "discriminant_contraction")
+        assert check.passed and check.residual > DEFAULT_TOL.cluster
+        u_file = write_matrix(tmp_path / "u.json", u)
+        g_file = write_matrix(tmp_path / "gamma.json", gamma)
+        code, out, err = run_cli(capsys, "index", u_file, g_file)
+        assert code == 2
+        assert err.startswith("inconsistency: ")
+        assert json.loads(out)["consistent"] is False
+
     def test_expanding_discriminant_fails_its_check(self, tmp_path, capsys, monkeypatch):
         # T's +1 eigenvalue moved past 1 + tol.structural * n stays inside
         # the rank cutoff at +1, so its eigenvectors and every count are as
@@ -275,6 +307,17 @@ class TestModelCommand:
                              "--dump-matrices", str(dump))
         assert code == 0
         pair = toy_four_dim(1)
+        assert np.array_equal(load_matrix_file(dump / "u.json"), pair.u)
+        assert np.array_equal(load_matrix_file(dump / "gamma.json"), pair.gamma)
+
+    def test_dump_matrices_written_on_exit_two(self, tmp_path, capsys):
+        dump = tmp_path / "dump"
+        code, out, _ = run_cli(capsys, "model", "grover-search", "--qubits", "6",
+                               "--target", "0", "--tol-cluster", "0.6",
+                               "--dump-matrices", str(dump))
+        assert code == 2
+        assert json.loads(out)["consistent"] is False
+        pair = models.grover_search(6, 0)
         assert np.array_equal(load_matrix_file(dump / "u.json"), pair.u)
         assert np.array_equal(load_matrix_file(dump / "gamma.json"), pair.gamma)
 
@@ -369,6 +412,16 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "index", str(u_file), g_file)
         assert code == 1
         assert "entry 0" in err
+
+    def test_entry_beyond_the_float_range_exits_one(self, tmp_path, capsys):
+        # An integer past the float range overflows complex(); it is refused
+        # as invalid input, not raised out of main.
+        u_file = tmp_path / "u.json"
+        u_file.write_text(json.dumps({"dim": 1, "data": [[10**400, 0]]}))
+        code, out, err = run_cli(capsys, "index", str(u_file), str(u_file))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {u_file}: entry 0 lies beyond the float range\n"
 
     def test_boolean_dim_exits_one(self, tmp_path, capsys):
         # True passes isinstance(dim, int) and matches one data entry.

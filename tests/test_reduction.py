@@ -15,7 +15,7 @@ from chiralwalk import linalg, spectral
 from chiralwalk import chiral
 from chiralwalk.chiral import _supercharge, make_pair
 from chiralwalk.linalg import unitarity_residual
-from chiralwalk.models import grover_search, grover_walk
+from chiralwalk.models import Graph, grover_search, grover_walk, toy_two_dim
 from chiralwalk.selfcheck import haar_unitary, random_connected_multigraph
 from chiralwalk.spectral import build_index_report, cluster_reals, cluster_unimodular, coisometry
 
@@ -124,6 +124,19 @@ def test_dense_graph_walk_subspace_is_smaller_than_twice_the_coin():
     pair = _graph_walk(7, 20, 200)
     assert coisometry(pair).coin_space_dim == 20
     assert _walk(pair).basis.shape == (pair.dim, 39)
+
+
+def test_dense_walk_takes_the_supercharge_in_its_one_form():
+    # The triangle walk has c = 3 > n/4, so its report runs on the whole
+    # space. There S = (U - U*)/(2 unit) is the real (U - U^T)/2 for an
+    # exactly real pair, and q = (U - U*)/2i for a complex one.
+    pair = grover_walk(Graph(3, ((0, 1), (1, 2), (2, 0))))
+    walk = _walk(pair)
+    assert walk.basis is None and walk.q.dtype == np.float64
+    assert np.array_equal(walk.q, (pair.u - pair.u.T) / 2.0)
+    pair = toy_two_dim(0.3, 1.1)
+    assert np.iscomplexobj(pair.u) and _walk(pair).basis is None
+    assert np.array_equal(_walk(pair).q, (pair.u - pair.u.conj().T) / 2j)
 
 
 @pytest.mark.parametrize("qubits", [3, 5, 7])
