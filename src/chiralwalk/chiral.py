@@ -70,12 +70,15 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     Raises :class:`NotUnitary` if the evolution is not unitary,
     :class:`NotInvolution` if the grading is not a unitary involution or
     the grading or the coin is further from Hermitian than
-    ``tol.structural``, and :class:`ChiralSymmetryViolated` (with the residual) if the grading
-    fails to conjugate the evolution to its adjoint. The coin's
-    involution and unitarity and ``u = gamma @ coin`` must hold to within
-    ``tol.structural * n``, else :class:`InconsistencyDetected`; each is
-    checked by its own product only where :func:`_derived_bounds` does
-    not already settle it.
+    ``tol.structural``, and :class:`ChiralSymmetryViolated` (with the
+    residual) if the grading fails to conjugate the evolution to its
+    adjoint. The coin's involution and unitarity and ``u = gamma @ coin``
+    must hold to within ``tol.structural * n``, else
+    :class:`InconsistencyDetected`. Only ``u* u``, ``gamma* gamma`` and
+    the coin ``gamma @ u`` are always formed; each of the other five
+    products is formed only where :func:`_derived_bounds` does not already
+    settle its check, so a pair is accepted or refused, with the same
+    error, as when all eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -98,23 +101,28 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     r_g = _identity_residual(g.conj().T @ g)
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
-    r_2 = _identity_residual(g @ g)
-    if r_2 > tol.structural:
-        raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
     coin = g @ u
-    # (g @ u) @ g is how Python evaluates g @ u @ g.
-    chirality = _maxabs(coin @ g - u.conj().T)
-    if chirality > tol.structural:
-        raise ChiralSymmetryViolated(chirality, tol.structural)
     hermiticity = {"coin": _maxabs(coin - coin.conj().T), "grading": _maxabs(g - g.conj().T)}
+    n = u.shape[0]
+    measured = (n, r_u, r_g, hermiticity["grading"], hermiticity["coin"])
+    # g @ g and the chirality product are formed only where their bounds
+    # exceed tol.structural; where a product is not formed, its bound
+    # stands in for its residual below. (g @ u) @ g is how Python
+    # evaluates g @ u @ g.
+    r_2, chirality = _derived_bounds(*measured)[:2]
+    if r_2 > tol.structural and (r_2 := _identity_residual(g @ g)) > tol.structural:
+        raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
+    if chirality > tol.structural and (
+            chirality := _maxabs(coin @ g - u.conj().T)) > tol.structural:
+        raise ChiralSymmetryViolated(chirality, tol.structural)
     # The coin inherits involutivity and unitarity from the residuals
     # above, and g @ coin recovers u; each of the three products is formed
     # only where the bound derived from those residuals exceeds the scale,
     # so downstream code can rely on all three without rechecking.
-    scale = tol.structural * u.shape[0]
+    scale = tol.structural * n
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(u.shape[0], r_u, r_g, r_2, chirality, hermiticity["coin"]),
+        _derived_bounds(*measured, r_2, chirality)[2:],
         (lambda: _identity_residual(coin @ coin),
          lambda: _identity_residual(coin.conj().T @ coin),
          lambda: _maxabs(u - g @ coin)),
@@ -134,30 +142,65 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
 
 
-def _derived_bounds(n: int, r_u: float, r_g: float, r_2: float, chirality: float,
-                    hermiticity: float) -> tuple[float, float, float]:
-    """Bounds on the coin-involution, coin-unitarity and recovery residuals.
+def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
+                    r_2: float | None = None,
+                    chirality: float | None = None) -> tuple[float, ...]:
+    """Bounds on the residuals of make_pair's five products that may be skipped.
 
     The arguments are the entrywise residuals of ``U* U - 1``, ``G* G - 1``,
-    ``G^2 - 1``, ``C G - U*`` and ``C - C*``. With E the rounding error of
-    the stored coin ``C = GU + E``, ``C^2 - 1 = (U* U - 1) + (C G - U*) U + C E``,
-    ``C* C - 1 = (C^2 - 1) + (C* - C) C`` and ``U - G C = (1 - G^2) U - G E``.
+    ``G - G*`` and ``C - C*``, where C is the stored coin, and, where their
+    products were formed, those of ``G^2 - 1`` and ``C G - U*``. The
+    bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
+    ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
+    first two bounds in place of ``r_2`` and ``chirality`` when those are
+    not given. With E the rounding error of ``C = GU + E``:
+
+    * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
+    * ``C G - U* = (C - C*) G + U* (G* G - 1) + E* G``;
+    * ``C^2 - 1 = (U* U - 1) + (C G - U*) U + C E``;
+    * ``C* C - 1 = (C^2 - 1) + (C* - C) C``;
+    * ``U - G C = (1 - G^2) U - G E``.
+
     An entry of a product is at most a row's norm times a column's, and a
     residual's row has norm at most sqrt(n) times its largest entry. Rows
     and columns of U and G have norm at most ``nu``, where
     ``nu^2 = (1 + n r) / (1 - n gamma)`` bounds ``|U|_2^2`` and ``|G|_2^2``
-    by their unitarity residuals, and those of C at most ``2 nu^2``.
-    ``slack`` covers E and the rounding of the residuals and of the
-    products they replace, ``gamma = (n + 4) eps`` bounding the rounding of
-    a complex n-term dot product (while ``n gamma < 1``, far beyond any
-    dense matrix that fits in memory).
+    by their unitarity residuals, and those of C at most ``2 nu^2``. Here
+    ``gamma = (n + 4) eps`` bounds the rounding of a complex n-term dot
+    product relative to the sum of its terms' magnitudes (while
+    ``n gamma < 1``, far beyond any dense matrix that fits in memory), and
+    ``1 + gamma`` covers the relative rounding of a residual, its
+    subtraction and its magnitude. So:
+
+    * the rounding of ``G^2`` and of ``G* G`` adds at most ``gamma nu^2``
+      to an entry each, which gives ``(1 + gamma)(r_g + sqrt(n) nu h_g)
+      + 3 gamma nu^2`` for ``G^2 - 1``;
+    * the rounding of ``G* G`` enters ``U* (G* G - 1)`` as at most
+      ``gamma |U*||G*||G|``, and ``|E| <= gamma |G||U|`` bounds ``E* G``
+      by the same product, whose entries are at most the norm of ``|G|``
+      (at most its Frobenius norm, ``sqrt(n) nu``) times ``nu^2``; the
+      rounding of ``C G`` adds ``2 gamma nu^3``. This gives
+      ``(1 + gamma) sqrt(n) nu (h_c + r_g) + 3 gamma (sqrt(n) + 1) nu^3``
+      for ``C G - U*``;
+    * ``slack = 32 sqrt(n) gamma nu^4`` covers E and the rounding of the
+      residuals and of the products in the last three.
+
+    The first two are compared with ``tol.structural``. At the default
+    tolerance the rounding term of the second reaches it from n = 2790,
+    so a search pair on 11 qubits (n = 4096) forms ``C G`` again; that of
+    the first only from n of about 1.5e5.
     """
     gamma = (n + 4) * _EPS
     nu2 = (1.0 + n * max(r_u, r_g)) / (1.0 - n * gamma)
     root_n, nu = math.sqrt(n), math.sqrt(nu2)
+    square = (1.0 + gamma) * (r_g + root_n * nu * h_g) + 3.0 * gamma * nu2
+    chiral = ((1.0 + gamma) * root_n * nu * (h_c + r_g)
+              + 3.0 * gamma * (root_n + 1.0) * nu2 * nu)
+    r_2 = square if r_2 is None else r_2
+    chirality = chiral if chirality is None else chirality
     slack = 32.0 * root_n * gamma * nu2 * nu2
     involution = r_u + root_n * nu * chirality + slack
-    return (involution, involution + 2.0 * root_n * nu2 * hermiticity,
+    return (square, chiral, involution, involution + 2.0 * root_n * nu2 * h_c,
             root_n * nu * r_2 + slack)
 
 

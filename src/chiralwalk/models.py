@@ -23,15 +23,19 @@ from .chiral import ChiralPair, make_pair
 from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
-# Beyond dimension 2^13 a search pair gets silently slow. Its report makes
-# no factorization with both dimensions above n/2 (the projection-pair
-# route takes the eigenvalues of 2 x 2 compressions) and writes no
-# n x (n - k) basis (wide subspaces are held by their narrow complements),
-# but make_pair's five n x n products still cost O(n^3), and the report
-# still forms a few n x n matrices: the certificate of its walk subspace
-# and the recovered coin. The probability table builds no pair and steps
-# in O(n), but takes the same limit, so both accept the same qubit counts.
-MAX_SEARCH_QUBITS = 12
+# A search pair on q qubits has dimension n = 2^(q + 1) and is held as
+# dense n x n matrices. Its report makes no factorization with both
+# dimensions above n/2 and writes no n x (n - k) basis, so building and
+# validating the pair dominates: make_pair forms three n x n products, at
+# O(n^3). The limit keeps that within about a second and 256 MiB (1 BLAS
+# thread): at q = 10 (n = 2048) grover_search takes 0.68 s with a traced
+# peak of 136 MiB, and each further qubit multiplies the time by about 8
+# and the memory by 4 (q = 11 would take about 5 s and 545 MiB).
+MAX_SEARCH_QUBITS = 10
+# The probability table builds no pair: it holds the search state, 16 * 2^q
+# bytes, and one step's copy of it. The limit keeps the state at 16 MiB
+# (q = 20), where a step takes about 30 ms.
+MAX_EVOLVE_QUBITS = 20
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,13 @@ class SplitStepParams:
     coin_angles: tuple[float, ...]
 
 
-def _search_positions(qubits: int, target: int) -> int:
+def _search_positions(qubits: int, target: int, max_qubits: int) -> int:
     """Position count 2^qubits, after checking the qubit count and target."""
     if qubits < 1:
         raise OutOfRange(f"qubit count must be at least 1, got {qubits}")
-    if qubits > MAX_SEARCH_QUBITS:
+    if qubits > max_qubits:
         raise OutOfRange(
-            f"qubit count {qubits} exceeds the supported maximum "
-            f"{MAX_SEARCH_QUBITS}"
+            f"qubit count {qubits} exceeds the supported maximum {max_qubits}"
         )
     n_positions = 2**qubits
     if not 0 <= target < n_positions:
@@ -137,10 +140,14 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
     which is the grading with its marked column negated. All three are
     real.
     """
-    n_positions = _search_positions(qubits, target)
+    n_positions = _search_positions(qubits, target, MAX_SEARCH_QUBITS)
     uniform = np.full(n_positions, 1.0 / math.sqrt(n_positions))
     reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
-    gamma = np.kron(reflect, np.eye(2))
+    # Written as np.kron(reflect, np.eye(2)) writes it, down to the -0.0
+    # of each negative entry times zero.
+    gamma = np.empty((2 * n_positions, 2 * n_positions))
+    gamma[0::2, 0::2] = gamma[1::2, 1::2] = reflect
+    gamma[0::2, 1::2] = gamma[1::2, 0::2] = reflect * 0.0
     u = gamma.copy()
     u[:, 2 * target + 1] *= -1.0
     return make_pair(u, gamma, tol)
@@ -160,7 +167,7 @@ def search_probability_table(
     """
     if steps < 0:
         raise OutOfRange(f"step count must be nonnegative, got {steps}")
-    n_positions = _search_positions(qubits, target)
+    n_positions = _search_positions(qubits, target, MAX_EVOLVE_QUBITS)
     x = target if measure is None else measure
     if not 0 <= x < n_positions:
         raise OutOfRange(f"measured position {measure} outside [0, {n_positions})")

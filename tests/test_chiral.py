@@ -219,6 +219,14 @@ def _make_pair_outcome(u, gamma):
     return None
 
 
+def _drawn_involution(rng, dim, real):
+    """A reflection through a random subspace, real orthogonal or Haar unitary."""
+    if not real:
+        return random_involution(rng, dim)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rng.integers(0, dim + 1)]
+    return 2.0 * basis @ basis.T - np.eye(dim)
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(min_value=1, max_value=6),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -235,14 +243,7 @@ def test_make_pair_outcome_matches_all_eight_products(dim, seed, real, target, c
     # accepted or refused, and with the same error, as when all eight are
     # formed.
     rng = np.random.default_rng(seed)
-
-    def involution():
-        if not real:
-            return random_involution(rng, dim)
-        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rng.integers(0, dim + 1)]
-        return 2.0 * basis @ basis.T - np.eye(dim)
-
-    gamma, coin = involution(), involution()
+    gamma, coin = _drawn_involution(rng, dim, real), _drawn_involution(rng, dim, real)
     noise = np.ones((dim, dim)) if coherent else rng.uniform(-1.0, 1.0, (dim, dim))
     if not real:
         noise = noise * np.exp(2j * np.pi * rng.uniform(size=(dim, dim)))
@@ -255,15 +256,102 @@ def test_make_pair_outcome_matches_all_eight_products(dim, seed, real, target, c
     assert _make_pair_outcome(u, gamma) == _reference_make_pair_outcome(u, gamma, DEFAULT_TOL)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       real=st.booleans(),
+       target=st.sampled_from(["skew grading", "commuting skew grading", "chirality"]),
+       coherent=st.booleans(),
+       exponent=st.floats(min_value=-2.5, max_value=0.5))
+def test_make_pair_outcome_matches_all_eight_products_near_the_square_and_chirality(
+        dim, seed, real, target, coherent, exponent):
+    # g @ g and the chirality product are formed only where their derived
+    # bounds, which grow with sqrt(n), exceed tol.structural. A grading
+    # moved by a skew-Hermitian S = N - N* (or by S + G S G, which commutes
+    # with it, so that only its square sees the move), or an evolution
+    # moved by a unitary factor that breaks only chirality, is scaled so
+    # that the moved residual, of G^2 - 1 or of C G - U*, is
+    # 10**exponent * tol.structural. It must be accepted or refused, and
+    # with the same error, as when all eight products are formed.
+    rng = np.random.default_rng(seed)
+    gamma, coin = _drawn_involution(rng, dim, real), _drawn_involution(rng, dim, real)
+    if coherent:
+        noise = np.triu(np.ones((dim, dim)), 1)
+        if not real:
+            noise = noise * np.exp(2j * np.pi * rng.uniform())
+    else:
+        noise = rng.uniform(-1.0, 1.0, (dim, dim))
+        if not real:
+            noise = noise * np.exp(2j * np.pi * rng.uniform(size=(dim, dim)))
+    skew = noise - noise.conj().T
+    if target == "commuting skew grading":
+        skew = skew + gamma @ skew @ gamma
+    eye = np.eye(dim)
+
+    def moved(scale):
+        if target == "chirality":
+            # The Cayley transform of a skew-Hermitian matrix is unitary.
+            factor = np.linalg.solve(eye - scale * skew / 2.0, eye + scale * skew / 2.0)
+            return gamma @ coin @ factor, gamma
+        return gamma @ coin, gamma + scale * skew
+
+    def residual(u, g):
+        if target == "chirality":
+            return _maxabs(g @ u @ g - u.conj().T)
+        return _identity_residual(g @ g)
+
+    # The moved residual is linear in a small scale.
+    scale = 0.0
+    if (peak := np.max(np.abs(skew))) > 0.0:
+        scale = DEFAULT_TOL.structural / peak
+        scale *= 10.0**exponent * DEFAULT_TOL.structural / residual(*moved(scale))
+    u, gamma = moved(scale)
+    assert _make_pair_outcome(u, gamma) == _reference_make_pair_outcome(u, gamma, DEFAULT_TOL)
+
+
 def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
-    # Bounds in the order coin involution, coin unitarity, product recovery.
+    # Arguments r_u, r_g, h_g, h_c, r_2, chirality; bounds in the order
+    # g @ g, chirality, coin involution, coin unitarity, product recovery.
     tol = DEFAULT_TOL.structural
-    near = [0.9 * tol] * 5
+    near = [0.9 * tol] * 6
     for n in (1, 2, 3):
-        involution, unitarity, _ = _derived_bounds(n, *near)
+        square, chirality, involution, unitarity, _ = _derived_bounds(n, *near)
+        assert square > tol and chirality > tol
         assert unitarity > tol * n and (involution > tol * n) == (n < 3)
-    assert _derived_bounds(1, *[tol] * 5)[2] > tol
-    assert all(bound < 1e-2 * tol * 256 for bound in _derived_bounds(256, *[1e-15] * 5))
+    assert _derived_bounds(1, *[tol] * 6)[4] > tol
+    # A Hermiticity residual just past tol.structural / sqrt(n) alone makes
+    # the grading's square and the chirality product be formed.
+    for n in (1, 16, 64):
+        assert _derived_bounds(n, 0.0, 0.0, 1.01 * tol / n**0.5, 0.0)[0] > tol
+        assert _derived_bounds(n, 0.0, 0.0, 0.0, 1.01 * tol / n**0.5)[1] > tol
+    tiny = _derived_bounds(256, *[1e-15] * 6)
+    assert all(bound < 1e-1 * tol for bound in tiny[:2])
+    assert all(bound < 1e-2 * tol * 256 for bound in tiny[2:])
+    # Where g @ g and the chirality product are not formed, their bounds
+    # stand in for their residuals in the last three.
+    residuals = (64, 1e-13, 2e-13, 3e-13, 4e-13)
+    square, chirality = _derived_bounds(*residuals)[:2]
+    assert _derived_bounds(*residuals)[2:] == _derived_bounds(*residuals, square, chirality)[2:]
+    # The chirality bound's rounding term alone reaches tol.structural at
+    # n = 4096, a search pair on 11 qubits, and not at n = 2048.
+    assert _derived_bounds(2048, *[0.0] * 4)[1] <= tol < _derived_bounds(4096, *[0.0] * 4)[1]
+    assert _derived_bounds(8192, *[0.0] * 4)[0] < 1e-1 * tol
+
+
+@pytest.mark.parametrize("qubits", range(1, 9))
+def test_search_pairs_form_three_products(qubits):
+    # make_pair always forms u* u, g* g and the coin g @ u. For a search
+    # pair every derived bound settles its check, so none of the other
+    # five products is formed.
+    tol = DEFAULT_TOL.structural
+    for target in sorted({0, 1, 2**qubits - 1}):
+        pair = grover_search(qubits, target)
+        u, g, coin = pair.u, pair.gamma, pair.coin
+        n = pair.dim
+        bounds = _derived_bounds(n, _identity_residual(u.T @ u), _identity_residual(g.T @ g),
+                                 _maxabs(g - g.T), _maxabs(coin - coin.T))
+        assert max(bounds[:2]) <= tol
+        assert max(bounds[2:]) <= tol * n
 
 
 class TestSuperchargeOnReport:

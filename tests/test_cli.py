@@ -559,6 +559,39 @@ class TestEvolveCommand:
         assert float(out.strip().splitlines()[0].split(", ")[1]) == 0.25
 
 
+class TestSizeLimits:
+    def test_search_pair_limit(self, capsys):
+        limit = models.MAX_SEARCH_QUBITS
+        code, out, err = run_cli(capsys, "model", "grover-search",
+                                 "--qubits", str(limit + 1), "--target", "0")
+        assert code == 1
+        assert out == ""
+        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
+        code, out, _ = run_cli(capsys, "model", "grover-search",
+                               "--qubits", str(limit), "--target", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["consistent"] is True
+        assert doc["indices"]["alpha"] == 4 - 2 ** (limit + 1)
+
+    def test_evolve_limit(self, capsys):
+        # evolve holds only the search state, so its limit is its own.
+        limit = models.MAX_EVOLVE_QUBITS
+        assert limit > models.MAX_SEARCH_QUBITS
+        code, out, err = run_cli(capsys, "evolve", "--qubits", str(limit + 1),
+                                 "--target", "0", "--steps", "0")
+        assert code == 1
+        assert out == ""
+        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
+        code, out, _ = run_cli(capsys, "evolve", "--qubits", str(limit),
+                               "--target", "3", "--steps", "0")
+        assert code == 0
+        step, prob, total = out.strip().split(", ")
+        assert step == "0"
+        assert float(prob) == pytest.approx(2.0 ** -limit, rel=1e-12)
+        assert float(total) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSelftestCommand:
     def test_tiny_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--dim-max", "2", "--trials", "1",

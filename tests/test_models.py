@@ -71,6 +71,18 @@ class TestGroverSearch:
         with pytest.raises(OutOfRange):
             grover_search(2, 4)
 
+    @pytest.mark.parametrize("qubits", range(1, 9))
+    def test_grading_is_written_as_kron_writes_it(self, qubits):
+        # Down to the sign of each zero: np.kron writes -0.0 for a negative
+        # entry times zero, and the reports are pinned to those bytes.
+        n_positions = 2**qubits
+        uniform = np.full(n_positions, 1.0 / np.sqrt(n_positions))
+        reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
+        expected = np.kron(reflect, np.eye(2))
+        for target in sorted({0, n_positions - 1}):
+            pair = grover_search(qubits, target)
+            assert pair.gamma.tobytes() == expected.tobytes()
+
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(OutOfRange):
             grover_search(0, 0)
