@@ -300,11 +300,13 @@ def test_make_pair_outcome_matches_all_eight_products_near_the_square_and_chiral
             return _maxabs(g @ u @ g - u.conj().T)
         return _identity_residual(g @ g)
 
-    # The moved residual is linear in a small scale.
+    # The moved residual is linear in a small scale. Some moves leave it
+    # at zero (a rotation times a 2 x 2 reflection is a reflection).
     scale = 0.0
     if (peak := np.max(np.abs(skew))) > 0.0:
         scale = DEFAULT_TOL.structural / peak
-        scale *= 10.0**exponent * DEFAULT_TOL.structural / residual(*moved(scale))
+        if (unscaled := residual(*moved(scale))) > 0.0:
+            scale *= 10.0**exponent * DEFAULT_TOL.structural / unscaled
     u, gamma = moved(scale)
     assert _make_pair_outcome(u, gamma) == _reference_make_pair_outcome(u, gamma, DEFAULT_TOL)
 
