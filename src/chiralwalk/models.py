@@ -30,7 +30,8 @@ from .linalg import DEFAULT_TOL, Tolerance
 # O(n^3). The limit keeps that within about a second and 256 MiB (1 BLAS
 # thread): at q = 10 (n = 2048) grover_search takes 0.68 s with a traced
 # peak of 136 MiB, and each further qubit multiplies the time by about 8
-# and the memory by 4 (q = 11 would take about 5 s and 545 MiB).
+# and the memory by 4 (q = 11, where make_pair forms a fourth product,
+# would take 5 to 7 s and about 545 MiB).
 MAX_SEARCH_QUBITS = 10
 # The probability table builds no pair: it holds the search state, 16 * 2^q
 # bytes, and one step's copy of it. The limit keeps the state at 16 MiB
