@@ -17,7 +17,7 @@ cutoff as ``ker q``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +33,15 @@ from .linalg import (
     Subspace,
     Tolerance,
     _EPS,
+    _NARROW_MIN_DIM,
     _identity_residual,
     _involution_eigenspaces,
     _maxabs,
     _narrow,
+    _narrow_eigenspaces,
     _near_unit,
     _rank_svd,
+    _real_if_exact,
     as_square_matrix,
 )
 
@@ -51,17 +54,30 @@ class ChiralPair:
     ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is the
     involution ``gamma @ u`` so that ``u = gamma @ coin``. The three are
     float64 when every entry of ``u`` and ``gamma`` is exactly real, and
-    complex128 otherwise.
+    complex128 otherwise. ``eigenspaces`` holds the +1 and -1 eigenspaces
+    of the grading and of the coin that :func:`make_pair` took from their
+    narrow sides, each pair None where it took none, and is None when it
+    took neither; they are what ``_involution_eigenspaces`` gives for the
+    stored matrices, so nothing downstream factorizes them again.
     """
 
     u: np.ndarray
     gamma: np.ndarray
     coin: np.ndarray
     tol: Tolerance
+    eigenspaces: tuple[tuple[Subspace, Subspace] | None,
+                       tuple[Subspace, Subspace] | None] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return int(self.u.shape[0])
+
+
+def _eigenspaces(pair: ChiralPair, index: int) -> tuple[Subspace, Subspace]:
+    """The eigenspaces of the grading (index 0) or the coin (1): carried, else computed."""
+    carried = pair.eigenspaces[index] if pair.eigenspaces else None
+    return carried or _involution_eigenspaces((pair.gamma, pair.coin)[index], pair.tol)
 
 
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
@@ -74,11 +90,14 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     residual) if the grading fails to conjugate the evolution to its
     adjoint. The coin's involution and unitarity and ``u = gamma @ coin``
     must hold to within ``tol.structural * n``, else
-    :class:`InconsistencyDetected`. Only ``u* u``, ``gamma* gamma`` and
-    the coin ``gamma @ u`` are always formed; each of the other five
-    products is formed only where :func:`_derived_bounds` does not already
-    settle its check, so a pair is accepted or refused, with the same
-    error, as when all eight are formed.
+    :class:`InconsistencyDetected`. Only the coin ``gamma @ u`` is always
+    formed. From dimension 64 on, where the grading and the coin each
+    have a narrow side, :func:`_certified_bounds` settles ``u* u``,
+    ``gamma* gamma`` and both Hermiticity residuals from their narrow
+    eigenspaces; otherwise those four are measured. Each of the other
+    five products is formed only where :func:`_derived_bounds` does not
+    already settle its check, so a pair is accepted or refused, with the
+    same error, as when all eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -88,32 +107,39 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         )
     if u.shape[0] == 0:
         raise DimensionMismatch("pair dimension must be positive")
-    if not (u.imag.any() or g.imag.any()):
+    if not (np.iscomplexobj(u) and u.imag.any() or np.iscomplexobj(g) and g.imag.any()):
         # An exactly real pair is kept real, so its coin and every
         # factorization downstream run in real arithmetic.
         u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
-    # u and g are coerced matrices from here on, so each residual is taken
-    # from a fresh product without coercing it again, the identity
-    # subtracted in place.
-    r_u = _identity_residual(u.conj().T @ u)
+    n = u.shape[0]
+    # Every residual and certificate is taken in one n x n buffer, each
+    # product written into it and the identity subtracted in place.
+    work = np.empty((n, n), dtype=np.result_type(u, g))
+    coin, spaces, (r_u, r_g, h_g, h_c) = _narrow_route(g, u, tol, work)
+    # A residual that the narrow route did not settle is formed.
+    if r_u is None:
+        r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
     if r_u > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {r_u:.6e}")
-    r_g = _identity_residual(g.conj().T @ g)
+    if r_g is None:
+        r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
-    coin = g @ u
-    hermiticity = {"coin": _maxabs(coin - coin.conj().T), "grading": _maxabs(g - g.conj().T)}
-    n = u.shape[0]
-    measured = (n, r_u, r_g, hermiticity["grading"], hermiticity["coin"])
+    if coin is None:
+        coin = np.matmul(g, u)
+    hermiticity = {"coin": _skew_residual(coin, work) if h_c is None else h_c,
+                   "grading": _skew_residual(g, work) if h_g is None else h_g}
+    residuals = (n, r_u, r_g, hermiticity["grading"], hermiticity["coin"])
     # g @ g and the chirality product are formed only where their bounds
     # exceed tol.structural; where a product is not formed, its bound
     # stands in for its residual below. (g @ u) @ g is how Python
     # evaluates g @ u @ g.
-    r_2, chirality = _derived_bounds(*measured)[:2]
-    if r_2 > tol.structural and (r_2 := _identity_residual(g @ g)) > tol.structural:
+    r_2, chirality = _derived_bounds(*residuals)[:2]
+    if r_2 > tol.structural and (
+            r_2 := _identity_residual(np.matmul(g, g, out=work))) > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
-    if chirality > tol.structural and (
-            chirality := _maxabs(coin @ g - u.conj().T)) > tol.structural:
+    if chirality > tol.structural and (chirality := _maxabs(
+            np.subtract(np.matmul(coin, g, out=work), u.conj().T, out=work))) > tol.structural:
         raise ChiralSymmetryViolated(chirality, tol.structural)
     # The coin inherits involutivity and unitarity from the residuals
     # above, and g @ coin recovers u; each of the three products is formed
@@ -122,10 +148,10 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     scale = tol.structural * n
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(*measured, r_2, chirality)[2:],
-        (lambda: _identity_residual(coin @ coin),
-         lambda: _identity_residual(coin.conj().T @ coin),
-         lambda: _maxabs(u - g @ coin)),
+        _derived_bounds(*residuals, r_2, chirality)[2:],
+        (lambda: _identity_residual(np.matmul(coin, coin, out=work)),
+         lambda: _identity_residual(np.matmul(coin.conj().T, coin, out=work)),
+         lambda: _maxabs(np.subtract(u, np.matmul(g, coin, out=work), out=work))),
     ):
         if bound > scale and (value := residual()) > scale:
             raise InconsistencyDetected(label, value)
@@ -139,7 +165,154 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
-    return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
+    return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
+
+
+_NOTHING_SETTLED = (None, None, None, None)
+
+
+def _narrow_route(g: np.ndarray, u: np.ndarray, tol: Tolerance, work: np.ndarray):
+    """The coin, the narrow eigenspaces of the grading and the coin, and what they settle.
+
+    Below dimension ``_NARROW_MIN_DIM`` nothing is taken: the coin is
+    None, for :func:`make_pair` to form once the grading is unitary, and
+    so are the eigenspaces. Otherwise each matrix's eigenspaces are what
+    ``_involution_eigenspaces`` takes from a narrow side, or None where
+    it takes none, and the pair of them is None when both are. Last come
+    the residuals of ``U* U - 1``, ``G* G - 1``, ``G - G*`` and
+    ``C - C*``: each is the bound of :func:`_certified_bounds` on the
+    exact residual where its bound as computed is at most
+    ``tol.structural``, else None.
+    """
+    if len(g) < _NARROW_MIN_DIM:
+        return None, None, _NOTHING_SETTLED
+    # Input far from a pair can overflow the coin or the narrow route; the
+    # bounds are then not finite, and make_pair forms the products, which
+    # raise as they would have.
+    with np.errstate(all="ignore"):
+        coin = np.matmul(g, u)
+        # Each is taken as real when it is complex but exactly real, as
+        # _involution_eigenspaces takes it.
+        involutions = (_real_if_exact(g), _real_if_exact(coin))
+        spaces = tuple(_narrow_eigenspaces(x, tol) for x in involutions)
+        bounds = _certified_bounds(*involutions, *spaces, work)
+    return coin, spaces if any(spaces) else None, tuple(
+        exact if computed <= tol.structural else None for exact, computed in bounds)
+
+
+def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
+    """Largest entry of ``x - x*``, formed in ``work``.
+
+    A complex x's adjoint is written into ``work`` first, so no other
+    n x n array is made; a real x is its own conjugate.
+    """
+    adjoint = np.conjugate(x.T, out=work) if np.iscomplexobj(x) else x.T
+    return _maxabs(np.subtract(x, adjoint, out=work))
+
+
+def _involution_certificate(x: np.ndarray, spaces: tuple[Subspace, Subspace],
+                            work: np.ndarray) -> tuple[float, float, float, int]:
+    """What :func:`_certified_bounds` measures of an involution X from its narrow side.
+
+    With B the n x k basis of the narrow side and s its sign: the largest
+    entries of ``X - s (2 B B* - 1)``, formed in ``work``, and of
+    ``B* B - 1``, the largest squared row norm of B, and k.
+    """
+    plus, minus = spaces
+    sign, b = (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
+    n, k = b.shape
+    # Scaling by 2 s is exact, so this is 2 s times the rounded B B*. With
+    # its second factor a fresh array, B B* of a real B does not take the
+    # symmetric rank-k update, slower for a narrow B than the general one.
+    np.matmul(b, (2.0 * sign) * b.conj().T, out=work)
+    work.flat[::n + 1] -= sign
+    e = _maxabs(np.subtract(x, work, out=work))
+    rows = float(np.einsum("ij,ij->i", b, b.conj()).real.max())
+    return e, _identity_residual(b.conj().T @ b), rows, k
+
+
+def _certified_bounds(g: np.ndarray, coin: np.ndarray,
+                      g_spaces: tuple[Subspace, Subspace] | None,
+                      c_spaces: tuple[Subspace, Subspace] | None,
+                      work: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
+
+    Each is a pair: a bound on the exact residual's largest entry, and
+    one on the residual as :func:`make_pair` would compute it. Both are
+    infinite where an eigenspace the bound needs was not taken: the
+    grading's for the second and third, the coin's for the fourth, both
+    for the first. Of an involution X with a narrow side of sign s and
+    basis B (n x k), :func:`_involution_certificate` measures ``e``, the
+    largest entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``,
+    and ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps``
+    as in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``:
+
+    * ``F = B* B - 1`` has entries at most
+      ``beta = ((1 + gamma) f + gamma) / (1 - gamma)``, the rounding of
+      ``B* B`` being at most ``gamma`` times its columns' norms, which are
+      at most ``1 + beta``; so ``|F|_2 <= k beta`` and ``|B|_2^2 <= 1 + k beta``;
+    * B's rows have squared norms at most ``rho2 = (1 + gamma_k) w``;
+    * ``D = X - Xh`` with ``Xh = s (2 B B* - 1)`` has entries at most
+      ``delta = (1 + gamma_k)(e + eps) + 3 gamma_k rho2``: the rounding of
+      ``B B*`` is at most ``gamma_k rho2`` per entry, doubling is exact,
+      and subtracting s on the diagonal and the result from X round by
+      ``eps`` relative;
+    * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
+      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
+      smallest singular value is at least ``1 - 2 k beta``, and
+      ``|D|_2 <= n delta`` moves both by at most that.
+
+    Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
+    ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
+    ``4 rho2 k beta + 2 sqrt(n) |Xh|_2 delta + n delta^2`` (a row's norm
+    times a column's) and 2-norm at most
+    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``. For the
+    evolution, with ``C = G U + E`` and ``|E| <= gamma |G| |U|``,
+    ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``. A
+    column of E has norm at most ``gamma sqrt(n) nu_G nu_U``, since
+    ``|(|G|)|_2`` is at most G's Frobenius norm, and
+    ``|U|_2 <= nu_U = |C|_2 / (sigma_min(G) - n gamma |G|_2)`` because
+    ``|E|_2 <= n gamma |G|_2 |U|_2``. As computed, a Gram residual adds
+    ``gamma`` times the product of two column norms and a Hermiticity
+    residual nothing, and ``1 + gamma`` covers the relative rounding of
+    each subtraction and magnitude.
+    """
+    unknown = (math.inf, math.inf)
+    if not (g_spaces or c_spaces):
+        return (unknown,) * 4
+    n = g.shape[0]
+    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
+
+    def involution(x, spaces):
+        e, f, w, k = _involution_certificate(x, spaces, work)
+        gamma_k = (2 * k + 4) * _EPS
+        beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
+        rho2 = (1.0 + gamma_k) * w
+        delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
+        top, spread = 1.0 + 2.0 * k * beta, n * delta
+        gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
+        gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
+        return delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta - spread
+
+    def as_computed(exact, nu):
+        # A Gram residual's exact bound, and its bound as computed.
+        return exact, (1.0 + gamma) * (exact + gamma * nu * nu)
+
+    g_facts = involution(g, g_spaces) if g_spaces else None
+    c_facts = involution(coin, c_spaces) if c_spaces else None
+    skew = [(2.0 * f[0], (1.0 + gamma) * 2.0 * f[0]) if f else unknown
+            for f in (g_facts, c_facts)]
+    evolution = unknown
+    if g_facts and c_facts:
+        _, _, g_gram_norm, g_norm, g_low = g_facts
+        _, c_gram, _, c_norm, _ = c_facts
+        # Written so that a NaN leaves the evolution unknown.
+        if (low := g_low - n * gamma * g_norm) > 0.0:
+            nu_u = c_norm / low
+            leak = gamma * root_n * g_norm * nu_u
+            evolution = as_computed(c_gram + 2.0 * c_norm * leak + leak * leak
+                                    + nu_u * nu_u * g_gram_norm, nu_u)
+    return (evolution, as_computed(g_facts[1], g_facts[3]) if g_facts else unknown, *skew)
 
 
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
@@ -153,7 +326,11 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
     ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
     first two bounds in place of ``r_2`` and ``chirality`` when those are
-    not given. With E the rounding error of ``C = GU + E``:
+    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or
+    a Hermiticity residual, the bound of :func:`_certified_bounds` on the
+    exact residual stands in for it; every bound here grows with its
+    arguments, so it still holds. With E the rounding error of
+    ``C = GU + E``:
 
     * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
     * ``C G - U* = (C - C*) G + U* (G* G - 1) + E* G``;
@@ -220,7 +397,7 @@ def index_alpha(pair: ChiralPair) -> int:
     (rows - rank alpha*)``, each counted from singular values alone under
     the cutoff :func:`kernel_basis` applies; no kernel basis is formed.
     """
-    return _graded_index(pair, *_involution_eigenspaces(pair.gamma, pair.tol))
+    return _graded_index(pair, *_eigenspaces(pair, 0))
 
 
 def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:

@@ -59,7 +59,24 @@ def load_matrix_file(path) -> np.ndarray:
         raise ValueError(f"{path}: 'dim' must be a positive integer")
     if not isinstance(data, list) or len(data) != dim * dim:
         raise ValueError(f"{path}: 'data' must list exactly dim**2 entries")
-    entries = np.empty(dim * dim, dtype=np.complex128)
+    # The entry types are checked as sets over all entries and one array
+    # is built; the entry-by-entry loop runs only to name the first bad one.
+    if ({type(item) for item in data} <= {list, tuple} and {len(item) for item in data} == {2}
+            and {type(x) for item in data for x in item} <= {int, float}):
+        try:
+            entries = np.array(data, dtype=np.float64).view(np.complex128).ravel()
+        except OverflowError:
+            entries = _entries_one_by_one(path, data)
+    else:
+        entries = _entries_one_by_one(path, data)
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return entries.reshape(dim, dim)
+
+
+def _entries_one_by_one(path, data: list) -> np.ndarray:
+    """The entries of a MatrixFile's ``data``, refusing the first bad one by its index."""
+    entries = np.empty(len(data), dtype=np.complex128)
     for k, item in enumerate(data):
         if (
             not isinstance(item, (list, tuple))
@@ -72,9 +89,7 @@ def load_matrix_file(path) -> np.ndarray:
             entries[k] = complex(item[0], item[1])
         except OverflowError:
             raise ValueError(f"{path}: entry {k} lies beyond the float range") from None
-    if not np.all(np.isfinite(entries)):
-        raise ValueError(f"{path}: matrix entries must be finite")
-    return entries.reshape(dim, dim)
+    return entries
 
 
 def save_matrix_file(path, matrix: np.ndarray) -> None:

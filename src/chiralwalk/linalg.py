@@ -283,16 +283,15 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, _canonical_phases(v)
 
 
-def _cluster_slices(sorted_values: np.ndarray, gap: float):
+def _cluster_slices(sorted_values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """Consecutive index ranges of a sorted real array separated by > gap."""
-    n = len(sorted_values)
-    start = 0
-    for k in range(1, n):
-        if sorted_values[k] - sorted_values[k - 1] > gap:
-            yield start, k
-            start = k
-    if n:
-        yield start, n
+    return _runs(sorted_values[1:] - sorted_values[:-1] > gap, len(sorted_values))
+
+
+def _runs(breaks: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Index ranges of ``n`` values, a new one after each position where ``breaks`` is set."""
+    bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), n] if n else []
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _principal_order(values) -> np.ndarray:
@@ -398,6 +397,9 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
     """
     n = m.shape[0]
     k_plus = (n + float(np.trace(m).real)) / 2.0
+    # An involution's trace lies in [-n, n]; written so that a NaN fails.
+    if not 0.0 <= k_plus <= n:
+        return None
     k = round(min(k_plus, n - k_plus))
     bound = _narrow_certificate_bound(n, tol)
     if not _narrow(k, n) or abs(min(k_plus, n - k_plus) - k) > bound:

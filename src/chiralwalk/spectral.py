@@ -50,14 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _coin_pair_index, _supercharge, _unit
+from .chiral import ChiralPair, _coin_pair_index, _eigenspaces, _supercharge, _unit
 from .errors import InconsistencyDetected
 from .linalg import (
     Subspace,
     Tolerance,
     _cluster_slices,
     _eigh,
-    _involution_eigenspaces,
     _kernel_svd,
     _maxabs,
     _near_unit,
@@ -65,6 +64,7 @@ from .linalg import (
     _overlap,
     _principal_order,
     _real_if_exact,
+    _runs,
     eig_unitary,
     kernel_basis,
     spans_match,
@@ -164,7 +164,7 @@ def coisometry(pair: ChiralPair) -> CoisometryDecomposition:
     when the +1 eigenspace is empty or strictly larger. The flip leaves
     the index unchanged because negating the evolution does.
     """
-    return _coisometry(pair, *_involution_eigenspaces(pair.coin, pair.tol))
+    return _coisometry(pair, *_eigenspaces(pair, 1))
 
 
 def _coisometry(pair: ChiralPair, coin_plus: Subspace,
@@ -311,7 +311,7 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     inherited spaces still compares two factorizations.
     """
     tol = pair.tol
-    coin_plus, coin_minus = _involution_eigenspaces(pair.coin, tol)
+    coin_plus, coin_minus = _eigenspaces(pair, 1)
     dec = _coisometry(pair, coin_plus, coin_minus)
     counts = EigenspaceCensus(*(subspace_intersection(g, c, tol) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
@@ -360,11 +360,20 @@ def _formula(counts: EigenspaceCensus) -> int:
     return (counts.M_minus - counts.m_minus) - (counts.M_plus - counts.m_plus)
 
 
+def _mean(values: np.ndarray):
+    """``np.mean`` of a cluster; of one value, the value itself.
+
+    ``np.mean`` sums from zero, so a lone -0.0 (or a complex value's
+    -0.0 part) comes back as 0.0; adding zero does the same.
+    """
+    return values[0] + 0.0 if len(values) == 1 else np.mean(values)
+
+
 def cluster_reals(values, gap: float) -> tuple[tuple[float, int], ...]:
     """Group sorted real values whose consecutive gap is at most ``gap``."""
     vals = np.sort(np.asarray(values, dtype=float))
     return tuple(
-        (float(np.mean(vals[start:stop])), stop - start)
+        (float(_mean(vals[start:stop])), stop - start)
         for start, stop in _cluster_slices(vals, gap)
     )
 
@@ -379,17 +388,16 @@ def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
     if vals.size == 0:
         return ()
     vals = vals[_principal_order(vals)]
-    groups: list[list[complex]] = []
-    for v in vals:
-        if groups and abs(v - groups[-1][-1]) <= gap:
-            groups[-1].append(complex(v))
-        else:
-            groups.append([complex(v)])
-    if len(groups) > 1 and abs(groups[0][0] - groups[-1][-1]) <= gap:
-        groups[0] = groups.pop() + groups[0]
+    # hypot rounds as scalar abs() does, so each <= gap decision is the
+    # one a value-by-value comparison makes; a NaN distance breaks.
+    steps = vals[1:] - vals[:-1]
+    groups = [vals[start:stop] for start, stop in
+              _runs(~(np.hypot(steps.real, steps.imag) <= gap), len(vals))]
+    if len(groups) > 1 and abs(complex(groups[0][0]) - complex(groups[-1][-1])) <= gap:
+        groups[0] = np.concatenate([groups.pop(), groups[0]])
 
-    def normalized_mean(g: list[complex]) -> complex:
-        rep = complex(np.mean(g))
+    def normalized_mean(g: np.ndarray) -> complex:
+        rep = complex(_mean(g))
         mag = abs(rep)
         return rep / mag if mag > 0 else rep
 
@@ -411,7 +419,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    gamma_plus, gamma_minus = _involution_eigenspaces(pair.gamma, tol)
+    gamma_plus, gamma_minus = _eigenspaces(pair, 0)
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
         _discriminant_census(pair, gamma_plus, gamma_minus)
     walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk.chiral import _derived_bounds, _projection_pair_index, index_alpha, make_pair
+from chiralwalk import linalg
+from chiralwalk.chiral import (
+    _certified_bounds,
+    _derived_bounds,
+    _projection_pair_index,
+    index_alpha,
+    make_pair,
+)
 from chiralwalk.errors import (
     ChiralSymmetryViolated,
     ChiralWalkError,
@@ -342,9 +349,11 @@ def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
 
 @pytest.mark.parametrize("qubits", range(1, 9))
 def test_search_pairs_form_three_products(qubits):
-    # make_pair always forms u* u, g* g and the coin g @ u. For a search
-    # pair every derived bound settles its check, so none of the other
-    # five products is formed.
+    # Where make_pair measures u* u, g* g and both Hermiticity residuals
+    # (below dimension 64, or where a side is wide), it forms those two
+    # products and the coin g @ u. For a search pair every derived bound
+    # then settles its check, so none of the other five products is
+    # formed.
     tol = DEFAULT_TOL.structural
     for target in sorted({0, 1, 2**qubits - 1}):
         pair = grover_search(qubits, target)
@@ -354,6 +363,149 @@ def test_search_pairs_form_three_products(qubits):
                                  _maxabs(g - g.T), _maxabs(coin - coin.T))
         assert max(bounds[:2]) <= tol
         assert max(bounds[2:]) <= tol * n
+
+
+def _n_by_n_products(monkeypatch):
+    """Record the inner dimension of every product make_pair writes with np.matmul."""
+    inner = []
+
+    def recorded(a, b, *args, _fn=np.matmul, **kwargs):
+        inner.append(np.shape(a)[-1])
+        return _fn(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return inner
+
+
+@pytest.mark.parametrize("qubits", range(5, 11))
+def test_search_pairs_form_one_product(monkeypatch, qubits):
+    # From dimension 64 (q = 5) the grading and the coin of a search pair
+    # have narrow sides of dimensions 2 and 1, and their certificates
+    # settle u* u, g* g and both Hermiticity residuals: the coin g @ u is
+    # the one product with inner dimension n, and the pair carries both
+    # eigenspaces.
+    tol = DEFAULT_TOL.structural
+    for target in sorted({0, 1, 2**qubits - 1}):
+        inner = _n_by_n_products(monkeypatch)
+        pair = grover_search(qubits, target)
+        monkeypatch.undo()
+        n = pair.dim
+        assert inner.count(n) == 1 and all(dim <= 2 for dim in inner if dim != n)
+        assert all(pair.eigenspaces)
+        work = np.empty((n, n))
+        bounds = _certified_bounds(pair.gamma, pair.coin, *pair.eigenspaces, work)
+        assert max(computed for _, computed in bounds) <= tol
+        derived = _derived_bounds(n, *(exact for exact, _ in bounds))
+        assert max(derived[:2]) <= tol and max(derived[2:]) <= tol * n
+
+
+def test_small_and_wide_pairs_measure_their_products(monkeypatch):
+    # Below dimension 64 u* u and g* g are formed besides the coin. A
+    # narrow grading alone settles g* g, and a narrow coin alone only the
+    # coin's Hermiticity, since u* u needs both. The eigenspaces that
+    # were taken are carried.
+    rng = np.random.default_rng(3)
+    for n, g_plus, c_plus, products, carried in (
+            (32, 2, 1, 3, None), (64, 32, 1, 3, (False, True)),
+            (64, 2, 32, 2, (True, False)), (64, 32, 32, 3, None)):
+        gamma = random_involution(rng, n, g_plus)
+        u = gamma @ random_involution(rng, n, c_plus)
+        inner = _n_by_n_products(monkeypatch)
+        pair = make_pair(u, gamma)
+        monkeypatch.undo()
+        assert inner.count(n) == products
+        assert (pair.eigenspaces if carried is None
+                else tuple(s is not None for s in pair.eigenspaces)) == carried
+
+
+def _narrow_drawn_involution(rng, dim, side, real):
+    """A reflection through a random subspace whose +1 side (or -1, side < 0) has |side| dims."""
+    plus = side if side > 0 else dim + side
+    if not real:
+        return random_involution(rng, dim, plus)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :plus]
+    return 2.0 * basis @ basis.T - np.eye(dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=64, max_value=256),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       real=st.booleans(),
+       share=st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                       st.floats(min_value=0.0, max_value=1.0)),
+       flips=st.tuples(st.booleans(), st.booleans()),
+       target=st.sampled_from(["skew grading", "non-unitary grading", "skew coin",
+                               "non-unitary coin", "evolution",
+                               "non-unitary grading under a kept coin"]),
+       coherent=st.booleans(),
+       exponent=st.floats(min_value=-2.5, max_value=0.5))
+def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
+        dim, seed, real, share, flips, target, coherent, exponent):
+    # From dimension 64, a grading and a coin with narrow sides settle u* u,
+    # g* g and both Hermiticity residuals from their narrow eigenspaces.
+    # The grading is moved by a skew-Hermitian or a Hermitian matrix (the
+    # latter breaks its unitarity), the coin likewise, or the evolution
+    # by an arbitrary one, scaled so that the moved residual is
+    # 10**exponent * tol.structural. A non-unitary grading under a kept
+    # coin (U = G^-1 C) moves u* u through the grading alone. The pair
+    # must be accepted or refused, and with the same error, as when all
+    # eight products are formed.
+    rng = np.random.default_rng(seed)
+    gamma, coin = (_narrow_drawn_involution(
+        rng, dim, (1 + int(s * (dim // 4 - 1))) * (-1 if flip else 1), real)
+        for s, flip in zip(share, flips))
+    noise = (np.triu(np.ones((dim, dim)), 1) if coherent
+             else rng.uniform(-1.0, 1.0, (dim, dim)))
+    if not real:
+        noise = noise * np.exp(2j * np.pi * rng.uniform(size=(dim, dim)))
+    if target.startswith("skew"):
+        noise = noise - noise.conj().T
+    elif target.startswith("non-unitary"):
+        noise = noise + noise.conj().T
+
+    def moved(scale):
+        g = gamma + scale * noise if "grading" in target else gamma
+        if target.endswith("kept coin"):
+            return np.linalg.solve(g, coin), g
+        c = coin + scale * noise if target.endswith("coin") else coin
+        return g @ c + (scale * noise if target == "evolution" else 0.0), g
+
+    def residual(u, g):
+        if target == "skew grading":
+            return _maxabs(g - g.conj().T)
+        if "non-unitary grading" in target:
+            return _identity_residual(g.conj().T @ g)
+        if target == "skew coin":
+            c = g @ u
+            return _maxabs(c - c.conj().T)
+        return _identity_residual(u.conj().T @ u)
+
+    scale = DEFAULT_TOL.structural / np.max(np.abs(noise))
+    if (unscaled := residual(*moved(scale))) > 0.0:
+        scale *= 10.0**exponent * DEFAULT_TOL.structural / unscaled
+    u, g = moved(scale)
+    assert _make_pair_outcome(u, g) == _reference_make_pair_outcome(u, g, DEFAULT_TOL)
+
+
+def test_certified_bounds_hold_on_perturbed_narrow_pairs():
+    # The bounds on the exact residuals hold for the residuals measured
+    # from the products, on pairs moved well inside and beyond the
+    # tolerance.
+    rng = np.random.default_rng(11)
+    for dim, real, size in ((64, True, 1e-13), (96, False, 1e-12), (128, True, 1e-9),
+                            (200, False, 1e-11)):
+        gamma = _narrow_drawn_involution(rng, dim, 3, real)
+        coin = _narrow_drawn_involution(rng, dim, -2, real)
+        noise = rng.uniform(-size, size, (dim, dim))
+        u, g = gamma @ coin + noise, gamma + noise.T
+        pair_spaces = [linalg._narrow_eigenspaces(x, DEFAULT_TOL) for x in (g, g @ u)]
+        assert all(pair_spaces)
+        bounds = _certified_bounds(g, g @ u, *pair_spaces, np.empty((dim, dim), dtype=g.dtype))
+        c = g @ u
+        for (exact, computed), value in zip(bounds, (
+                _identity_residual(u.conj().T @ u), _identity_residual(g.conj().T @ g),
+                _maxabs(g - g.conj().T), _maxabs(c - c.conj().T))):
+            assert value <= computed and exact <= computed
 
 
 class TestSuperchargeOnReport:

@@ -62,6 +62,30 @@ class TestMatrixFile:
             load_matrix_file(path)
 
 
+    def test_array_reader_matches_the_entry_loop(self, tmp_path):
+        # Integers and floats, near and past 2**53 and 2**63, are read as
+        # complex() reads them one entry at a time.
+        data = [[1, 0.5], [2**53 + 1, -(2**63) - 1], [10**300, -0.0], [-2.5e-310, 3]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "data": data}))
+        expected = np.array([complex(re, im) for re, im in data])
+        assert load_matrix_file(path).tobytes() == expected.reshape(2, 2).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.0], "is not a [re, im] pair"), ("1+0j", "is not a [re, im] pair"),
+        ([1.0, True], "is not a [re, im] pair"), ([1.0, None], "is not a [re, im] pair"),
+        ({"re": 1.0}, "is not a [re, im] pair"), ([1.0, 2.0, 3.0], "is not a [re, im] pair"),
+        ([0, -(10**400)], "lies beyond the float range"),
+    ])
+    def test_first_bad_entry_is_named(self, tmp_path, bad, message):
+        data = [[1.0, 0.0], [0, 1], bad, [1.0], [10**400, 0]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 3, "data": data + [[0.0, 0.0]] * 4}))
+        with pytest.raises(ValueError) as excinfo:
+            load_matrix_file(path)
+        assert str(excinfo.value) == f"{path}: entry 2 {message}"
+
+
 class TestGraphFile:
     def test_parse_with_comments(self, tmp_path):
         path = tmp_path / "g.txt"

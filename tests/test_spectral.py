@@ -1,6 +1,7 @@
 """Tests for the coisometry, discriminant, census, and mapping verification."""
 
 import cmath
+import dataclasses
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import linalg, spectral
+from chiralwalk.cli import render_report
 from chiralwalk.chiral import ChiralPair, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected
 from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
@@ -337,11 +339,16 @@ class TestReportStructure:
             monkeypatch.setattr(np.linalg, name, recorded)
         spans = _record_span_checks(monkeypatch)
         for qubits in (5, 6, 7):
+            # Counted across make_pair and the report: make_pair takes the
+            # narrow sides of Gamma and C, and the report reads them from
+            # the pair instead of factorizing either again.
+            calls.clear()
             pair = grover_search(qubits, 0)
             n = pair.dim
-            calls.clear()
+            assert [call[:2] for call in calls] == [("qr", "_narrow_eigenspaces")] * 2
             spans.clear()
             report = build_index_report(pair)
+            assert sum(call[1] == "_narrow_eigenspaces" for call in calls) == 2
             assert report.consistent and report.census.m_minus == n - 3
             # Every span check compares subspaces of dimension at most
             # dim L = 2.
@@ -570,3 +577,100 @@ def test_witten_index_and_h_spectrum_from_supercharge_svd(dim, planted, real, se
 ])
 def test_witten_index_and_h_spectrum_with_large_supercharge_kernel(build):
     _assert_witten_and_h_routes(build())
+
+
+def _loop_cluster_reals(values, gap):
+    """cluster_reals as a loop over the sorted values, each cluster's mean from np.mean."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    clusters, start = [], 0
+    for k in range(1, len(vals) + 1):
+        if k == len(vals) or vals[k] - vals[k - 1] > gap:
+            clusters.append((float(np.mean(vals[start:k])), k - start))
+            start = k
+    return tuple(clusters)
+
+
+def _loop_cluster_unimodular(values, gap):
+    """cluster_unimodular as a loop over the values in argument order."""
+    vals = np.asarray(values, dtype=complex)
+    if vals.size == 0:
+        return ()
+    vals = vals[linalg._principal_order(vals)]
+    groups = []
+    for v in vals:
+        if groups and abs(v - groups[-1][-1]) <= gap:
+            groups[-1].append(complex(v))
+        else:
+            groups.append([complex(v)])
+    if len(groups) > 1 and abs(groups[0][0] - groups[-1][-1]) <= gap:
+        groups[0] = groups.pop() + groups[0]
+    out = []
+    for g in groups:
+        rep = complex(np.mean(g))
+        out.append((rep / abs(rep) if abs(rep) > 0 else rep, len(g)))
+    return tuple(out[k] for k in linalg._principal_order([z for z, _ in out]))
+
+
+def _bytes(clusters):
+    return [(np.complex128(v).tobytes(), m) for v, m in clusters]
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(min_value=0, max_value=40),
+       clusters=st.integers(min_value=1, max_value=6),
+       spread=st.sampled_from([0.0, 1e-12, 1e-9, 1e-8, 1e-7]),
+       signed_zeros=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_clustering_matches_the_value_by_value_loop(size, clusters, spread, signed_zeros, seed):
+    # Cluster boundaries found at once and one-value means taken as the
+    # value itself must give, byte for byte, what the loop gives: with
+    # values a tolerance apart, clusters across the branch cut, and
+    # signed zeros, which np.mean's sum from zero turns into 0.0.
+    rng = np.random.default_rng(seed)
+    centres = rng.choice([0.0, np.pi, -np.pi + 1e-12, np.pi / 2, 1.0], clusters)
+    angles = rng.choice(centres, size) + spread * rng.standard_normal(size)
+    unimodular = np.exp(1j * angles)
+    reals = np.cos(angles)
+    if signed_zeros and size:
+        reals[: size // 2] = -0.0
+        unimodular[: size // 3] = complex(-0.0, 1.0)
+        unimodular[size // 3: size // 2] = complex(-1.0, -0.0)
+    for gap in (0.0, 1e-8, 1e-6):
+        assert _bytes(cluster_reals(reals, gap)) == _bytes(_loop_cluster_reals(reals, gap))
+        assert _bytes(cluster_unimodular(unimodular, gap)) == \
+            _bytes(_loop_cluster_unimodular(unimodular, gap))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: grover_search(5, 3), id="search-5"),
+    pytest.param(lambda: grover_search(7, 0), id="search-7"),
+    *(pytest.param(lambda n=n, real=real, sides=sides: _narrow_pair(n, real, *sides),
+                   id=f"haar-{n}-{'real' if real else 'complex'}-{sides}")
+      for n, real, sides in ((64, False, (2, 5)), (96, True, (3, 80)),
+                             (128, False, (48, 120)), (128, True, (16, 64)))),
+])
+def test_carried_eigenspaces_give_the_same_report(build):
+    # A pair that carries the eigenspaces make_pair took gets, byte for
+    # byte, the report of the same pair with them stripped, whose grading
+    # and coin the report factorizes itself.
+    pair = build()
+    assert pair.eigenspaces is not None
+    stripped = dataclasses.replace(pair, eigenspaces=None)
+    assert stripped == pair and stripped.eigenspaces is None
+    assert render_report(build_index_report(pair), pair.tol) == \
+        render_report(build_index_report(stripped), pair.tol)
+    assert index_alpha(pair) == index_alpha(stripped)
+    assert np.array_equal(coisometry(pair).d, coisometry(stripped).d)
+
+
+def _narrow_pair(n, real, gamma_plus, coin_plus):
+    rng = np.random.default_rng(n + gamma_plus)
+    if real:
+        def involution(k):
+            basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+            return 2.0 * basis @ basis.T - np.eye(n)
+    else:
+        def involution(k):
+            return random_involution(rng, n, k)
+    gamma = involution(gamma_plus)
+    return make_pair(gamma @ involution(coin_plus), gamma)
