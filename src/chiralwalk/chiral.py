@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +52,20 @@ class ChiralPair:
     """A validated (evolution, grading) pair with its cached coin.
 
     ``u`` is unitary, ``gamma`` is a unitary involution, conjugation of
-    ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is the
-    involution ``gamma @ u`` so that ``u = gamma @ coin``. The three are
-    float64 when every entry of ``u`` and ``gamma`` is exactly real, and
-    complex128 otherwise. ``eigenspaces`` holds the +1 and -1 eigenspaces
-    of the grading and of the coin that :func:`make_pair` took from their
-    narrow sides, each pair None where it took none, and is None when it
-    took neither; they are what ``_involution_eigenspaces`` gives for the
-    stored matrices, so nothing downstream factorizes them again.
+    ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
+    involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
+    The coin is ``gamma @ u``, or, where :func:`make_pair` formed it
+    through the grading's narrow side B of sign s, ``s (2 B (B* u) - u)``,
+    which lies within the bound derived in :func:`_certified_bounds` of
+    ``gamma @ u``. The three are float64 when every entry of ``u`` and
+    ``gamma`` is exactly real, and complex128 otherwise. ``eigenspaces``
+    holds the +1 and -1 eigenspaces of the grading and of the coin that
+    :func:`make_pair` took from their narrow sides, each pair None where
+    it took none, and third the largest entry of ``coin - t (2 Y Y* - 1)``
+    for the coin's narrow side Y of sign t (None with the coin's
+    eigenspaces); the whole is None when make_pair took neither. The
+    eigenspaces are what ``_involution_eigenspaces`` gives for the stored
+    matrices, so nothing downstream factorizes them again.
     """
 
     u: np.ndarray
@@ -66,7 +73,7 @@ class ChiralPair:
     coin: np.ndarray
     tol: Tolerance
     eigenspaces: tuple[tuple[Subspace, Subspace] | None,
-                       tuple[Subspace, Subspace] | None] | None = field(
+                       tuple[Subspace, Subspace] | None, float | None] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -90,14 +97,21 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     residual) if the grading fails to conjugate the evolution to its
     adjoint. The coin's involution and unitarity and ``u = gamma @ coin``
     must hold to within ``tol.structural * n``, else
-    :class:`InconsistencyDetected`. Only the coin ``gamma @ u`` is always
-    formed. From dimension 64 on, where the grading and the coin each
-    have a narrow side, :func:`_certified_bounds` settles ``u* u``,
+    :class:`InconsistencyDetected`.
+
+    From dimension 64 on, :func:`_narrow_route` takes the grading's
+    narrow eigenspace B (sign s) first. Where its certificate settles the
+    grading's unitarity and Hermiticity, the coin is formed through it as
+    ``s (2 B (B* u) - u)``, at O(n^2 k), and kept where the bounds below
+    settle every check that reads it; elsewhere, and below dimension 64,
+    the coin is ``gamma @ u``. Where the grading and the coin each have a
+    narrow side, :func:`_certified_bounds` settles ``u* u``,
     ``gamma* gamma`` and both Hermiticity residuals from their narrow
     eigenspaces; otherwise those four are measured. Each of the other
     five products is formed only where :func:`_derived_bounds` does not
-    already settle its check, so a pair is accepted or refused, with the
-    same error, as when all eight are formed.
+    already settle its check, and a residual that is measured is measured
+    on ``gamma @ u``. So a pair is accepted or refused, with the same
+    error and residual, as when all eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -112,10 +126,13 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         # factorization downstream run in real arithmetic.
         u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
     n = u.shape[0]
+    scale = tol.structural * n
     # Every residual and certificate is taken in one n x n buffer, each
     # product written into it and the identity subtracted in place.
     work = np.empty((n, n), dtype=np.result_type(u, g))
-    coin, spaces, (r_u, r_g, h_g, h_c) = _narrow_route(g, u, tol, work)
+    coin, spaces, bounds, coin_error = _narrow_route(g, u, tol, work)
+    r_u, r_g, h_g, h_c = (exact if computed <= tol.structural else None
+                          for exact, computed in bounds)
     # A residual that the narrow route did not settle is formed.
     if r_u is None:
         r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
@@ -125,16 +142,27 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
+    if h_g is None:
+        h_g = _skew_residual(g, work)
+    if coin_error:
+        # The coin formed through the grading's narrow side is kept where
+        # the bounds settle every check that reads it (written so that a
+        # NaN fails); elsewhere g @ u is formed, so that each of those
+        # checks is measured, and raises, as it would have.
+        derived = _derived_bounds(n, r_u, r_g, h_g, math.inf if h_c is None else h_c,
+                                  coin_error=coin_error)
+        if not (derived[1] <= tol.structural and max(derived[2:]) <= scale):
+            coin, spaces, h_c, coin_error = None, (spaces[0], None, None), None, 0.0
     if coin is None:
         coin = np.matmul(g, u)
-    hermiticity = {"coin": _skew_residual(coin, work) if h_c is None else h_c,
-                   "grading": _skew_residual(g, work) if h_g is None else h_g}
-    residuals = (n, r_u, r_g, hermiticity["grading"], hermiticity["coin"])
+    if h_c is None:
+        h_c = _skew_residual(coin, work)
+    residuals = (n, r_u, r_g, h_g, h_c)
     # g @ g and the chirality product are formed only where their bounds
     # exceed tol.structural; where a product is not formed, its bound
     # stands in for its residual below. (g @ u) @ g is how Python
     # evaluates g @ u @ g.
-    r_2, chirality = _derived_bounds(*residuals)[:2]
+    r_2, chirality = _derived_bounds(*residuals, coin_error=coin_error)[:2]
     if r_2 > tol.structural and (
             r_2 := _identity_residual(np.matmul(g, g, out=work))) > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
@@ -145,10 +173,9 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # above, and g @ coin recovers u; each of the three products is formed
     # only where the bound derived from those residuals exceeds the scale,
     # so downstream code can rely on all three without rechecking.
-    scale = tol.structural * n
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(*residuals, r_2, chirality)[2:],
+        _derived_bounds(*residuals, r_2, chirality, coin_error=coin_error)[2:],
         (lambda: _identity_residual(np.matmul(coin, coin, out=work)),
          lambda: _identity_residual(np.matmul(coin.conj().T, coin, out=work)),
          lambda: _maxabs(np.subtract(u, np.matmul(g, coin, out=work), out=work))),
@@ -159,7 +186,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # matrices at this bound, and checks the discriminant's Hermiticity
     # instead of raising on it, so a pair that passes here never makes the
     # report raise.
-    for label, residual in hermiticity.items():
+    for label, residual in (("coin", h_c), ("grading", h_g)):
         if residual > tol.structural:
             raise NotInvolution(
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
@@ -168,36 +195,79 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
 
 
-_NOTHING_SETTLED = (None, None, None, None)
+_UNBOUNDED = ((math.inf, math.inf),) * 4
 
 
 def _narrow_route(g: np.ndarray, u: np.ndarray, tol: Tolerance, work: np.ndarray):
-    """The coin, the narrow eigenspaces of the grading and the coin, and what they settle.
+    """The coin, the narrow eigenspaces, the bounds they give, and the coin's error.
 
     Below dimension ``_NARROW_MIN_DIM`` nothing is taken: the coin is
-    None, for :func:`make_pair` to form once the grading is unitary, and
-    so are the eigenspaces. Otherwise each matrix's eigenspaces are what
-    ``_involution_eigenspaces`` takes from a narrow side, or None where
-    it takes none, and the pair of them is None when both are. Last come
-    the residuals of ``U* U - 1``, ``G* G - 1``, ``G - G*`` and
-    ``C - C*``: each is the bound of :func:`_certified_bounds` on the
-    exact residual where its bound as computed is at most
-    ``tol.structural``, else None.
+    None, for :func:`make_pair` to form as ``g @ u`` once the grading is
+    unitary, the eigenspaces are None, every bound is infinite and the
+    coin's error is 0. Otherwise the grading's eigenspaces come first,
+    what ``_involution_eigenspaces`` takes from a narrow side B of sign s,
+    or None where it takes none. Where their certificate settles the
+    grading's unitarity and Hermiticity, the coin is ``s (2 B (B* u) - u)``
+    and its error is the ``eta`` of :func:`_certified_bounds`, which is
+    positive; elsewhere the coin is ``g @ u`` and its error 0. The coin's
+    eigenspaces follow, taken the same way. The eigenspaces come as
+    (grading's, coin's, the coin's certificate ``e``), the last None with
+    the coin's, and the whole is None when neither matrix had a narrow
+    side. The bounds are those of :func:`_certified_bounds` on
+    ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*``.
     """
-    if len(g) < _NARROW_MIN_DIM:
-        return None, None, _NOTHING_SETTLED
+    n = len(g)
+    if n < _NARROW_MIN_DIM:
+        return None, None, _UNBOUNDED, 0.0
     # Input far from a pair can overflow the coin or the narrow route; the
     # bounds are then not finite, and make_pair forms the products, which
     # raise as they would have.
     with np.errstate(all="ignore"):
-        coin = np.matmul(g, u)
         # Each is taken as real when it is complex but exactly real, as
         # _involution_eigenspaces takes it.
-        involutions = (_real_if_exact(g), _real_if_exact(coin))
-        spaces = tuple(_narrow_eigenspaces(x, tol) for x in involutions)
-        bounds = _certified_bounds(*involutions, *spaces, work)
-    return coin, spaces if any(spaces) else None, tuple(
-        exact if computed <= tol.structural else None for exact, computed in bounds)
+        g_real = _real_if_exact(g)
+        g_spaces = _narrow_eigenspaces(g_real, tol)
+        g_facts = g_spaces and _involution_facts(g_real, g_spaces, work)
+        # The coin goes through the grading's narrow side where the
+        # grading's certificate settles G* G - 1 and G - G*, which a NaN
+        # bound does not.
+        through = all(computed <= tol.structural
+                      for _, computed in _certified_bounds(n, g_facts, None, False)[0][1:3])
+        coin = _through_narrow_side(u, g_spaces) if through else None
+        through = coin is not None
+        coin = np.matmul(g, u) if coin is None else coin
+        c_real = _real_if_exact(coin)
+        c_spaces = _narrow_eigenspaces(c_real, tol)
+        c_facts = c_spaces and _involution_facts(c_real, c_spaces, work)
+        bounds, coin_error = _certified_bounds(n, g_facts, c_facts, through)
+    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None)
+    return coin, spaces if g_spaces or c_spaces else None, bounds, coin_error
+
+
+def _narrow_side(spaces: tuple[Subspace, Subspace]) -> tuple[float, np.ndarray]:
+    """The sign s and the basis B of the narrow side of an involution's eigenspaces."""
+    plus, minus = spaces
+    return (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
+
+
+def _through_narrow_side(u: np.ndarray, spaces: tuple[Subspace, Subspace]) -> np.ndarray | None:
+    """``s (2 B (B* u) - u)`` for the narrow side B (sign s), at O(n^2 k), or None.
+
+    Its trace, ``s (2 tr(B* u B) - tr u)``, is read from ``B* u`` first:
+    a coin whose trace leaves it no narrow side (or a NaN trace) could
+    not be kept, since its Hermiticity gets no certificate, so it is not
+    formed, and None is returned. Scaling by 2 s is exact; ``u`` is then
+    subtracted, or for s = -1 added, in place, so the coin is the one
+    n x n array formed.
+    """
+    sign, b = _narrow_side(spaces)
+    n = len(u)
+    y = (2.0 * sign) * np.matmul(b.conj().T, u)
+    k_plus = (n + float(np.trace(y @ b).real) - sign * float(np.trace(u).real)) / 2.0
+    if not 0.5 <= min(k_plus, n - k_plus) <= n / 4.0 + 0.5:
+        return None
+    coin = np.matmul(b, y)
+    return (np.subtract if sign > 0.0 else np.add)(coin, u, out=coin)
 
 
 def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
@@ -218,8 +288,7 @@ def _involution_certificate(x: np.ndarray, spaces: tuple[Subspace, Subspace],
     entries of ``X - s (2 B B* - 1)``, formed in ``work``, and of
     ``B* B - 1``, the largest squared row norm of B, and k.
     """
-    plus, minus = spaces
-    sign, b = (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
+    sign, b = _narrow_side(spaces)
     n, k = b.shape
     # Scaling by 2 s is exact, so this is 2 s times the rounded B B*. With
     # its second factor a fresh array, B B* of a real B does not take the
@@ -231,26 +300,58 @@ def _involution_certificate(x: np.ndarray, spaces: tuple[Subspace, Subspace],
     return e, _identity_residual(b.conj().T @ b), rows, k
 
 
-def _certified_bounds(g: np.ndarray, coin: np.ndarray,
-                      g_spaces: tuple[Subspace, Subspace] | None,
-                      c_spaces: tuple[Subspace, Subspace] | None,
-                      work: np.ndarray) -> tuple[tuple[float, float], ...]:
+class _Facts(NamedTuple):
+    """What an involution's narrow-side certificate bounds (:func:`_certified_bounds`)."""
+
+    e: float          # largest entry of X - Xh, as measured
+    delta: float      # entries of D = X - Xh
+    gram: float       # entries of X* X - 1
+    gram_norm: float  # |X* X - 1|_2
+    norm: float       # |X|_2
+    low: float        # smallest singular value of Xh
+    rounding: float   # r: the rounding of s (2 B (B* Y) - Y) in |Y e_j| units
+
+
+def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
+                      work: np.ndarray) -> _Facts:
+    """:func:`_involution_certificate`'s measurements of X, and the bounds derived from them."""
+    e, f, w, k = _involution_certificate(x, spaces, work)
+    n = x.shape[0]
+    gamma, gamma_k, root_n = (n + 4) * _EPS, (2 * k + 4) * _EPS, math.sqrt(n)
+    beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
+    rho2 = (1.0 + gamma_k) * w
+    delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
+    top, spread = 1.0 + 2.0 * k * beta, n * delta
+    gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
+    gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
+    rounding = (2.0 * (1.0 + gamma) * (1.0 + gamma_k) * k * (1.0 + beta)
+                * (gamma + gamma_k + _EPS) + _EPS)
+    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta, rounding)
+
+
+def _certified_bounds(n: int, g_facts: _Facts | None, c_facts: _Facts | None,
+                      through: bool) -> tuple[tuple[tuple[float, float], ...], float]:
     """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
 
     Each is a pair: a bound on the exact residual's largest entry, and
     one on the residual as :func:`make_pair` would compute it. Both are
     infinite where an eigenspace the bound needs was not taken: the
     grading's for the second and third, the coin's for the fourth, both
-    for the first. Of an involution X with a narrow side of sign s and
-    basis B (n x k), :func:`_involution_certificate` measures ``e``, the
-    largest entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``,
-    and ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps``
-    as in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``:
+    for the first, which also needs the coin formed ``through`` the
+    grading's narrow side. Returned with them is the coin's error
+    ``eta``, positive where the coin was formed through that side, else
+    0. Of an involution X with a narrow side of sign s and basis B
+    (n x k), :func:`_involution_certificate` measures ``e``, the largest
+    entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and
+    ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps`` as
+    in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
+    :func:`_involution_facts` derives:
 
     * ``F = B* B - 1`` has entries at most
       ``beta = ((1 + gamma) f + gamma) / (1 - gamma)``, the rounding of
       ``B* B`` being at most ``gamma`` times its columns' norms, which are
-      at most ``1 + beta``; so ``|F|_2 <= k beta`` and ``|B|_2^2 <= 1 + k beta``;
+      at most ``1 + beta``; so ``|F|_2 <= k beta``, ``|B|_2^2 <= 1 + k beta``
+      and ``|B|_F^2 <= phi2 = k (1 + beta)``;
     * B's rows have squared norms at most ``rho2 = (1 + gamma_k) w``;
     * ``D = X - Xh`` with ``Xh = s (2 B B* - 1)`` has entries at most
       ``delta = (1 + gamma_k)(e + eps) + 3 gamma_k rho2``: the rounding of
@@ -260,64 +361,65 @@ def _certified_bounds(g: np.ndarray, coin: np.ndarray,
     * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
       in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
       smallest singular value is at least ``1 - 2 k beta``, and
-      ``|D|_2 <= n delta`` moves both by at most that.
+      ``|D|_2 <= |D|_F <= n delta`` moves both by at most that.
 
     Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
     ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
     ``4 rho2 k beta + 2 sqrt(n) |Xh|_2 delta + n delta^2`` (a row's norm
     times a column's) and 2-norm at most
-    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``. For the
-    evolution, with ``C = G U + E`` and ``|E| <= gamma |G| |U|``,
-    ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``. A
-    column of E has norm at most ``gamma sqrt(n) nu_G nu_U``, since
-    ``|(|G|)|_2`` is at most G's Frobenius norm, and
-    ``|U|_2 <= nu_U = |C|_2 / (sigma_min(G) - n gamma |G|_2)`` because
-    ``|E|_2 <= n gamma |G|_2 |U|_2``. As computed, a Gram residual adds
-    ``gamma`` times the product of two column norms and a Hermiticity
-    residual nothing, and ``1 + gamma`` covers the relative rounding of
-    each subtraction and magnitude.
-    """
-    unknown = (math.inf, math.inf)
-    if not (g_spaces or c_spaces):
-        return (unknown,) * 4
-    n = g.shape[0]
-    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
+    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``.
 
-    def involution(x, spaces):
-        e, f, w, k = _involution_certificate(x, spaces, work)
-        gamma_k = (2 * k + 4) * _EPS
-        beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
-        rho2 = (1.0 + gamma_k) * w
-        delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
-        top, spread = 1.0 + 2.0 * k * beta, n * delta
-        gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
-        gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
-        return delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta - spread
+    The coin formed through the grading's side is
+    ``C = fl(fl(B (2 s fl(B* U))) - s U) = Gh U + R`` with Gh the
+    grading's Xh. A column of ``fl(B* U) = B* U + R1`` is off by at most
+    ``gamma phi |U e_j|`` (an entry by ``gamma |B e_l| |U e_j|``), so it
+    has norm at most ``(1 + gamma) phi |U e_j|``; the k-term product by
+    B adds a column of norm at most ``2 gamma_k (1 + gamma) phi2 |U e_j|``,
+    since ``| |B| |_2 <= |B|_F``; and the subtraction rounds by ``eps``
+    relative, on a column of norm at most
+    ``(2 (1 + gamma)(1 + gamma_k) phi2 + 1) |U e_j|``. With
+    ``R = 2 s B R1 + R2 + R3`` this gives ``|R e_j| <= r |U e_j|`` for
+
+        ``r = 2 (1 + gamma)(1 + gamma_k) phi2 (gamma + gamma_k + eps) + eps``.
+
+    So ``E = C - G U = -D U + R`` has columns of norm at most
+    ``eta |U|_2`` with ``eta = n delta_G + r``. Where the coin is
+    ``G U`` as computed, ``|E| <= gamma |G| |U|`` instead, and ``eta`` is
+    0 (:func:`_derived_bounds` covers that E by itself). Through the
+    grading's side, ``|U|_2 <= nu_U = |C|_2 / (1 - 2 k beta - sqrt(n) r)``,
+    since ``|R|_2 <= |R|_F <= r |U|_F <= sqrt(n) r |U|_2``. For the
+    evolution, ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
+    each of whose middle terms has entries at most a column norm of C
+    times one of E. As computed, a Gram residual adds ``gamma`` times the
+    product of two column norms and a Hermiticity residual nothing, and
+    ``1 + gamma`` covers the relative rounding of each subtraction and
+    magnitude.
+    """
+    unknown = _UNBOUNDED[0]
+    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
 
     def as_computed(exact, nu):
         # A Gram residual's exact bound, and its bound as computed.
         return exact, (1.0 + gamma) * (exact + gamma * nu * nu)
 
-    g_facts = involution(g, g_spaces) if g_spaces else None
-    c_facts = involution(coin, c_spaces) if c_spaces else None
-    skew = [(2.0 * f[0], (1.0 + gamma) * 2.0 * f[0]) if f else unknown
+    skew = [(2.0 * f.delta, (1.0 + gamma) * 2.0 * f.delta) if f else unknown
             for f in (g_facts, c_facts)]
-    evolution = unknown
-    if g_facts and c_facts:
-        _, _, g_gram_norm, g_norm, g_low = g_facts
-        _, c_gram, _, c_norm, _ = c_facts
+    evolution, coin_error = unknown, 0.0
+    if through:
+        coin_error = n * g_facts.delta + g_facts.rounding
         # Written so that a NaN leaves the evolution unknown.
-        if (low := g_low - n * gamma * g_norm) > 0.0:
-            nu_u = c_norm / low
-            leak = gamma * root_n * g_norm * nu_u
-            evolution = as_computed(c_gram + 2.0 * c_norm * leak + leak * leak
-                                    + nu_u * nu_u * g_gram_norm, nu_u)
-    return (evolution, as_computed(g_facts[1], g_facts[3]) if g_facts else unknown, *skew)
+        if c_facts and (low := g_facts.low - root_n * g_facts.rounding) > 0.0:
+            nu_u = c_facts.norm / low
+            leak = coin_error * nu_u
+            evolution = as_computed(c_facts.gram + 2.0 * c_facts.norm * leak + leak * leak
+                                    + nu_u * nu_u * g_facts.gram_norm, nu_u)
+    grading = as_computed(g_facts.gram, g_facts.norm) if g_facts else unknown
+    return (evolution, grading, *skew), coin_error
 
 
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
-                    r_2: float | None = None,
-                    chirality: float | None = None) -> tuple[float, ...]:
+                    r_2: float | None = None, chirality: float | None = None,
+                    coin_error: float = 0.0) -> tuple[float, ...]:
     """Bounds on the residuals of make_pair's five products that may be skipped.
 
     The arguments are the entrywise residuals of ``U* U - 1``, ``G* G - 1``,
@@ -329,7 +431,7 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or
     a Hermiticity residual, the bound of :func:`_certified_bounds` on the
     exact residual stands in for it; every bound here grows with its
-    arguments, so it still holds. With E the rounding error of
+    arguments, so it still holds. E is the error of the stored coin,
     ``C = GU + E``:
 
     * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
@@ -342,43 +444,53 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     residual's row has norm at most sqrt(n) times its largest entry. Rows
     and columns of U and G have norm at most ``nu``, where
     ``nu^2 = (1 + n r) / (1 - n gamma)`` bounds ``|U|_2^2`` and ``|G|_2^2``
-    by their unitarity residuals, and those of C at most ``2 nu^2``. Here
-    ``gamma = (n + 4) eps`` bounds the rounding of a complex n-term dot
-    product relative to the sum of its terms' magnitudes (while
-    ``n gamma < 1``, far beyond any dense matrix that fits in memory), and
-    ``1 + gamma`` covers the relative rounding of a residual, its
-    subtraction and its magnitude. So:
+    by their unitarity residuals. Here ``gamma = (n + 4) eps`` bounds the
+    rounding of a complex n-term dot product relative to the sum of its
+    terms' magnitudes (while ``n gamma < 1``, far beyond any dense matrix
+    that fits in memory), and ``1 + gamma`` covers the relative rounding
+    of a residual, its subtraction and its magnitude. E's columns have
+    norm at most ``leak = (gamma sqrt(n) nu + coin_error) nu``: for
+    ``C = G U`` as computed, ``|E| <= gamma |G||U|``, and a column of
+    ``|G||U|`` has norm at most the norm of ``|G|`` (at most its Frobenius
+    norm, ``sqrt(n) nu``) times ``nu``; for a coin formed through the
+    grading's narrow side, ``coin_error`` is the ``eta`` of
+    :func:`_certified_bounds`. C's columns have norm at most
+    ``nu^2 + leak`` and its rows, those of C*, at most
+    ``c = nu^2 + leak + sqrt(n) h_c``. So:
 
     * the rounding of ``G^2`` and of ``G* G`` adds at most ``gamma nu^2``
       to an entry each, which gives ``(1 + gamma)(r_g + sqrt(n) nu h_g)
       + 3 gamma nu^2`` for ``G^2 - 1``;
     * the rounding of ``G* G`` enters ``U* (G* G - 1)`` as at most
-      ``gamma |U*||G*||G|``, and ``|E| <= gamma |G||U|`` bounds ``E* G``
-      by the same product, whose entries are at most the norm of ``|G|``
-      (at most its Frobenius norm, ``sqrt(n) nu``) times ``nu^2``; the
-      rounding of ``C G`` adds ``2 gamma nu^3``. This gives
-      ``(1 + gamma) sqrt(n) nu (h_c + r_g) + 3 gamma (sqrt(n) + 1) nu^3``
-      for ``C G - U*``;
-    * ``slack = 32 sqrt(n) gamma nu^4`` covers E and the rounding of the
+      ``gamma |U*||G*||G|``, whose entries are at most ``sqrt(n) nu^3``,
+      ``E* G`` has entries at most ``leak nu``, and the rounding of
+      ``C G`` adds ``gamma c nu``. This gives
+      ``(1 + gamma)(sqrt(n) nu (h_c + r_g) + leak nu
+      + gamma nu (sqrt(n) nu^2 + c))`` for ``C G - U*``;
+    * ``C E`` has entries at most ``c leak`` and ``G E`` at most
+      ``nu leak``, and ``(C* - C) C`` at most ``sqrt(n) h_c c``;
+    * ``slack = 8 sqrt(n) gamma (nu^2 + c)^2`` covers the rounding of the
       residuals and of the products in the last three.
 
     The first two are compared with ``tol.structural``. At the default
-    tolerance the rounding term of the second reaches it from n = 2790,
-    so a search pair on 11 qubits (n = 4096) forms ``C G`` again; that of
-    the first only from n of about 1.5e5.
+    tolerance the rounding term of the second, for ``C = G U``, reaches
+    it from n of about 3700, so a search pair on 11 qubits (n = 4096)
+    forms ``C G`` again; that of the first only from n of about 1.5e5.
     """
     gamma = (n + 4) * _EPS
     nu2 = (1.0 + n * max(r_u, r_g)) / (1.0 - n * gamma)
     root_n, nu = math.sqrt(n), math.sqrt(nu2)
+    leak = (gamma * root_n * nu + coin_error) * nu
+    c = nu2 + leak + root_n * h_c
     square = (1.0 + gamma) * (r_g + root_n * nu * h_g) + 3.0 * gamma * nu2
-    chiral = ((1.0 + gamma) * root_n * nu * (h_c + r_g)
-              + 3.0 * gamma * (root_n + 1.0) * nu2 * nu)
+    chiral = (1.0 + gamma) * (root_n * nu * (h_c + r_g) + leak * nu
+                              + gamma * nu * (root_n * nu2 + c))
     r_2 = square if r_2 is None else r_2
     chirality = chiral if chirality is None else chirality
-    slack = 32.0 * root_n * gamma * nu2 * nu2
-    involution = r_u + root_n * nu * chirality + slack
-    return (square, chiral, involution, involution + 2.0 * root_n * nu2 * h_c,
-            root_n * nu * r_2 + slack)
+    slack = 8.0 * root_n * gamma * (nu2 + c) * (nu2 + c)
+    involution = r_u + root_n * nu * chirality + c * leak + slack
+    return (square, chiral, involution, involution + root_n * h_c * c,
+            root_n * nu * r_2 + nu * leak + slack)
 
 
 def _unit(pair: ChiralPair) -> complex:

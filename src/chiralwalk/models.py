@@ -25,13 +25,13 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 # A search pair on q qubits has dimension n = 2^(q + 1) and is held as
 # dense n x n matrices. Its report makes no factorization with both
-# dimensions above n/2 and writes no n x (n - k) basis, so building and
-# validating the pair dominates: make_pair forms three n x n products, at
-# O(n^3). The limit keeps that within about a second and 256 MiB (1 BLAS
-# thread): at q = 10 (n = 2048) grover_search takes 0.68 s with a traced
-# peak of 136 MiB, and each further qubit multiplies the time by about 8
-# and the memory by 4 (q = 11, where make_pair forms a fourth product,
-# would take 5 to 7 s and about 545 MiB).
+# dimensions above n/2 and writes no n x (n - k) basis, and make_pair
+# forms no product of two n x n matrices (its coin goes through the
+# grading's two-dimensional side), so memory sets the limit: the
+# evolution, the grading, the coin and make_pair's work buffer are four
+# n x n arrays, 128 MiB at q = 10 (n = 2048) and 512 MiB at q = 11,
+# against a budget of about 256 MiB and a second (1 BLAS thread). At
+# q = 10 grover_search takes 0.12 to 0.14 s with a traced peak of 136 MiB.
 MAX_SEARCH_QUBITS = 10
 # The probability table builds no pair: it holds the search state, 16 * 2^q
 # bytes, and one step's copy of it. The limit keeps the state at 16 MiB
@@ -180,7 +180,10 @@ def search_probability_table(
         rows.append((step, prob, float(np.vdot(state, state))))
         if step < steps:
             state[target, 1] = -state[target, 1]
-            state = 2.0 * state.mean(axis=0) - state
+            # The last row of the running sum adds the rows in the order
+            # state.mean(axis=0) does, to the same bytes, in about a fifth
+            # of its time.
+            state = 2.0 * (state.cumsum(axis=0)[-1] / n_positions) - state
     return rows
 
 

@@ -189,7 +189,8 @@ class _Walk:
     columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
     the dimensions of ``W-perp & Gamma+`` and ``W-perp & Gamma-``, on which
     U is ``-Gamma`` for the effective coin: on L those of the effective
-    census's birth spaces, and zero when W is the whole space.
+    census's birth spaces, and zero when W is the whole space. ``images``
+    holds ``U B`` and ``U* B`` on L, and is None on the whole space.
     """
 
     basis: np.ndarray | None
@@ -197,6 +198,7 @@ class _Walk:
     q: np.ndarray
     sides: tuple[Subspace, Subspace]
     outside: tuple[int, int]
+    images: tuple[np.ndarray, np.ndarray] | None = None
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis @ v
@@ -261,8 +263,8 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
         unit = _unit(pair)
-        ub = pair.u @ b
-        sb = (ub - pair.u.conj().T @ b) / (2.0 * unit)
+        ub, uhb = pair.u @ b, pair.u.conj().T @ b
+        sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
         # 2 unit (S - (S B) B*) = U - U* - 2 unit (S B) B*, formed in place.
         cert = (-2.0 * unit * sb) @ b.conj().T
@@ -276,7 +278,7 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             eye, r = np.eye(b.shape[1]), ranks[0]
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
-            return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus))
+            return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus), (ub, uhb))
     return _Walk(None, pair.u, _supercharge(pair), (gamma_plus, gamma_minus), (0, 0))
 
 
@@ -284,8 +286,9 @@ def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]
     """Largest entries of ``Gamma S + S Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
 
     S is q up to a unit scalar, so the first is q's anticommutator. On L,
-    ``walk.q`` is ``S B`` and the products of S and r with
-    ``Gamma B`` come from those of U and U*, so neither is formed.
+    ``walk.q`` is ``S B``, r B comes from the walk's ``U B`` and ``U* B``,
+    and the products of S and r with ``Gamma B`` come from those of U and
+    U*, so neither is formed.
     """
     g, u, b = pair.gamma, pair.u, walk.basis
     if b is None:
@@ -293,8 +296,9 @@ def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]
         return _maxabs(g @ walk.q + walk.q @ g), _maxabs(g @ r - r @ g)
     g_b = g @ b
     ug, uhg = u @ g_b, u.conj().T @ g_b
+    ub, uhb = walk.images
     return (_maxabs(g @ walk.q + (ug - uhg) / (2.0 * _unit(pair))),
-            _maxabs(g @ ((u @ b + u.conj().T @ b) / 2.0) - (ug + uhg) / 2.0))
+            _maxabs(g @ ((ub + uhb) / 2.0) - (ug + uhg) / 2.0))
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -437,16 +441,24 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                                for at in (at_plus, at_minus))
     interior_u = u_values[~(at_plus | at_minus)]
 
-    # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
-    # the identity subtracted in place, which rounds as subtracting
-    # np.eye(n) does, and the coin added in place (its negation
-    # subtracted exactly) without another n x n array.
+    # Coisometry identities. The effective coin is recovered as 2 d* d - 1.
+    # Where the pair carries the coin's narrow side Y, that side is the
+    # coin space, and make_pair measured this residual, max|C - t(2 Y Y* - 1)|
+    # for Y's sign t, with the same products. Otherwise the identity is
+    # subtracted in place, which rounds as subtracting np.eye(n) does, and
+    # the coin added in place (its negation subtracted exactly) without
+    # another n x n array.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
-    recovered.flat[::n + 1] -= 1.0
-    (np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered)
-    res = _maxabs(recovered)
+    res = pair.eigenspaces[2] if pair.eigenspaces else None
+    if res is None:
+        recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
+        recovered.flat[::n + 1] -= 1.0
+        (np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered)
+        res = _maxabs(recovered)
+        # The report's own n x n matrix is not read below; dropped here, it
+        # is not held through the span checks, where its memory peaks.
+        del recovered
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     # T = d Gamma d* is a compression: a coherent error of Gamma's entries
@@ -466,9 +478,6 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     anti, commute = _commutation_residuals(pair, walk)
     checks.append(CheckResult("supercharge_anticommutes", anti <= tol.structural * n, anti))
     checks.append(CheckResult("hermitian_part_commutes", commute <= tol.structural * n, commute))
-    # The report's own n x n matrix is not read below; dropped here, it is
-    # not held through the span checks, where its memory peaks.
-    del recovered
 
     # Kernel identities tying the supercharge to the evolution; ker(1 - U^2)
     # is read from U's eigenvalues, since 1 - U^2 is normal. The SVD of q

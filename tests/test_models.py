@@ -142,6 +142,24 @@ class TestSearchProbability:
         assert len(rows) == 1001
         assert all(abs(total - 1.0) <= 1e-12 for _, _, total in rows)
 
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 5, 8, 12, 16])
+    def test_rows_equal_the_mean_form_byte_for_byte(self, qubits):
+        # The step reflects about the positions' mean, taken as the last
+        # row of a running sum; the rows are those of np.mean's form.
+        n_positions = 2**qubits
+        steps = 60 if qubits == 16 else 300
+        for target in sorted({0, 1, n_positions - 1}):
+            state = np.zeros((n_positions, 2))
+            state[:, 1] = 1.0 / np.sqrt(n_positions)
+            expected = []
+            for step in range(steps + 1):
+                expected.append((step, float(state[target, 0] ** 2 + state[target, 1] ** 2),
+                                 float(np.vdot(state, state))))
+                state[target, 1] = -state[target, 1]
+                state = 2.0 * state.mean(axis=0) - state
+            rows = search_probability_table(qubits, target, steps)
+            assert repr(rows) == repr(expected)
+
 
 class TestGroverWalk:
     def test_triangle(self):
