@@ -8,7 +8,7 @@ standard models: the search operator on qubits, edge-reversal walks on
 finite graphs, split-step walks on cycles, and small toy pairs.
 """
 
-from .chiral import ChiralPair, index_alpha, make_pair
+from .chiral import ChiralPair, Reflection, index_alpha, make_factored_pair, make_pair
 from .errors import (
     ChiralSymmetryViolated,
     ChiralWalkError,

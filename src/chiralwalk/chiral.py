@@ -12,6 +12,13 @@ block, which equals the Witten index of the squared supercharge
 split by the grading; the spectrum of ``H``, its zero block and the
 Witten index all come from the supercharge's one SVD, under the same
 cutoff as ``ker q``.
+
+A pair is held either by its n x n matrices (:func:`make_pair`) or by
+its factors (:func:`make_factored_pair`): the grading and the coin as
+reflections ``s (2 B B* - 1)`` through narrow subspaces, with the
+evolution their product. Code that needs the pair's products takes them
+from :func:`_operators`, which is chosen once per report, so a factored
+pair forms no n x n array.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import (
     InconsistencyDetected,
     NotInvolution,
     NotUnitary,
+    OutOfRange,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -41,50 +49,274 @@ from .linalg import (
     _narrow,
     _narrow_eigenspaces,
     _near_unit,
+    _outside,
     _rank_svd,
     _real_if_exact,
+    as_matrix,
     as_square_matrix,
 )
 
 
+class _Dense:
+    """A matrix of :class:`ChiralPair` that a pair held by its factors forms when first read.
+
+    A pair held by its factors stores none of its n x n matrices. Reading
+    one forms it from the factors, at O(n^2 (k + c)), and keeps it in the
+    instance. A stored matrix is in the instance already, so this
+    non-data descriptor is not called for it.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, pair, owner=None):
+        if pair is None:
+            return self
+        matrix = pair.__dict__[self.name] = pair.factors.dense(self.name)
+        return matrix
+
+
+@dataclass(frozen=True)
+class Reflection:
+    """The involution ``sign (2 B B* - 1)``, held by B, n x k with orthonormal columns.
+
+    It is Hermitian by construction, and an involution and unitary to
+    within B's Gram residual ``B* B - 1``. Its ``sign`` eigenspace is
+    ran B, the other one the orthogonal complement of ran B.
+    """
+
+    basis: np.ndarray
+    sign: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The reflection applied to an n x m block, at O(n k m)."""
+        b = self.basis
+        y = b @ (b.conj().T @ x)
+        y *= 2.0 * self.sign
+        # Subtracting x, or for sign -1 adding it, rounds as subtracting
+        # sign * x does, with no temporary.
+        return (np.subtract if self.sign > 0 else np.add)(y, x, out=y)
+
+    @property
+    def trace(self) -> float:
+        return self.sign * (2.0 * float(np.vdot(self.basis, self.basis).real) - len(self.basis))
+
+    def spaces(self) -> tuple[Subspace, Subspace]:
+        """The +1 and -1 eigenspaces: ran B, held by B, and its complement, held by B too."""
+        n = len(self.basis)
+        own, other = Subspace(n, self.basis), Subspace(n, complement=self.basis)
+        return (own, other) if self.sign > 0 else (other, own)
+
+    def dense(self) -> np.ndarray:
+        n = len(self.basis)
+        matrix = (2.0 * self.sign) * (self.basis @ self.basis.conj().T)
+        matrix.flat[::n + 1] -= self.sign
+        return matrix
+
+
+class Factors(NamedTuple):
+    """The grading and the coin of a pair as reflections, applied at O(n (k + c)) per column.
+
+    The evolution ``U = Gamma C`` and its adjoint ``C Gamma`` are applied
+    as the two reflections in turn and never formed.
+    """
+
+    gamma: Reflection
+    coin: Reflection
+
+    def u(self, x: np.ndarray) -> np.ndarray:
+        return self.gamma(self.coin(x))
+
+    def uh(self, x: np.ndarray) -> np.ndarray:
+        return self.coin(self.gamma(x))
+
+    def traces(self) -> tuple[float, float]:
+        return self.gamma.trace, self.coin.trace
+
+    def discriminant(self, d: np.ndarray) -> np.ndarray:
+        """``d Gamma d*`` for a coisometry d."""
+        return d @ self.gamma(d.conj().T)
+
+    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
+        """Largest entry of ``S - (S B) B*`` measured on span(G, Y), for ``S B = sb``.
+
+        G and Y are the bases of the grading and the coin, of signs s and
+        t. With ``P = G G*`` and ``Q = Y Y*``, ``U - U* = 4 s t (P Q - Q P)``,
+        so ``S = Z K Z*`` for ``Z = [G, Y]`` and
+        ``K = (2 s t / unit) [[0, G* Y], [-Y* G, 0]]``: S maps span Z to
+        itself and vanishes on its complement, and so does ``S - (S B) B*``,
+        since B, a basis of ran d* + Gamma ran d*, lies in span Z. It is
+        measured as the at most (k + c) x (k + c) matrix
+        ``Z* (S - (S B) B*) Z = (Z* Z) K (Z* Z) - (Z* sb)(B* Z)``, from
+        products of n x (k + c) matrices alone.
+        """
+        g, y = self.gamma.basis, self.coin.basis
+        gh, yh = g.conj().T, y.conj().T
+        gy = gh @ y
+        k, c = gy.shape
+        gram = np.block([[gh @ g, gy], [gy.conj().T, yh @ y]])
+        kernel = (2.0 * self.gamma.sign * self.coin.sign / unit) * np.block(
+            [[np.zeros((k, k)), gy], [-gy.conj().T, np.zeros((c, c))]])
+        zb = np.vstack([gh @ b, yh @ b])
+        return _maxabs(gram @ kernel @ gram - np.vstack([gh @ sb, yh @ sb]) @ zb.conj().T)
+
+    def dense(self, name: str) -> np.ndarray:
+        """The n x n matrix ``u``, ``gamma`` or ``coin``."""
+        return self.gamma(self.coin.dense()) if name == "u" else getattr(self, name).dense()
+
+
+class _Stored:
+    """The operators of a pair held by its n x n matrices, applied as stored."""
+
+    def __init__(self, pair: ChiralPair) -> None:
+        self.pair = pair
+
+    def u(self, x: np.ndarray) -> np.ndarray:
+        return self.pair.u @ x
+
+    def uh(self, x: np.ndarray) -> np.ndarray:
+        return self.pair.u.conj().T @ x
+
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        return self.pair.gamma @ x
+
+    def coin(self, x: np.ndarray) -> np.ndarray:
+        return self.pair.coin @ x
+
+    def traces(self) -> tuple[float, float]:
+        return float(np.trace(self.pair.gamma).real), float(np.trace(self.pair.coin).real)
+
+    def discriminant(self, d: np.ndarray) -> np.ndarray:
+        return d @ self.pair.gamma @ d.conj().T
+
+    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
+        """Largest entry of ``S - (S B) B*``, from ``2 unit (S - (S B) B*)`` formed in place."""
+        cert = (-2.0 * unit * sb) @ b.conj().T
+        cert += self.pair.u
+        cert -= self.pair.u.conj().T
+        return _maxabs(cert) / 2.0
+
+
 @dataclass(frozen=True)
 class ChiralPair:
-    """A validated (evolution, grading) pair with its cached coin.
+    """A validated (evolution, grading) pair with its coin.
 
     ``u`` is unitary, ``gamma`` is a unitary involution, conjugation of
     ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
     involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
-    The coin is ``gamma @ u``, or, where :func:`make_pair` formed it
-    through the grading's narrow side B of sign s, ``s (2 B (B* u) - u)``,
-    which lies within the bound derived in :func:`_certified_bounds` of
-    ``gamma @ u``. The three are float64 when every entry of ``u`` and
-    ``gamma`` is exactly real, and complex128 otherwise. ``eigenspaces``
-    holds the +1 and -1 eigenspaces of the grading and of the coin that
-    :func:`make_pair` took from their narrow sides, each pair None where
-    it took none, and third the largest entry of ``coin - t (2 Y Y* - 1)``
-    for the coin's narrow side Y of sign t (None with the coin's
-    eigenspaces); the whole is None when make_pair took neither. The
-    eigenspaces are what ``_involution_eigenspaces`` gives for the stored
-    matrices, so nothing downstream factorizes them again.
+
+    A pair from :func:`make_pair` holds the three as n x n matrices, the
+    coin being ``gamma @ u``. They are float64 when every entry of ``u``
+    and ``gamma`` is exactly real, and complex128 otherwise. A pair from
+    :func:`make_factored_pair` holds only ``factors``, its grading and
+    coin as reflections through their narrow sides, and forms each n x n
+    matrix when it is first read; the report applies them through the
+    factors and forms none of them.
+
+    ``eigenspaces`` holds the +1 and -1 eigenspaces of the grading and of
+    the coin that the pair was built with, each pair None where it took
+    none, and third the largest entry of ``coin - t (2 Y Y* - 1)`` for the
+    coin's narrow side Y of sign t (None with the coin's eigenspaces); the
+    whole is None when make_pair took neither. make_pair takes them from
+    narrow sides, as ``_involution_eigenspaces`` does for the stored
+    matrices, and a factored pair from its factors, with the third exactly
+    0; so nothing downstream factorizes them again.
     """
 
-    u: np.ndarray
-    gamma: np.ndarray
-    coin: np.ndarray
-    tol: Tolerance
+    u: np.ndarray = field(default=_Dense(), repr=False)
+    gamma: np.ndarray = field(default=_Dense(), repr=False)
+    coin: np.ndarray = field(default=_Dense(), repr=False)
+    tol: Tolerance = DEFAULT_TOL
     eigenspaces: tuple[tuple[Subspace, Subspace] | None,
                        tuple[Subspace, Subspace] | None, float | None] | None = field(
         default=None, repr=False, compare=False)
+    factors: Factors | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # A matrix left out of the constructor call was given the
+        # descriptor; dropped from the instance, it is formed when read.
+        if self.factors is not None:
+            for name in ("u", "gamma", "coin"):
+                if isinstance(self.__dict__[name], _Dense):
+                    del self.__dict__[name]
 
     @property
     def dim(self) -> int:
-        return int(self.u.shape[0])
+        return len(self.factors.gamma.basis) if self.factors is not None else int(self.u.shape[0])
+
+    @property
+    def dtype(self) -> np.dtype:
+        if self.factors is not None:
+            return np.result_type(self.factors.gamma.basis, self.factors.coin.basis)
+        return self.u.dtype
+
+
+# The largest dimension at which a pair held by its factors forms its
+# n x n matrices for the report's dense fallback and for --dump-matrices,
+# from the CLI's budget of about a second and 256 MiB (1 BLAS thread):
+# dumping a search pair takes 0.9 s and 90 MiB at n = 512 (8 qubits), and
+# 3.9 s and 263 MiB at n = 1024.
+DENSE_MAX_DIM = 512
+
+
+def _check_dense(pair: ChiralPair) -> None:
+    """Refuse, with :class:`OutOfRange`, to form a factored pair's matrices beyond DENSE_MAX_DIM."""
+    if pair.factors is not None and pair.dim > DENSE_MAX_DIM:
+        raise OutOfRange(
+            f"the pair of dimension {pair.dim} is held by its factors, and its dense "
+            f"matrices are formed only up to dimension {DENSE_MAX_DIM}"
+        )
+
+
+def _operators(pair: ChiralPair) -> Factors | _Stored:
+    """The pair's U, U*, Gamma and C as operators: its factors, or its stored matrices."""
+    return pair.factors if pair.factors is not None else _Stored(pair)
 
 
 def _eigenspaces(pair: ChiralPair, index: int) -> tuple[Subspace, Subspace]:
-    """The eigenspaces of the grading (index 0) or the coin (1): carried, else computed."""
+    """The eigenspaces of the grading (index 0) or the coin (1).
+
+    Those the pair carries; else, for a pair held by its factors, the
+    reflection's own; else computed from the stored matrix.
+    """
     carried = pair.eigenspaces[index] if pair.eigenspaces else None
-    return carried or _involution_eigenspaces((pair.gamma, pair.coin)[index], pair.tol)
+    if carried:
+        return carried
+    if pair.factors is not None:
+        return pair.factors[index].spaces()
+    return _involution_eigenspaces((pair.gamma, pair.coin)[index], pair.tol)
+
+
+def make_factored_pair(grading: Reflection, coin: Reflection,
+                       tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
+    """Validate the pair ``(Gamma C, Gamma)`` held by its grading and coin as reflections.
+
+    Both reflections are Hermitian by construction, and ``U = Gamma C``
+    is chiral: ``Gamma U Gamma = C Gamma = U*``. So the only checks are
+    the Gram residuals ``B* B - 1`` of the grading's basis and of the
+    coin's, k x k and c x c: each must be at most ``tol.structural``,
+    else :class:`NotInvolution`. A sign other than +-1 is a ValueError,
+    and bases with different row counts, or none, a
+    :class:`DimensionMismatch`. No n x n matrix is formed. The pair
+    carries both reflections' eigenspaces and the coin residual 0.
+    """
+    factors = []
+    for label, reflection in (("grading", grading), ("coin", coin)):
+        basis = as_matrix(reflection.basis)
+        basis = np.ascontiguousarray(_real_if_exact(basis))
+        if reflection.sign not in (1.0, -1.0):
+            raise ValueError(f"{label} sign must be +1 or -1, got {reflection.sign}")
+        residual = _identity_residual(basis.conj().T @ basis)
+        if residual > tol.structural:
+            raise NotInvolution(f"{label} is not unitary: residual {residual:.6e}")
+        factors.append(Reflection(basis, float(reflection.sign)))
+    g, c = factors
+    if len(g.basis) != len(c.basis) or len(g.basis) == 0:
+        raise DimensionMismatch(
+            f"grading basis has {len(g.basis)} rows but coin basis has {len(c.basis)}; "
+            f"both need the same positive number"
+        )
+    return ChiralPair(tol=tol, eigenspaces=(g.spaces(), c.spaces(), 0.0), factors=Factors(g, c))
 
 
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
@@ -99,19 +331,14 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     must hold to within ``tol.structural * n``, else
     :class:`InconsistencyDetected`.
 
-    From dimension 64 on, :func:`_narrow_route` takes the grading's
-    narrow eigenspace B (sign s) first. Where its certificate settles the
-    grading's unitarity and Hermiticity, the coin is formed through it as
-    ``s (2 B (B* u) - u)``, at O(n^2 k), and kept where the bounds below
-    settle every check that reads it; elsewhere, and below dimension 64,
-    the coin is ``gamma @ u``. Where the grading and the coin each have a
-    narrow side, :func:`_certified_bounds` settles ``u* u``,
-    ``gamma* gamma`` and both Hermiticity residuals from their narrow
-    eigenspaces; otherwise those four are measured. Each of the other
-    five products is formed only where :func:`_derived_bounds` does not
-    already settle its check, and a residual that is measured is measured
-    on ``gamma @ u``. So a pair is accepted or refused, with the same
-    error and residual, as when all eight are formed.
+    ``u* u`` and the coin ``gamma @ u`` are always formed. From dimension
+    64 on, :func:`_certified` takes the narrow eigenspace of the grading
+    and of the coin; where its certificate settles ``gamma* gamma`` or a
+    Hermiticity residual (:func:`_certified_bounds`), that one is not
+    measured. Each of the other five products is formed only where
+    :func:`_derived_bounds` does not already settle its check. So a pair
+    is accepted or refused, with the same error and residual, as when all
+    eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -130,31 +357,19 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # Every residual and certificate is taken in one n x n buffer, each
     # product written into it and the identity subtracted in place.
     work = np.empty((n, n), dtype=np.result_type(u, g))
-    coin, spaces, bounds, coin_error = _narrow_route(g, u, tol, work)
-    r_u, r_g, h_g, h_c = (exact if computed <= tol.structural else None
-                          for exact, computed in bounds)
-    # A residual that the narrow route did not settle is formed.
-    if r_u is None:
-        r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
+    r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
     if r_u > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {r_u:.6e}")
+    # A residual that a narrow side's certificate did not settle is formed.
+    g_spaces, r_g, h_g, _ = _certified(g, tol, work)
     if r_g is None:
         r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
     if h_g is None:
         h_g = _skew_residual(g, work)
-    if coin_error:
-        # The coin formed through the grading's narrow side is kept where
-        # the bounds settle every check that reads it (written so that a
-        # NaN fails); elsewhere g @ u is formed, so that each of those
-        # checks is measured, and raises, as it would have.
-        derived = _derived_bounds(n, r_u, r_g, h_g, math.inf if h_c is None else h_c,
-                                  coin_error=coin_error)
-        if not (derived[1] <= tol.structural and max(derived[2:]) <= scale):
-            coin, spaces, h_c, coin_error = None, (spaces[0], None, None), None, 0.0
-    if coin is None:
-        coin = np.matmul(g, u)
+    coin = np.matmul(g, u)
+    c_spaces, _, h_c, coin_e = _certified(coin, tol, work)
     if h_c is None:
         h_c = _skew_residual(coin, work)
     residuals = (n, r_u, r_g, h_g, h_c)
@@ -162,7 +377,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # exceed tol.structural; where a product is not formed, its bound
     # stands in for its residual below. (g @ u) @ g is how Python
     # evaluates g @ u @ g.
-    r_2, chirality = _derived_bounds(*residuals, coin_error=coin_error)[:2]
+    r_2, chirality = _derived_bounds(*residuals)[:2]
     if r_2 > tol.structural and (
             r_2 := _identity_residual(np.matmul(g, g, out=work))) > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
@@ -175,7 +390,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # so downstream code can rely on all three without rechecking.
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(*residuals, r_2, chirality, coin_error=coin_error)[2:],
+        _derived_bounds(*residuals, r_2, chirality)[2:],
         (lambda: _identity_residual(np.matmul(coin, coin, out=work)),
          lambda: _identity_residual(np.matmul(coin.conj().T, coin, out=work)),
          lambda: _maxabs(np.subtract(u, np.matmul(g, coin, out=work), out=work))),
@@ -192,82 +407,43 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
+    spaces = (g_spaces, c_spaces, coin_e) if g_spaces or c_spaces else None
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
 
 
-_UNBOUNDED = ((math.inf, math.inf),) * 4
+def _certified(x: np.ndarray, tol: Tolerance, work: np.ndarray):
+    """An involution's narrow eigenspaces, the residuals they settle, and their ``e``.
 
-
-def _narrow_route(g: np.ndarray, u: np.ndarray, tol: Tolerance, work: np.ndarray):
-    """The coin, the narrow eigenspaces, the bounds they give, and the coin's error.
-
-    Below dimension ``_NARROW_MIN_DIM`` nothing is taken: the coin is
-    None, for :func:`make_pair` to form as ``g @ u`` once the grading is
-    unitary, the eigenspaces are None, every bound is infinite and the
-    coin's error is 0. Otherwise the grading's eigenspaces come first,
-    what ``_involution_eigenspaces`` takes from a narrow side B of sign s,
-    or None where it takes none. Where their certificate settles the
-    grading's unitarity and Hermiticity, the coin is ``s (2 B (B* u) - u)``
-    and its error is the ``eta`` of :func:`_certified_bounds`, which is
-    positive; elsewhere the coin is ``g @ u`` and its error 0. The coin's
-    eigenspaces follow, taken the same way. The eigenspaces come as
-    (grading's, coin's, the coin's certificate ``e``), the last None with
-    the coin's, and the whole is None when neither matrix had a narrow
-    side. The bounds are those of :func:`_certified_bounds` on
-    ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*``.
+    Returns ``(spaces, gram, skew, e)``. Below dimension
+    ``_NARROW_MIN_DIM``, or where ``_narrow_eigenspaces`` takes no narrow
+    side, all four are None. Otherwise ``gram`` and ``skew`` are the
+    bounds of :func:`_certified_bounds` on the exact ``X* X - 1`` and
+    ``X - X*``, each None where its bound as computed exceeds
+    ``tol.structural`` (a NaN bound does not settle it either), and ``e``
+    is the largest entry of ``X - s (2 B B* - 1)``.
     """
-    n = len(g)
-    if n < _NARROW_MIN_DIM:
-        return None, None, _UNBOUNDED, 0.0
-    # Input far from a pair can overflow the coin or the narrow route; the
-    # bounds are then not finite, and make_pair forms the products, which
-    # raise as they would have.
+    if len(x) < _NARROW_MIN_DIM:
+        return None, None, None, None
+    # Input far from a pair can overflow the narrow route; its bounds are
+    # then not finite, and make_pair forms the products, which raise as
+    # they would have.
     with np.errstate(all="ignore"):
-        # Each is taken as real when it is complex but exactly real, as
+        # Taken as real when it is complex but exactly real, as
         # _involution_eigenspaces takes it.
-        g_real = _real_if_exact(g)
-        g_spaces = _narrow_eigenspaces(g_real, tol)
-        g_facts = g_spaces and _involution_facts(g_real, g_spaces, work)
-        # The coin goes through the grading's narrow side where the
-        # grading's certificate settles G* G - 1 and G - G*, which a NaN
-        # bound does not.
-        through = all(computed <= tol.structural
-                      for _, computed in _certified_bounds(n, g_facts, None, False)[0][1:3])
-        coin = _through_narrow_side(u, g_spaces) if through else None
-        through = coin is not None
-        coin = np.matmul(g, u) if coin is None else coin
-        c_real = _real_if_exact(coin)
-        c_spaces = _narrow_eigenspaces(c_real, tol)
-        c_facts = c_spaces and _involution_facts(c_real, c_spaces, work)
-        bounds, coin_error = _certified_bounds(n, g_facts, c_facts, through)
-    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None)
-    return coin, spaces if g_spaces or c_spaces else None, bounds, coin_error
+        x_real = _real_if_exact(x)
+        spaces = _narrow_eigenspaces(x_real, tol)
+        if spaces is None:
+            return None, None, None, None
+        facts = _involution_facts(x_real, spaces, work)
+        bounds = _certified_bounds(len(x), facts)
+    return (spaces, *(exact if computed <= tol.structural else None
+                      for exact, computed in bounds), facts.e)
 
 
 def _narrow_side(spaces: tuple[Subspace, Subspace]) -> tuple[float, np.ndarray]:
     """The sign s and the basis B of the narrow side of an involution's eigenspaces."""
     plus, minus = spaces
     return (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
-
-
-def _through_narrow_side(u: np.ndarray, spaces: tuple[Subspace, Subspace]) -> np.ndarray | None:
-    """``s (2 B (B* u) - u)`` for the narrow side B (sign s), at O(n^2 k), or None.
-
-    Its trace, ``s (2 tr(B* u B) - tr u)``, is read from ``B* u`` first:
-    a coin whose trace leaves it no narrow side (or a NaN trace) could
-    not be kept, since its Hermiticity gets no certificate, so it is not
-    formed, and None is returned. Scaling by 2 s is exact; ``u`` is then
-    subtracted, or for s = -1 added, in place, so the coin is the one
-    n x n array formed.
-    """
-    sign, b = _narrow_side(spaces)
-    n = len(u)
-    y = (2.0 * sign) * np.matmul(b.conj().T, u)
-    k_plus = (n + float(np.trace(y @ b).real) - sign * float(np.trace(u).real)) / 2.0
-    if not 0.5 <= min(k_plus, n - k_plus) <= n / 4.0 + 0.5:
-        return None
-    coin = np.matmul(b, y)
-    return (np.subtract if sign > 0.0 else np.add)(coin, u, out=coin)
 
 
 def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
@@ -306,10 +482,7 @@ class _Facts(NamedTuple):
     e: float          # largest entry of X - Xh, as measured
     delta: float      # entries of D = X - Xh
     gram: float       # entries of X* X - 1
-    gram_norm: float  # |X* X - 1|_2
     norm: float       # |X|_2
-    low: float        # smallest singular value of Xh
-    rounding: float   # r: the rounding of s (2 B (B* Y) - Y) in |Y e_j| units
 
 
 def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
@@ -321,37 +494,28 @@ def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
     beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
     rho2 = (1.0 + gamma_k) * w
     delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
-    top, spread = 1.0 + 2.0 * k * beta, n * delta
+    top = 1.0 + 2.0 * k * beta
     gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
-    gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
-    rounding = (2.0 * (1.0 + gamma) * (1.0 + gamma_k) * k * (1.0 + beta)
-                * (gamma + gamma_k + _EPS) + _EPS)
-    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta, rounding)
+    return _Facts(e, delta, gram, top + n * delta)
 
 
-def _certified_bounds(n: int, g_facts: _Facts | None, c_facts: _Facts | None,
-                      through: bool) -> tuple[tuple[tuple[float, float], ...], float]:
-    """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
+def _certified_bounds(n: int, facts: _Facts) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Bounds on an involution's ``X* X - 1`` and ``X - X*`` from its narrow eigenspace.
 
     Each is a pair: a bound on the exact residual's largest entry, and
-    one on the residual as :func:`make_pair` would compute it. Both are
-    infinite where an eigenspace the bound needs was not taken: the
-    grading's for the second and third, the coin's for the fourth, both
-    for the first, which also needs the coin formed ``through`` the
-    grading's narrow side. Returned with them is the coin's error
-    ``eta``, positive where the coin was formed through that side, else
-    0. Of an involution X with a narrow side of sign s and basis B
-    (n x k), :func:`_involution_certificate` measures ``e``, the largest
-    entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and
-    ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps`` as
-    in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
+    one on the residual as :func:`make_pair` would compute it. Of an
+    involution X with a narrow side of sign s and basis B (n x k),
+    :func:`_involution_certificate` measures ``e``, the largest entry of
+    ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and ``w``, B's
+    largest squared row norm. With ``gamma = (n + 4) eps`` as in
+    :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
     :func:`_involution_facts` derives:
 
     * ``F = B* B - 1`` has entries at most
       ``beta = ((1 + gamma) f + gamma) / (1 - gamma)``, the rounding of
       ``B* B`` being at most ``gamma`` times its columns' norms, which are
-      at most ``1 + beta``; so ``|F|_2 <= k beta``, ``|B|_2^2 <= 1 + k beta``
-      and ``|B|_F^2 <= phi2 = k (1 + beta)``;
+      at most ``1 + beta``; so ``|F|_2 <= k beta`` and
+      ``|B|_2^2 <= 1 + k beta``;
     * B's rows have squared norms at most ``rho2 = (1 + gamma_k) w``;
     * ``D = X - Xh`` with ``Xh = s (2 B B* - 1)`` has entries at most
       ``delta = (1 + gamma_k)(e + eps) + 3 gamma_k rho2``: the rounding of
@@ -359,67 +523,26 @@ def _certified_bounds(n: int, g_facts: _Facts | None, c_facts: _Facts | None,
       and subtracting s on the diagonal and the result from X round by
       ``eps`` relative;
     * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
-      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
-      smallest singular value is at least ``1 - 2 k beta``, and
-      ``|D|_2 <= |D|_F <= n delta`` moves both by at most that.
+      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, and
+      ``|D|_2 <= |D|_F <= n delta`` moves that by at most ``n delta``.
 
     Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
     ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
     ``4 rho2 k beta + 2 sqrt(n) |Xh|_2 delta + n delta^2`` (a row's norm
-    times a column's) and 2-norm at most
-    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``.
-
-    The coin formed through the grading's side is
-    ``C = fl(fl(B (2 s fl(B* U))) - s U) = Gh U + R`` with Gh the
-    grading's Xh. A column of ``fl(B* U) = B* U + R1`` is off by at most
-    ``gamma phi |U e_j|`` (an entry by ``gamma |B e_l| |U e_j|``), so it
-    has norm at most ``(1 + gamma) phi |U e_j|``; the k-term product by
-    B adds a column of norm at most ``2 gamma_k (1 + gamma) phi2 |U e_j|``,
-    since ``| |B| |_2 <= |B|_F``; and the subtraction rounds by ``eps``
-    relative, on a column of norm at most
-    ``(2 (1 + gamma)(1 + gamma_k) phi2 + 1) |U e_j|``. With
-    ``R = 2 s B R1 + R2 + R3`` this gives ``|R e_j| <= r |U e_j|`` for
-
-        ``r = 2 (1 + gamma)(1 + gamma_k) phi2 (gamma + gamma_k + eps) + eps``.
-
-    So ``E = C - G U = -D U + R`` has columns of norm at most
-    ``eta |U|_2`` with ``eta = n delta_G + r``. Where the coin is
-    ``G U`` as computed, ``|E| <= gamma |G| |U|`` instead, and ``eta`` is
-    0 (:func:`_derived_bounds` covers that E by itself). Through the
-    grading's side, ``|U|_2 <= nu_U = |C|_2 / (1 - 2 k beta - sqrt(n) r)``,
-    since ``|R|_2 <= |R|_F <= r |U|_F <= sqrt(n) r |U|_2``. For the
-    evolution, ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
-    each of whose middle terms has entries at most a column norm of C
-    times one of E. As computed, a Gram residual adds ``gamma`` times the
-    product of two column norms and a Hermiticity residual nothing, and
-    ``1 + gamma`` covers the relative rounding of each subtraction and
-    magnitude.
+    times a column's). As computed, a Gram residual adds ``gamma`` times
+    the product of two column norms and a Hermiticity residual nothing,
+    and ``1 + gamma`` covers the relative rounding of each subtraction
+    and magnitude.
     """
-    unknown = _UNBOUNDED[0]
-    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
-
-    def as_computed(exact, nu):
-        # A Gram residual's exact bound, and its bound as computed.
-        return exact, (1.0 + gamma) * (exact + gamma * nu * nu)
-
-    skew = [(2.0 * f.delta, (1.0 + gamma) * 2.0 * f.delta) if f else unknown
-            for f in (g_facts, c_facts)]
-    evolution, coin_error = unknown, 0.0
-    if through:
-        coin_error = n * g_facts.delta + g_facts.rounding
-        # Written so that a NaN leaves the evolution unknown.
-        if c_facts and (low := g_facts.low - root_n * g_facts.rounding) > 0.0:
-            nu_u = c_facts.norm / low
-            leak = coin_error * nu_u
-            evolution = as_computed(c_facts.gram + 2.0 * c_facts.norm * leak + leak * leak
-                                    + nu_u * nu_u * g_facts.gram_norm, nu_u)
-    grading = as_computed(g_facts.gram, g_facts.norm) if g_facts else unknown
-    return (evolution, grading, *skew), coin_error
+    gamma = (n + 4) * _EPS
+    skew = 2.0 * facts.delta
+    return ((facts.gram, (1.0 + gamma) * (facts.gram + gamma * facts.norm * facts.norm)),
+            (skew, (1.0 + gamma) * skew))
 
 
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
-                    r_2: float | None = None, chirality: float | None = None,
-                    coin_error: float = 0.0) -> tuple[float, ...]:
+                    r_2: float | None = None,
+                    chirality: float | None = None) -> tuple[float, ...]:
     """Bounds on the residuals of make_pair's five products that may be skipped.
 
     The arguments are the entrywise residuals of ``U* U - 1``, ``G* G - 1``,
@@ -428,10 +551,10 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
     ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
     first two bounds in place of ``r_2`` and ``chirality`` when those are
-    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or
-    a Hermiticity residual, the bound of :func:`_certified_bounds` on the
+    not given. Where :func:`make_pair` did not form ``G* G`` or a
+    Hermiticity residual, the bound of :func:`_certified_bounds` on the
     exact residual stands in for it; every bound here grows with its
-    arguments, so it still holds. E is the error of the stored coin,
+    arguments, so it still holds. E is the rounding of the stored coin,
     ``C = GU + E``:
 
     * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
@@ -448,14 +571,11 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     rounding of a complex n-term dot product relative to the sum of its
     terms' magnitudes (while ``n gamma < 1``, far beyond any dense matrix
     that fits in memory), and ``1 + gamma`` covers the relative rounding
-    of a residual, its subtraction and its magnitude. E's columns have
-    norm at most ``leak = (gamma sqrt(n) nu + coin_error) nu``: for
-    ``C = G U`` as computed, ``|E| <= gamma |G||U|``, and a column of
-    ``|G||U|`` has norm at most the norm of ``|G|`` (at most its Frobenius
-    norm, ``sqrt(n) nu``) times ``nu``; for a coin formed through the
-    grading's narrow side, ``coin_error`` is the ``eta`` of
-    :func:`_certified_bounds`. C's columns have norm at most
-    ``nu^2 + leak`` and its rows, those of C*, at most
+    of a residual, its subtraction and its magnitude. ``|E| <= gamma |G||U|``,
+    and a column of ``|G||U|`` has norm at most the norm of ``|G|`` (at
+    most its Frobenius norm, ``sqrt(n) nu``) times ``nu``, so E's columns
+    have norm at most ``leak = gamma sqrt(n) nu^2``. C's columns have
+    norm at most ``nu^2 + leak`` and its rows, those of C*, at most
     ``c = nu^2 + leak + sqrt(n) h_c``. So:
 
     * the rounding of ``G^2`` and of ``G* G`` adds at most ``gamma nu^2``
@@ -473,14 +593,14 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
       residuals and of the products in the last three.
 
     The first two are compared with ``tol.structural``. At the default
-    tolerance the rounding term of the second, for ``C = G U``, reaches
-    it from n of about 3700, so a search pair on 11 qubits (n = 4096)
-    forms ``C G`` again; that of the first only from n of about 1.5e5.
+    tolerance the rounding term of the second reaches it from n of about
+    3700, so a pair of dimension 4096 forms ``C G`` again; that of the
+    first only from n of about 1.5e5.
     """
     gamma = (n + 4) * _EPS
     nu2 = (1.0 + n * max(r_u, r_g)) / (1.0 - n * gamma)
     root_n, nu = math.sqrt(n), math.sqrt(nu2)
-    leak = (gamma * root_n * nu + coin_error) * nu
+    leak = gamma * root_n * nu * nu
     c = nu2 + leak + root_n * h_c
     square = (1.0 + gamma) * (r_g + root_n * nu * h_g) + 3.0 * gamma * nu2
     chiral = (1.0 + gamma) * (root_n * nu * (h_c + r_g) + leak * nu
@@ -494,11 +614,12 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
 
 
 def _unit(pair: ChiralPair) -> complex:
-    return 1.0 if np.isrealobj(pair.u) else 1j
+    return 1j if pair.dtype.kind == "c" else 1.0
 
 
 def _supercharge(pair: ChiralPair) -> np.ndarray:
     """``S = (U - U*)/(2 unit)``: q, or for an exactly real pair the real A with ``q = -iA``."""
+    _check_dense(pair)
     return (pair.u - pair.u.conj().T) / (2.0 * _unit(pair))
 
 
@@ -513,7 +634,23 @@ def index_alpha(pair: ChiralPair) -> int:
 
 
 def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
-    """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces."""
+    """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces.
+
+    Where one side is held by the other's basis B, the narrow side, no
+    wide basis is read: alpha's singular values are those of the n x k
+    ``(1 - B B*) S B``. For B the +1 side's basis, alpha is ``G-* S B``
+    with ``G- G-* = 1 - B B*``; for the -1 side's, alpha is ``B* S G+``,
+    whose singular values are those of ``B* S (1 - B B*)``, the adjoint of
+    ``+-(1 - B B*) S B`` since ``S* = +-S``. ``S B`` comes from ``U B`` and
+    ``U* B``, and the one SVD gives rank alpha = rank alpha*. Otherwise
+    alpha is formed from both bases, and each rank from an SVD of its own.
+    """
+    wide = plus if plus.by_complement else minus if minus.by_complement else None
+    if wide is not None:
+        b, ops = wide.complement, _operators(pair)
+        sb = (ops.u(b) - ops.uh(b)) / (2.0 * _unit(pair))
+        rank = _rank_svd(_outside(sb, b), pair.tol, vectors=False)[0]
+        return (plus.dim - rank) - (minus.dim - rank)
     alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
     rows, cols = alpha.shape
     ker = cols - _rank_svd(alpha, pair.tol, vectors=False)[0]
@@ -540,15 +677,17 @@ def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
     """Index of ``(Gamma+, C+)`` plus index of ``(Gamma+, C-)``, from ``(Gamma -+ C)/2``.
 
     ``narrow`` is an orthonormal basis Y of the coin's eigenspace for
-    ``sign``. From dimension 64 on, when Y has at most n/4 columns,
-    :func:`_compressed_coin_pair_index` takes both indices on Halmos's
-    reduction; otherwise, or when its certificate fails, they come from
-    the eigenvalues of the two whole differences.
+    ``sign``. For a pair held by its factors, and from dimension 64 on
+    when Y has at most n/4 columns, :func:`_compressed_coin_pair_index`
+    takes both indices on Halmos's reduction; otherwise, or when its
+    certificate fails, they come from the eigenvalues of the two whole
+    differences.
     """
-    if _narrow(narrow.shape[1], pair.dim):
+    if pair.factors is not None or _narrow(narrow.shape[1], pair.dim):
         index = _compressed_coin_pair_index(pair, narrow, sign)
         if index is not None:
             return index
+    _check_dense(pair)
     return (_projection_pair_index((pair.gamma - pair.coin) / 2.0, pair.tol)
             + _projection_pair_index((pair.gamma + pair.coin) / 2.0, pair.tol))
 
@@ -572,17 +711,18 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     ``|(Gamma + s C) B - B (B* (Gamma + s C) B)|`` for both signs. Each
     +-1 decision is then made on n values, as on the whole difference.
     """
-    n, tol, g, c = pair.dim, pair.tol, pair.gamma, pair.coin
-    left, sigma, _ = np.linalg.svd(np.hstack([narrow, g @ narrow]), full_matrices=False)
+    n, tol, ops = pair.dim, pair.tol, _operators(pair)
+    left, sigma, _ = np.linalg.svd(np.hstack([narrow, ops.gamma(narrow)]), full_matrices=False)
     b = left[:, ~_near_unit(sigma, 0.0, tol.rank)]
-    gb, cb = g @ b, c @ b
+    gb, cb = ops.gamma(b), ops.coin(b)
     g_s, c_s = b.conj().T @ gb, b.conj().T @ cb
     dim_s = b.shape[1]
-    k_plus = (n + float(np.trace(g).real)) / 2.0
+    trace_g, trace_c = ops.traces()
+    k_plus = (n + trace_g) / 2.0
     s_plus = (dim_s + float(np.trace(g_s).real)) / 2.0
     outside_plus = round(k_plus) - round(s_plus)
     residuals = [abs(k_plus - round(k_plus)), abs(s_plus - round(s_plus)),
-                 abs(float(np.trace(c).real - np.trace(c_s).real) + sign * (n - dim_s)),
+                 abs(float(trace_c - np.trace(c_s).real) + sign * (n - dim_s)),
                  *(_maxabs(gb + s * cb - b @ (g_s + s * c_s)) for s in (-1.0, 1.0))]
     # Written so that a NaN residual fails.
     if not (all(r <= tol.structural * n for r in residuals)

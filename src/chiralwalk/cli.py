@@ -17,7 +17,10 @@ order, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
 consistency check failed. A pair that validates always gets its report,
-and ``--dump-matrices`` writes on exit 2 too.
+and ``--dump-matrices`` writes on exit 2 too. A search pair is held by
+its factors, and ``--dump-matrices`` forms its n x n matrices only up to
+``chiral.DENSE_MAX_DIM``; beyond it the command exits 1 and writes
+nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chiral import make_pair
+from .chiral import _check_dense, make_pair
 from .errors import ChiralWalkError, InconsistencyDetected
 from .linalg import DEFAULT_TOL, Tolerance
 from .models import (
@@ -203,6 +206,9 @@ def _tolerance(args) -> Tolerance:
 
 
 def _report_and_emit(args, pair) -> int:
+    if args.dump_matrices:
+        # Refused before anything is written.
+        _check_dense(pair)
     report = build_index_report(pair)
     _emit(args, render_report(report, pair.tol))
     _dump_matrices(args, pair)

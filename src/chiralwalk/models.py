@@ -19,20 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, make_pair
+from .chiral import ChiralPair, Reflection, make_factored_pair, make_pair
 from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
-# A search pair on q qubits has dimension n = 2^(q + 1) and is held as
-# dense n x n matrices. Its report makes no factorization with both
-# dimensions above n/2 and writes no n x (n - k) basis, and make_pair
-# forms no product of two n x n matrices (its coin goes through the
-# grading's two-dimensional side), so memory sets the limit: the
-# evolution, the grading, the coin and make_pair's work buffer are four
-# n x n arrays, 128 MiB at q = 10 (n = 2048) and 512 MiB at q = 11,
-# against a budget of about 256 MiB and a second (1 BLAS thread). At
-# q = 10 grover_search takes 0.12 to 0.14 s with a traced peak of 136 MiB.
-MAX_SEARCH_QUBITS = 10
+# A search pair on q qubits has dimension n = 2^(q + 1) and is held by its
+# factors, an n x 2 grading basis and an n x 1 coin basis: no n x n array
+# is formed, and the report's products, factorizations and length-n
+# arrays cost O(n) time and memory each. The limit is measured against a
+# budget of about a second and 256 MiB for the command (1 BLAS thread):
+# at q = 18 (n = 2^19) the command takes 0.33 to 0.41 s with a peak RSS
+# of 158 to 174 MiB; at q = 19 it takes 0.81 to 0.93 s with a peak RSS of
+# 282 MiB, over the memory budget.
+MAX_SEARCH_QUBITS = 18
 # The probability table builds no pair: it holds the search state, 16 * 2^q
 # bytes, and one step's copy of it. The limit keeps the state at 16 MiB
 # (q = 20), where a step takes about 30 ms.
@@ -139,19 +138,17 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
     reflects positions about the uniform superposition and acts as the
     identity on the oracle register. The evolution is grading times coin,
     which is the grading with its marked column negated. All three are
-    real.
+    real. The pair is held by its factors (:func:`make_factored_pair`):
+    the grading is ``2 B B* - 1`` with ``B = [s (x) |+>, s (x) |->]`` for
+    the uniform superposition s, and the coin ``-(2 Y Y* - 1)`` with
+    ``Y = |target, ->``, so no n x n matrix is formed.
     """
     n_positions = _search_positions(qubits, target, MAX_SEARCH_QUBITS)
-    uniform = np.full(n_positions, 1.0 / math.sqrt(n_positions))
-    reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
-    # Written as np.kron(reflect, np.eye(2)) writes it, down to the -0.0
-    # of each negative entry times zero.
-    gamma = np.empty((2 * n_positions, 2 * n_positions))
-    gamma[0::2, 0::2] = gamma[1::2, 1::2] = reflect
-    gamma[0::2, 1::2] = gamma[1::2, 0::2] = reflect * 0.0
-    u = gamma.copy()
-    u[:, 2 * target + 1] *= -1.0
-    return make_pair(u, gamma, tol)
+    uniform = np.zeros((2 * n_positions, 2))
+    uniform[0::2, 0] = uniform[1::2, 1] = 1.0 / math.sqrt(n_positions)
+    marked = np.zeros((2 * n_positions, 1))
+    marked[2 * target + 1] = 1.0
+    return make_factored_pair(Reflection(uniform, 1.0), Reflection(marked, -1.0), tol)
 
 
 def search_probability_table(

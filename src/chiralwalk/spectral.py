@@ -26,6 +26,15 @@ side of the grading comes from the census. Two certificates,
 the report runs on W = C^n instead, where the same code makes the dense
 factorizations of U and S.
 
+Every product with U, U*, Gamma or C, ``d Gamma d*`` and the traces are
+taken from the pair's operators (:func:`chiral._operators`): its stored
+matrices, or for a pair held by its factors the reflections themselves,
+at O(n (k + c)) per column. For such a pair S vanishes outside
+span(G, Y), the span of the grading's and the coin's bases, so the
+certificate ``|S - (S B) B*|`` is measured there, on (k + c) x (k + c)
+matrices, and the report forms no n x n array; only the dense fallback
+on W = C^n forms the pair's matrices, up to ``chiral.DENSE_MAX_DIM``.
+
 The span checks that split ker(U -+ 1) and the kernels of the supercharge
 block into inherited and birth parts compare only the parts in W, of
 dimension at most 2c on L: both sides of each check add the same part of
@@ -50,7 +59,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _coin_pair_index, _eigenspaces, _supercharge, _unit
+from .chiral import (
+    ChiralPair,
+    _coin_pair_index,
+    _eigenspaces,
+    _operators,
+    _supercharge,
+    _unit,
+)
 from .errors import InconsistencyDetected
 from .linalg import (
     Subspace,
@@ -171,7 +187,7 @@ def _coisometry(pair: ChiralPair, coin_plus: Subspace,
                 coin_minus: Subspace) -> CoisometryDecomposition:
     flipped = coin_plus.dim == 0 or 0 < coin_minus.dim < coin_plus.dim
     d = (coin_minus if flipped else coin_plus).basis.conj().T
-    t = d @ pair.gamma @ d.conj().T
+    t = _operators(pair).discriminant(d)
     return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t)
 
 
@@ -189,8 +205,10 @@ class _Walk:
     columns of the identity, since ``B = [B+ | B-]``. ``outside`` holds
     the dimensions of ``W-perp & Gamma+`` and ``W-perp & Gamma-``, on which
     U is ``-Gamma`` for the effective coin: on L those of the effective
-    census's birth spaces, and zero when W is the whole space. ``images``
-    holds ``U B`` and ``U* B`` on L, and is None on the whole space.
+    census's birth spaces, and zero when W is the whole space.
+    ``commutation`` holds the residuals of :func:`_commutation_residuals`,
+    taken while ``U B`` and ``U* B`` are at hand, so the walk does not
+    hold them.
     """
 
     basis: np.ndarray | None
@@ -198,7 +216,7 @@ class _Walk:
     q: np.ndarray
     sides: tuple[Subspace, Subspace]
     outside: tuple[int, int]
-    images: tuple[np.ndarray, np.ndarray] | None = None
+    commutation: tuple[float, float]
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis @ v
@@ -262,43 +280,52 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
-        unit = _unit(pair)
-        ub, uhb = pair.u @ b, pair.u.conj().T @ b
+        unit, ops = _unit(pair), _operators(pair)
+        ub, uhb = ops.u(b), ops.uh(b)
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
-        # 2 unit (S - (S B) B*) = U - U* - 2 unit (S B) B*, formed in place.
-        cert = (-2.0 * unit * sb) @ b.conj().T
-        cert += pair.u
-        cert -= pair.u.conj().T
         bound = _certificate_bound(pair)
         # The census cannot leave L more directions on a side of the grading
         # than G+-* d* has singular vectors; if it does, L is not used.
         if not (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
-                or _maxabs(cert) / 2.0 > bound or unitarity_residual(u_w) > tol.structural):
+                or ops.outside(sb, b, unit) > bound
+                or unitarity_residual(u_w) > tol.structural):
             eye, r = np.eye(b.shape[1]), ranks[0]
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
-            return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus), (ub, uhb))
-    return _Walk(None, pair.u, _supercharge(pair), (gamma_plus, gamma_minus), (0, 0))
+            return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus),
+                         _commutation_residuals(pair, b, sb, ub, uhb))
+    s = _supercharge(pair)
+    return _Walk(None, pair.u, s, (gamma_plus, gamma_minus), (0, 0),
+                 _commutation_residuals(pair, None, s))
 
 
-def _commutation_residuals(pair: ChiralPair, walk: _Walk) -> tuple[float, float]:
+def _commutation_residuals(pair: ChiralPair, b: np.ndarray | None, q: np.ndarray,
+                           ub: np.ndarray | None = None,
+                           uhb: np.ndarray | None = None) -> tuple[float, float]:
     """Largest entries of ``Gamma S + S Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
 
     S is q up to a unit scalar, so the first is q's anticommutator. On L,
-    ``walk.q`` is ``S B``, r B comes from the walk's ``U B`` and ``U* B``,
-    and the products of S and r with ``Gamma B`` come from those of U and
-    U*, so neither is formed.
+    with basis ``b``, ``q`` is ``S B``, r B comes from ``U B`` and
+    ``U* B``, and the products of S and r with ``Gamma B`` come from those
+    of U and U*, so neither is formed. On the whole space ``b`` is None
+    and ``q`` is S.
     """
-    g, u, b = pair.gamma, pair.u, walk.basis
     if b is None:
+        g, u = pair.gamma, pair.u
         r = (u + u.conj().T) / 2.0
-        return _maxabs(g @ walk.q + walk.q @ g), _maxabs(g @ r - r @ g)
-    g_b = g @ b
-    ug, uhg = u @ g_b, u.conj().T @ g_b
-    ub, uhb = walk.images
-    return (_maxabs(g @ walk.q + (ug - uhg) / (2.0 * _unit(pair))),
-            _maxabs(g @ ((ub + uhb) / 2.0) - (ug + uhg) / 2.0))
+        return _maxabs(g @ q + q @ g), _maxabs(g @ r - r @ g)
+    ops = _operators(pair)
+    g_b = ops.gamma(b)
+    ug, uhg = ops.u(g_b), ops.uh(g_b)
+    del g_b
+    anti = ops.gamma(q)
+    anti += (ug - uhg) / (2.0 * _unit(pair))
+    ug += uhg
+    del uhg
+    commute = ops.gamma((ub + uhb) / 2.0)
+    commute -= ug / 2.0
+    return _maxabs(anti), _maxabs(commute)
 
 
 def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
@@ -475,7 +502,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # Commutation structure of the supercharge and its Hermitian partner,
     # on W: on W-perp q vanishes and U is -+Gamma, by the certificates and
     # the coin identity above.
-    anti, commute = _commutation_residuals(pair, walk)
+    anti, commute = walk.commutation
     checks.append(CheckResult("supercharge_anticommutes", anti <= tol.structural * n, anti))
     checks.append(CheckResult("hermitian_part_commutes", commute <= tol.structural * n, commute))
 

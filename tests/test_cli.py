@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chiralwalk
-from chiralwalk import models, spectral
+from chiralwalk import chiral, models, spectral
 from chiralwalk.chiral import make_pair
 from chiralwalk.cli import (
     load_graph_file,
@@ -597,6 +597,24 @@ class TestSizeLimits:
         doc = json.loads(out)
         assert doc["consistent"] is True
         assert doc["indices"]["alpha"] == 4 - 2 ** (limit + 1)
+
+    def test_dump_matrices_of_a_factored_pair_beyond_the_dense_limit(self, tmp_path, capsys):
+        # A search pair is held by its factors; its n x n matrices are
+        # formed for --dump-matrices only up to DENSE_MAX_DIM. Beyond it,
+        # at the qubit limit too, the command exits 1 before it writes
+        # the report or any file.
+        for qubits in (8, 9, models.MAX_SEARCH_QUBITS):
+            dump, output = tmp_path / f"dump{qubits}", tmp_path / f"report{qubits}.json"
+            code, out, err = run_cli(capsys, "model", "grover-search", "--qubits", str(qubits),
+                                     "--target", "3", "--output", str(output),
+                                     "--dump-matrices", str(dump))
+            n = 2 ** (qubits + 1)
+            if n <= chiral.DENSE_MAX_DIM:
+                assert code == 0 and (dump / "u.json").is_file() and output.is_file()
+                continue
+            assert code == 1 and out == ""
+            assert f"dimension {n}" in err and f"up to dimension {chiral.DENSE_MAX_DIM}" in err
+            assert not dump.exists() and not output.exists()
 
     def test_evolve_limit(self, capsys):
         # evolve holds only the search state, so its limit is its own.

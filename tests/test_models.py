@@ -1,10 +1,19 @@
 """Tests for the concrete model builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chiralwalk.chiral import index_alpha, make_pair
-from chiralwalk.errors import GraphInvalid, OutOfRange, ParamInvariantViolated
+from chiralwalk import chiral, models
+from chiralwalk.chiral import Factors, Reflection, index_alpha, make_factored_pair, make_pair
+from chiralwalk.errors import (
+    DimensionMismatch,
+    GraphInvalid,
+    NotInvolution,
+    OutOfRange,
+    ParamInvariantViolated,
+)
 from chiralwalk.linalg import _identity_residual, unitarity_residual
 from chiralwalk.models import (
     Graph,
@@ -73,21 +82,152 @@ class TestGroverSearch:
 
     @pytest.mark.parametrize("qubits", range(1, 9))
     def test_grading_is_written_as_kron_writes_it(self, qubits):
-        # Down to the sign of each zero: np.kron writes -0.0 for a negative
-        # entry times zero, and the reports are pinned to those bytes.
+        # The pair is held by its factors, and the dense grading formed from
+        # them, 2 B B* - 1, has the bits of every nonzero entry of
+        # np.kron(reflect, eye(2)). Only the sign of a zero differs: np.kron
+        # writes -0.0 for a negative entry times zero, and adding 0.0 turns
+        # it into 0.0. No report reads the dense grading.
         n_positions = 2**qubits
         uniform = np.full(n_positions, 1.0 / np.sqrt(n_positions))
         reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
         expected = np.kron(reflect, np.eye(2))
         for target in sorted({0, n_positions - 1}):
             pair = grover_search(qubits, target)
-            assert pair.gamma.tobytes() == expected.tobytes()
+            assert pair.factors is not None
+            assert (pair.gamma + 0.0).tobytes() == (expected + 0.0).tobytes()
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(OutOfRange):
             grover_search(0, 0)
         with pytest.raises(OutOfRange):
-            grover_search(13, 0)
+            grover_search(models.MAX_SEARCH_QUBITS + 1, 0)
+
+
+def _report_summary(report):
+    """A report's integers, booleans and check names, and its floats apart."""
+    exact = (report.dim, report.index_alpha, report.index_witten, report.index_formula,
+             report.gamma_signature, report.consistent, report.flipped,
+             (report.census.m_plus, report.census.m_minus,
+              report.census.M_plus, report.census.M_minus),
+             [m for _, m in report.spectrum_u], [m for _, m in report.spectrum_t],
+             [m for _, m in report.spectrum_h],
+             [(c.name, c.passed, c.detail) for c in report.checks], report.warnings)
+    floats = np.array([report.mapping_residual, *(c.residual for c in report.checks),
+                       *(v for v, _ in report.spectrum_t), *(v for v, _ in report.spectrum_h)])
+    return exact, floats, np.array([v for v, _ in report.spectrum_u])
+
+
+@pytest.mark.parametrize("qubits", range(1, 11))
+def test_factored_search_report_equals_the_dense_pair_report(qubits):
+    # The pair held by its factors gets the report of make_pair on its
+    # dense evolution and grading: the same integers, booleans and check
+    # names, and floats to within 1e-12.
+    for target in sorted({0, 1, 2**qubits - 1}):
+        pair = grover_search(qubits, target)
+        assert pair.factors is not None
+        factored = _report_summary(build_index_report(pair))
+        dense = _report_summary(build_index_report(make_pair(pair.u, pair.gamma)))
+        assert factored[0] == dense[0]
+        for a, b in zip(factored[1:], dense[1:]):
+            assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", range(11, models.MAX_SEARCH_QUBITS + 1))
+def test_factored_search_report_beyond_the_dense_sizes(qubits):
+    # From q = 11 to the limit, where no dense pair is formed, every check
+    # passes, the index is 4 - 2N on every route, the coin is flipped and
+    # the discriminant is the single eigenvalue 2/N - 1 (N = 2^q).
+    positions = 2**qubits
+    for target in (0, positions - 1):
+        pair = grover_search(qubits, target)
+        report = build_index_report(pair)
+        assert all(c.passed for c in report.checks) and report.consistent
+        assert (report.index_alpha == report.index_witten == report.index_formula
+                == report.gamma_signature == 4 - 2 * positions)
+        assert report.flipped
+        assert len(report.spectrum_t) == 1 and report.spectrum_t[0][1] == 1
+        assert report.spectrum_t[0][0] == pytest.approx(2.0 / positions - 1.0, abs=1e-12)
+    assert index_alpha(pair) == 4 - 2 * positions
+
+
+def test_factored_search_path_forms_no_n_by_n_array(monkeypatch):
+    # Building and reporting a search pair reads no dense matrix, and its
+    # traced allocation peak is O(n), a few dozen length-n columns, where
+    # one n x n array at q = 12 (n = 8192) would take 512 MiB.
+    def refused(self, name):
+        raise AssertionError(f"dense {name} formed")
+
+    monkeypatch.setattr(Factors, "dense", refused)
+    qubits = 12
+    n = 2 ** (qubits + 1)
+    tracemalloc.start()
+    try:
+        pair = grover_search(qubits, 5)
+        report = build_index_report(pair)
+        index = index_alpha(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.consistent and index == 4 - n
+    assert peak <= 64 * 8 * n
+
+
+class TestFactoredPair:
+    def test_holds_the_reflections_and_their_eigenspaces(self):
+        pair = grover_search(3, 5)
+        n = pair.dim
+        assert n == 16 and pair.dtype == np.float64
+        (g_plus, g_minus), (c_plus, c_minus), residual = pair.eigenspaces
+        assert (g_plus.dim, g_minus.dim, c_plus.dim, c_minus.dim) == (2, n - 2, n - 1, 1)
+        assert g_minus.by_complement and c_plus.by_complement and residual == 0.0
+        # The dense matrices, formed on first read, are those the
+        # reflections define, and U = Gamma C.
+        assert np.array_equal(pair.coin, -(2.0 * np.outer(np.eye(n)[11], np.eye(n)[11])
+                                           - np.eye(n)))
+        assert np.abs(pair.u - pair.gamma @ pair.coin).max() <= 1e-15
+        assert pair.u is pair.u
+
+    def test_rejects_bases_that_are_not_orthonormal(self):
+        rng = np.random.default_rng(4)
+        basis = np.linalg.qr(rng.standard_normal((32, 3)))[0]
+        coin = Reflection(np.eye(32)[:, :1], -1.0)
+        make_factored_pair(Reflection(basis, 1.0), coin)
+        for label, grading, c in (
+                ("grading", Reflection(basis * (1.0 + 1e-9), 1.0), coin),
+                ("coin", Reflection(basis, 1.0), Reflection(2.0 * np.eye(32)[:, :1], -1.0))):
+            with pytest.raises(NotInvolution, match=f"{label} is not unitary"):
+                make_factored_pair(grading, c)
+        with pytest.raises(DimensionMismatch):
+            make_factored_pair(Reflection(basis, 1.0), Reflection(np.eye(16)[:, :1], 1.0))
+        with pytest.raises(ValueError, match="sign"):
+            make_factored_pair(Reflection(basis, 0.5), coin)
+
+    def test_complex_factors_give_the_dense_pair_report(self):
+        # A complex grading basis of three columns and a two-column coin
+        # basis: the factored report is the dense pair's, to within 1e-12.
+        rng = np.random.default_rng(8)
+        n = 96
+        z = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        g_basis = np.linalg.qr(z[:, :3])[0]
+        c_basis = np.linalg.qr(z[:, 3:])[0]
+        pair = make_factored_pair(Reflection(g_basis, -1.0), Reflection(c_basis, 1.0))
+        assert pair.dtype == np.complex128
+        factored = _report_summary(build_index_report(pair))
+        dense = _report_summary(build_index_report(make_pair(pair.u, pair.gamma)))
+        assert factored[0] == dense[0] and factored[0][5]
+        for a, b in zip(factored[1:], dense[1:]):
+            assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-12
+        assert index_alpha(pair) == index_alpha(make_pair(pair.u, pair.gamma)) == n - 2 * 3
+
+    def test_dense_fallback_is_refused_beyond_the_dense_limit(self, monkeypatch):
+        # Where a certificate of the report fails, the report falls back to
+        # the dense matrices; for a factored pair beyond DENSE_MAX_DIM it
+        # raises OutOfRange instead of forming them.
+        monkeypatch.setattr(chiral, "DENSE_MAX_DIM", 64)
+        monkeypatch.setattr(chiral.Factors, "outside", lambda self, sb, b, unit: np.inf)
+        build_index_report(grover_search(4, 3))
+        with pytest.raises(OutOfRange, match="up to dimension 64"):
+            build_index_report(grover_search(6, 3))
 
 
 class TestSearchProbability:

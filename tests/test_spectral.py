@@ -339,16 +339,16 @@ class TestReportStructure:
             monkeypatch.setattr(np.linalg, name, recorded)
         spans = _record_span_checks(monkeypatch)
         for qubits in (5, 6, 7):
-            # Counted across make_pair and the report: make_pair takes the
-            # narrow sides of Gamma and C, and the report reads them from
-            # the pair instead of factorizing either again.
+            # Counted across the build and the report: the pair is held by
+            # its factors, whose bases are the narrow sides of Gamma and C,
+            # so neither the build nor the report factorizes either.
             calls.clear()
             pair = grover_search(qubits, 0)
             n = pair.dim
-            assert [call[:2] for call in calls] == [("qr", "_narrow_eigenspaces")] * 2
+            assert pair.factors is not None and calls == []
             spans.clear()
             report = build_index_report(pair)
-            assert sum(call[1] == "_narrow_eigenspaces" for call in calls) == 2
+            assert not any(call[1] == "_narrow_eigenspaces" for call in calls)
             assert report.consistent and report.census.m_minus == n - 3
             # Every span check compares subspaces of dimension at most
             # dim L = 2.
@@ -360,13 +360,13 @@ class TestReportStructure:
             counts = {name: sum(call[0] == name for call in calls)
                       for name in ("svd", "eigh", "eigvalsh")}
             assert counts["svd"] <= 10 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
-            # One reduced QR for each of Gamma's and C's narrow sides, and
-            # one that orthonormalizes the complement of the census's
-            # Gamma- & C+. L-perp & Gamma+- are the census's birth spaces,
-            # which the span checks leave out on both sides, so no check
-            # takes a QR of its own.
+            # One reduced QR, which orthonormalizes the complement of the
+            # census's Gamma- & C+; Gamma's and C's narrow sides are the
+            # factors' bases, and take none. L-perp & Gamma+- are the
+            # census's birth spaces, which the span checks leave out on both
+            # sides, so no check takes a QR of its own.
             qrs = [(a.shape, mode) for name, _, a, mode in calls if name == "qr"]
-            assert [mode for _, mode in qrs] == ["reduced"] * 3
+            assert [mode for _, mode in qrs] == ["reduced"]
             assert all(rows == n and cols <= 3 for (rows, cols), _ in qrs)
             # The SVD of q B, then those of the supercharge block and its
             # adjoint, formed on L & Gamma+- with both sides at most dim L.
