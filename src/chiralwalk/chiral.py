@@ -331,14 +331,14 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     must hold to within ``tol.structural * n``, else
     :class:`InconsistencyDetected`.
 
-    ``u* u`` and the coin ``gamma @ u`` are always formed. From dimension
-    64 on, :func:`_certified` takes the narrow eigenspace of the grading
-    and of the coin; where its certificate settles ``gamma* gamma`` or a
-    Hermiticity residual (:func:`_certified_bounds`), that one is not
-    measured. Each of the other five products is formed only where
-    :func:`_derived_bounds` does not already settle its check. So a pair
-    is accepted or refused, with the same error and residual, as when all
-    eight are formed.
+    The coin ``gamma @ u`` is always formed. From dimension 64 on,
+    :func:`_narrow_facts` takes the narrow eigenspace of the grading and
+    of the coin; where their certificates settle ``u* u``,
+    ``gamma* gamma`` or a Hermiticity residual (:func:`_certified_bounds`),
+    that one is not measured. Each of the other five products is formed
+    only where :func:`_derived_bounds` does not already settle its check.
+    So a pair is accepted or refused, with the same error and residual,
+    as when all eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -357,19 +357,25 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # Every residual and certificate is taken in one n x n buffer, each
     # product written into it and the identity subtracted in place.
     work = np.empty((n, n), dtype=np.result_type(u, g))
-    r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
+    g_spaces, g_facts = _narrow_facts(g, tol, work)
+    # Input far from a pair can overflow the coin; the checks below refuse
+    # it as they would have.
+    with np.errstate(all="ignore"):
+        coin = np.matmul(g, u)
+    c_spaces, c_facts = _narrow_facts(coin, tol, work)
+    r_u, r_g, h_g, h_c = (exact if computed <= tol.structural else None
+                          for exact, computed in _certified_bounds(n, g_facts, c_facts))
+    # A residual that the certificates did not settle is formed.
+    if r_u is None:
+        r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
     if r_u > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {r_u:.6e}")
-    # A residual that a narrow side's certificate did not settle is formed.
-    g_spaces, r_g, h_g, _ = _certified(g, tol, work)
     if r_g is None:
         r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
     if h_g is None:
         h_g = _skew_residual(g, work)
-    coin = np.matmul(g, u)
-    c_spaces, _, h_c, coin_e = _certified(coin, tol, work)
     if h_c is None:
         h_c = _skew_residual(coin, work)
     residuals = (n, r_u, r_g, h_g, h_c)
@@ -407,23 +413,19 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
-    spaces = (g_spaces, c_spaces, coin_e) if g_spaces or c_spaces else None
+    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None) if g_spaces or c_spaces else None
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
 
 
-def _certified(x: np.ndarray, tol: Tolerance, work: np.ndarray):
-    """An involution's narrow eigenspaces, the residuals they settle, and their ``e``.
+def _narrow_facts(x: np.ndarray, tol: Tolerance, work: np.ndarray):
+    """An involution's eigenspaces from its narrow side, and their certificate's facts.
 
-    Returns ``(spaces, gram, skew, e)``. Below dimension
-    ``_NARROW_MIN_DIM``, or where ``_narrow_eigenspaces`` takes no narrow
-    side, all four are None. Otherwise ``gram`` and ``skew`` are the
-    bounds of :func:`_certified_bounds` on the exact ``X* X - 1`` and
-    ``X - X*``, each None where its bound as computed exceeds
-    ``tol.structural`` (a NaN bound does not settle it either), and ``e``
-    is the largest entry of ``X - s (2 B B* - 1)``.
+    Both are None below dimension ``_NARROW_MIN_DIM`` and where
+    ``_narrow_eigenspaces`` takes no narrow side; otherwise the facts are
+    :func:`_involution_facts`.
     """
     if len(x) < _NARROW_MIN_DIM:
-        return None, None, None, None
+        return None, None
     # Input far from a pair can overflow the narrow route; its bounds are
     # then not finite, and make_pair forms the products, which raise as
     # they would have.
@@ -432,12 +434,7 @@ def _certified(x: np.ndarray, tol: Tolerance, work: np.ndarray):
         # _involution_eigenspaces takes it.
         x_real = _real_if_exact(x)
         spaces = _narrow_eigenspaces(x_real, tol)
-        if spaces is None:
-            return None, None, None, None
-        facts = _involution_facts(x_real, spaces, work)
-        bounds = _certified_bounds(len(x), facts)
-    return (spaces, *(exact if computed <= tol.structural else None
-                      for exact, computed in bounds), facts.e)
+        return spaces, spaces and _involution_facts(x_real, spaces, work)
 
 
 def _narrow_side(spaces: tuple[Subspace, Subspace]) -> tuple[float, np.ndarray]:
@@ -482,7 +479,9 @@ class _Facts(NamedTuple):
     e: float          # largest entry of X - Xh, as measured
     delta: float      # entries of D = X - Xh
     gram: float       # entries of X* X - 1
+    gram_norm: float  # |X* X - 1|_2
     norm: float       # |X|_2
+    low: float        # smallest singular value of X
 
 
 def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
@@ -494,21 +493,25 @@ def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
     beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
     rho2 = (1.0 + gamma_k) * w
     delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
-    top = 1.0 + 2.0 * k * beta
+    top, spread = 1.0 + 2.0 * k * beta, n * delta
     gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
-    return _Facts(e, delta, gram, top + n * delta)
+    gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
+    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta - spread)
 
 
-def _certified_bounds(n: int, facts: _Facts) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Bounds on an involution's ``X* X - 1`` and ``X - X*`` from its narrow eigenspace.
+def _certified_bounds(n: int, g_facts: _Facts | None,
+                      c_facts: _Facts | None) -> tuple[tuple[float, float], ...]:
+    """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
 
     Each is a pair: a bound on the exact residual's largest entry, and
-    one on the residual as :func:`make_pair` would compute it. Of an
-    involution X with a narrow side of sign s and basis B (n x k),
-    :func:`_involution_certificate` measures ``e``, the largest entry of
-    ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and ``w``, B's
-    largest squared row norm. With ``gamma = (n + 4) eps`` as in
-    :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
+    one on the residual as :func:`make_pair` would compute it. Both are
+    infinite where an eigenspace the bound needs was not taken: the
+    grading's for the second and third, the coin's for the fourth, both
+    for the first. Of an involution X with a narrow side of sign s and
+    basis B (n x k), :func:`_involution_certificate` measures ``e``, the
+    largest entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``,
+    and ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps``
+    as in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
     :func:`_involution_facts` derives:
 
     * ``F = B* B - 1`` has entries at most
@@ -523,21 +526,50 @@ def _certified_bounds(n: int, facts: _Facts) -> tuple[tuple[float, float], tuple
       and subtracting s on the diagonal and the result from X round by
       ``eps`` relative;
     * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
-      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, and
-      ``|D|_2 <= |D|_F <= n delta`` moves that by at most ``n delta``.
+      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
+      smallest singular value is at least ``1 - 2 k beta``, and
+      ``|D|_2 <= |D|_F <= n delta`` moves both by at most ``n delta``.
 
     Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
     ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
     ``4 rho2 k beta + 2 sqrt(n) |Xh|_2 delta + n delta^2`` (a row's norm
-    times a column's). As computed, a Gram residual adds ``gamma`` times
-    the product of two column norms and a Hermiticity residual nothing,
-    and ``1 + gamma`` covers the relative rounding of each subtraction
-    and magnitude.
+    times a column's) and 2-norm at most
+    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``.
+
+    The coin is ``C = fl(G U) = G U + E`` with ``|E| <= gamma |G| |U|``
+    entrywise, so a column of E has norm at most ``eta |U e_j|`` for
+    ``eta = gamma sqrt(n) nu_G``, since ``| |G| |_2 <= |G|_F``, and
+    ``|E|_2 <= |E|_F <= sqrt(n) eta |U|_2``. From ``G U = C - E``,
+    ``|U|_2 <= nu_U = |C|_2 / (low_G - sqrt(n) eta)`` for the grading's
+    smallest singular value ``low_G``. For the evolution,
+    ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
+    each of whose middle terms has entries at most a column norm of C
+    times one of E. As computed, a Gram residual adds ``gamma`` times the
+    product of two column norms and a Hermiticity residual nothing, and
+    ``1 + gamma`` covers the relative rounding of each subtraction and
+    magnitude.
     """
-    gamma = (n + 4) * _EPS
-    skew = 2.0 * facts.delta
-    return ((facts.gram, (1.0 + gamma) * (facts.gram + gamma * facts.norm * facts.norm)),
-            (skew, (1.0 + gamma) * skew))
+    unknown = (math.inf, math.inf)
+    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
+
+    def as_computed(exact, nu):
+        # A Gram residual's exact bound, and its bound as computed.
+        return exact, (1.0 + gamma) * (exact + gamma * nu * nu)
+
+    skew = [(2.0 * f.delta, (1.0 + gamma) * 2.0 * f.delta) if f else unknown
+            for f in (g_facts, c_facts)]
+    evolution = unknown
+    if g_facts and c_facts:
+        eta = gamma * root_n * g_facts.norm
+        low = g_facts.low - root_n * eta
+        # Written so that a NaN leaves the evolution unknown.
+        if low > 0.0:
+            nu_u = c_facts.norm / low
+            leak = eta * nu_u
+            evolution = as_computed(c_facts.gram + 2.0 * c_facts.norm * leak + leak * leak
+                                    + nu_u * nu_u * g_facts.gram_norm, nu_u)
+    grading = as_computed(g_facts.gram, g_facts.norm) if g_facts else unknown
+    return (evolution, grading, *skew)
 
 
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
@@ -551,7 +583,7 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
     ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
     first two bounds in place of ``r_2`` and ``chirality`` when those are
-    not given. Where :func:`make_pair` did not form ``G* G`` or a
+    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or a
     Hermiticity residual, the bound of :func:`_certified_bounds` on the
     exact residual stands in for it; every bound here grows with its
     arguments, so it still holds. E is the rounding of the stored coin,

@@ -28,8 +28,8 @@ from .linalg import DEFAULT_TOL, Tolerance
 # is formed, and the report's products, factorizations and length-n
 # arrays cost O(n) time and memory each. The limit is measured against a
 # budget of about a second and 256 MiB for the command (1 BLAS thread):
-# at q = 18 (n = 2^19) the command takes 0.33 to 0.41 s with a peak RSS
-# of 158 to 174 MiB; at q = 19 it takes 0.81 to 0.93 s with a peak RSS of
+# at q = 18 (n = 2^19) the command takes 0.39 to 0.46 s with a peak RSS
+# of 158 MiB; at q = 19 it takes 0.95 to 1.07 s with a peak RSS of
 # 282 MiB, over the memory budget.
 MAX_SEARCH_QUBITS = 18
 # The probability table builds no pair: it holds the search state, 16 * 2^q

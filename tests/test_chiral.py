@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from chiralwalk import linalg
 from chiralwalk.chiral import (
-    _certified,
     _certified_bounds,
     _derived_bounds,
-    _involution_facts,
+    _narrow_facts,
     _projection_pair_index,
     index_alpha,
     make_pair,
@@ -355,9 +354,9 @@ def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
 def test_search_pairs_form_three_products(qubits):
     # Where make_pair measures u* u, g* g and both Hermiticity residuals
     # (below dimension 64, or where a side is wide), it forms those two
-    # products and the coin g @ u. For a search pair every derived bound
-    # then settles its check, so none of the other five products is
-    # formed.
+    # products and the coin g @ u. For the dense matrices of a search pair
+    # every derived bound then settles its check, so none of the other
+    # five products is formed.
     tol = DEFAULT_TOL.structural
     for target in sorted({0, 1, 2**qubits - 1}):
         pair = grover_search(qubits, target)
@@ -386,19 +385,44 @@ def _square_products(shapes, n):
     return sum(a == b == (n, n) for a, b in shapes)
 
 
+@pytest.mark.parametrize("qubits", range(5, 11))
+def test_search_pairs_form_one_product(monkeypatch, qubits):
+    # The dense matrices of a search pair, fed to make_pair: from
+    # dimension 64 (q = 5) the grading and the coin have narrow sides of
+    # dimensions 2 and 1, whose certificates settle u* u, g* g and both
+    # Hermiticity residuals, and every derived bound settles its check.
+    # So the coin g @ u is the one product with two n x n factors, and the
+    # pair carries both eigenspaces and the coin's certificate.
+    tol = DEFAULT_TOL.structural
+    for target in sorted({0, 1, 2**qubits - 1}):
+        search = grover_search(qubits, target)
+        u, g = search.u, search.gamma
+        n = len(u)
+        shapes = _n_by_n_products(monkeypatch)
+        pair = make_pair(u, g)
+        monkeypatch.undo()
+        assert _square_products(shapes, n) == 1 and np.array_equal(pair.coin, g @ u)
+        assert all(carried is not None for carried in pair.eigenspaces)
+        work = np.empty((n, n))
+        bounds = _certified_bounds(n, *(_narrow_facts(x, DEFAULT_TOL, work)[1]
+                                        for x in (g, pair.coin)))
+        assert max(computed for _, computed in bounds) <= tol
+        derived = _derived_bounds(n, *(exact for exact, _ in bounds))
+        assert max(derived[:2]) <= tol and max(derived[2:]) <= tol * n
+
+
 def test_small_and_wide_pairs_measure_their_products(monkeypatch):
-    # u* u and the coin g @ u are always formed, and below dimension 64
-    # g* g too. From there a narrow grading settles g* g from its narrow
-    # eigenspace, so with a narrow grading only u* u and g @ u have two
-    # n x n factors, and a wide grading forms g* g as well. Every other
-    # product's bound settles its check. The eigenspaces taken from the
-    # narrow sides are carried, with the coin's certificate beside the
-    # coin's.
+    # Below dimension 64 u* u, g* g and the coin g @ u are formed. A
+    # narrow grading alone settles g* g; u* u needs the narrow sides of
+    # both the grading and the coin, so beside a wide coin it is formed,
+    # and a wide grading forms g* g and u* u. With both sides narrow only
+    # the coin g @ u has two n x n factors. The eigenspaces that were
+    # taken are carried, with the coin's certificate beside the coin's.
     rng = np.random.default_rng(3)
     for n, g_plus, c_plus, products, carried in (
             (32, 2, 1, 3, None), (64, 32, 1, 3, (False, True, True)),
             (64, 2, 32, 2, (True, False, False)), (64, 32, 32, 3, None),
-            (64, 2, 1, 2, (True, True, True))):
+            (64, 2, 1, 1, (True, True, True))):
         gamma = random_involution(rng, n, g_plus)
         u = gamma @ random_involution(rng, n, c_plus)
         shapes = _n_by_n_products(monkeypatch)
@@ -432,8 +456,8 @@ def _narrow_drawn_involution(rng, dim, side, real):
        exponent=st.floats(min_value=-2.5, max_value=0.5))
 def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
         dim, seed, real, share, flips, target, coherent, exponent):
-    # From dimension 64, a grading and a coin with narrow sides settle u* u,
-    # g* g and both Hermiticity residuals from their narrow eigenspaces.
+    # From dimension 64, a grading and a coin with narrow sides settle g* g
+    # and both Hermiticity residuals from their narrow eigenspaces.
     # The grading is moved by a skew-Hermitian or a Hermitian matrix (the
     # latter breaks its unitarity), the coin likewise, or the evolution
     # by an arbitrary one, scaled so that the moved residual is
@@ -479,13 +503,10 @@ def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
 
 
 def test_certified_bounds_hold_on_perturbed_narrow_pairs():
-    # The bounds that an involution's narrow eigenspace gives on its
-    # X* X - 1 and X - X* hold for the residuals measured from the
-    # products, for a grading and a coin g @ u moved well inside and
-    # beyond the tolerance. _certified hands a bound to make_pair only
-    # where its value as computed is within tol.structural, and the
-    # derived bounds, given those bounds, hold for the stored coin.
-    tol = DEFAULT_TOL.structural
+    # The bounds on the exact residuals hold for the residuals measured
+    # from the products, on pairs moved well inside and beyond the
+    # tolerance, and so do the derived bounds that take them, for the
+    # stored coin g @ u.
     rng = np.random.default_rng(11)
     for dim, real, size in ((64, True, 1e-13), (96, False, 1e-12), (128, True, 1e-9),
                             (200, False, 1e-11), (256, False, 1e-14)):
@@ -495,19 +516,15 @@ def test_certified_bounds_hold_on_perturbed_narrow_pairs():
         u, g = gamma @ coin + noise, gamma + noise.T
         c = g @ u
         work = np.empty((dim, dim), dtype=g.dtype)
-        exacts = []
-        for x in (g, c):
-            spaces = linalg._narrow_eigenspaces(_real_if_exact(x), DEFAULT_TOL)
-            assert spaces is not None
-            bounds = _certified_bounds(dim, _involution_facts(_real_if_exact(x), spaces, work))
-            for (exact, computed), value in zip(bounds, (
-                    _identity_residual(x.conj().T @ x), _maxabs(x - x.conj().T))):
-                assert value <= computed and exact <= computed
-            assert _certified(x, DEFAULT_TOL, work)[1:3] == tuple(
-                exact if computed <= tol else None for exact, computed in bounds)
-            exacts.append([exact for exact, _ in bounds])
-        (r_g, h_g), (_, h_c) = exacts
-        derived = _derived_bounds(dim, _identity_residual(u.conj().T @ u), r_g, h_g, h_c)
+        (g_spaces, g_facts), (c_spaces, c_facts) = (_narrow_facts(x, DEFAULT_TOL, work)
+                                                    for x in (g, c))
+        assert g_spaces and c_spaces
+        bounds = _certified_bounds(dim, g_facts, c_facts)
+        for (exact, computed), value in zip(bounds, (
+                _identity_residual(u.conj().T @ u), _identity_residual(g.conj().T @ g),
+                _maxabs(g - g.conj().T), _maxabs(c - c.conj().T))):
+            assert value <= computed and exact <= computed < math.inf
+        derived = _derived_bounds(dim, *(exact for exact, _ in bounds))
         for bound, value in zip(derived, (
                 _identity_residual(g @ g), _maxabs(c @ g - u.conj().T),
                 _identity_residual(c @ c), _identity_residual(c.conj().T @ c),
