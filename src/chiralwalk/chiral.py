@@ -76,8 +76,7 @@ class _Dense:
         return matrix
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """The involution ``sign (2 B B* - 1)``, held by B, n x k with orthonormal columns.
 
     It is Hermitian by construction, and an involution and unitary to

@@ -295,6 +295,8 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
             return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus),
                          _commutation_residuals(pair, b, sb, ub, uhb))
+    # S first: it refuses a factored pair beyond chiral.DENSE_MAX_DIM
+    # before pair.u is formed.
     s = _supercharge(pair)
     return _Walk(None, pair.u, s, (gamma_plus, gamma_minus), (0, 0),
                  _commutation_residuals(pair, None, s))
