@@ -137,7 +137,7 @@ class Factors(NamedTuple):
         return d @ self.gamma(d.conj().T)
 
     def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
-        """Largest entry of ``S - (S B) B*`` measured on span(G, Y), for ``S B = sb``.
+        """``S - (S B) B*`` on span(G, Y): the largest entry of ``Z* (S - sb B*) Z``.
 
         G and Y are the bases of the grading and the coin, of signs s and
         t. With ``P = G G*`` and ``Q = Y Y*``, ``U - U* = 4 s t (P Q - Q P)``,
