@@ -204,9 +204,12 @@ class ChiralPair:
     ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
     involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
 
-    A pair from :func:`make_pair` holds the three as n x n matrices, the
-    coin being ``gamma @ u``. They are float64 when every entry of ``u``
-    and ``gamma`` is exactly real, and complex128 otherwise. A pair from
+    A pair from :func:`make_pair` holds the three as n x n matrices. Its
+    coin is ``gamma @ u``, or, where make_pair formed it through the
+    grading's narrow side B of sign s, ``s (2 B (B* u) - u)``, which lies
+    within the bound derived in :func:`_certified_bounds` of
+    ``gamma @ u``. They are float64 when every entry of ``u`` and
+    ``gamma`` is exactly real, and complex128 otherwise. A pair from
     :func:`make_factored_pair` holds only ``factors``, its grading and
     coin as reflections through their narrow sides, and forms each n x n
     matrix when it is first read; the report applies them through the
@@ -251,11 +254,13 @@ class ChiralPair:
 
 
 # The largest dimension at which a pair held by its factors forms its
-# n x n matrices for the report's dense fallback and for --dump-matrices,
-# from the CLI's budget of about a second and 256 MiB (1 BLAS thread):
-# dumping a search pair takes 0.9 s and 90 MiB at n = 512 (8 qubits), and
-# 3.9 s and 263 MiB at n = 1024.
-DENSE_MAX_DIM = 512
+# n x n matrices, for the report's dense fallback and for --dump-matrices:
+# that of the 10-qubit search pair, the largest whose matrices were ever
+# formed, so every dump that was served before the pair was factored still
+# is. Dumping a search pair takes 0.9 s and 90 MiB at n = 512, 3.9 s and
+# 263 MiB at n = 1024, and 17.5 s and 904 MiB at n = 2048 (1 BLAS thread),
+# past the command's budget of about a second.
+DENSE_MAX_DIM = 2048
 
 
 def _check_dense(pair: ChiralPair) -> None:
@@ -330,14 +335,19 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     must hold to within ``tol.structural * n``, else
     :class:`InconsistencyDetected`.
 
-    The coin ``gamma @ u`` is always formed. From dimension 64 on,
-    :func:`_narrow_facts` takes the narrow eigenspace of the grading and
-    of the coin; where their certificates settle ``u* u``,
-    ``gamma* gamma`` or a Hermiticity residual (:func:`_certified_bounds`),
-    that one is not measured. Each of the other five products is formed
-    only where :func:`_derived_bounds` does not already settle its check.
-    So a pair is accepted or refused, with the same error and residual,
-    as when all eight are formed.
+    From dimension 64 on, :func:`_narrow_route` takes the grading's
+    narrow eigenspace B (sign s) first. Where its certificate settles the
+    grading's unitarity and Hermiticity, the coin is formed through it as
+    ``s (2 B (B* u) - u)``, at O(n^2 k), and kept where the bounds below
+    settle every check that reads it; elsewhere, and below dimension 64,
+    the coin is ``gamma @ u``. Where the grading and the coin each have a
+    narrow side, :func:`_certified_bounds` settles ``u* u``,
+    ``gamma* gamma`` and both Hermiticity residuals from their narrow
+    eigenspaces; otherwise those four are measured. Each of the other
+    five products is formed only where :func:`_derived_bounds` does not
+    already settle its check, and a residual that is measured is measured
+    on ``gamma @ u``. So a pair is accepted or refused, with the same
+    error and residual, as when all eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -356,15 +366,10 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # Every residual and certificate is taken in one n x n buffer, each
     # product written into it and the identity subtracted in place.
     work = np.empty((n, n), dtype=np.result_type(u, g))
-    g_spaces, g_facts = _narrow_facts(g, tol, work)
-    # Input far from a pair can overflow the coin; the checks below refuse
-    # it as they would have.
-    with np.errstate(all="ignore"):
-        coin = np.matmul(g, u)
-    c_spaces, c_facts = _narrow_facts(coin, tol, work)
+    coin, spaces, bounds, coin_error = _narrow_route(g, u, tol, work)
     r_u, r_g, h_g, h_c = (exact if computed <= tol.structural else None
-                          for exact, computed in _certified_bounds(n, g_facts, c_facts))
-    # A residual that the certificates did not settle is formed.
+                          for exact, computed in bounds)
+    # A residual that the narrow route did not settle is formed.
     if r_u is None:
         r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
     if r_u > tol.structural:
@@ -375,6 +380,17 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
     if h_g is None:
         h_g = _skew_residual(g, work)
+    if coin_error:
+        # The coin formed through the grading's narrow side is kept where
+        # the bounds settle every check that reads it (written so that a
+        # NaN fails); elsewhere g @ u is formed, so that each of those
+        # checks is measured, and raises, as it would have.
+        derived = _derived_bounds(n, r_u, r_g, h_g, math.inf if h_c is None else h_c,
+                                  coin_error=coin_error)
+        if not (derived[1] <= tol.structural and max(derived[2:]) <= scale):
+            coin, spaces, h_c, coin_error = None, (spaces[0], None, None), None, 0.0
+    if coin is None:
+        coin = np.matmul(g, u)
     if h_c is None:
         h_c = _skew_residual(coin, work)
     residuals = (n, r_u, r_g, h_g, h_c)
@@ -382,7 +398,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # exceed tol.structural; where a product is not formed, its bound
     # stands in for its residual below. (g @ u) @ g is how Python
     # evaluates g @ u @ g.
-    r_2, chirality = _derived_bounds(*residuals)[:2]
+    r_2, chirality = _derived_bounds(*residuals, coin_error=coin_error)[:2]
     if r_2 > tol.structural and (
             r_2 := _identity_residual(np.matmul(g, g, out=work))) > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
@@ -395,7 +411,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # so downstream code can rely on all three without rechecking.
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(*residuals, r_2, chirality)[2:],
+        _derived_bounds(*residuals, r_2, chirality, coin_error=coin_error)[2:],
         (lambda: _identity_residual(np.matmul(coin, coin, out=work)),
          lambda: _identity_residual(np.matmul(coin.conj().T, coin, out=work)),
          lambda: _maxabs(np.subtract(u, np.matmul(g, coin, out=work), out=work))),
@@ -412,34 +428,82 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
-    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None) if g_spaces or c_spaces else None
     return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
 
 
-def _narrow_facts(x: np.ndarray, tol: Tolerance, work: np.ndarray):
-    """An involution's eigenspaces from its narrow side, and their certificate's facts.
+_UNBOUNDED = ((math.inf, math.inf),) * 4
 
-    Both are None below dimension ``_NARROW_MIN_DIM`` and where
-    ``_narrow_eigenspaces`` takes no narrow side; otherwise the facts are
-    :func:`_involution_facts`.
+
+def _narrow_route(g: np.ndarray, u: np.ndarray, tol: Tolerance, work: np.ndarray):
+    """The coin, the narrow eigenspaces, the bounds they give, and the coin's error.
+
+    Below dimension ``_NARROW_MIN_DIM`` nothing is taken: the coin is
+    None, for :func:`make_pair` to form as ``g @ u`` once the grading is
+    unitary, the eigenspaces are None, every bound is infinite and the
+    coin's error is 0. Otherwise the grading's eigenspaces come first,
+    what ``_involution_eigenspaces`` takes from a narrow side B of sign s,
+    or None where it takes none. Where their certificate settles the
+    grading's unitarity and Hermiticity, the coin is ``s (2 B (B* u) - u)``
+    and its error is the ``eta`` of :func:`_certified_bounds`, which is
+    positive; elsewhere the coin is ``g @ u`` and its error 0. The coin's
+    eigenspaces follow, taken the same way. The eigenspaces come as
+    (grading's, coin's, the coin's certificate ``e``), the last None with
+    the coin's, and the whole is None when neither matrix had a narrow
+    side. The bounds are those of :func:`_certified_bounds` on
+    ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*``.
     """
-    if len(x) < _NARROW_MIN_DIM:
-        return None, None
-    # Input far from a pair can overflow the narrow route; its bounds are
-    # then not finite, and make_pair forms the products, which raise as
-    # they would have.
+    n = len(g)
+    if n < _NARROW_MIN_DIM:
+        return None, None, _UNBOUNDED, 0.0
+    # Input far from a pair can overflow the coin or the narrow route; the
+    # bounds are then not finite, and make_pair forms the products, which
+    # raise as they would have.
     with np.errstate(all="ignore"):
-        # Taken as real when it is complex but exactly real, as
+        # Each is taken as real when it is complex but exactly real, as
         # _involution_eigenspaces takes it.
-        x_real = _real_if_exact(x)
-        spaces = _narrow_eigenspaces(x_real, tol)
-        return spaces, spaces and _involution_facts(x_real, spaces, work)
+        g_real = _real_if_exact(g)
+        g_spaces = _narrow_eigenspaces(g_real, tol)
+        g_facts = g_spaces and _involution_facts(g_real, g_spaces, work)
+        # The coin goes through the grading's narrow side where the
+        # grading's certificate settles G* G - 1 and G - G*, which a NaN
+        # bound does not.
+        through = all(computed <= tol.structural
+                      for _, computed in _certified_bounds(n, g_facts, None, False)[0][1:3])
+        coin = _through_narrow_side(u, g_spaces) if through else None
+        through = coin is not None
+        coin = np.matmul(g, u) if coin is None else coin
+        c_real = _real_if_exact(coin)
+        c_spaces = _narrow_eigenspaces(c_real, tol)
+        c_facts = c_spaces and _involution_facts(c_real, c_spaces, work)
+        bounds, coin_error = _certified_bounds(n, g_facts, c_facts, through)
+    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None)
+    return coin, spaces if g_spaces or c_spaces else None, bounds, coin_error
 
 
 def _narrow_side(spaces: tuple[Subspace, Subspace]) -> tuple[float, np.ndarray]:
     """The sign s and the basis B of the narrow side of an involution's eigenspaces."""
     plus, minus = spaces
     return (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
+
+
+def _through_narrow_side(u: np.ndarray, spaces: tuple[Subspace, Subspace]) -> np.ndarray | None:
+    """``s (2 B (B* u) - u)`` for the narrow side B (sign s), at O(n^2 k), or None.
+
+    Its trace, ``s (2 tr(B* u B) - tr u)``, is read from ``B* u`` first:
+    a coin whose trace leaves it no narrow side (or a NaN trace) could
+    not be kept, since its Hermiticity gets no certificate, so it is not
+    formed, and None is returned. Scaling by 2 s is exact; ``u`` is then
+    subtracted, or for s = -1 added, in place, so the coin is the one
+    n x n array formed.
+    """
+    sign, b = _narrow_side(spaces)
+    n = len(u)
+    y = (2.0 * sign) * np.matmul(b.conj().T, u)
+    k_plus = (n + float(np.trace(y @ b).real) - sign * float(np.trace(u).real)) / 2.0
+    if not 0.5 <= min(k_plus, n - k_plus) <= n / 4.0 + 0.5:
+        return None
+    coin = np.matmul(b, y)
+    return (np.subtract if sign > 0.0 else np.add)(coin, u, out=coin)
 
 
 def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
@@ -480,7 +544,8 @@ class _Facts(NamedTuple):
     gram: float       # entries of X* X - 1
     gram_norm: float  # |X* X - 1|_2
     norm: float       # |X|_2
-    low: float        # smallest singular value of X
+    low: float        # smallest singular value of Xh
+    rounding: float   # r: the rounding of s (2 B (B* Y) - Y) in |Y e_j| units
 
 
 def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
@@ -495,29 +560,34 @@ def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
     top, spread = 1.0 + 2.0 * k * beta, n * delta
     gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
     gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
-    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta - spread)
+    rounding = (2.0 * (1.0 + gamma) * (1.0 + gamma_k) * k * (1.0 + beta)
+                * (gamma + gamma_k + _EPS) + _EPS)
+    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta, rounding)
 
 
-def _certified_bounds(n: int, g_facts: _Facts | None,
-                      c_facts: _Facts | None) -> tuple[tuple[float, float], ...]:
+def _certified_bounds(n: int, g_facts: _Facts | None, c_facts: _Facts | None,
+                      through: bool) -> tuple[tuple[tuple[float, float], ...], float]:
     """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
 
     Each is a pair: a bound on the exact residual's largest entry, and
     one on the residual as :func:`make_pair` would compute it. Both are
     infinite where an eigenspace the bound needs was not taken: the
     grading's for the second and third, the coin's for the fourth, both
-    for the first. Of an involution X with a narrow side of sign s and
-    basis B (n x k), :func:`_involution_certificate` measures ``e``, the
-    largest entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``,
-    and ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps``
-    as in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
+    for the first, which also needs the coin formed ``through`` the
+    grading's narrow side. Returned with them is the coin's error
+    ``eta``, positive where the coin was formed through that side, else
+    0. Of an involution X with a narrow side of sign s and basis B
+    (n x k), :func:`_involution_certificate` measures ``e``, the largest
+    entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and
+    ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps`` as
+    in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
     :func:`_involution_facts` derives:
 
     * ``F = B* B - 1`` has entries at most
       ``beta = ((1 + gamma) f + gamma) / (1 - gamma)``, the rounding of
       ``B* B`` being at most ``gamma`` times its columns' norms, which are
-      at most ``1 + beta``; so ``|F|_2 <= k beta`` and
-      ``|B|_2^2 <= 1 + k beta``;
+      at most ``1 + beta``; so ``|F|_2 <= k beta``, ``|B|_2^2 <= 1 + k beta``
+      and ``|B|_F^2 <= phi2 = k (1 + beta)``;
     * B's rows have squared norms at most ``rho2 = (1 + gamma_k) w``;
     * ``D = X - Xh`` with ``Xh = s (2 B B* - 1)`` has entries at most
       ``delta = (1 + gamma_k)(e + eps) + 3 gamma_k rho2``: the rounding of
@@ -527,7 +597,7 @@ def _certified_bounds(n: int, g_facts: _Facts | None,
     * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
       in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
       smallest singular value is at least ``1 - 2 k beta``, and
-      ``|D|_2 <= |D|_F <= n delta`` moves both by at most ``n delta``.
+      ``|D|_2 <= |D|_F <= n delta`` moves both by at most that.
 
     Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
     ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
@@ -535,20 +605,33 @@ def _certified_bounds(n: int, g_facts: _Facts | None,
     times a column's) and 2-norm at most
     ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``.
 
-    The coin is ``C = fl(G U) = G U + E`` with ``|E| <= gamma |G| |U|``
-    entrywise, so a column of E has norm at most ``eta |U e_j|`` for
-    ``eta = gamma sqrt(n) nu_G``, since ``| |G| |_2 <= |G|_F``, and
-    ``|E|_2 <= |E|_F <= sqrt(n) eta |U|_2``. From ``G U = C - E``,
-    ``|U|_2 <= nu_U = |C|_2 / (low_G - sqrt(n) eta)`` for the grading's
-    smallest singular value ``low_G``. For the evolution,
-    ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
+    The coin formed through the grading's side is
+    ``C = fl(fl(B (2 s fl(B* U))) - s U) = Gh U + R`` with Gh the
+    grading's Xh. A column of ``fl(B* U) = B* U + R1`` is off by at most
+    ``gamma phi |U e_j|`` (an entry by ``gamma |B e_l| |U e_j|``), so it
+    has norm at most ``(1 + gamma) phi |U e_j|``; the k-term product by
+    B adds a column of norm at most ``2 gamma_k (1 + gamma) phi2 |U e_j|``,
+    since ``| |B| |_2 <= |B|_F``; and the subtraction rounds by ``eps``
+    relative, on a column of norm at most
+    ``(2 (1 + gamma)(1 + gamma_k) phi2 + 1) |U e_j|``. With
+    ``R = 2 s B R1 + R2 + R3`` this gives ``|R e_j| <= r |U e_j|`` for
+
+        ``r = 2 (1 + gamma)(1 + gamma_k) phi2 (gamma + gamma_k + eps) + eps``.
+
+    So ``E = C - G U = -D U + R`` has columns of norm at most
+    ``eta |U|_2`` with ``eta = n delta_G + r``. Where the coin is
+    ``G U`` as computed, ``|E| <= gamma |G| |U|`` instead, and ``eta`` is
+    0 (:func:`_derived_bounds` covers that E by itself). Through the
+    grading's side, ``|U|_2 <= nu_U = |C|_2 / (1 - 2 k beta - sqrt(n) r)``,
+    since ``|R|_2 <= |R|_F <= r |U|_F <= sqrt(n) r |U|_2``. For the
+    evolution, ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
     each of whose middle terms has entries at most a column norm of C
     times one of E. As computed, a Gram residual adds ``gamma`` times the
     product of two column norms and a Hermiticity residual nothing, and
     ``1 + gamma`` covers the relative rounding of each subtraction and
     magnitude.
     """
-    unknown = (math.inf, math.inf)
+    unknown = _UNBOUNDED[0]
     gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
 
     def as_computed(exact, nu):
@@ -557,23 +640,22 @@ def _certified_bounds(n: int, g_facts: _Facts | None,
 
     skew = [(2.0 * f.delta, (1.0 + gamma) * 2.0 * f.delta) if f else unknown
             for f in (g_facts, c_facts)]
-    evolution = unknown
-    if g_facts and c_facts:
-        eta = gamma * root_n * g_facts.norm
-        low = g_facts.low - root_n * eta
+    evolution, coin_error = unknown, 0.0
+    if through:
+        coin_error = n * g_facts.delta + g_facts.rounding
         # Written so that a NaN leaves the evolution unknown.
-        if low > 0.0:
+        if c_facts and (low := g_facts.low - root_n * g_facts.rounding) > 0.0:
             nu_u = c_facts.norm / low
-            leak = eta * nu_u
+            leak = coin_error * nu_u
             evolution = as_computed(c_facts.gram + 2.0 * c_facts.norm * leak + leak * leak
                                     + nu_u * nu_u * g_facts.gram_norm, nu_u)
     grading = as_computed(g_facts.gram, g_facts.norm) if g_facts else unknown
-    return (evolution, grading, *skew)
+    return (evolution, grading, *skew), coin_error
 
 
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
-                    r_2: float | None = None,
-                    chirality: float | None = None) -> tuple[float, ...]:
+                    r_2: float | None = None, chirality: float | None = None,
+                    coin_error: float = 0.0) -> tuple[float, ...]:
     """Bounds on the residuals of make_pair's five products that may be skipped.
 
     The arguments are the entrywise residuals of ``U* U - 1``, ``G* G - 1``,
@@ -582,10 +664,10 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
     ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
     first two bounds in place of ``r_2`` and ``chirality`` when those are
-    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or a
-    Hermiticity residual, the bound of :func:`_certified_bounds` on the
+    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or
+    a Hermiticity residual, the bound of :func:`_certified_bounds` on the
     exact residual stands in for it; every bound here grows with its
-    arguments, so it still holds. E is the rounding of the stored coin,
+    arguments, so it still holds. E is the error of the stored coin,
     ``C = GU + E``:
 
     * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
@@ -602,11 +684,14 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     rounding of a complex n-term dot product relative to the sum of its
     terms' magnitudes (while ``n gamma < 1``, far beyond any dense matrix
     that fits in memory), and ``1 + gamma`` covers the relative rounding
-    of a residual, its subtraction and its magnitude. ``|E| <= gamma |G||U|``,
-    and a column of ``|G||U|`` has norm at most the norm of ``|G|`` (at
-    most its Frobenius norm, ``sqrt(n) nu``) times ``nu``, so E's columns
-    have norm at most ``leak = gamma sqrt(n) nu^2``. C's columns have
-    norm at most ``nu^2 + leak`` and its rows, those of C*, at most
+    of a residual, its subtraction and its magnitude. E's columns have
+    norm at most ``leak = (gamma sqrt(n) nu + coin_error) nu``: for
+    ``C = G U`` as computed, ``|E| <= gamma |G||U|``, and a column of
+    ``|G||U|`` has norm at most the norm of ``|G|`` (at most its Frobenius
+    norm, ``sqrt(n) nu``) times ``nu``; for a coin formed through the
+    grading's narrow side, ``coin_error`` is the ``eta`` of
+    :func:`_certified_bounds`. C's columns have norm at most
+    ``nu^2 + leak`` and its rows, those of C*, at most
     ``c = nu^2 + leak + sqrt(n) h_c``. So:
 
     * the rounding of ``G^2`` and of ``G* G`` adds at most ``gamma nu^2``
@@ -624,14 +709,14 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
       residuals and of the products in the last three.
 
     The first two are compared with ``tol.structural``. At the default
-    tolerance the rounding term of the second reaches it from n of about
-    3700, so a pair of dimension 4096 forms ``C G`` again; that of the
-    first only from n of about 1.5e5.
+    tolerance the rounding term of the second, for ``C = G U``, reaches
+    it from n of about 3700, so a search pair on 11 qubits (n = 4096)
+    forms ``C G`` again; that of the first only from n of about 1.5e5.
     """
     gamma = (n + 4) * _EPS
     nu2 = (1.0 + n * max(r_u, r_g)) / (1.0 - n * gamma)
     root_n, nu = math.sqrt(n), math.sqrt(nu2)
-    leak = gamma * root_n * nu * nu
+    leak = (gamma * root_n * nu + coin_error) * nu
     c = nu2 + leak + root_n * h_c
     square = (1.0 + gamma) * (r_g + root_n * nu * h_g) + 3.0 * gamma * nu2
     chiral = (1.0 + gamma) * (root_n * nu * (h_c + r_g) + leak * nu
@@ -668,24 +753,26 @@ def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces.
 
     Where one side is held by the other's basis B, the narrow side, no
-    wide basis is read: alpha's singular values are those of the n x k
-    ``(1 - B B*) S B``. For B the +1 side's basis, alpha is ``G-* S B``
-    with ``G- G-* = 1 - B B*``; for the -1 side's, alpha is ``B* S G+``,
-    whose singular values are those of ``B* S (1 - B B*)``, the adjoint of
-    ``+-(1 - B B*) S B`` since ``S* = +-S``. ``S B`` comes from ``U B`` and
-    ``U* B``, and the one SVD gives rank alpha = rank alpha*. Otherwise
-    alpha is formed from both bases, and each rank from an SVD of its own.
+    wide basis is read: alpha has the singular values of the n x k
+    ``M = (1 - B B*) S B``. For B the +1 side's basis, alpha is ``G-* S B``
+    with ``G- G-* = 1 - B B*``, so rank alpha is rank M; for the -1
+    side's, alpha is ``B* S G+``, whose adjoint ``+-G+* S B`` (since
+    ``S* = +-S``) has rank M. ``S B`` comes from ``U B`` and ``U* B``.
+    Otherwise alpha is formed from both bases. Either way rank alpha and
+    rank alpha* each come from an SVD of their own, of the matrix and of
+    its adjoint, as on the dense side.
     """
     wide = plus if plus.by_complement else minus if minus.by_complement else None
     if wide is not None:
         b, ops = wide.complement, _operators(pair)
         sb = (ops.u(b) - ops.uh(b)) / (2.0 * _unit(pair))
-        rank = _rank_svd(_outside(sb, b), pair.tol, vectors=False)[0]
-        return (plus.dim - rank) - (minus.dim - rank)
-    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
-    rows, cols = alpha.shape
-    ker = cols - _rank_svd(alpha, pair.tol, vectors=False)[0]
-    coker = rows - _rank_svd(alpha.conj().T, pair.tol, vectors=False)[0]
+        m = _outside(sb, b)
+        alpha, adjoint = (m, m.conj().T) if wide is minus else (m.conj().T, m)
+    else:
+        alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
+        adjoint = alpha.conj().T
+    ker = plus.dim - _rank_svd(alpha, pair.tol, vectors=False)[0]
+    coker = minus.dim - _rank_svd(adjoint, pair.tol, vectors=False)[0]
     return ker - coker
 
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from chiralwalk import linalg
 from chiralwalk.chiral import (
-    _certified_bounds,
     _derived_bounds,
-    _narrow_facts,
+    _involution_facts,
+    _narrow_route,
+    _narrow_side,
     _projection_pair_index,
     index_alpha,
     make_pair,
@@ -359,7 +360,8 @@ def test_search_pairs_form_three_products(qubits):
     # five products is formed.
     tol = DEFAULT_TOL.structural
     for target in sorted({0, 1, 2**qubits - 1}):
-        pair = grover_search(qubits, target)
+        search = grover_search(qubits, target)
+        pair = make_pair(search.u, search.gamma)
         u, g, coin = pair.u, pair.gamma, pair.coin
         n = pair.dim
         bounds = _derived_bounds(n, _identity_residual(u.T @ u), _identity_residual(g.T @ g),
@@ -389,40 +391,45 @@ def _square_products(shapes, n):
 def test_search_pairs_form_one_product(monkeypatch, qubits):
     # The dense matrices of a search pair, fed to make_pair: from
     # dimension 64 (q = 5) the grading and the coin have narrow sides of
-    # dimensions 2 and 1, whose certificates settle u* u, g* g and both
-    # Hermiticity residuals, and every derived bound settles its check.
-    # So the coin g @ u is the one product with two n x n factors, and the
-    # pair carries both eigenspaces and the coin's certificate.
+    # dimensions 2 and 1. The grading's certificate settles its own
+    # unitarity and Hermiticity, so the coin, the one n x n array
+    # make_pair forms, is formed through the grading's narrow side B as
+    # 2 B (B* u) - u, and no product has two n x n factors. The
+    # certificates settle u* u, g* g and both Hermiticity residuals, every
+    # derived bound settles its check, and the pair carries both
+    # eigenspaces and the coin's certificate.
     tol = DEFAULT_TOL.structural
     for target in sorted({0, 1, 2**qubits - 1}):
         search = grover_search(qubits, target)
         u, g = search.u, search.gamma
-        n = len(u)
         shapes = _n_by_n_products(monkeypatch)
         pair = make_pair(u, g)
         monkeypatch.undo()
-        assert _square_products(shapes, n) == 1 and np.array_equal(pair.coin, g @ u)
+        n = pair.dim
+        assert _square_products(shapes, n) == 0
+        assert ((2, n), (n, n)) in shapes and ((n, 2), (2, n)) in shapes
         assert all(carried is not None for carried in pair.eigenspaces)
-        work = np.empty((n, n))
-        bounds = _certified_bounds(n, *(_narrow_facts(x, DEFAULT_TOL, work)[1]
-                                        for x in (g, pair.coin)))
+        coin, _, bounds, coin_error = _narrow_route(pair.gamma, pair.u, DEFAULT_TOL,
+                                                    np.empty((n, n)))
+        assert np.array_equal(coin, pair.coin) and coin_error > 0.0
         assert max(computed for _, computed in bounds) <= tol
-        derived = _derived_bounds(n, *(exact for exact, _ in bounds))
+        derived = _derived_bounds(n, *(exact for exact, _ in bounds), coin_error=coin_error)
         assert max(derived[:2]) <= tol and max(derived[2:]) <= tol * n
 
 
 def test_small_and_wide_pairs_measure_their_products(monkeypatch):
     # Below dimension 64 u* u, g* g and the coin g @ u are formed. A
-    # narrow grading alone settles g* g; u* u needs the narrow sides of
-    # both the grading and the coin, so beside a wide coin it is formed,
-    # and a wide grading forms g* g and u* u. With both sides narrow only
-    # the coin g @ u has two n x n factors. The eigenspaces that were
-    # taken are carried, with the coin's certificate beside the coin's.
+    # narrow grading alone settles g* g; its coin, formed through the
+    # grading's narrow side, is kept only where the coin's Hermiticity is
+    # settled too, so beside a wide coin g @ u is formed and u* u, which
+    # needs both sides, is measured. A wide grading forms g @ u and g* g,
+    # and u* u. With both sides narrow no product has two n x n factors.
+    # The eigenspaces that were taken for the stored coin are carried.
     rng = np.random.default_rng(3)
     for n, g_plus, c_plus, products, carried in (
             (32, 2, 1, 3, None), (64, 32, 1, 3, (False, True, True)),
             (64, 2, 32, 2, (True, False, False)), (64, 32, 32, 3, None),
-            (64, 2, 1, 1, (True, True, True))):
+            (64, 2, 1, 0, (True, True, True))):
         gamma = random_involution(rng, n, g_plus)
         u = gamma @ random_involution(rng, n, c_plus)
         shapes = _n_by_n_products(monkeypatch)
@@ -456,8 +463,8 @@ def _narrow_drawn_involution(rng, dim, side, real):
        exponent=st.floats(min_value=-2.5, max_value=0.5))
 def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
         dim, seed, real, share, flips, target, coherent, exponent):
-    # From dimension 64, a grading and a coin with narrow sides settle g* g
-    # and both Hermiticity residuals from their narrow eigenspaces.
+    # From dimension 64, a grading and a coin with narrow sides settle u* u,
+    # g* g and both Hermiticity residuals from their narrow eigenspaces.
     # The grading is moved by a skew-Hermitian or a Hermitian matrix (the
     # latter breaks its unitarity), the coin likewise, or the evolution
     # by an arbitrary one, scaled so that the moved residual is
@@ -505,26 +512,28 @@ def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
 def test_certified_bounds_hold_on_perturbed_narrow_pairs():
     # The bounds on the exact residuals hold for the residuals measured
     # from the products, on pairs moved well inside and beyond the
-    # tolerance, and so do the derived bounds that take them, for the
-    # stored coin g @ u.
+    # tolerance. Where the grading's certificate settles its own
+    # unitarity and Hermiticity, the coin is formed through its narrow
+    # side, and the derived bounds, given that coin's error, hold for the
+    # residuals of the stored coin; elsewhere the coin is g @ u.
     rng = np.random.default_rng(11)
-    for dim, real, size in ((64, True, 1e-13), (96, False, 1e-12), (128, True, 1e-9),
-                            (200, False, 1e-11), (256, False, 1e-14)):
+    for dim, real, size, through in ((64, True, 1e-13, True), (96, False, 1e-12, True),
+                                     (128, True, 1e-9, False), (200, False, 1e-11, False),
+                                     (256, False, 1e-14, True)):
         gamma = _narrow_drawn_involution(rng, dim, 3, real)
         coin = _narrow_drawn_involution(rng, dim, -2, real)
         noise = rng.uniform(-size, size, (dim, dim))
         u, g = gamma @ coin + noise, gamma + noise.T
-        c = g @ u
-        work = np.empty((dim, dim), dtype=g.dtype)
-        (g_spaces, g_facts), (c_spaces, c_facts) = (_narrow_facts(x, DEFAULT_TOL, work)
-                                                    for x in (g, c))
-        assert g_spaces and c_spaces
-        bounds = _certified_bounds(dim, g_facts, c_facts)
+        c, spaces, bounds, coin_error = _narrow_route(
+            g, u, DEFAULT_TOL, np.empty((dim, dim), dtype=g.dtype))
+        assert spaces[0] and spaces[1] and (coin_error > 0.0) == through
+        assert through != np.array_equal(c, g @ u)
         for (exact, computed), value in zip(bounds, (
                 _identity_residual(u.conj().T @ u), _identity_residual(g.conj().T @ g),
                 _maxabs(g - g.conj().T), _maxabs(c - c.conj().T))):
-            assert value <= computed and exact <= computed < math.inf
-        derived = _derived_bounds(dim, *(exact for exact, _ in bounds))
+            assert value <= computed and exact <= computed
+        assert (bounds[0][0] < math.inf) == through
+        derived = _derived_bounds(dim, *(exact for exact, _ in bounds), coin_error=coin_error)
         for bound, value in zip(derived, (
                 _identity_residual(g @ g), _maxabs(c @ g - u.conj().T),
                 _identity_residual(c @ c), _identity_residual(c.conj().T @ c),
@@ -544,12 +553,14 @@ def test_certified_bounds_hold_on_perturbed_narrow_pairs():
        exponent=st.floats(min_value=-2.5, max_value=0.5))
 def test_stored_coin_lies_within_its_error_bound(dim, seed, real, share, flips, target,
                                                  coherent, exponent):
-    # The stored coin is g @ u as computed, C = G U + E. Measured in
-    # extended precision, E's entries are at most gamma (|G| |U|)_ij and
-    # its columns have norm at most leak = gamma sqrt(n) nu^2, the bound
-    # _derived_bounds takes for them, with nu^2 = (1 + n r) / (1 - n gamma)
-    # from the larger unitarity residual r of U and G. The grading is drawn
-    # and moved as in the outcome test on narrow sides.
+    # Where the grading's certificate settles its own facts, the coin is
+    # formed through its narrow side B (sign s) as C = s (2 B (B* U) - U),
+    # and E = C - G U = -D U + R, with D = G - s (2 B B* - 1) and R the
+    # rounding. Measured in extended precision, D's entries are at most
+    # delta, R's columns have norm at most (eta - n delta) |U e_j| and E's
+    # at most eta |U e_j|, and C lies entrywise within
+    # eta |U e_j| + gamma (|G| |U|)_ij of g @ u as computed. The grading is
+    # drawn and moved as in the outcome test on narrow sides.
     rng = np.random.default_rng(seed)
     gamma, coin = (_narrow_drawn_involution(
         rng, dim, (1 + int(s * (dim // 4 - 1))) * (-1 if flip else 1), real)
@@ -568,22 +579,27 @@ def test_stored_coin_lies_within_its_error_bound(dim, seed, real, share, flips, 
             scale *= 10.0**exponent * DEFAULT_TOL.structural / residual
         gamma = gamma + scale * noise
     u = gamma @ coin
-    c = gamma @ u
-    try:
-        assert np.array_equal(make_pair(u, gamma).coin, c)
-    except ChiralWalkError:
-        pass
-    wide = np.clongdouble if np.iscomplexobj(c) else np.longdouble
-    # The extended product's own rounding, at most dim * 2**-64 relative.
-    magnitudes = np.abs(gamma) @ np.abs(u)
-    extended = 4.0 * dim * float(np.finfo(np.longdouble).eps) * magnitudes
-    error = np.maximum(np.abs(c - gamma.astype(wide) @ u.astype(wide)).astype(float)
-                       - extended, 0.0)
+    work = np.empty((dim, dim), dtype=np.result_type(u, gamma))
+    c, spaces, _, eta = _narrow_route(gamma, u, DEFAULT_TOL, work)
+    if not eta:
+        assert np.array_equal(c, gamma @ u)
+        return
+    sign, b = _narrow_side(spaces[0])
+    facts = _involution_facts(_real_if_exact(gamma), spaces[0], work)
+    wide = np.clongdouble if np.iscomplexobj(work) else np.longdouble
+    g_w, u_w, b_w = gamma.astype(wide), u.astype(wide), b.astype(wide)
+    columns = np.linalg.norm(u, axis=0)
+    # The extended products' own rounding, at most dim * 2**-64 relative.
+    extended = 4.0 * dim * float(np.finfo(np.longdouble).eps) * (np.abs(gamma) @ np.abs(u))
+    hat = sign * (2.0 * b_w @ b_w.conj().T - np.eye(dim))
+    assert np.max(np.abs(gamma - hat)) <= facts.delta
+    rounding = np.linalg.norm(c - sign * (2.0 * b_w @ (b_w.conj().T @ u_w) - u_w), axis=0)
+    assert np.all(rounding <= (eta - dim * facts.delta) * columns)
+    error = np.maximum(np.abs(c - g_w @ u_w).astype(float) - extended, 0.0)
+    assert np.all(np.linalg.norm(error, axis=0) <= eta * columns)
     gamma_n = (dim + 4) * linalg._EPS
-    assert np.all(error <= gamma_n * magnitudes)
-    r = max(_identity_residual(u.conj().T @ u), _identity_residual(gamma.conj().T @ gamma))
-    nu2 = (1.0 + dim * r) / (1.0 - dim * gamma_n)
-    assert np.all(np.linalg.norm(error, axis=0) <= gamma_n * math.sqrt(dim) * nu2)
+    assert np.all(np.abs(c - gamma @ u) <= (1.0 + 2.0 * gamma_n) * (
+        eta * columns + gamma_n * (np.abs(gamma) @ np.abs(u))))
 
 
 class TestSuperchargeOnReport:

@@ -601,9 +601,11 @@ class TestSizeLimits:
     def test_dump_matrices_of_a_factored_pair_beyond_the_dense_limit(self, tmp_path, capsys):
         # A search pair is held by its factors; its n x n matrices are
         # formed for --dump-matrices only up to DENSE_MAX_DIM. Beyond it,
-        # at the qubit limit too, the command exits 1 before it writes
-        # the report or any file.
-        for qubits in (8, 9, models.MAX_SEARCH_QUBITS):
+        # from the first qubit count past it to the qubit limit, the
+        # command exits 1 before it writes the report or any file.
+        first_refused = chiral.DENSE_MAX_DIM.bit_length() - 1
+        assert 2 ** first_refused == chiral.DENSE_MAX_DIM
+        for qubits in (3, first_refused, models.MAX_SEARCH_QUBITS):
             dump, output = tmp_path / f"dump{qubits}", tmp_path / f"report{qubits}.json"
             code, out, err = run_cli(capsys, "model", "grover-search", "--qubits", str(qubits),
                                      "--target", "3", "--output", str(output),

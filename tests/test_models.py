@@ -82,11 +82,12 @@ class TestGroverSearch:
 
     @pytest.mark.parametrize("qubits", range(1, 9))
     def test_grading_is_written_as_kron_writes_it(self, qubits):
-        # The pair is held by its factors, and the dense grading formed from
-        # them, 2 B B* - 1, has the bits of every nonzero entry of
-        # np.kron(reflect, eye(2)). Only the sign of a zero differs: np.kron
-        # writes -0.0 for a negative entry times zero, and adding 0.0 turns
-        # it into 0.0. No report reads the dense grading.
+        # Down to the sign of each zero. The pair is held by its factors, and
+        # the dense grading formed from them, 2 B B* - 1, has the bits of
+        # every nonzero entry of np.kron(reflect, eye(2)); its zeros are
+        # cancellations, so +0.0, where np.kron writes -0.0 for a negative
+        # entry times zero. Adding 0.0 to the expected side alone turns its
+        # -0.0 into 0.0 and leaves every other bit as it is.
         n_positions = 2**qubits
         uniform = np.full(n_positions, 1.0 / np.sqrt(n_positions))
         reflect = 2.0 * np.outer(uniform, uniform) - np.eye(n_positions)
@@ -94,7 +95,7 @@ class TestGroverSearch:
         for target in sorted({0, n_positions - 1}):
             pair = grover_search(qubits, target)
             assert pair.factors is not None
-            assert (pair.gamma + 0.0).tobytes() == (expected + 0.0).tobytes()
+            assert pair.gamma.tobytes() == (expected + 0.0).tobytes()
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(OutOfRange):
