@@ -42,12 +42,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     _EPS,
-    _NARROW_MIN_DIM,
     _identity_residual,
     _involution_eigenspaces,
     _maxabs,
     _narrow,
-    _narrow_eigenspaces,
     _near_unit,
     _outside,
     _rank_svd,
@@ -204,34 +202,19 @@ class ChiralPair:
     ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
     involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
 
-    A pair from :func:`make_pair` holds the three as n x n matrices. Its
-    coin is ``gamma @ u``, or, where make_pair formed it through the
-    grading's narrow side B of sign s, ``s (2 B (B* u) - u)``, which lies
-    within the bound derived in :func:`_certified_bounds` of
-    ``gamma @ u``. They are float64 when every entry of ``u`` and
+    A pair from :func:`make_pair` holds the three as n x n matrices, its
+    coin ``gamma @ u``. They are float64 when every entry of ``u`` and
     ``gamma`` is exactly real, and complex128 otherwise. A pair from
     :func:`make_factored_pair` holds only ``factors``, its grading and
     coin as reflections through their narrow sides, and forms each n x n
     matrix when it is first read; the report applies them through the
     factors and forms none of them.
-
-    ``eigenspaces`` holds the +1 and -1 eigenspaces of the grading and of
-    the coin that the pair was built with, each pair None where it took
-    none, and third the largest entry of ``coin - t (2 Y Y* - 1)`` for the
-    coin's narrow side Y of sign t (None with the coin's eigenspaces); the
-    whole is None when make_pair took neither. make_pair takes them from
-    narrow sides, as ``_involution_eigenspaces`` does for the stored
-    matrices, and a factored pair from its factors, with the third exactly
-    0; so nothing downstream factorizes them again.
     """
 
     u: np.ndarray = field(default=_Dense(), repr=False)
     gamma: np.ndarray = field(default=_Dense(), repr=False)
     coin: np.ndarray = field(default=_Dense(), repr=False)
     tol: Tolerance = DEFAULT_TOL
-    eigenspaces: tuple[tuple[Subspace, Subspace] | None,
-                       tuple[Subspace, Subspace] | None, float | None] | None = field(
-        default=None, repr=False, compare=False)
     factors: Factors | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -280,12 +263,9 @@ def _operators(pair: ChiralPair) -> Factors | _Stored:
 def _eigenspaces(pair: ChiralPair, index: int) -> tuple[Subspace, Subspace]:
     """The eigenspaces of the grading (index 0) or the coin (1).
 
-    Those the pair carries; else, for a pair held by its factors, the
-    reflection's own; else computed from the stored matrix.
+    For a pair held by its factors, the reflection's own; else computed
+    from the stored matrix.
     """
-    carried = pair.eigenspaces[index] if pair.eigenspaces else None
-    if carried:
-        return carried
     if pair.factors is not None:
         return pair.factors[index].spaces()
     return _involution_eigenspaces((pair.gamma, pair.coin)[index], pair.tol)
@@ -301,8 +281,7 @@ def make_factored_pair(grading: Reflection, coin: Reflection,
     coin's, k x k and c x c: each must be at most ``tol.structural``,
     else :class:`NotInvolution`. A sign other than +-1 is a ValueError,
     and bases with different row counts, or none, a
-    :class:`DimensionMismatch`. No n x n matrix is formed. The pair
-    carries both reflections' eigenspaces and the coin residual 0.
+    :class:`DimensionMismatch`. No n x n matrix is formed.
     """
     factors = []
     for label, reflection in (("grading", grading), ("coin", coin)):
@@ -320,7 +299,7 @@ def make_factored_pair(grading: Reflection, coin: Reflection,
             f"grading basis has {len(g.basis)} rows but coin basis has {len(c.basis)}; "
             f"both need the same positive number"
         )
-    return ChiralPair(tol=tol, eigenspaces=(g.spaces(), c.spaces(), 0.0), factors=Factors(g, c))
+    return ChiralPair(tol=tol, factors=Factors(g, c))
 
 
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
@@ -335,19 +314,12 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     must hold to within ``tol.structural * n``, else
     :class:`InconsistencyDetected`.
 
-    From dimension 64 on, :func:`_narrow_route` takes the grading's
-    narrow eigenspace B (sign s) first. Where its certificate settles the
-    grading's unitarity and Hermiticity, the coin is formed through it as
-    ``s (2 B (B* u) - u)``, at O(n^2 k), and kept where the bounds below
-    settle every check that reads it; elsewhere, and below dimension 64,
-    the coin is ``gamma @ u``. Where the grading and the coin each have a
-    narrow side, :func:`_certified_bounds` settles ``u* u``,
-    ``gamma* gamma`` and both Hermiticity residuals from their narrow
-    eigenspaces; otherwise those four are measured. Each of the other
-    five products is formed only where :func:`_derived_bounds` does not
-    already settle its check, and a residual that is measured is measured
-    on ``gamma @ u``. So a pair is accepted or refused, with the same
-    error and residual, as when all eight are formed.
+    Three n x n products are formed, ``u* u``, ``gamma* gamma`` and the
+    coin ``gamma @ u``, and both Hermiticity residuals are measured. Each
+    of the other five products is formed only where
+    :func:`_derived_bounds` does not already settle its check. So a pair
+    is accepted or refused, with the same error and residual, as when all
+    eight are formed.
     """
     u = as_square_matrix(u)
     g = as_square_matrix(gamma)
@@ -363,42 +335,24 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
         u, g = np.ascontiguousarray(u.real), np.ascontiguousarray(g.real)
     n = u.shape[0]
     scale = tol.structural * n
-    # Every residual and certificate is taken in one n x n buffer, each
-    # product written into it and the identity subtracted in place.
+    # Every residual is taken in one n x n buffer, each product written
+    # into it and the identity subtracted in place.
     work = np.empty((n, n), dtype=np.result_type(u, g))
-    coin, spaces, bounds, coin_error = _narrow_route(g, u, tol, work)
-    r_u, r_g, h_g, h_c = (exact if computed <= tol.structural else None
-                          for exact, computed in bounds)
-    # A residual that the narrow route did not settle is formed.
-    if r_u is None:
-        r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
+    r_u = _identity_residual(np.matmul(u.conj().T, u, out=work))
     if r_u > tol.structural:
         raise NotUnitary(f"evolution is not unitary: residual {r_u:.6e}")
-    if r_g is None:
-        r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
+    r_g = _identity_residual(np.matmul(g.conj().T, g, out=work))
     if r_g > tol.structural:
         raise NotInvolution(f"grading is not unitary: residual {r_g:.6e}")
-    if h_g is None:
-        h_g = _skew_residual(g, work)
-    if coin_error:
-        # The coin formed through the grading's narrow side is kept where
-        # the bounds settle every check that reads it (written so that a
-        # NaN fails); elsewhere g @ u is formed, so that each of those
-        # checks is measured, and raises, as it would have.
-        derived = _derived_bounds(n, r_u, r_g, h_g, math.inf if h_c is None else h_c,
-                                  coin_error=coin_error)
-        if not (derived[1] <= tol.structural and max(derived[2:]) <= scale):
-            coin, spaces, h_c, coin_error = None, (spaces[0], None, None), None, 0.0
-    if coin is None:
-        coin = np.matmul(g, u)
-    if h_c is None:
-        h_c = _skew_residual(coin, work)
+    h_g = _skew_residual(g, work)
+    coin = np.matmul(g, u)
+    h_c = _skew_residual(coin, work)
     residuals = (n, r_u, r_g, h_g, h_c)
     # g @ g and the chirality product are formed only where their bounds
     # exceed tol.structural; where a product is not formed, its bound
     # stands in for its residual below. (g @ u) @ g is how Python
     # evaluates g @ u @ g.
-    r_2, chirality = _derived_bounds(*residuals, coin_error=coin_error)[:2]
+    r_2, chirality = _derived_bounds(*residuals)[:2]
     if r_2 > tol.structural and (
             r_2 := _identity_residual(np.matmul(g, g, out=work))) > tol.structural:
         raise NotInvolution(f"grading does not square to one: residual {r_2:.6e}")
@@ -411,7 +365,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
     # so downstream code can rely on all three without rechecking.
     for label, bound, residual in zip(
         ("coin involution", "coin unitarity", "product recovery"),
-        _derived_bounds(*residuals, r_2, chirality, coin_error=coin_error)[2:],
+        _derived_bounds(*residuals, r_2, chirality)[2:],
         (lambda: _identity_residual(np.matmul(coin, coin, out=work)),
          lambda: _identity_residual(np.matmul(coin.conj().T, coin, out=work)),
          lambda: _maxabs(np.subtract(u, np.matmul(g, coin, out=work), out=work))),
@@ -428,82 +382,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
-    return ChiralPair(u=u, gamma=g, coin=coin, tol=tol, eigenspaces=spaces)
-
-
-_UNBOUNDED = ((math.inf, math.inf),) * 4
-
-
-def _narrow_route(g: np.ndarray, u: np.ndarray, tol: Tolerance, work: np.ndarray):
-    """The coin, the narrow eigenspaces, the bounds they give, and the coin's error.
-
-    Below dimension ``_NARROW_MIN_DIM`` nothing is taken: the coin is
-    None, for :func:`make_pair` to form as ``g @ u`` once the grading is
-    unitary, the eigenspaces are None, every bound is infinite and the
-    coin's error is 0. Otherwise the grading's eigenspaces come first,
-    what ``_involution_eigenspaces`` takes from a narrow side B of sign s,
-    or None where it takes none. Where their certificate settles the
-    grading's unitarity and Hermiticity, the coin is ``s (2 B (B* u) - u)``
-    and its error is the ``eta`` of :func:`_certified_bounds`, which is
-    positive; elsewhere the coin is ``g @ u`` and its error 0. The coin's
-    eigenspaces follow, taken the same way. The eigenspaces come as
-    (grading's, coin's, the coin's certificate ``e``), the last None with
-    the coin's, and the whole is None when neither matrix had a narrow
-    side. The bounds are those of :func:`_certified_bounds` on
-    ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*``.
-    """
-    n = len(g)
-    if n < _NARROW_MIN_DIM:
-        return None, None, _UNBOUNDED, 0.0
-    # Input far from a pair can overflow the coin or the narrow route; the
-    # bounds are then not finite, and make_pair forms the products, which
-    # raise as they would have.
-    with np.errstate(all="ignore"):
-        # Each is taken as real when it is complex but exactly real, as
-        # _involution_eigenspaces takes it.
-        g_real = _real_if_exact(g)
-        g_spaces = _narrow_eigenspaces(g_real, tol)
-        g_facts = g_spaces and _involution_facts(g_real, g_spaces, work)
-        # The coin goes through the grading's narrow side where the
-        # grading's certificate settles G* G - 1 and G - G*, which a NaN
-        # bound does not.
-        through = all(computed <= tol.structural
-                      for _, computed in _certified_bounds(n, g_facts, None, False)[0][1:3])
-        coin = _through_narrow_side(u, g_spaces) if through else None
-        through = coin is not None
-        coin = np.matmul(g, u) if coin is None else coin
-        c_real = _real_if_exact(coin)
-        c_spaces = _narrow_eigenspaces(c_real, tol)
-        c_facts = c_spaces and _involution_facts(c_real, c_spaces, work)
-        bounds, coin_error = _certified_bounds(n, g_facts, c_facts, through)
-    spaces = (g_spaces, c_spaces, c_facts.e if c_facts else None)
-    return coin, spaces if g_spaces or c_spaces else None, bounds, coin_error
-
-
-def _narrow_side(spaces: tuple[Subspace, Subspace]) -> tuple[float, np.ndarray]:
-    """The sign s and the basis B of the narrow side of an involution's eigenspaces."""
-    plus, minus = spaces
-    return (1.0, plus.basis) if minus.by_complement else (-1.0, minus.basis)
-
-
-def _through_narrow_side(u: np.ndarray, spaces: tuple[Subspace, Subspace]) -> np.ndarray | None:
-    """``s (2 B (B* u) - u)`` for the narrow side B (sign s), at O(n^2 k), or None.
-
-    Its trace, ``s (2 tr(B* u B) - tr u)``, is read from ``B* u`` first:
-    a coin whose trace leaves it no narrow side (or a NaN trace) could
-    not be kept, since its Hermiticity gets no certificate, so it is not
-    formed, and None is returned. Scaling by 2 s is exact; ``u`` is then
-    subtracted, or for s = -1 added, in place, so the coin is the one
-    n x n array formed.
-    """
-    sign, b = _narrow_side(spaces)
-    n = len(u)
-    y = (2.0 * sign) * np.matmul(b.conj().T, u)
-    k_plus = (n + float(np.trace(y @ b).real) - sign * float(np.trace(u).real)) / 2.0
-    if not 0.5 <= min(k_plus, n - k_plus) <= n / 4.0 + 0.5:
-        return None
-    coin = np.matmul(b, y)
-    return (np.subtract if sign > 0.0 else np.add)(coin, u, out=coin)
+    return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
 
 
 def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
@@ -516,146 +395,9 @@ def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
     return _maxabs(np.subtract(x, adjoint, out=work))
 
 
-def _involution_certificate(x: np.ndarray, spaces: tuple[Subspace, Subspace],
-                            work: np.ndarray) -> tuple[float, float, float, int]:
-    """What :func:`_certified_bounds` measures of an involution X from its narrow side.
-
-    With B the n x k basis of the narrow side and s its sign: the largest
-    entries of ``X - s (2 B B* - 1)``, formed in ``work``, and of
-    ``B* B - 1``, the largest squared row norm of B, and k.
-    """
-    sign, b = _narrow_side(spaces)
-    n, k = b.shape
-    # Scaling by 2 s is exact, so this is 2 s times the rounded B B*. With
-    # its second factor a fresh array, B B* of a real B does not take the
-    # symmetric rank-k update, slower for a narrow B than the general one.
-    np.matmul(b, (2.0 * sign) * b.conj().T, out=work)
-    work.flat[::n + 1] -= sign
-    e = _maxabs(np.subtract(x, work, out=work))
-    rows = float(np.einsum("ij,ij->i", b, b.conj()).real.max())
-    return e, _identity_residual(b.conj().T @ b), rows, k
-
-
-class _Facts(NamedTuple):
-    """What an involution's narrow-side certificate bounds (:func:`_certified_bounds`)."""
-
-    e: float          # largest entry of X - Xh, as measured
-    delta: float      # entries of D = X - Xh
-    gram: float       # entries of X* X - 1
-    gram_norm: float  # |X* X - 1|_2
-    norm: float       # |X|_2
-    low: float        # smallest singular value of Xh
-    rounding: float   # r: the rounding of s (2 B (B* Y) - Y) in |Y e_j| units
-
-
-def _involution_facts(x: np.ndarray, spaces: tuple[Subspace, Subspace],
-                      work: np.ndarray) -> _Facts:
-    """:func:`_involution_certificate`'s measurements of X, and the bounds derived from them."""
-    e, f, w, k = _involution_certificate(x, spaces, work)
-    n = x.shape[0]
-    gamma, gamma_k, root_n = (n + 4) * _EPS, (2 * k + 4) * _EPS, math.sqrt(n)
-    beta = ((1.0 + gamma) * f + gamma) / (1.0 - gamma)
-    rho2 = (1.0 + gamma_k) * w
-    delta = (1.0 + gamma_k) * (e + _EPS) + 3.0 * gamma_k * rho2
-    top, spread = 1.0 + 2.0 * k * beta, n * delta
-    gram = 4.0 * rho2 * k * beta + 2.0 * root_n * top * delta + n * delta * delta
-    gram_norm = 4.0 * (1.0 + k * beta) * k * beta + 2.0 * top * spread + spread * spread
-    rounding = (2.0 * (1.0 + gamma) * (1.0 + gamma_k) * k * (1.0 + beta)
-                * (gamma + gamma_k + _EPS) + _EPS)
-    return _Facts(e, delta, gram, gram_norm, top + spread, 1.0 - 2.0 * k * beta, rounding)
-
-
-def _certified_bounds(n: int, g_facts: _Facts | None, c_facts: _Facts | None,
-                      through: bool) -> tuple[tuple[tuple[float, float], ...], float]:
-    """Bounds on ``U* U - 1``, ``G* G - 1``, ``G - G*`` and ``C - C*`` from narrow eigenspaces.
-
-    Each is a pair: a bound on the exact residual's largest entry, and
-    one on the residual as :func:`make_pair` would compute it. Both are
-    infinite where an eigenspace the bound needs was not taken: the
-    grading's for the second and third, the coin's for the fourth, both
-    for the first, which also needs the coin formed ``through`` the
-    grading's narrow side. Returned with them is the coin's error
-    ``eta``, positive where the coin was formed through that side, else
-    0. Of an involution X with a narrow side of sign s and basis B
-    (n x k), :func:`_involution_certificate` measures ``e``, the largest
-    entry of ``X - s (2 B B* - 1)``, ``f``, that of ``B* B - 1``, and
-    ``w``, B's largest squared row norm. With ``gamma = (n + 4) eps`` as
-    in :func:`_derived_bounds` and ``gamma_k = (2k + 4) eps``,
-    :func:`_involution_facts` derives:
-
-    * ``F = B* B - 1`` has entries at most
-      ``beta = ((1 + gamma) f + gamma) / (1 - gamma)``, the rounding of
-      ``B* B`` being at most ``gamma`` times its columns' norms, which are
-      at most ``1 + beta``; so ``|F|_2 <= k beta``, ``|B|_2^2 <= 1 + k beta``
-      and ``|B|_F^2 <= phi2 = k (1 + beta)``;
-    * B's rows have squared norms at most ``rho2 = (1 + gamma_k) w``;
-    * ``D = X - Xh`` with ``Xh = s (2 B B* - 1)`` has entries at most
-      ``delta = (1 + gamma_k)(e + eps) + 3 gamma_k rho2``: the rounding of
-      ``B B*`` is at most ``gamma_k rho2`` per entry, doubling is exact,
-      and subtracting s on the diagonal and the result from X round by
-      ``eps`` relative;
-    * Xh is Hermitian with eigenvalues -s and ``s (2 mu - 1)`` for ``mu``
-      in the spectrum of ``B* B``, so ``|Xh|_2 <= 1 + 2 k beta``, its
-      smallest singular value is at least ``1 - 2 k beta``, and
-      ``|D|_2 <= |D|_F <= n delta`` moves both by at most that.
-
-    Then ``X - X* = D - D*`` has entries at most ``2 delta``, and
-    ``X* X - 1 = 4 B F B* + Xh D + D* Xh + D* D`` has entries at most
-    ``4 rho2 k beta + 2 sqrt(n) |Xh|_2 delta + n delta^2`` (a row's norm
-    times a column's) and 2-norm at most
-    ``4 |B|_2^2 k beta + 2 |Xh|_2 n delta + (n delta)^2``.
-
-    The coin formed through the grading's side is
-    ``C = fl(fl(B (2 s fl(B* U))) - s U) = Gh U + R`` with Gh the
-    grading's Xh. A column of ``fl(B* U) = B* U + R1`` is off by at most
-    ``gamma phi |U e_j|`` (an entry by ``gamma |B e_l| |U e_j|``), so it
-    has norm at most ``(1 + gamma) phi |U e_j|``; the k-term product by
-    B adds a column of norm at most ``2 gamma_k (1 + gamma) phi2 |U e_j|``,
-    since ``| |B| |_2 <= |B|_F``; and the subtraction rounds by ``eps``
-    relative, on a column of norm at most
-    ``(2 (1 + gamma)(1 + gamma_k) phi2 + 1) |U e_j|``. With
-    ``R = 2 s B R1 + R2 + R3`` this gives ``|R e_j| <= r |U e_j|`` for
-
-        ``r = 2 (1 + gamma)(1 + gamma_k) phi2 (gamma + gamma_k + eps) + eps``.
-
-    So ``E = C - G U = -D U + R`` has columns of norm at most
-    ``eta |U|_2`` with ``eta = n delta_G + r``. Where the coin is
-    ``G U`` as computed, ``|E| <= gamma |G| |U|`` instead, and ``eta`` is
-    0 (:func:`_derived_bounds` covers that E by itself). Through the
-    grading's side, ``|U|_2 <= nu_U = |C|_2 / (1 - 2 k beta - sqrt(n) r)``,
-    since ``|R|_2 <= |R|_F <= r |U|_F <= sqrt(n) r |U|_2``. For the
-    evolution, ``U* U - 1 = (C* C - 1) - C* E - E* C + E* E - U* (G* G - 1) U``,
-    each of whose middle terms has entries at most a column norm of C
-    times one of E. As computed, a Gram residual adds ``gamma`` times the
-    product of two column norms and a Hermiticity residual nothing, and
-    ``1 + gamma`` covers the relative rounding of each subtraction and
-    magnitude.
-    """
-    unknown = _UNBOUNDED[0]
-    gamma, root_n = (n + 4) * _EPS, math.sqrt(n)
-
-    def as_computed(exact, nu):
-        # A Gram residual's exact bound, and its bound as computed.
-        return exact, (1.0 + gamma) * (exact + gamma * nu * nu)
-
-    skew = [(2.0 * f.delta, (1.0 + gamma) * 2.0 * f.delta) if f else unknown
-            for f in (g_facts, c_facts)]
-    evolution, coin_error = unknown, 0.0
-    if through:
-        coin_error = n * g_facts.delta + g_facts.rounding
-        # Written so that a NaN leaves the evolution unknown.
-        if c_facts and (low := g_facts.low - root_n * g_facts.rounding) > 0.0:
-            nu_u = c_facts.norm / low
-            leak = coin_error * nu_u
-            evolution = as_computed(c_facts.gram + 2.0 * c_facts.norm * leak + leak * leak
-                                    + nu_u * nu_u * g_facts.gram_norm, nu_u)
-    grading = as_computed(g_facts.gram, g_facts.norm) if g_facts else unknown
-    return (evolution, grading, *skew), coin_error
-
-
 def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
-                    r_2: float | None = None, chirality: float | None = None,
-                    coin_error: float = 0.0) -> tuple[float, ...]:
+                    r_2: float | None = None,
+                    chirality: float | None = None) -> tuple[float, ...]:
     """Bounds on the residuals of make_pair's five products that may be skipped.
 
     The arguments are the entrywise residuals of ``U* U - 1``, ``G* G - 1``,
@@ -664,11 +406,7 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     bounds are, in order, on the residuals of ``G^2 - 1``, ``C G - U*``,
     ``C^2 - 1``, ``C* C - 1`` and ``U - G C``; the last three take the
     first two bounds in place of ``r_2`` and ``chirality`` when those are
-    not given. Where :func:`make_pair` did not form ``U* U``, ``G* G`` or
-    a Hermiticity residual, the bound of :func:`_certified_bounds` on the
-    exact residual stands in for it; every bound here grows with its
-    arguments, so it still holds. E is the error of the stored coin,
-    ``C = GU + E``:
+    not given. E is the rounding error of the stored coin, ``C = GU + E``:
 
     * ``G^2 - 1 = (G* G - 1) + (G - G*) G``;
     * ``C G - U* = (C - C*) G + U* (G* G - 1) + E* G``;
@@ -685,13 +423,10 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
     terms' magnitudes (while ``n gamma < 1``, far beyond any dense matrix
     that fits in memory), and ``1 + gamma`` covers the relative rounding
     of a residual, its subtraction and its magnitude. E's columns have
-    norm at most ``leak = (gamma sqrt(n) nu + coin_error) nu``: for
-    ``C = G U`` as computed, ``|E| <= gamma |G||U|``, and a column of
-    ``|G||U|`` has norm at most the norm of ``|G|`` (at most its Frobenius
-    norm, ``sqrt(n) nu``) times ``nu``; for a coin formed through the
-    grading's narrow side, ``coin_error`` is the ``eta`` of
-    :func:`_certified_bounds`. C's columns have norm at most
-    ``nu^2 + leak`` and its rows, those of C*, at most
+    norm at most ``leak = gamma sqrt(n) nu^2``: ``|E| <= gamma |G||U|``,
+    and a column of ``|G||U|`` has norm at most the norm of ``|G|`` (at
+    most its Frobenius norm, ``sqrt(n) nu``) times ``nu``. C's columns
+    have norm at most ``nu^2 + leak`` and its rows, those of C*, at most
     ``c = nu^2 + leak + sqrt(n) h_c``. So:
 
     * the rounding of ``G^2`` and of ``G* G`` adds at most ``gamma nu^2``
@@ -709,14 +444,13 @@ def _derived_bounds(n: int, r_u: float, r_g: float, h_g: float, h_c: float,
       residuals and of the products in the last three.
 
     The first two are compared with ``tol.structural``. At the default
-    tolerance the rounding term of the second, for ``C = G U``, reaches
-    it from n of about 3700, so a search pair on 11 qubits (n = 4096)
-    forms ``C G`` again; that of the first only from n of about 1.5e5.
+    tolerance the rounding term of the second reaches it from n of about
+    3700, and that of the first only from n of about 1.5e5.
     """
     gamma = (n + 4) * _EPS
     nu2 = (1.0 + n * max(r_u, r_g)) / (1.0 - n * gamma)
     root_n, nu = math.sqrt(n), math.sqrt(nu2)
-    leak = (gamma * root_n * nu + coin_error) * nu
+    leak = gamma * root_n * nu * nu
     c = nu2 + leak + root_n * h_c
     square = (1.0 + gamma) * (r_g + root_n * nu * h_g) + 3.0 * gamma * nu2
     chiral = (1.0 + gamma) * (root_n * nu * (h_c + r_g) + leak * nu

@@ -136,10 +136,11 @@ class Subspace:
     """A subspace of C^ambient_dim given by orthonormal basis columns.
 
     ``complement``, when given, is an orthonormal basis of the orthogonal
-    complement and takes no part in the repr. A wide subspace may be held
-    by its narrow complement alone; its ``basis`` is then formed when
-    first read, as the trailing columns of one complete QR of the
-    complement. Otherwise the complement is filled only where a
+    complement. A wide subspace may be held by its narrow complement
+    alone; its ``basis`` is then formed when first read, as the trailing
+    columns of one complete QR of the complement. The repr shows what the
+    subspace is held by, as its constructor call gives it, so it forms no
+    basis. Otherwise the complement is filled only where a
     factorization yields it for free (the leading right singular vectors
     beside a kernel, the other sign's eigenvectors of an involution).
     ``by_complement`` says whether it was built from ``complement`` alone;
@@ -165,7 +166,8 @@ class Subspace:
         return np.linalg.qr(self.complement, mode="complete")[0][:, self.complement.shape[1]:]
 
     def __repr__(self) -> str:
-        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+        held = "complement" if self.by_complement else "basis"
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, {held}={getattr(self, held)!r})"
 
 
 def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:

@@ -8,9 +8,7 @@ report checks with invariances under sign flips, inversion, unitary
 conjugation, and coin re-randomization. Each transformed pair is built
 and validated by ``make_pair``, and its index is compared with the
 report's. Nothing is computed twice: the three transforms that keep the
-grading share one factorization of it, the eigenspaces that
-``make_pair`` took from a narrow side where the pair carries them (from
-dimension 64), else one eigensolve; the negated and the conjugated
+grading share one factorization of it; the negated and the conjugated
 grading are each factorized on their own, so those checks stay
 independent; and each index is read from singular values alone.
 """
@@ -89,15 +87,13 @@ def transformation_checks(
     transformed pair is built and validated by :func:`make_pair`, and its
     index is compared with ``reference``, the index of ``pair`` itself
     (the ``index_alpha`` of its report). The three transforms that keep
-    the grading share one factorization of it, the one the pair carries
-    where it carries one; the negated and the conjugated grading are
-    each factorized afresh.
+    the grading share one factorization of it; the negated and the
+    conjugated grading are each factorized afresh.
     """
     tol = pair.tol
     n = pair.dim
     # make_pair keeps the grading it is given, so the pairs built on this
-    # one share its eigenspaces: those the pair carries, else factorized
-    # here once.
+    # one share its eigenspaces, factorized here once.
     graded = _eigenspaces(pair, 0)
 
     def result(name: str, index: int, expected: int) -> CheckResult:

@@ -471,16 +471,15 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     interior_u = u_values[~(at_plus | at_minus)]
 
     # Coisometry identities. The effective coin is recovered as 2 d* d - 1.
-    # Where the pair carries the coin's narrow side Y, that side is the
-    # coin space, and make_pair measured this residual, max|C - t(2 Y Y* - 1)|
-    # for Y's sign t, with the same products. Otherwise the identity is
-    # subtracted in place, which rounds as subtracting np.eye(n) does, and
-    # the coin added in place (its negation subtracted exactly) without
-    # another n x n array.
+    # A pair held by its factors has the coin t(2 Y Y* - 1) for its
+    # narrow side Y of sign t, and d* is Y, so the residual is 0 and
+    # nothing is formed. Otherwise the identity is subtracted in place,
+    # which rounds as subtracting np.eye(n) does, and the coin added in
+    # place (its negation subtracted exactly) without another n x n array.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    res = pair.eigenspaces[2] if pair.eigenspaces else None
-    if res is None:
+    res = 0.0
+    if pair.factors is None:
         recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
         recovered.flat[::n + 1] -= 1.0
         (np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered)

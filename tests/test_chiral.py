@@ -1,19 +1,14 @@
 """Tests for chiral pair validation, the supercharge, and index routes."""
 
 import importlib
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import linalg
 from chiralwalk.chiral import (
     _derived_bounds,
-    _involution_facts,
-    _narrow_route,
-    _narrow_side,
     _projection_pair_index,
     index_alpha,
     make_pair,
@@ -32,7 +27,6 @@ from chiralwalk.linalg import (
     _identity_residual,
     _maxabs,
     _rank_svd,
-    _real_if_exact,
     kernel_basis,
     spans_match,
     subspace_intersection,
@@ -346,18 +340,17 @@ def test_derived_bounds_keep_the_products_of_tiny_pairs_near_the_tolerance():
     square, chirality = _derived_bounds(*residuals)[:2]
     assert _derived_bounds(*residuals)[2:] == _derived_bounds(*residuals, square, chirality)[2:]
     # The chirality bound's rounding term alone reaches tol.structural at
-    # n = 4096, a search pair on 11 qubits, and not at n = 2048.
+    # n = 4096, and not at n = 2048.
     assert _derived_bounds(2048, *[0.0] * 4)[1] <= tol < _derived_bounds(4096, *[0.0] * 4)[1]
     assert _derived_bounds(8192, *[0.0] * 4)[0] < 1e-1 * tol
 
 
 @pytest.mark.parametrize("qubits", range(1, 9))
 def test_search_pairs_form_three_products(qubits):
-    # Where make_pair measures u* u, g* g and both Hermiticity residuals
-    # (below dimension 64, or where a side is wide), it forms those two
-    # products and the coin g @ u. For the dense matrices of a search pair
-    # every derived bound then settles its check, so none of the other
-    # five products is formed.
+    # make_pair measures u* u, g* g and both Hermiticity residuals, and
+    # forms the coin g @ u. For the dense matrices of a search pair every
+    # derived bound then settles its check, so none of the other five
+    # products is formed.
     tol = DEFAULT_TOL.structural
     for target in sorted({0, 1, 2**qubits - 1}):
         search = grover_search(qubits, target)
@@ -387,57 +380,25 @@ def _square_products(shapes, n):
     return sum(a == b == (n, n) for a, b in shapes)
 
 
-@pytest.mark.parametrize("qubits", range(5, 11))
-def test_search_pairs_form_one_product(monkeypatch, qubits):
-    # The dense matrices of a search pair, fed to make_pair: from
-    # dimension 64 (q = 5) the grading and the coin have narrow sides of
-    # dimensions 2 and 1. The grading's certificate settles its own
-    # unitarity and Hermiticity, so the coin, the one n x n array
-    # make_pair forms, is formed through the grading's narrow side B as
-    # 2 B (B* u) - u, and no product has two n x n factors. The
-    # certificates settle u* u, g* g and both Hermiticity residuals, every
-    # derived bound settles its check, and the pair carries both
-    # eigenspaces and the coin's certificate.
-    tol = DEFAULT_TOL.structural
-    for target in sorted({0, 1, 2**qubits - 1}):
-        search = grover_search(qubits, target)
-        u, g = search.u, search.gamma
-        shapes = _n_by_n_products(monkeypatch)
-        pair = make_pair(u, g)
-        monkeypatch.undo()
-        n = pair.dim
-        assert _square_products(shapes, n) == 0
-        assert ((2, n), (n, n)) in shapes and ((n, 2), (2, n)) in shapes
-        assert all(carried is not None for carried in pair.eigenspaces)
-        coin, _, bounds, coin_error = _narrow_route(pair.gamma, pair.u, DEFAULT_TOL,
-                                                    np.empty((n, n)))
-        assert np.array_equal(coin, pair.coin) and coin_error > 0.0
-        assert max(computed for _, computed in bounds) <= tol
-        derived = _derived_bounds(n, *(exact for exact, _ in bounds), coin_error=coin_error)
-        assert max(derived[:2]) <= tol and max(derived[2:]) <= tol * n
-
-
 def test_small_and_wide_pairs_measure_their_products(monkeypatch):
-    # Below dimension 64 u* u, g* g and the coin g @ u are formed. A
-    # narrow grading alone settles g* g; its coin, formed through the
-    # grading's narrow side, is kept only where the coin's Hermiticity is
-    # settled too, so beside a wide coin g @ u is formed and u* u, which
-    # needs both sides, is measured. A wide grading forms g @ u and g* g,
-    # and u* u. With both sides narrow no product has two n x n factors.
-    # The eigenspaces that were taken for the stored coin are carried.
+    # At every dimension, with narrow or wide sides, make_pair forms three
+    # n x n products, u* u, g* g and the coin g @ u, and measures both
+    # Hermiticity residuals; for these pairs, the dense matrices of search
+    # pairs among them, every derived bound settles its check, so none of
+    # the other five products is formed.
     rng = np.random.default_rng(3)
-    for n, g_plus, c_plus, products, carried in (
-            (32, 2, 1, 3, None), (64, 32, 1, 3, (False, True, True)),
-            (64, 2, 32, 2, (True, False, False)), (64, 32, 32, 3, None),
-            (64, 2, 1, 0, (True, True, True))):
+    pairs = []
+    for n, g_plus, c_plus in ((32, 2, 1), (64, 32, 1), (64, 2, 32), (64, 32, 32), (64, 2, 1)):
         gamma = random_involution(rng, n, g_plus)
-        u = gamma @ random_involution(rng, n, c_plus)
+        pairs.append((gamma @ random_involution(rng, n, c_plus), gamma))
+    for qubits in (5, 8):
+        search = grover_search(qubits, 3)
+        pairs.append((search.u, search.gamma))
+    for u, gamma in pairs:
         shapes = _n_by_n_products(monkeypatch)
-        pair = make_pair(u, gamma)
+        make_pair(u, gamma)
         monkeypatch.undo()
-        assert _square_products(shapes, n) == products
-        assert (pair.eigenspaces if carried is None
-                else tuple(s is not None for s in pair.eigenspaces)) == carried
+        assert _square_products(shapes, len(u)) == 3
 
 
 def _narrow_drawn_involution(rng, dim, side, real):
@@ -463,9 +424,8 @@ def _narrow_drawn_involution(rng, dim, side, real):
        exponent=st.floats(min_value=-2.5, max_value=0.5))
 def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
         dim, seed, real, share, flips, target, coherent, exponent):
-    # From dimension 64, a grading and a coin with narrow sides settle u* u,
-    # g* g and both Hermiticity residuals from their narrow eigenspaces.
-    # The grading is moved by a skew-Hermitian or a Hermitian matrix (the
+    # A grading and a coin with narrow sides, at dimensions 64 to 256. The
+    # grading is moved by a skew-Hermitian or a Hermitian matrix (the
     # latter breaks its unitarity), the coin likewise, or the evolution
     # by an arbitrary one, scaled so that the moved residual is
     # 10**exponent * tol.structural. A non-unitary grading under a kept
@@ -507,99 +467,6 @@ def test_make_pair_outcome_matches_all_eight_products_on_narrow_sides(
         scale *= 10.0**exponent * DEFAULT_TOL.structural / unscaled
     u, g = moved(scale)
     assert _make_pair_outcome(u, g) == _reference_make_pair_outcome(u, g, DEFAULT_TOL)
-
-
-def test_certified_bounds_hold_on_perturbed_narrow_pairs():
-    # The bounds on the exact residuals hold for the residuals measured
-    # from the products, on pairs moved well inside and beyond the
-    # tolerance. Where the grading's certificate settles its own
-    # unitarity and Hermiticity, the coin is formed through its narrow
-    # side, and the derived bounds, given that coin's error, hold for the
-    # residuals of the stored coin; elsewhere the coin is g @ u.
-    rng = np.random.default_rng(11)
-    for dim, real, size, through in ((64, True, 1e-13, True), (96, False, 1e-12, True),
-                                     (128, True, 1e-9, False), (200, False, 1e-11, False),
-                                     (256, False, 1e-14, True)):
-        gamma = _narrow_drawn_involution(rng, dim, 3, real)
-        coin = _narrow_drawn_involution(rng, dim, -2, real)
-        noise = rng.uniform(-size, size, (dim, dim))
-        u, g = gamma @ coin + noise, gamma + noise.T
-        c, spaces, bounds, coin_error = _narrow_route(
-            g, u, DEFAULT_TOL, np.empty((dim, dim), dtype=g.dtype))
-        assert spaces[0] and spaces[1] and (coin_error > 0.0) == through
-        assert through != np.array_equal(c, g @ u)
-        for (exact, computed), value in zip(bounds, (
-                _identity_residual(u.conj().T @ u), _identity_residual(g.conj().T @ g),
-                _maxabs(g - g.conj().T), _maxabs(c - c.conj().T))):
-            assert value <= computed and exact <= computed
-        assert (bounds[0][0] < math.inf) == through
-        derived = _derived_bounds(dim, *(exact for exact, _ in bounds), coin_error=coin_error)
-        for bound, value in zip(derived, (
-                _identity_residual(g @ g), _maxabs(c @ g - u.conj().T),
-                _identity_residual(c @ c), _identity_residual(c.conj().T @ c),
-                _maxabs(u - g @ c))):
-            assert value <= bound
-
-
-@settings(max_examples=30, deadline=None)
-@given(dim=st.integers(min_value=64, max_value=256),
-       seed=st.integers(min_value=0, max_value=2**32 - 1),
-       real=st.booleans(),
-       share=st.tuples(st.floats(min_value=0.0, max_value=1.0),
-                       st.floats(min_value=0.0, max_value=1.0)),
-       flips=st.tuples(st.booleans(), st.booleans()),
-       target=st.sampled_from(["none", "skew grading", "non-unitary grading"]),
-       coherent=st.booleans(),
-       exponent=st.floats(min_value=-2.5, max_value=0.5))
-def test_stored_coin_lies_within_its_error_bound(dim, seed, real, share, flips, target,
-                                                 coherent, exponent):
-    # Where the grading's certificate settles its own facts, the coin is
-    # formed through its narrow side B (sign s) as C = s (2 B (B* U) - U),
-    # and E = C - G U = -D U + R, with D = G - s (2 B B* - 1) and R the
-    # rounding. Measured in extended precision, D's entries are at most
-    # delta, R's columns have norm at most (eta - n delta) |U e_j| and E's
-    # at most eta |U e_j|, and C lies entrywise within
-    # eta |U e_j| + gamma (|G| |U|)_ij of g @ u as computed. The grading is
-    # drawn and moved as in the outcome test on narrow sides.
-    rng = np.random.default_rng(seed)
-    gamma, coin = (_narrow_drawn_involution(
-        rng, dim, (1 + int(s * (dim // 4 - 1))) * (-1 if flip else 1), real)
-        for s, flip in zip(share, flips))
-    noise = (np.triu(np.ones((dim, dim)), 1) if coherent
-             else rng.uniform(-1.0, 1.0, (dim, dim)))
-    if not real:
-        noise = noise * np.exp(2j * np.pi * rng.uniform(size=(dim, dim)))
-    noise = noise - noise.conj().T if target == "skew grading" else noise + noise.conj().T
-    if target != "none":
-        scale = DEFAULT_TOL.structural / np.max(np.abs(noise))
-        moved = gamma + scale * noise
-        residual = (_maxabs(moved - moved.conj().T) if target == "skew grading"
-                    else _identity_residual(moved.conj().T @ moved))
-        if residual > 0.0:
-            scale *= 10.0**exponent * DEFAULT_TOL.structural / residual
-        gamma = gamma + scale * noise
-    u = gamma @ coin
-    work = np.empty((dim, dim), dtype=np.result_type(u, gamma))
-    c, spaces, _, eta = _narrow_route(gamma, u, DEFAULT_TOL, work)
-    if not eta:
-        assert np.array_equal(c, gamma @ u)
-        return
-    sign, b = _narrow_side(spaces[0])
-    facts = _involution_facts(_real_if_exact(gamma), spaces[0], work)
-    wide = np.clongdouble if np.iscomplexobj(work) else np.longdouble
-    g_w, u_w, b_w = gamma.astype(wide), u.astype(wide), b.astype(wide)
-    columns = np.linalg.norm(u, axis=0)
-    # The extended products' own rounding, at most dim * 2**-64 relative.
-    extended = 4.0 * dim * float(np.finfo(np.longdouble).eps) * (np.abs(gamma) @ np.abs(u))
-    hat = sign * (2.0 * b_w @ b_w.conj().T - np.eye(dim))
-    assert np.max(np.abs(gamma - hat)) <= facts.delta
-    rounding = np.linalg.norm(c - sign * (2.0 * b_w @ (b_w.conj().T @ u_w) - u_w), axis=0)
-    assert np.all(rounding <= (eta - dim * facts.delta) * columns)
-    error = np.maximum(np.abs(c - g_w @ u_w).astype(float) - extended, 0.0)
-    assert np.all(np.linalg.norm(error, axis=0) <= eta * columns)
-    gamma_n = (dim + 4) * linalg._EPS
-    assert np.all(np.abs(c - gamma @ u) <= (1.0 + 2.0 * gamma_n) * (
-        eta * columns + gamma_n * (np.abs(gamma) @ np.abs(u))))
 
 
 class TestSuperchargeOnReport:

@@ -173,14 +173,32 @@ def test_factored_search_path_forms_no_n_by_n_array(monkeypatch):
     assert peak <= 64 * 8 * n
 
 
+def test_search_report_repr_forms_no_basis():
+    # A wide subspace of the report is held by its narrow complement, and
+    # its repr shows that complement, so printing the report peaks at
+    # O(n k) where a basis read would form an n x n array (512 MiB at
+    # q = 12).
+    qubits = 12
+    n = 2 ** (qubits + 1)
+    report = build_index_report(grover_search(qubits, 5))
+    tracemalloc.start()
+    try:
+        text = repr(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "complement=" in text
+    assert peak <= 64 * 8 * n
+
+
 class TestFactoredPair:
     def test_holds_the_reflections_and_their_eigenspaces(self):
         pair = grover_search(3, 5)
         n = pair.dim
         assert n == 16 and pair.dtype == np.float64
-        (g_plus, g_minus), (c_plus, c_minus), residual = pair.eigenspaces
+        (g_plus, g_minus), (c_plus, c_minus) = (r.spaces() for r in pair.factors)
         assert (g_plus.dim, g_minus.dim, c_plus.dim, c_minus.dim) == (2, n - 2, n - 1, 1)
-        assert g_minus.by_complement and c_plus.by_complement and residual == 0.0
+        assert g_minus.by_complement and c_plus.by_complement
         # The dense matrices, formed on first read, are those the
         # reflections define, and U = Gamma C.
         assert np.array_equal(pair.coin, -(2.0 * np.outer(np.eye(n)[11], np.eye(n)[11])

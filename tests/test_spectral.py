@@ -1,7 +1,6 @@
 """Tests for the coisometry, discriminant, census, and mapping verification."""
 
 import cmath
-import dataclasses
 import sys
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import linalg, spectral
-from chiralwalk.cli import render_report
 from chiralwalk.chiral import ChiralPair, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected
 from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
@@ -640,49 +638,3 @@ def test_clustering_matches_the_value_by_value_loop(size, clusters, spread, sign
         assert _bytes(cluster_unimodular(unimodular, gap)) == \
             _bytes(_loop_cluster_unimodular(unimodular, gap))
 
-
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: grover_search(5, 3), id="search-5"),
-    pytest.param(lambda: grover_search(7, 0), id="search-7"),
-    pytest.param(lambda: grover_search(8, 255), id="search-8"),
-    *(pytest.param(lambda n=n, real=real, sides=sides: _narrow_pair(n, real, *sides),
-                   id=f"haar-{n}-{'real' if real else 'complex'}-{sides}")
-      for n, real, sides in ((64, False, (2, 5)), (96, True, (3, 80)),
-                             (128, False, (48, 120)), (128, True, (16, 64)),
-                             (64, False, (60, 61)), (160, False, (150, 7)))),
-])
-def test_carried_eigenspaces_give_the_same_report(build):
-    # A pair that carries the eigenspaces make_pair took, and for the
-    # coin's narrow side Y its measured max|C - t(2 Y Y* - 1)|, gets,
-    # byte for byte, the report of the same pair stripped of everything
-    # it carries, whose grading and coin the report factorizes itself and
-    # whose coin residual it forms. Where Y is carried, it is the coin
-    # space, and the residual make_pair measured is the report's.
-    pair = build()
-    assert pair.eigenspaces is not None
-    stripped = dataclasses.replace(pair, eigenspaces=None)
-    assert stripped == pair and stripped.eigenspaces is None
-    report, dense = build_index_report(pair), build_index_report(stripped)
-    assert render_report(report, pair.tol) == render_report(dense, pair.tol)
-    assert index_alpha(pair) == index_alpha(stripped)
-    assert np.array_equal(coisometry(pair).d, coisometry(stripped).d)
-    _, coin_spaces, residual = pair.eigenspaces
-    assert (coin_spaces is None) == (residual is None)
-    if coin_spaces is not None:
-        narrow = next(s for s in coin_spaces if not s.by_complement)
-        assert np.array_equal(coisometry(pair).d, narrow.basis.conj().T)
-        checks = {c.name: c.residual for c in dense.checks}
-        assert checks["coisometry_recovers_coin"] == residual
-
-
-def _narrow_pair(n, real, gamma_plus, coin_plus):
-    rng = np.random.default_rng(n + gamma_plus)
-    if real:
-        def involution(k):
-            basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
-            return 2.0 * basis @ basis.T - np.eye(n)
-    else:
-        def involution(k):
-            return random_involution(rng, n, k)
-    gamma = involution(gamma_plus)
-    return make_pair(gamma @ involution(coin_plus), gamma)
