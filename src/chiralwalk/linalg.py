@@ -138,13 +138,13 @@ class Subspace:
     ``complement``, when given, is an orthonormal basis of the orthogonal
     complement. A wide subspace may be held by its narrow complement
     alone; its ``basis`` is then formed when first read, as the trailing
-    columns of one complete QR of the complement. The repr shows what the
-    subspace is held by, as its constructor call gives it, so it forms no
-    basis. Otherwise the complement is filled only where a
-    factorization yields it for free (the leading right singular vectors
-    beside a kernel, the other sign's eigenvectors of an involution).
-    ``by_complement`` says whether it was built from ``complement`` alone;
-    it is fixed at construction, so reading ``basis`` changes no route.
+    columns of one complete QR of the complement. Otherwise the complement
+    is filled only where a factorization yields it for free (the leading
+    right singular vectors beside a kernel, the other sign's eigenvectors
+    of an involution). ``by_complement`` says whether it was built from
+    ``complement`` alone; it is fixed at construction, so reading
+    ``basis`` changes no route. The repr shows what the subspace is held
+    by, as the constructor call gives it, so it forms no basis.
     """
 
     def __init__(self, ambient_dim: int, basis: np.ndarray | None = None,
