@@ -13,18 +13,20 @@ split by the grading; the spectrum of ``H``, its zero block and the
 Witten index all come from the supercharge's one SVD, under the same
 cutoff as ``ker q``.
 
-A pair is held either by its n x n matrices (:func:`make_pair`) or by
-its factors (:func:`make_factored_pair`): the grading and the coin as
-reflections ``s (2 B B* - 1)`` through narrow subspaces, with the
-evolution their product. Code that needs the pair's products takes them
-from :func:`_operators`, which is chosen once per report, so a factored
-pair forms no n x n array.
+A pair holds its operators in ``ops``: its n x n matrices
+(:class:`_Stored`, from :func:`make_pair`) or its factors
+(:class:`Factors`, from :func:`make_factored_pair`), the grading and the
+coin as reflections ``s (2 B B* - 1)`` through narrow subspaces, with the
+evolution their product. The pair's matrices, eigenspaces and products
+are read through ``ops`` alone, and only :meth:`Factors.dense` forms a
+factored pair's n x n matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -53,25 +55,6 @@ from .linalg import (
     as_matrix,
     as_square_matrix,
 )
-
-
-class _Dense:
-    """A matrix of :class:`ChiralPair` that a pair held by its factors forms when first read.
-
-    A pair held by its factors stores none of its n x n matrices. Reading
-    one forms it from the factors, at O(n^2 (k + c)), and keeps it in the
-    instance. A stored matrix is in the instance already, so this
-    non-data descriptor is not called for it.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, pair, owner=None):
-        if pair is None:
-            return self
-        matrix = pair.__dict__[self.name] = pair.factors.dense(self.name)
-        return matrix
 
 
 class Reflection(NamedTuple):
@@ -112,14 +95,24 @@ class Reflection(NamedTuple):
 
 
 class Factors(NamedTuple):
-    """The grading and the coin of a pair as reflections, applied at O(n (k + c)) per column.
+    """The operators of a pair held by its grading and coin as reflections.
 
-    The evolution ``U = Gamma C`` and its adjoint ``C Gamma`` are applied
-    as the two reflections in turn and never formed.
+    Each is applied at O(n (k + c)) per column. The evolution
+    ``U = Gamma C`` and its adjoint ``C Gamma`` are applied as the two
+    reflections in turn; the n x n matrices are formed only by
+    :meth:`dense`.
     """
 
     gamma: Reflection
     coin: Reflection
+
+    @property
+    def dim(self) -> int:
+        return len(self.gamma.basis)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.gamma.basis, self.coin.basis)
 
     def u(self, x: np.ndarray) -> np.ndarray:
         return self.gamma(self.coin(x))
@@ -130,9 +123,17 @@ class Factors(NamedTuple):
     def traces(self) -> tuple[float, float]:
         return self.gamma.trace, self.coin.trace
 
+    def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
+        """The +1 and -1 eigenspaces of ``gamma`` or ``coin``: the reflection's own."""
+        return getattr(self, name).spaces()
+
     def discriminant(self, d: np.ndarray) -> np.ndarray:
         """``d Gamma d*`` for a coisometry d."""
         return d @ self.gamma(d.conj().T)
+
+    def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
+        """0: the coin is ``t (2 Y Y* - 1)`` for its narrow side Y of sign t, and d* is Y."""
+        return 0.0
 
     def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
         """``S - (S B) B*`` on span(G, Y): the largest entry of ``Z* (S - sb B*) Z``.
@@ -158,82 +159,17 @@ class Factors(NamedTuple):
         return _maxabs(gram @ kernel @ gram - np.vstack([gh @ sb, yh @ sb]) @ zb.conj().T)
 
     def dense(self, name: str) -> np.ndarray:
-        """The n x n matrix ``u``, ``gamma`` or ``coin``."""
+        """The n x n matrix ``u``, ``gamma`` or ``coin``, at O(n^2 (k + c)).
+
+        Beyond DENSE_MAX_DIM it is refused with :class:`OutOfRange`
+        before anything is allocated.
+        """
+        if self.dim > DENSE_MAX_DIM:
+            raise OutOfRange(
+                f"the pair of dimension {self.dim} is held by its factors, and its dense "
+                f"matrices are formed only up to dimension {DENSE_MAX_DIM}"
+            )
         return self.gamma(self.coin.dense()) if name == "u" else getattr(self, name).dense()
-
-
-class _Stored:
-    """The operators of a pair held by its n x n matrices, applied as stored."""
-
-    def __init__(self, pair: ChiralPair) -> None:
-        self.pair = pair
-
-    def u(self, x: np.ndarray) -> np.ndarray:
-        return self.pair.u @ x
-
-    def uh(self, x: np.ndarray) -> np.ndarray:
-        return self.pair.u.conj().T @ x
-
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        return self.pair.gamma @ x
-
-    def coin(self, x: np.ndarray) -> np.ndarray:
-        return self.pair.coin @ x
-
-    def traces(self) -> tuple[float, float]:
-        return float(np.trace(self.pair.gamma).real), float(np.trace(self.pair.coin).real)
-
-    def discriminant(self, d: np.ndarray) -> np.ndarray:
-        return d @ self.pair.gamma @ d.conj().T
-
-    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
-        """Largest entry of ``S - (S B) B*``, from ``2 unit (S - (S B) B*)`` formed in place."""
-        cert = (-2.0 * unit * sb) @ b.conj().T
-        cert += self.pair.u
-        cert -= self.pair.u.conj().T
-        return _maxabs(cert) / 2.0
-
-
-@dataclass(frozen=True)
-class ChiralPair:
-    """A validated (evolution, grading) pair with its coin.
-
-    ``u`` is unitary, ``gamma`` is a unitary involution, conjugation of
-    ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
-    involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
-
-    A pair from :func:`make_pair` holds the three as n x n matrices, its
-    coin ``gamma @ u``. They are float64 when every entry of ``u`` and
-    ``gamma`` is exactly real, and complex128 otherwise. A pair from
-    :func:`make_factored_pair` holds only ``factors``, its grading and
-    coin as reflections through their narrow sides, and forms each n x n
-    matrix when it is first read; the report applies them through the
-    factors and forms none of them.
-    """
-
-    u: np.ndarray = field(default=_Dense(), repr=False)
-    gamma: np.ndarray = field(default=_Dense(), repr=False)
-    coin: np.ndarray = field(default=_Dense(), repr=False)
-    tol: Tolerance = DEFAULT_TOL
-    factors: Factors | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        # A matrix left out of the constructor call was given the
-        # descriptor; dropped from the instance, it is formed when read.
-        if self.factors is not None:
-            for name in ("u", "gamma", "coin"):
-                if isinstance(self.__dict__[name], _Dense):
-                    del self.__dict__[name]
-
-    @property
-    def dim(self) -> int:
-        return len(self.factors.gamma.basis) if self.factors is not None else int(self.u.shape[0])
-
-    @property
-    def dtype(self) -> np.dtype:
-        if self.factors is not None:
-            return np.result_type(self.factors.gamma.basis, self.factors.coin.basis)
-        return self.u.dtype
 
 
 # The largest dimension at which a pair held by its factors forms its
@@ -246,29 +182,85 @@ class ChiralPair:
 DENSE_MAX_DIM = 2048
 
 
-def _check_dense(pair: ChiralPair) -> None:
-    """Refuse, with :class:`OutOfRange`, to form a factored pair's matrices beyond DENSE_MAX_DIM."""
-    if pair.factors is not None and pair.dim > DENSE_MAX_DIM:
-        raise OutOfRange(
-            f"the pair of dimension {pair.dim} is held by its factors, and its dense "
-            f"matrices are formed only up to dimension {DENSE_MAX_DIM}"
-        )
+class _Stored:
+    """The operators of a pair held by its n x n matrices ``u``, ``gamma`` and ``coin``."""
+
+    def __init__(self, u: np.ndarray, gamma: np.ndarray, coin: np.ndarray) -> None:
+        self.matrices = {"u": u, "gamma": gamma, "coin": coin}
+        self.dim, self.dtype = len(u), u.dtype
+
+    def dense(self, name: str) -> np.ndarray:
+        return self.matrices[name]
+
+    def u(self, x: np.ndarray) -> np.ndarray:
+        return self.matrices["u"] @ x
+
+    def uh(self, x: np.ndarray) -> np.ndarray:
+        return self.matrices["u"].conj().T @ x
+
+    def gamma(self, x: np.ndarray) -> np.ndarray:
+        return self.matrices["gamma"] @ x
+
+    def coin(self, x: np.ndarray) -> np.ndarray:
+        return self.matrices["coin"] @ x
+
+    def traces(self) -> tuple[float, float]:
+        return (float(np.trace(self.matrices["gamma"]).real),
+                float(np.trace(self.matrices["coin"]).real))
+
+    def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
+        """The +1 and -1 eigenspaces of ``gamma`` or ``coin``, computed from the matrix."""
+        return _involution_eigenspaces(self.matrices[name], tol)
+
+    def discriminant(self, d: np.ndarray) -> np.ndarray:
+        return d @ self.matrices["gamma"] @ d.conj().T
+
+    def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
+        """Largest entry of ``2 d* d - 1 - C``, or for a flipped coin of ``2 d* d - 1 + C``.
+
+        The identity is subtracted in place, which rounds as subtracting
+        np.eye(n) does, and the coin added in place (its negation
+        subtracted exactly) without another n x n array.
+        """
+        coin = self.matrices["coin"]
+        recovered = (2.0 * d.conj().T @ d).astype(coin.dtype, copy=False)
+        recovered.flat[::self.dim + 1] -= 1.0
+        return _maxabs((np.add if flipped else np.subtract)(recovered, coin, out=recovered))
+
+    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
+        """Largest entry of ``S - (S B) B*``, from ``2 unit (S - (S B) B*)`` formed in place."""
+        cert = (-2.0 * unit * sb) @ b.conj().T
+        cert += self.matrices["u"]
+        cert -= self.matrices["u"].conj().T
+        return _maxabs(cert) / 2.0
 
 
-def _operators(pair: ChiralPair) -> Factors | _Stored:
-    """The pair's U, U*, Gamma and C as operators: its factors, or its stored matrices."""
-    return pair.factors if pair.factors is not None else _Stored(pair)
+@dataclass(frozen=True)
+class ChiralPair:
+    """A validated (evolution, grading) pair with its coin, held by its operators ``ops``.
 
+    ``u`` is unitary, ``gamma`` is a unitary involution, conjugation of
+    ``u`` by ``gamma`` gives the adjoint of ``u``, and ``coin`` is an
+    involution with ``u = gamma @ coin`` to within ``tol.structural * n``.
 
-def _eigenspaces(pair: ChiralPair, index: int) -> tuple[Subspace, Subspace]:
-    """The eigenspaces of the grading (index 0) or the coin (1).
-
-    For a pair held by its factors, the reflection's own; else computed
-    from the stored matrix.
+    A pair from :func:`make_pair` holds the three as n x n matrices in
+    :class:`_Stored`, its coin ``gamma @ u``. They are float64 when every
+    entry of ``u`` and ``gamma`` is exactly real, and complex128
+    otherwise. A pair from :func:`make_factored_pair` holds
+    :class:`Factors`, its grading and coin as reflections through their
+    narrow sides, and forms each n x n matrix when it is first read; the
+    report applies them through the factors and forms none of them. Every
+    other property and product of the pair is read through ``ops``.
     """
-    if pair.factors is not None:
-        return pair.factors[index].spaces()
-    return _involution_eigenspaces((pair.gamma, pair.coin)[index], pair.tol)
+
+    ops: _Stored | Factors = field(repr=False)
+    tol: Tolerance = DEFAULT_TOL
+
+    dim = property(lambda self: self.ops.dim)
+    dtype = property(lambda self: self.ops.dtype)
+    u = cached_property(lambda self: self.ops.dense("u"))
+    gamma = cached_property(lambda self: self.ops.dense("gamma"))
+    coin = cached_property(lambda self: self.ops.dense("coin"))
 
 
 def make_factored_pair(grading: Reflection, coin: Reflection,
@@ -299,7 +291,7 @@ def make_factored_pair(grading: Reflection, coin: Reflection,
             f"grading basis has {len(g.basis)} rows but coin basis has {len(c.basis)}; "
             f"both need the same positive number"
         )
-    return ChiralPair(tol=tol, factors=Factors(g, c))
+    return ChiralPair(Factors(g, c), tol)
 
 
 def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
@@ -382,7 +374,7 @@ def make_pair(u, gamma, tol: Tolerance = DEFAULT_TOL) -> ChiralPair:
                 f"{label} is not Hermitian: residual {residual:.6e} exceeds "
                 f"{tol.structural:.6e}"
             )
-    return ChiralPair(u=u, gamma=g, coin=coin, tol=tol)
+    return ChiralPair(_Stored(u, g, coin), tol)
 
 
 def _skew_residual(x: np.ndarray, work: np.ndarray) -> float:
@@ -467,12 +459,6 @@ def _unit(pair: ChiralPair) -> complex:
     return 1j if pair.dtype.kind == "c" else 1.0
 
 
-def _supercharge(pair: ChiralPair) -> np.ndarray:
-    """``S = (U - U*)/(2 unit)``: q, or for an exactly real pair the real A with ``q = -iA``."""
-    _check_dense(pair)
-    return (pair.u - pair.u.conj().T) / (2.0 * _unit(pair))
-
-
 def index_alpha(pair: ChiralPair) -> int:
     """Fredholm index of the supercharge block: dim ker minus dim coker.
 
@@ -480,31 +466,28 @@ def index_alpha(pair: ChiralPair) -> int:
     (rows - rank alpha*)``, each counted from singular values alone under
     the cutoff :func:`kernel_basis` applies; no kernel basis is formed.
     """
-    return _graded_index(pair, *_eigenspaces(pair, 0))
+    return _graded_index(pair, *pair.ops.spaces("gamma", pair.tol))
 
 
 def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     """:func:`index_alpha` in the grading's given +1 and -1 eigenspaces.
 
-    Where one side is held by the other's basis B, the narrow side, no
-    wide basis is read: alpha has the singular values of the n x k
-    ``M = (1 - B B*) S B``. For B the +1 side's basis, alpha is ``G-* S B``
-    with ``G- G-* = 1 - B B*``, so rank alpha is rank M; for the -1
-    side's, alpha is ``B* S G+``, whose adjoint ``+-G+* S B`` (since
-    ``S* = +-S``) has rank M. ``S B`` comes from ``U B`` and ``U* B``.
-    Otherwise alpha is formed from both bases. Either way rank alpha and
-    rank alpha* each come from an SVD of their own, of the matrix and of
-    its adjoint, as on the dense side.
+    With ``S = (U - U*)/(2 unit)``, ``S B`` comes from ``U B`` and
+    ``U* B`` for B the basis of a side held by one, the narrower when
+    both are, and is projected onto the other side G: as ``G* S B`` by
+    G's basis, or, when G is held by its complement B, as the n x k
+    ``(1 - B B*) S B``, which has the singular values of ``G* S B``. For
+    B the +1 side's basis ``G* S B`` is alpha; for the -1 side's it is
+    ``+-alpha*``, since ``S* = +-S``. rank alpha and rank alpha* each come
+    from an SVD of their own, of the matrix and of its adjoint. No n x n
+    S and no wide basis are formed.
     """
-    wide = plus if plus.by_complement else minus if minus.by_complement else None
-    if wide is not None:
-        b, ops = wide.complement, _operators(pair)
-        sb = (ops.u(b) - ops.uh(b)) / (2.0 * _unit(pair))
-        m = _outside(sb, b)
-        alpha, adjoint = (m, m.conj().T) if wide is minus else (m.conj().T, m)
-    else:
-        alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
-        adjoint = alpha.conj().T
+    held = min(plus, minus, key=lambda side: (side.by_complement, side.dim))
+    other = minus if held is plus else plus
+    b, ops = held.basis, pair.ops
+    sb = (ops.u(b) - ops.uh(b)) / (2.0 * _unit(pair))
+    m = _outside(sb, other.complement) if other.by_complement else other.basis.conj().T @ sb
+    alpha, adjoint = (m, m.conj().T) if held is plus else (m.conj().T, m)
     ker = plus.dim - _rank_svd(alpha, pair.tol, vectors=False)[0]
     coker = minus.dim - _rank_svd(adjoint, pair.tol, vectors=False)[0]
     return ker - coker
@@ -529,17 +512,15 @@ def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
     """Index of ``(Gamma+, C+)`` plus index of ``(Gamma+, C-)``, from ``(Gamma -+ C)/2``.
 
     ``narrow`` is an orthonormal basis Y of the coin's eigenspace for
-    ``sign``. For a pair held by its factors, and from dimension 64 on
-    when Y has at most n/4 columns, :func:`_compressed_coin_pair_index`
-    takes both indices on Halmos's reduction; otherwise, or when its
-    certificate fails, they come from the eigenvalues of the two whole
-    differences.
+    ``sign``. From dimension 64 on, when Y has at most n/4 columns,
+    :func:`_compressed_coin_pair_index` takes both indices on Halmos's
+    reduction; otherwise, or when its certificate fails, they come from
+    the eigenvalues of the two whole differences.
     """
-    if pair.factors is not None or _narrow(narrow.shape[1], pair.dim):
+    if _narrow(narrow.shape[1], pair.dim):
         index = _compressed_coin_pair_index(pair, narrow, sign)
         if index is not None:
             return index
-    _check_dense(pair)
     return (_projection_pair_index((pair.gamma - pair.coin) / 2.0, pair.tol)
             + _projection_pair_index((pair.gamma + pair.coin) / 2.0, pair.tol))
 
@@ -563,7 +544,7 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     ``|(Gamma + s C) B - B (B* (Gamma + s C) B)|`` for both signs. Each
     +-1 decision is then made on n values, as on the whole difference.
     """
-    n, tol, ops = pair.dim, pair.tol, _operators(pair)
+    n, tol, ops = pair.dim, pair.tol, pair.ops
     left, sigma, _ = np.linalg.svd(np.hstack([narrow, ops.gamma(narrow)]), full_matrices=False)
     b = left[:, ~_near_unit(sigma, 0.0, tol.rank)]
     gb, cb = ops.gamma(b), ops.coin(b)

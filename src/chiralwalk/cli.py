@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chiral import _check_dense, make_pair
+from .chiral import make_pair
 from .errors import ChiralWalkError, InconsistencyDetected
 from .linalg import DEFAULT_TOL, Tolerance
 from .models import (
@@ -189,12 +189,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _dump_matrices(args, pair) -> None:
+def _dump_matrices(args, matrices) -> None:
     if args.dump_matrices:
         directory = Path(args.dump_matrices)
         directory.mkdir(parents=True, exist_ok=True)
-        save_matrix_file(directory / "u.json", pair.u)
-        save_matrix_file(directory / "gamma.json", pair.gamma)
+        save_matrix_file(directory / "u.json", matrices[0])
+        save_matrix_file(directory / "gamma.json", matrices[1])
 
 
 def _tolerance(args) -> Tolerance:
@@ -206,12 +206,11 @@ def _tolerance(args) -> Tolerance:
 
 
 def _report_and_emit(args, pair) -> int:
-    if args.dump_matrices:
-        # Refused before anything is written.
-        _check_dense(pair)
+    # Read first, so a pair that refuses to form them writes nothing.
+    matrices = (pair.u, pair.gamma) if args.dump_matrices else None
     report = build_index_report(pair)
     _emit(args, render_report(report, pair.tol))
-    _dump_matrices(args, pair)
+    _dump_matrices(args, matrices)
     failed = [c for c in report.checks if not c.passed]
     if failed:
         exc = InconsistencyDetected(failed[0].name, failed[0].residual)

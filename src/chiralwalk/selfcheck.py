@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _eigenspaces, _graded_index, index_alpha, make_pair
+from .chiral import ChiralPair, _graded_index, index_alpha, make_pair
 from .linalg import DEFAULT_TOL, Tolerance
 from .models import Graph
 from .spectral import CheckResult, build_index_report
@@ -94,7 +94,7 @@ def transformation_checks(
     n = pair.dim
     # make_pair keeps the grading it is given, so the pairs built on this
     # one share its eigenspaces, factorized here once.
-    graded = _eigenspaces(pair, 0)
+    graded = pair.ops.spaces("gamma", tol)
 
     def result(name: str, index: int, expected: int) -> CheckResult:
         res = float(abs(index - expected))

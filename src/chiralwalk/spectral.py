@@ -15,8 +15,8 @@ dimension c. U maps L to itself; on L-perp the effective coin is -1, so
 U is -Gamma there (Gamma for a flipped coin) and q vanishes. U's
 eigensolve runs on the compression ``B* U B`` and the SVD of q on the
 ``n x dim L`` matrix ``S B``, where ``S = (U - U*)/(2 unit)`` is q's one
-form (:func:`chiral._supercharge`; real for an exactly real pair); L-perp
-adds the eigenvalues +-1 on ``L-perp & Gamma-+`` and a zero block of q.
+form (real for an exactly real pair); L-perp adds the eigenvalues +-1 on
+``L-perp & Gamma-+`` and a zero block of q.
 L-perp is ``C- & Gamma C-`` for the effective coin, so ``L-perp &
 Gamma+-`` are the effective census's birth spaces, and L's rank on each
 side of the grading comes from the census. Two certificates,
@@ -26,14 +26,15 @@ side of the grading comes from the census. Two certificates,
 the report runs on W = C^n instead, where the same code makes the dense
 factorizations of U and S.
 
-Every product with U, U*, Gamma or C, ``d Gamma d*`` and the traces are
-taken from the pair's operators (:func:`chiral._operators`): its stored
-matrices, or for a pair held by its factors the reflections themselves,
-at O(n (k + c)) per column. For such a pair S vanishes outside
-span(G, Y), the span of the grading's and the coin's bases, so the
-certificate ``|S - (S B) B*|`` is measured there, on (k + c) x (k + c)
-matrices, and the report forms no n x n array; only the dense fallback
-on W = C^n forms the pair's matrices, up to ``chiral.DENSE_MAX_DIM``.
+Every product with U, U*, Gamma or C, ``d Gamma d*``, the traces, the
+eigenspaces of Gamma and C and the coin's recovery from d are taken from
+the pair's operators ``pair.ops``: its stored matrices, or for a pair
+held by its factors the reflections themselves, at O(n (k + c)) per
+column. For such a pair S vanishes outside span(G, Y), the span of the
+grading's and the coin's bases, so the certificate ``|S - (S B) B*|`` is
+measured there, on (k + c) x (k + c) matrices, and the report forms no
+n x n array; only the fallback on W = C^n reads the pair's matrices,
+which a factored pair forms up to ``chiral.DENSE_MAX_DIM``.
 
 The span checks that split ker(U -+ 1) and the kernels of the supercharge
 block into inherited and birth parts compare only the parts in W, of
@@ -59,14 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import (
-    ChiralPair,
-    _coin_pair_index,
-    _eigenspaces,
-    _operators,
-    _supercharge,
-    _unit,
-)
+from .chiral import ChiralPair, _coin_pair_index, _unit
 from .errors import InconsistencyDetected
 from .linalg import (
     Subspace,
@@ -180,14 +174,14 @@ def coisometry(pair: ChiralPair) -> CoisometryDecomposition:
     when the +1 eigenspace is empty or strictly larger. The flip leaves
     the index unchanged because negating the evolution does.
     """
-    return _coisometry(pair, *_eigenspaces(pair, 1))
+    return _coisometry(pair, *pair.ops.spaces("coin", pair.tol))
 
 
 def _coisometry(pair: ChiralPair, coin_plus: Subspace,
                 coin_minus: Subspace) -> CoisometryDecomposition:
     flipped = coin_plus.dim == 0 or 0 < coin_minus.dim < coin_plus.dim
     d = (coin_minus if flipped else coin_plus).basis.conj().T
-    t = _operators(pair).discriminant(d)
+    t = pair.ops.discriminant(d)
     return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t)
 
 
@@ -267,7 +261,9 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
     demands; otherwise W is the whole space, with the dense
-    factorizations and the n x n S. The last certificate matters for
+    factorizations and the n x n ``S = (U - U*)/(2 unit)`` formed from
+    ``pair.u``, which a factored pair refuses beyond
+    ``chiral.DENSE_MAX_DIM``. The last certificate matters for
     a pair whose unitarity error is coherent: :func:`make_pair` bounds
     ``U* U - 1`` entrywise, and a compression of it can be n times larger.
     """
@@ -280,7 +276,7 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
-        unit, ops = _unit(pair), _operators(pair)
+        unit, ops = _unit(pair), pair.ops
         ub, uhb = ops.u(b), ops.uh(b)
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
@@ -295,10 +291,9 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
             return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus),
                          _commutation_residuals(pair, b, sb, ub, uhb))
-    # S first: it refuses a factored pair beyond chiral.DENSE_MAX_DIM
-    # before pair.u is formed.
-    s = _supercharge(pair)
-    return _Walk(None, pair.u, s, (gamma_plus, gamma_minus), (0, 0),
+    u = pair.u
+    s = (u - u.conj().T) / (2.0 * _unit(pair))
+    return _Walk(None, u, s, (gamma_plus, gamma_minus), (0, 0),
                  _commutation_residuals(pair, None, s))
 
 
@@ -317,7 +312,7 @@ def _commutation_residuals(pair: ChiralPair, b: np.ndarray | None, q: np.ndarray
         g, u = pair.gamma, pair.u
         r = (u + u.conj().T) / 2.0
         return _maxabs(g @ q + q @ g), _maxabs(g @ r - r @ g)
-    ops = _operators(pair)
+    ops = pair.ops
     g_b = ops.gamma(b)
     ug, uhg = ops.u(g_b), ops.uh(g_b)
     del g_b
@@ -344,7 +339,7 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     inherited spaces still compares two factorizations.
     """
     tol = pair.tol
-    coin_plus, coin_minus = _eigenspaces(pair, 1)
+    coin_plus, coin_minus = pair.ops.spaces("coin", tol)
     dec = _coisometry(pair, coin_plus, coin_minus)
     counts = EigenspaceCensus(*(subspace_intersection(g, c, tol) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
@@ -452,7 +447,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    gamma_plus, gamma_minus = _eigenspaces(pair, 0)
+    gamma_plus, gamma_minus = pair.ops.spaces("gamma", tol)
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
         _discriminant_census(pair, gamma_plus, gamma_minus)
     walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts)
@@ -471,22 +466,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     interior_u = u_values[~(at_plus | at_minus)]
 
     # Coisometry identities. The effective coin is recovered as 2 d* d - 1.
-    # A pair held by its factors has the coin t(2 Y Y* - 1) for its
-    # narrow side Y of sign t, and d* is Y, so the residual is 0 and
-    # nothing is formed. Otherwise the identity is subtracted in place,
-    # which rounds as subtracting np.eye(n) does, and the coin added in
-    # place (its negation subtracted exactly) without another n x n array.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    res = 0.0
-    if pair.factors is None:
-        recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
-        recovered.flat[::n + 1] -= 1.0
-        (np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered)
-        res = _maxabs(recovered)
-        # The report's own n x n matrix is not read below; dropped here, it
-        # is not held through the span checks, where its memory peaks.
-        del recovered
+    res = pair.ops.coin_recovery(dec.d, dec.flipped)
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     # T = d Gamma d* is a compression: a coherent error of Gamma's entries

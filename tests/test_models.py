@@ -94,7 +94,7 @@ class TestGroverSearch:
         expected = np.kron(reflect, np.eye(2))
         for target in sorted({0, n_positions - 1}):
             pair = grover_search(qubits, target)
-            assert pair.factors is not None
+            assert isinstance(pair.ops, Factors)
             assert pair.gamma.tobytes() == (expected + 0.0).tobytes()
 
     def test_rejects_bad_qubit_count(self):
@@ -125,7 +125,7 @@ def test_factored_search_report_equals_the_dense_pair_report(qubits):
     # names, and floats to within 1e-12.
     for target in sorted({0, 1, 2**qubits - 1}):
         pair = grover_search(qubits, target)
-        assert pair.factors is not None
+        assert isinstance(pair.ops, Factors)
         factored = _report_summary(build_index_report(pair))
         dense = _report_summary(build_index_report(make_pair(pair.u, pair.gamma)))
         assert factored[0] == dense[0]
@@ -196,7 +196,7 @@ class TestFactoredPair:
         pair = grover_search(3, 5)
         n = pair.dim
         assert n == 16 and pair.dtype == np.float64
-        (g_plus, g_minus), (c_plus, c_minus) = (r.spaces() for r in pair.factors)
+        (g_plus, g_minus), (c_plus, c_minus) = (r.spaces() for r in pair.ops)
         assert (g_plus.dim, g_minus.dim, c_plus.dim, c_minus.dim) == (2, n - 2, n - 1, 1)
         assert g_minus.by_complement and c_plus.by_complement
         # The dense matrices, formed on first read, are those the
@@ -247,6 +247,28 @@ class TestFactoredPair:
         build_index_report(grover_search(4, 3))
         with pytest.raises(OutOfRange, match="up to dimension 64"):
             build_index_report(grover_search(6, 3))
+
+    def test_large_factored_pair_refuses_its_matrices_without_allocating(self):
+        # From the first qubit count past DENSE_MAX_DIM, reading u, gamma or
+        # coin raises OutOfRange with the message the CLI prints, and the
+        # refusal allocates O(n) at most, where one n x n float64 array at
+        # q = 11 (n = 4096) would take 128 MiB.
+        qubits = chiral.DENSE_MAX_DIM.bit_length() - 1
+        pair = grover_search(qubits, 0)
+        n = pair.dim
+        assert n == 2 * chiral.DENSE_MAX_DIM
+        for name in ("u", "gamma", "coin"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(OutOfRange) as excinfo:
+                    getattr(pair, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(excinfo.value) == (
+                f"the pair of dimension {n} is held by its factors, and its dense "
+                f"matrices are formed only up to dimension {chiral.DENSE_MAX_DIM}")
+            assert peak <= 64 * 8 * n
 
 
 class TestSearchProbability:

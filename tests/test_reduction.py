@@ -13,11 +13,12 @@ import pytest
 
 from chiralwalk import linalg, spectral
 from chiralwalk import chiral
-from chiralwalk.chiral import _supercharge, make_pair
+from chiralwalk.chiral import make_pair
 from chiralwalk.linalg import unitarity_residual
 from chiralwalk.models import Graph, grover_search, grover_walk, toy_two_dim
 from chiralwalk.selfcheck import haar_unitary, random_connected_multigraph
 from chiralwalk.spectral import build_index_report, cluster_reals, cluster_unimodular, coisometry
+from oracles import supercharge
 
 
 def _planted_pair(seed, n, real, flipped):
@@ -223,14 +224,27 @@ def test_narrow_sides_give_the_eigensolve_report(monkeypatch, build):
     # held by their narrow complements, and the projection-pair route on
     # Halmos's reduction must give the report that eigensolves, dense
     # bases and the whole differences give: the same exit code, indices,
-    # census, check names and outcomes, and floats to within 1e-12.
+    # census, check names and outcomes, and floats to within 1e-12. The
+    # eigensolve side is make_pair on the pair's matrices: a search pair
+    # is held by its factors, whose eigenspaces are the reflections' own
+    # whatever the size floor, and a dense pair is rebuilt as it was.
     pair = build()
-    if pair.dim >= 64:
+    n = pair.dim
+    if n >= 64:
         assert any(linalg._narrow_eigenspaces(m, pair.tol) is not None
                    for m in (pair.gamma, pair.coin))
     narrow = build_index_report(pair)
     monkeypatch.setattr(linalg, "_NARROW_MIN_DIM", 10**9)
-    dense = build_index_report(pair)
+    shapes = []
+
+    def recorded(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    dense = build_index_report(make_pair(pair.u, pair.gamma))
+    # Gamma and C are each eigensolved whole.
+    assert shapes.count((n, n)) >= 2
     assert _summary(narrow) == _summary(dense)
     assert narrow.mapping_residual == pytest.approx(dense.mapping_residual, abs=1e-12)
     for key in ("spectrum_u", "spectrum_t", "spectrum_h"):
@@ -280,7 +294,7 @@ def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
     plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
     eff = spectral._discriminant_census(pair, plus, minus)[2]
     lifted = np.hstack([inside, eff.birth_plus.basis])
-    alpha = minus.basis.conj().T @ _supercharge(pair) @ plus.basis
+    alpha = minus.basis.conj().T @ supercharge(pair) @ plus.basis
     oracle = minus.basis @ linalg.kernel_basis(alpha.conj().T, pair.tol).basis
     assert lifted.shape[1] == oracle.shape[1]
     assert np.max(np.abs(lifted @ lifted.conj().T - oracle @ oracle.conj().T)) <= 1e-12

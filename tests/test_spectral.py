@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import linalg, spectral
-from chiralwalk.chiral import ChiralPair, index_alpha, make_pair
+from chiralwalk.chiral import ChiralPair, Factors, _Stored, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected
 from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
 from chiralwalk.models import (
@@ -213,9 +213,8 @@ class TestVerifySpectralMapping:
     def test_tampered_pair_raises_with_report(self):
         # bypass validation to plant a coin that does not match the pair
         good = random_chiral_pair(np.random.default_rng(5), 6)
-        bad = ChiralPair(u=good.u, gamma=good.gamma,
-                         coin=random_involution(np.random.default_rng(6), 6),
-                         tol=good.tol)
+        bad = ChiralPair(_Stored(good.u, good.gamma,
+                                 random_involution(np.random.default_rng(6), 6)), good.tol)
         with pytest.raises(InconsistencyDetected) as excinfo:
             verify_spectral_mapping(bad)
         assert excinfo.value.report is not None
@@ -343,7 +342,7 @@ class TestReportStructure:
             calls.clear()
             pair = grover_search(qubits, 0)
             n = pair.dim
-            assert pair.factors is not None and calls == []
+            assert isinstance(pair.ops, Factors) and calls == []
             spans.clear()
             report = build_index_report(pair)
             assert not any(call[1] == "_narrow_eigenspaces" for call in calls)
