@@ -152,9 +152,10 @@ class Factors(NamedTuple):
         gh, yh = g.conj().T, y.conj().T
         gy = gh @ y
         k, c = gy.shape
-        gram = np.block([[gh @ g, gy], [gy.conj().T, yh @ y]])
-        kernel = (2.0 * self.gamma.sign * self.coin.sign / unit) * np.block(
-            [[np.zeros((k, k)), gy], [-gy.conj().T, np.zeros((c, c))]])
+        gram, kernel = np.empty((k + c, k + c), gy.dtype), np.zeros((k + c, k + c), gy.dtype)
+        gram[:k, :k], gram[:k, k:], gram[k:, :k], gram[k:, k:] = gh @ g, gy, gy.conj().T, yh @ y
+        kernel[:k, k:], kernel[k:, :k] = gy, -gy.conj().T
+        kernel = (2.0 * self.gamma.sign * self.coin.sign / unit) * kernel
         zb = np.vstack([gh @ b, yh @ b])
         return _maxabs(gram @ kernel @ gram - np.vstack([gh @ sb, yh @ sb]) @ zb.conj().T)
 
@@ -188,6 +189,7 @@ class _Stored:
     def __init__(self, u: np.ndarray, gamma: np.ndarray, coin: np.ndarray) -> None:
         self.matrices = {"u": u, "gamma": gamma, "coin": coin}
         self.dim, self.dtype = len(u), u.dtype
+        self._spaces: dict[tuple[str, Tolerance], tuple[Subspace, Subspace]] = {}
 
     def dense(self, name: str) -> np.ndarray:
         return self.matrices[name]
@@ -209,8 +211,11 @@ class _Stored:
                 float(np.trace(self.matrices["coin"]).real))
 
     def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
-        """The +1 and -1 eigenspaces of ``gamma`` or ``coin``, computed from the matrix."""
-        return _involution_eigenspaces(self.matrices[name], tol)
+        """The +1 and -1 eigenspaces of ``gamma`` or ``coin``, from the matrix, kept once made."""
+        key = (name, tol)
+        if key not in self._spaces:
+            self._spaces[key] = _involution_eigenspaces(self.matrices[name], tol)
+        return self._spaces[key]
 
     def discriminant(self, d: np.ndarray) -> np.ndarray:
         return d @ self.matrices["gamma"] @ d.conj().T

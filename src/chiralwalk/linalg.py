@@ -83,7 +83,7 @@ DEFAULT_TOL = Tolerance()
 def _maxabs(a: np.ndarray) -> float:
     """Largest entry magnitude; of a real array from its extremes, without forming ``|a|``."""
     if a.dtype.kind == "c" or not a.size:
-        return float(np.max(np.abs(a))) if a.size else 0.0
+        return float(np.abs(a).max()) if a.size else 0.0
     return max(abs(float(a.max())), abs(float(a.min())))
 
 
@@ -97,7 +97,7 @@ def as_matrix(a) -> np.ndarray:
         arr = arr.astype(np.complex128, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -111,7 +111,7 @@ def as_square_matrix(a) -> np.ndarray:
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
     """The real part of ``m`` when every imaginary part is exactly zero."""
-    if np.iscomplexobj(m) and not m.imag.any():
+    if m.dtype.kind == "c" and not m.imag.any():
         return m.real
     return m
 
@@ -119,14 +119,19 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    A column that is entirely zero is left as it is.
+    A column that is entirely zero, or whose pivot is NaN, is left as it
+    is. A real ``v``, whose entries are finite, only has its signs set.
     """
     if v.size == 0:
         return v
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    if v.dtype.kind != "c":
+        return v * np.where(pivot < 0.0, -1.0, 1.0)
     # hypot rounds as scalar abs() does; the vectorized complex abs can
     # differ from it in the last bit, which would move the phases.
     mag = np.hypot(pivot.real, pivot.imag)
+    if (mag > 0.0).all():
+        return v * (pivot.conj() / mag)
     phase = np.ones_like(pivot)
     np.divide(pivot.conj(), mag, out=phase, where=mag > 0.0)
     return v * phase
@@ -215,12 +220,12 @@ def kernel_basis(a, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     is the numerical nullity, and the other right singular vectors are its
     ``complement``. Rectangular inputs are allowed.
     """
-    return _kernel_svd(a, tol)[0]
+    return _kernel_svd(as_matrix(a), tol)[0]
 
 
-def _kernel_svd(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, np.ndarray]:
-    """:func:`kernel_basis` and the singular values it decided on, descending."""
-    m = as_matrix(a)
+def _kernel_svd(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, np.ndarray]:
+    """:func:`kernel_basis` of a matrix as :func:`as_matrix` returns one, not coerced
+    again, and the singular values it decided on, descending."""
     rank, s, vh = _rank_svd(m, tol, vectors=True)
     return Subspace(m.shape[1], _canonical_phases(vh[rank:].conj().T),
                     complement=vh[:rank].conj().T), s
@@ -245,7 +250,7 @@ def _rank_svd(
         _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     else:
         s, vh = np.linalg.svd(m, compute_uv=False), None
-    return int(np.sum(~_near_unit(s, 0.0, tol.rank))), s, vh
+    return len(s) - int(np.count_nonzero(_near_unit(s, 0.0, tol.rank))), s, vh
 
 
 def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:
@@ -257,7 +262,7 @@ def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray
     declared full rank. With ``target = 0`` it decides which singular
     values are zero.
     """
-    dist = np.abs(values - target)
+    dist = np.abs(values - target if target else values)
     dmax = float(dist.max()) if dist.size else 0.0
     return dist <= rank_tol * (dmax if dmax > rank_tol else 1.0)
 
@@ -325,6 +330,11 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
             f"matrix is not unitary: residual {residual:.6e} exceeds "
             f"{tol.structural:.6e}"
         )
+    return _eig_unitary(m, tol)
+
+
+def _eig_unitary(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_unitary` of a matrix whose unitarity its caller checks."""
     skew = (m - m.conj().T) / 2.0
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     for start, stop in _cluster_slices(w, tol.cluster):
@@ -423,20 +433,23 @@ def _narrow_eigenspaces(m: np.ndarray, tol: Tolerance) -> tuple[Subspace, Subspa
 def _involution_eigenspaces(a, tol: Tolerance = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """The +1 and -1 eigenspaces of a Hermitian unitary involution.
 
-    ``a`` is an array as :func:`make_pair` stores it, taken as real when
-    it is complex but exactly real. From dimension ``_NARROW_MIN_DIM`` on,
-    an involution whose smaller side has at most n/4 dimensions takes
-    :func:`_narrow_eigenspaces`. Otherwise, and when its certificate
-    fails, one eigensolve decides: an involution's eigenvalues sit at +-1
-    to within roundoff, so the sign of each eigenvalue decides its side,
-    and each side's basis is the other side's ``complement``.
+    ``a`` is an array as :func:`make_pair` stores it, which has checked
+    that it is finite and Hermitian to within ``tol.structural``; it is
+    taken as real when it is complex but exactly real. From dimension
+    ``_NARROW_MIN_DIM`` on, an involution whose smaller side has at most
+    n/4 dimensions takes :func:`_narrow_eigenspaces`. Otherwise, and when
+    its certificate fails, one eigensolve decides: an involution's
+    eigenvalues sit at +-1 to within roundoff, so the sign of each
+    eigenvalue decides its side, and each side's basis is the other
+    side's ``complement``.
     """
+    m = _real_if_exact(a)
     # The size floor comes first, so small pairs pay nothing for the route.
-    if len(a) >= _NARROW_MIN_DIM:
-        narrow = _narrow_eigenspaces(_real_if_exact(a), tol)
+    if len(m) >= _NARROW_MIN_DIM:
+        narrow = _narrow_eigenspaces(m, tol)
         if narrow is not None:
             return narrow
-    w, v = eig_hermitian(a, tol)
+    w, v = _eigh(m)
     n = v.shape[0]
     plus, minus = v[:, w >= 0.0], v[:, w < 0.0]
     return Subspace(n, plus, complement=minus), Subspace(n, minus, complement=plus)
@@ -475,7 +488,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     if s1.by_complement and s2.complement is not None:
         left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement),
                                        full_matrices=False)
-        kept = left[:, :int(np.sum(sines > tol.rank))]
+        kept = left[:, :np.count_nonzero(sines > tol.rank)]
         return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
     if s2.complement is None:
         _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
@@ -487,5 +500,5 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
             right = vh.conj().T
         else:
             right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
-    return Subspace(n, _canonical_phases(s1.basis @ right[:, int(np.sum(sines > tol.rank)):]))
+    return Subspace(n, _canonical_phases(s1.basis @ right[:, np.count_nonzero(sines > tol.rank):]))
 

@@ -7,10 +7,12 @@ exercises every grading signature. The battery combines the per-pair
 report checks with invariances under sign flips, inversion, unitary
 conjugation, and coin re-randomization. Each transformed pair is built
 and validated by ``make_pair``, and its index is compared with the
-report's. Nothing is computed twice: the three transforms that keep the
-grading share one factorization of it; the negated and the conjugated
-grading are each factorized on their own, so those checks stay
-independent; and each index is read from singular values alone.
+report's. Nothing is computed twice: the pair keeps the eigenspaces of
+its grading that its report computed, and the three transforms that keep
+the grading read them there, so a pair's grading and coin are each
+eigensolved once; the negated and the conjugated grading are each
+factorized on their own, so those checks stay independent; and each
+index is read from singular values alone.
 """
 
 from __future__ import annotations
@@ -87,13 +89,14 @@ def transformation_checks(
     transformed pair is built and validated by :func:`make_pair`, and its
     index is compared with ``reference``, the index of ``pair`` itself
     (the ``index_alpha`` of its report). The three transforms that keep
-    the grading share one factorization of it; the negated and the
+    the grading share its eigenspaces as ``pair`` keeps them, computed by
+    its report when that has run, else here once; the negated and the
     conjugated grading are each factorized afresh.
     """
     tol = pair.tol
     n = pair.dim
     # make_pair keeps the grading it is given, so the pairs built on this
-    # one share its eigenspaces, factorized here once.
+    # one share its eigenspaces.
     graded = pair.ops.spaces("gamma", tol)
 
     def result(name: str, index: int, expected: int) -> CheckResult:

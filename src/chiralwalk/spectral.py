@@ -66,6 +66,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _cluster_slices,
+    _eig_unitary,
     _eigh,
     _kernel_svd,
     _maxabs,
@@ -260,12 +261,13 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
-    demands; otherwise W is the whole space, with the dense
-    factorizations and the n x n ``S = (U - U*)/(2 unit)`` formed from
-    ``pair.u``, which a factored pair refuses beyond
-    ``chiral.DENSE_MAX_DIM``. The last certificate matters for
-    a pair whose unitarity error is coherent: :func:`make_pair` bounds
-    ``U* U - 1`` entrywise, and a compression of it can be n times larger.
+    demands, so U's eigensolve on L does not measure it again; otherwise
+    W is the whole space, with the dense factorizations and the n x n
+    ``S = (U - U*)/(2 unit)`` formed from ``pair.u``, which a factored
+    pair refuses beyond ``chiral.DENSE_MAX_DIM``. The last certificate
+    matters for a pair whose unitarity error is coherent:
+    :func:`make_pair` bounds ``U* U - 1`` entrywise, and a compression of
+    it can be n times larger.
     """
     n, tol = pair.dim, pair.tol
     if 4 * dec.coin_space_dim <= n:
@@ -453,8 +455,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
-    # Gamma+- at -1, the order swapping when the coin was flipped.
-    u_values, u_vectors = eig_unitary(walk.u, tol)
+    # Gamma+- at -1, the order swapping when the coin was flipped. On L
+    # the walk's certificate has measured B* U B's unitarity; on the whole
+    # space, where a factored pair's U was formed unchecked, it is checked.
+    u_values, u_vectors = (eig_unitary if walk.basis is None else _eig_unitary)(walk.u, tol)
     out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
     w_dim = u_values.size
     u_values = np.concatenate([u_values, np.ones(out_plus), -np.ones(out_minus)])

@@ -78,6 +78,116 @@ class TestCanonicalPhases:
         assert np.array_equal(v, [[-0.6, 0.8], [0.8, 0.6]])
 
 
+# The small-array helpers as first written, kept as references: the lean
+# forms must give the same bits, NaN included.
+def _maxabs_reference(a):
+    if a.dtype.kind == "c" or not a.size:
+        return float(np.max(np.abs(a))) if a.size else 0.0
+    return max(abs(float(a.max())), abs(float(a.min())))
+
+
+def _as_matrix_reference(a):
+    arr = np.asarray(a)
+    if arr.dtype != np.float64:
+        arr = arr.astype(np.complex128, copy=False)
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got array of shape {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    return arr
+
+
+def _real_if_exact_reference(m):
+    if np.iscomplexobj(m) and not m.imag.any():
+        return m.real
+    return m
+
+
+def _canonical_phases_reference(v):
+    if v.size == 0:
+        return v
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mag = np.hypot(pivot.real, pivot.imag)
+    phase = np.ones_like(pivot)
+    np.divide(pivot.conj(), mag, out=phase, where=mag > 0.0)
+    return v * phase
+
+
+def _near_unit_reference(values, target, rank_tol):
+    dist = np.abs(values - target)
+    dmax = float(dist.max()) if dist.size else 0.0
+    return dist <= rank_tol * (dmax if dmax > rank_tol else 1.0)
+
+
+def _helper_inputs():
+    """Real and complex arrays up to 16 x 16 and long vectors, with zero
+    columns, -0.0, exact reals held as complex, NaN and empty shapes."""
+    rng = np.random.default_rng(24)
+    for shape in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 3), (16, 16), (16, 1),
+                  (4096,), (0,)):
+        x = rng.normal(size=shape)
+        z = x + 1j * rng.normal(size=shape)
+        yield x
+        yield z
+        yield x + 0j
+        if x.ndim == 2 and x.shape[1] and x.shape[0]:
+            for a in (x.copy(), z.copy()):
+                a[:, 0] = 0.0
+                a[:, -1] = -0.0
+                yield a
+                yield -a
+        if x.size:
+            for a in (x.copy(), z.copy()):
+                a.flat[a.size // 2] = -0.0
+                yield a
+                a.flat[0] = np.nan
+                yield a
+            z = z.copy()
+            z.flat[-1] = complex(0.0, np.nan)
+            yield z
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("index", range(len(list(_helper_inputs()))))
+def test_lean_helpers_match_their_references_bit_for_bit(index):
+    a = list(_helper_inputs())[index]
+    assert _same_bits(linalg._maxabs(a), _maxabs_reference(a))
+    assert _same_bits(linalg._real_if_exact(a), _real_if_exact_reference(a))
+    if a.ndim == 1:
+        for target in (0.0, 1.0, -1.0):
+            assert _same_bits(linalg._near_unit(a, target, 1e-8),
+                              _near_unit_reference(a, target, 1e-8))
+        return
+    assert _same_bits(_canonical_phases(a), _canonical_phases_reference(a))
+    others = [a, a.astype(np.complex64), a.tolist()]
+    if a.dtype.kind == "f":
+        others.append(a.astype(np.float32))
+    for other in others:
+        assert _outcome(linalg.as_matrix, other) == _outcome(_as_matrix_reference, other)
+
+
+def _outcome(fn, a):
+    """The bits, dtype and shape ``fn(a)`` returns, or the class and message it raises."""
+    try:
+        out = fn(a)
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def test_lean_helpers_propagate_nan():
+    z = np.ones((4, 4), dtype=complex)
+    z[1, 2] = complex(np.nan, 0.0)
+    assert np.isnan(linalg._maxabs(z)) and np.isnan(linalg._maxabs(z.real))
+    v = _canonical_phases(z)
+    assert np.isnan(v[1, 2]) and np.array_equal(v[:, :2], z[:, :2])
+    assert linalg._near_unit(np.array([0.0, np.nan]), 0.0, 1e-8).tolist() == [True, False]
+
+
 class TestPredicates:
     def test_identity_is_unitary(self):
         assert unitarity_residual(np.eye(5)) == 0.0

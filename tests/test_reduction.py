@@ -417,7 +417,7 @@ def test_span_checks_on_invariant_subspace_are_live(monkeypatch, build):
     bound = pair.tol.structural * pair.dim
     assert build_index_report(pair).consistent
 
-    def turned_eig_unitary(m, tol, _fn=spectral.eig_unitary):
+    def turned_eig_unitary(m, tol, _fn=spectral._eig_unitary):
         # A +1 column turned toward a -1 column stays in ker(1 - U^2).
         values, vectors = _fn(m, tol)
         plus, minus = (np.flatnonzero(np.abs(values - s) <= 1e-8)[0] for s in (1.0, -1.0))
@@ -440,7 +440,7 @@ def test_span_checks_on_invariant_subspace_are_live(monkeypatch, build):
                                _turned(out.basis, 0, other[:, 0] / np.linalg.norm(other)))
 
     for name, fn, failing in (
-            ("eig_unitary", turned_eig_unitary, {"unit_eigenspace_split"}),
+            ("_eig_unitary", turned_eig_unitary, {"unit_eigenspace_split"}),
             ("subspace_intersection", turned_intersection,
              {"alpha_kernel_graded_intersection"}),
             ("kernel_basis", turned_kernel_basis,
@@ -450,3 +450,24 @@ def test_span_checks_on_invariant_subspace_are_live(monkeypatch, build):
             failed = _failed(build_index_report(pair))
         assert set(failed) == failing, name
         assert all(bound < residual < 1e-5 for residual in failed.values()), name
+
+
+@pytest.mark.parametrize("build", [*LIVE, pytest.param(lambda: grover_search(6, 3), id="search-6")])
+def test_walk_unitarity_is_measured_once_on_the_invariant_subspace(monkeypatch, build):
+    # The walk's certificate takes B* U B's unitarity residual, and U's
+    # eigensolve on L does not take it again.
+    pair = build()
+    plus, minus = pair.ops.spaces("gamma", pair.tol)
+    dec, _, eff, _, _ = spectral._discriminant_census(pair, plus, minus)
+    walk = spectral._walk_subspace(pair, plus, minus, dec, eff)
+    assert walk.basis is not None
+    gram = walk.u.conj().T @ walk.u
+    products = []
+
+    def recorded(p, _fn=linalg._identity_residual):
+        products.append(p.copy())
+        return _fn(p)
+
+    monkeypatch.setattr(linalg, "_identity_residual", recorded)
+    assert build_index_report(pair).consistent
+    assert sum(np.array_equal(p, gram) for p in products) == 1

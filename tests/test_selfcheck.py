@@ -65,3 +65,31 @@ def test_shared_grading_matches_recomputation(build):
         got = transformation_checks(pair, report.index_alpha, np.random.default_rng(k))
         expected = _recomputed_checks(pair, np.random.default_rng(k))
         assert [(c.name, c.passed, c.residual) for c in got] == expected
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_a_selftest_pair_eigensolves_each_involution_once(monkeypatch, seed):
+    # The report eigensolves the pair's grading and coin, and the battery
+    # reads the grading's eigenspaces back from the pair: only the negated
+    # and the conjugated grading, independent checks, are eigensolved again.
+    calls = []
+
+    def recorded(a, *args, _fn=np.linalg.eigh, **kwargs):
+        calls.append(np.array(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    rng = np.random.default_rng(seed)
+    pair = random_chiral_pair(rng, 12)
+    report = build_index_report(pair)
+    at_report = len(calls)
+    # The battery's unitary v, drawn from a copy of the generator.
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    v = haar_unitary(replay, pair.dim)
+    transformation_checks(pair, report.index_alpha, rng)
+    involutions = {"gamma": pair.gamma, "coin": pair.coin, "negated": -pair.gamma,
+                   "conjugated": v @ pair.gamma @ v.conj().T}
+    seen = [[name for name, x in involutions.items() if np.array_equal(a, x)] for a in calls]
+    assert [names for names in seen[:at_report] if names] == [["gamma"], ["coin"]]
+    assert [names for names in seen[at_report:] if names] == [["negated"], ["conjugated"]]

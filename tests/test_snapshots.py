@@ -7,7 +7,12 @@ booleans, strings and integers must match exactly, floats to within
 not compared. Input files are written to a temporary directory, named
 ``{dir}`` in the stored command lines.
 
-Regenerate the snapshot only when a change of output is intended::
+Beside them, ``data/report_golden.json`` holds the rendered report of
+three seeded random pairs per dimension 2..16, compared byte for byte:
+the per-pair code paths of the report (its small-array helpers, phases
+and eigensolves) must not move a single digit.
+
+Regenerate the snapshots only when a change of output is intended::
 
     PYTHONPATH=src python tests/test_snapshots.py
 """
@@ -23,10 +28,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralwalk.cli import main, save_matrix_file
+from chiralwalk.cli import main, render_report, save_matrix_file
 from chiralwalk.selfcheck import random_chiral_pair
+from chiralwalk.spectral import build_index_report
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_snapshots.json"
+GOLDEN = DATA.with_name("report_golden.json")
+GOLDEN_DIMS, GOLDEN_DRAWS = range(2, 17), 3
 FLOAT_TOL = 1e-12
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -109,10 +117,29 @@ def test_output_matches_snapshot(index, snapshots, tmp_path):
     assert_same_text(got["stderr"], want["stderr"], compare_floats=False)
 
 
+def golden_reports() -> list[dict]:
+    """The rendered report of draw ``k`` at dimension ``n``, seeded by ``(n, k)``."""
+    records = []
+    for n in GOLDEN_DIMS:
+        for k in range(GOLDEN_DRAWS):
+            pair = random_chiral_pair(np.random.default_rng([n, k]), n)
+            records.append({"dim": n, "draw": k,
+                            "report": render_report(build_index_report(pair), pair.tol)})
+    return records
+
+
+def test_random_pair_reports_match_golden_bytes():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for got, stored in zip(golden_reports(), want, strict=True):
+        assert got == stored, (stored["dim"], stored["draw"])
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         records = [run(argv, Path(tmp)) for argv in INVOCATIONS]
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} snapshots to {DATA}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(golden_reports(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} snapshots to {DATA} and {GOLDEN_DRAWS * len(GOLDEN_DIMS)} "
+          f"reports to {GOLDEN}", file=sys.stderr)

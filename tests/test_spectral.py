@@ -428,7 +428,7 @@ class TestReportStructure:
 
     def test_real_pair_is_factorized_in_real_arithmetic(self, monkeypatch):
         # Every factorization of a real pair's report runs on float64
-        # input except the cluster splits inside eig_unitary, whose
+        # input except the cluster splits inside _eig_unitary, whose
         # eigenvectors are complex; a stray complex up-cast shows here.
         pair = grover_search(5, 0)
         assert pair.u.dtype == pair.gamma.dtype == pair.coin.dtype == np.float64
@@ -442,8 +442,8 @@ class TestReportStructure:
         build_index_report(pair)
         complex_calls = [call for call in calls if call[2] != np.float64]
         assert complex_calls
-        assert all(call[:2] == ("eigh", "eig_unitary") for call in complex_calls)
-        assert calls.count(("eigh", "eig_unitary", np.float64)) == 1
+        assert all(call[:2] == ("eigh", "_eig_unitary") for call in complex_calls)
+        assert calls.count(("eigh", "_eig_unitary", np.float64)) == 1
 
     def test_squared_supercharge_spectrum_against_discriminant(self):
         # sigma(H) must be the doubled 1 - t^2 plus an explicit zero block
