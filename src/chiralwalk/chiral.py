@@ -106,6 +106,10 @@ class Factors(NamedTuple):
     gamma: Reflection
     coin: Reflection
 
+    # Formed by :meth:`dense` without a check, so the report's fallback on
+    # the whole space measures its unitarity.
+    unitarity_measured = False
+
     @property
     def dim(self) -> int:
         return len(self.gamma.basis)
@@ -120,6 +124,15 @@ class Factors(NamedTuple):
     def uh(self, x: np.ndarray) -> np.ndarray:
         return self.coin(self.gamma(x))
 
+    def gamma_uh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Gamma x`` and ``U* x = C (Gamma x)``, from two reflections."""
+        gx = self.gamma(x)
+        return gx, self.coin(gx)
+
+    def u_gamma(self, gx: np.ndarray, uhx: np.ndarray) -> np.ndarray:
+        """``U Gamma x`` as ``Gamma (U* x)``: the reflections ``U (Gamma x)`` applies, in order."""
+        return self.gamma(uhx)
+
     def traces(self) -> tuple[float, float]:
         return self.gamma.trace, self.coin.trace
 
@@ -127,9 +140,10 @@ class Factors(NamedTuple):
         """The +1 and -1 eigenspaces of ``gamma`` or ``coin``: the reflection's own."""
         return getattr(self, name).spaces()
 
-    def discriminant(self, d: np.ndarray) -> np.ndarray:
-        """``d Gamma d*`` for a coisometry d."""
-        return d @ self.gamma(d.conj().T)
+    def discriminant(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``d Gamma d*`` for a coisometry d, and the ``Gamma d*`` it is formed from."""
+        lift = self.gamma(d.conj().T)
+        return d @ lift, lift
 
     def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
         """0: the coin is ``t (2 Y Y* - 1)`` for its narrow side Y of sign t, and d* is Y."""
@@ -186,6 +200,9 @@ DENSE_MAX_DIM = 2048
 class _Stored:
     """The operators of a pair held by its n x n matrices ``u``, ``gamma`` and ``coin``."""
 
+    # make_pair measured U* U - 1 before storing u.
+    unitarity_measured = True
+
     def __init__(self, u: np.ndarray, gamma: np.ndarray, coin: np.ndarray) -> None:
         self.matrices = {"u": u, "gamma": gamma, "coin": coin}
         self.dim, self.dtype = len(u), u.dtype
@@ -199,6 +216,12 @@ class _Stored:
 
     def uh(self, x: np.ndarray) -> np.ndarray:
         return self.matrices["u"].conj().T @ x
+
+    def gamma_uh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.gamma(x), self.uh(x)
+
+    def u_gamma(self, gx: np.ndarray, uhx: np.ndarray) -> np.ndarray:
+        return self.u(gx)
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
         return self.matrices["gamma"] @ x
@@ -217,8 +240,9 @@ class _Stored:
             self._spaces[key] = _involution_eigenspaces(self.matrices[name], tol)
         return self._spaces[key]
 
-    def discriminant(self, d: np.ndarray) -> np.ndarray:
-        return d @ self.matrices["gamma"] @ d.conj().T
+    def discriminant(self, d: np.ndarray) -> tuple[np.ndarray, None]:
+        """``d Gamma d*``, formed as ``(d Gamma) d*``, so no ``Gamma d*`` comes with it."""
+        return d @ self.matrices["gamma"] @ d.conj().T, None
 
     def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
         """Largest entry of ``2 d* d - 1 - C``, or for a flipped coin of ``2 d* d - 1 + C``.
@@ -508,30 +532,43 @@ def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
     return _unit_count(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0), tol)
 
 
-def _unit_count(w: np.ndarray, tol: Tolerance) -> int:
-    """Nullity of ``X - 1`` minus that of ``X + 1``, from the eigenvalues of a Hermitian X."""
-    return int(_near_unit(w, 1.0, tol.rank).sum() - _near_unit(w, -1.0, tol.rank).sum())
+def _unit_count(w: np.ndarray, tol: Tolerance, blocks=()) -> int:
+    """Nullity of ``X - 1`` minus that of ``X + 1``, from the eigenvalues of a Hermitian X.
+
+    ``blocks`` holds more eigenvalues as ``(value, count)`` pairs, which are
+    counted without being written out: a value with a nonzero count enters
+    :func:`_near_unit` once and is counted ``count`` times. Its distance to
+    +-1 is the same for each copy, so the largest distance, and with it
+    every decision, is the one made on the values written out.
+    """
+    held = [(value, count) for value, count in blocks if count]
+    values = np.concatenate([w, [value for value, _ in held]]) if held else w
+    plus, minus = (_near_unit(values, target, tol.rank) for target in (1.0, -1.0))
+    return int(plus[:w.size].sum() - minus[:w.size].sum()) + sum(
+        count * (int(p) - int(m)) for (_, count), p, m in zip(held, plus[w.size:], minus[w.size:]))
 
 
-def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
+def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float,
+                     gamma_narrow: np.ndarray | None = None) -> int:
     """Index of ``(Gamma+, C+)`` plus index of ``(Gamma+, C-)``, from ``(Gamma -+ C)/2``.
 
     ``narrow`` is an orthonormal basis Y of the coin's eigenspace for
-    ``sign``. From dimension 64 on, when Y has at most n/4 columns,
+    ``sign``, and ``gamma_narrow``, when given, is ``Gamma Y``. From
+    dimension 64 on, when Y has at most n/4 columns,
     :func:`_compressed_coin_pair_index` takes both indices on Halmos's
     reduction; otherwise, or when its certificate fails, they come from
     the eigenvalues of the two whole differences.
     """
     if _narrow(narrow.shape[1], pair.dim):
-        index = _compressed_coin_pair_index(pair, narrow, sign)
+        index = _compressed_coin_pair_index(pair, narrow, sign, gamma_narrow)
         if index is not None:
             return index
     return (_projection_pair_index((pair.gamma - pair.coin) / 2.0, pair.tol)
             + _projection_pair_index((pair.gamma + pair.coin) / 2.0, pair.tol))
 
 
-def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
-                                sign: float) -> int | None:
+def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float,
+                                gamma_narrow: np.ndarray | None = None) -> int | None:
     """:func:`_coin_pair_index` on ``S = ran Y + Gamma ran Y``, or None if not certified.
 
     S holds ``ran Y`` and ``Gamma+ ran Y``, so the grading and the coin
@@ -547,11 +584,16 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     within ``tol.structural * n``, both halves are integers, the coin's
     trace on S-perp is ``-sign (n - dim S)``, and S is invariant:
     ``|(Gamma + s C) B - B (B* (Gamma + s C) B)|`` for both signs. Each
-    +-1 decision is then made on n values, as on the whole difference.
+    +-1 decision is then the one made on the n values of the whole
+    difference, S-perp's held by their counts. ``gamma_narrow``, when
+    given, is ``Gamma Y``, and is not formed again.
     """
     n, tol, ops = pair.dim, pair.tol, pair.ops
-    left, sigma, _ = np.linalg.svd(np.hstack([narrow, ops.gamma(narrow)]), full_matrices=False)
+    if gamma_narrow is None:
+        gamma_narrow = ops.gamma(narrow)
+    left, sigma, _ = np.linalg.svd(np.hstack([narrow, gamma_narrow]), full_matrices=False)
     b = left[:, ~_near_unit(sigma, 0.0, tol.rank)]
+    del left  # b is a copy, and the products below are n x dim S each
     gb, cb = ops.gamma(b), ops.coin(b)
     g_s, c_s = b.conj().T @ gb, b.conj().T @ cb
     dim_s = b.shape[1]
@@ -569,8 +611,7 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     index = 0
     for s in (-1.0, 1.0):
         m = (g_s + s * c_s) / 2.0
-        index += _unit_count(np.concatenate([
-            np.linalg.eigvalsh((m + m.conj().T) / 2.0),
-            np.full(outside_plus, (1.0 - s * sign) / 2.0),
-            np.full(n - dim_s - outside_plus, (-1.0 - s * sign) / 2.0)]), tol)
+        index += _unit_count(np.linalg.eigvalsh((m + m.conj().T) / 2.0), tol, (
+            ((1.0 - s * sign) / 2.0, outside_plus),
+            ((-1.0 - s * sign) / 2.0, n - dim_s - outside_plus)))
     return index

@@ -13,7 +13,9 @@ Matrix files are JSON documents ``{"dim": n, "data": [[re, im], ...]}``
 with ``dim**2`` row-major entries. Graph files are plain text: a
 ``vertices <count>`` line followed by one ``<origin> <terminus>`` pair
 per line; ``#`` starts a comment. Reports are JSON with a fixed key
-order, so identical invocations produce byte-identical output.
+order, so identical invocations produce byte-identical output; a report
+is written field by field in that order, as the text that
+``json.dumps(..., indent=2)`` gives for it.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
 consistency check failed. A pair that validates always gets its report,
@@ -29,6 +31,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -131,55 +134,72 @@ def load_graph_file(path) -> Graph:
     return Graph(vertices, tuple(edges))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def report_document(report: IndexReport, tol: Tolerance) -> dict:
-    """Report as a JSON-ready dict with deterministic key order."""
-    return {
-        "report": "chiral-pair-index",
-        "dim": report.dim,
-        "tolerances": {
-            "structural": tol.structural,
-            "rank": tol.rank,
-            "cluster": tol.cluster,
-        },
-        "flipped": report.flipped,
-        "indices": {
-            "alpha": report.index_alpha,
-            "witten": report.index_witten,
-            "formula": report.index_formula,
-            "gamma_signature": report.gamma_signature,
-        },
-        "census": {
-            "m_plus": report.census.m_plus,
-            "m_minus": report.census.m_minus,
-            "M_plus": report.census.M_plus,
-            "M_minus": report.census.M_minus,
-        },
-        "spectrum_u": [
-            {"value": _complex_pair(v), "multiplicity": m} for v, m in report.spectrum_u
-        ],
-        "spectrum_t": [
-            {"value": float(v), "multiplicity": m} for v, m in report.spectrum_t
-        ],
-        "spectrum_h": [
-            {"value": float(v), "multiplicity": m} for v, m in report.spectrum_h
-        ],
-        "mapping_residual": report.mapping_residual,
-        "consistent": report.consistent,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "residual": c.residual}
-            | ({"detail": c.detail} if c.detail else {})
-            for c in report.checks
-        ],
-        "warnings": list(report.warnings),
-    }
+def _number(x) -> str:
+    """A number as ``json.dumps`` writes it: a float by its repr, NaN and +-inf by name."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NONFINITE.get(text, text)
+    return int.__repr__(x)
+
+
+def _bool(x: bool) -> str:
+    return "true" if x else "false"
+
+
+def _items(key: str, items: list[str]) -> str:
+    """The top-level list ``key``, its items written at the indent of a list entry."""
+    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
+
+
+def _spectrum_item(value: str, multiplicity: int) -> str:
+    return f'    {{\n      "value": {value},\n      "multiplicity": {multiplicity}\n    }}'
+
+
+def _check_item(check) -> str:
+    detail = (f',\n      "detail": {encode_basestring_ascii(check.detail)}'
+              if check.detail else "")
+    return (f'    {{\n      "name": {encode_basestring_ascii(check.name)},\n'
+            f'      "passed": {_bool(check.passed)},\n'
+            f'      "residual": {_number(check.residual)}{detail}\n    }}')
 
 
 def render_report(report: IndexReport, tol: Tolerance) -> str:
-    return json.dumps(report_document(report, tol), indent=2) + "\n"
+    """The report as JSON: the text ``json.dumps(document, indent=2)`` gives, plus a newline.
+
+    The document has a fixed key order, so it is written field by field:
+    floats by ``float.__repr__`` (NaN, Infinity and -Infinity beyond the
+    finite), strings escaped to ASCII, and an empty list as ``[]``.
+    """
+    census = report.census
+    return "{\n" + ",\n".join((
+        '  "report": "chiral-pair-index"',
+        f'  "dim": {_number(report.dim)}',
+        f'  "tolerances": {{\n    "structural": {_number(tol.structural)},\n'
+        f'    "rank": {_number(tol.rank)},\n    "cluster": {_number(tol.cluster)}\n  }}',
+        f'  "flipped": {_bool(report.flipped)}',
+        f'  "indices": {{\n    "alpha": {_number(report.index_alpha)},\n'
+        f'    "witten": {_number(report.index_witten)},\n'
+        f'    "formula": {_number(report.index_formula)},\n'
+        f'    "gamma_signature": {_number(report.gamma_signature)}\n  }}',
+        f'  "census": {{\n    "m_plus": {_number(census.m_plus)},\n'
+        f'    "m_minus": {_number(census.m_minus)},\n'
+        f'    "M_plus": {_number(census.M_plus)},\n'
+        f'    "M_minus": {_number(census.M_minus)}\n  }}',
+        _items("spectrum_u", [_spectrum_item(f"[\n        {_number(float(v.real))},\n"
+                                             f"        {_number(float(v.imag))}\n      ]", m)
+                              for v, m in report.spectrum_u]),
+        _items("spectrum_t", [_spectrum_item(_number(float(v)), m)
+                              for v, m in report.spectrum_t]),
+        _items("spectrum_h", [_spectrum_item(_number(float(v)), m)
+                              for v, m in report.spectrum_h]),
+        f'  "mapping_residual": {_number(report.mapping_residual)}',
+        f'  "consistent": {_bool(report.consistent)}',
+        _items("checks", [_check_item(c) for c in report.checks]),
+        _items("warnings", [f"    {encode_basestring_ascii(w)}" for w in report.warnings]),
+    )) + "\n}\n"
 
 
 def _emit(args, text: str) -> None:

@@ -43,7 +43,9 @@ W-perp, one of the census's own spaces, so W-perp enters the report only
 by its two dimensions, in the counts and the index routes.
 
 The projection-pair route, the index of (Gamma+, C+) plus that of
-(Gamma+, C-), shares only the coin's narrow basis d* with the census. On
+(Gamma+, C-), shares only the coin's narrow basis d* with the census,
+and the product Gamma d* where the pair's operators formed it for the
+discriminant. On
 Halmos's reduction S = ran d* + Gamma ran d* it takes the eigenvalues of
 the compressed differences ``B* (Gamma -+ C) B / 2``, with B from its own
 SVD of ``[d*, Gamma d*]``, where the census takes principal-angle sines
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,10 +70,12 @@ from .linalg import (
     _cluster_slices,
     _eig_unitary,
     _eigh,
+    _intersection,
     _kernel_svd,
     _maxabs,
     _near_unit,
-    _outside,
+    _outside_svd,
+    _OutsideSVDs,
     _overlap,
     _principal_order,
     _real_if_exact,
@@ -96,12 +100,14 @@ class CoisometryDecomposition:
     set, the effective coin is the negated coin, and every discriminant
     statement then refers to the pair (-evolution, grading). The
     ``discriminant`` is ``d @ gamma @ d*`` with the original grading, and
-    is a Hermitian contraction either way.
+    is a Hermitian contraction either way. ``gamma_lift`` is ``gamma @ d*``
+    where the pair's operators formed the discriminant from it, else None.
     """
 
     d: np.ndarray
     flipped: bool
     discriminant: np.ndarray
+    gamma_lift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def coin_space_dim(self) -> int:
@@ -182,8 +188,8 @@ def _coisometry(pair: ChiralPair, coin_plus: Subspace,
                 coin_minus: Subspace) -> CoisometryDecomposition:
     flipped = coin_plus.dim == 0 or 0 < coin_minus.dim < coin_plus.dim
     d = (coin_minus if flipped else coin_plus).basis.conj().T
-    t = pair.ops.discriminant(d)
-    return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t)
+    t, gamma_lift = pair.ops.discriminant(d)
+    return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t, gamma_lift=gamma_lift)
 
 
 @dataclass(frozen=True)
@@ -202,8 +208,8 @@ class _Walk:
     U is ``-Gamma`` for the effective coin: on L those of the effective
     census's birth spaces, and zero when W is the whole space.
     ``commutation`` holds the residuals of :func:`_commutation_residuals`,
-    taken while ``U B`` and ``U* B`` are at hand, so the walk does not
-    hold them.
+    taken while ``U B``, ``U* B`` and ``Gamma B`` are at hand, so the walk
+    does not hold them.
     """
 
     basis: np.ndarray | None
@@ -249,15 +255,19 @@ def _certificate_bound(pair: ChiralPair) -> float:
 
 
 def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
-                   dec: CoisometryDecomposition, eff: EigenspaceCensus) -> _Walk:
+                   dec: CoisometryDecomposition, eff: EigenspaceCensus,
+                   outside_svd=_outside_svd) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
 
     L's part in Gamma+- has the rank ``r+- = dim Gamma+- - dim(Gamma+- & C-)``
     that the effective census decided and is ``G+- ran(G+-* d*)`` for the
     grading's eigenbases ``G+-``, so the leading r+- left singular vectors
     of ``G+-* d*`` give L's basis ``B = [B+ | B-]``; for a side held by its
-    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``. On L,
-    ``S B`` comes from ``U B`` and ``U* B``, with S as in :class:`_Walk`.
+    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``, factorized
+    by ``outside_svd``, which the report shares with the census. d* is the
+    basis the census intersected, the coin's eigenspace that the coisometry
+    chose. On L, ``S B`` comes from ``U B`` and ``U* B``, with S as in
+    :class:`_Walk`.
     L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
@@ -271,15 +281,15 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     """
     n, tol = pair.dim, pair.tol
     if 4 * dec.coin_space_dim <= n:
-        d_star = dec.d.conj().T
+        d_star = pair.ops.spaces("coin", tol)[int(dec.flipped)].basis
         ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
         b = np.hstack([
-            np.linalg.svd(_outside(d_star, g.complement), full_matrices=False)[0][:, :r]
+            outside_svd(d_star, g.complement)[0][:, :r]
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
         unit, ops = _unit(pair), pair.ops
-        ub, uhb = ops.u(b), ops.uh(b)
+        ub, (gb, uhb) = ops.u(b), ops.gamma_uh(b)
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
         bound = _certificate_bound(pair)
@@ -292,7 +302,7 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
             return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus),
-                         _commutation_residuals(pair, b, sb, ub, uhb))
+                         _commutation_residuals(pair, b, sb, ub, uhb, gb))
     u = pair.u
     s = (u - u.conj().T) / (2.0 * _unit(pair))
     return _Walk(None, u, s, (gamma_plus, gamma_minus), (0, 0),
@@ -300,24 +310,23 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
 
 
 def _commutation_residuals(pair: ChiralPair, b: np.ndarray | None, q: np.ndarray,
-                           ub: np.ndarray | None = None,
-                           uhb: np.ndarray | None = None) -> tuple[float, float]:
+                           ub: np.ndarray | None = None, uhb: np.ndarray | None = None,
+                           gb: np.ndarray | None = None) -> tuple[float, float]:
     """Largest entries of ``Gamma S + S Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
 
     S is q up to a unit scalar, so the first is q's anticommutator. On L,
     with basis ``b``, ``q`` is ``S B``, r B comes from ``U B`` and
     ``U* B``, and the products of S and r with ``Gamma B`` come from those
-    of U and U*, so neither is formed. On the whole space ``b`` is None
-    and ``q`` is S.
+    of U and U*, so neither is formed; ``gb`` is ``Gamma B``, and
+    ``U Gamma B`` comes from it and ``U* B`` through ``pair.ops``. On the
+    whole space ``b`` is None and ``q`` is S.
     """
     if b is None:
         g, u = pair.gamma, pair.u
         r = (u + u.conj().T) / 2.0
         return _maxabs(g @ q + q @ g), _maxabs(g @ r - r @ g)
     ops = pair.ops
-    g_b = ops.gamma(b)
-    ug, uhg = ops.u(g_b), ops.uh(g_b)
-    del g_b
+    ug, uhg = ops.u_gamma(gb, uhb), ops.uh(gb)
     anti = ops.gamma(q)
     anti += (ug - uhg) / (2.0 * _unit(pair))
     ug += uhg
@@ -327,7 +336,8 @@ def _commutation_residuals(pair: ChiralPair, b: np.ndarray | None, q: np.ndarray
     return _maxabs(anti), _maxabs(commute)
 
 
-def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace):
+def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
+                         outside_svd=_outside_svd):
     """Coisometry, census and discriminant eigensystem from one eigensolve each.
 
     Returns the coisometry decomposition, the census of the supplied
@@ -338,12 +348,13 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     sines are linear in an eigenvalue's angle from +-1, as ``|lambda -+ 1|``
     is for U, while ``1 -+ t`` is quadratic in it. The kernels are T's own
     top ``m+`` and bottom ``m-`` eigenvectors, so their lift onto the
-    inherited spaces still compares two factorizations.
+    inherited spaces still compares two factorizations. The intersections
+    factorize ``(1 - P) B`` by ``outside_svd``.
     """
     tol = pair.tol
     coin_plus, coin_minus = pair.ops.spaces("coin", tol)
     dec = _coisometry(pair, coin_plus, coin_minus)
-    counts = EigenspaceCensus(*(subspace_intersection(g, c, tol) for g, c in (
+    counts = EigenspaceCensus(*(_intersection(g, c, tol, outside_svd) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
         (gamma_minus, coin_minus), (gamma_plus, coin_minus))))
     # T's Hermiticity is a check of the report, so its eigensolve does not
@@ -450,15 +461,20 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     warnings: list[str] = []
 
     gamma_plus, gamma_minus = pair.ops.spaces("gamma", tol)
+    # The census and the walk subspace share each principal-angle factorization.
+    outside_svd = _OutsideSVDs()
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
-        _discriminant_census(pair, gamma_plus, gamma_minus)
-    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts)
+        _discriminant_census(pair, gamma_plus, gamma_minus, outside_svd)
+    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, outside_svd)
+    del outside_svd  # its n x k factors are not read again
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped. On L
-    # the walk's certificate has measured B* U B's unitarity; on the whole
-    # space, where a factored pair's U was formed unchecked, it is checked.
-    u_values, u_vectors = (eig_unitary if walk.basis is None else _eig_unitary)(walk.u, tol)
+    # the walk's certificate has measured B* U B's unitarity, and on the
+    # whole space make_pair has measured U's; only a U that the pair's
+    # operators formed unchecked is checked here.
+    measured = walk.basis is not None or pair.ops.unitarity_measured
+    u_values, u_vectors = (_eig_unitary if measured else eig_unitary)(walk.u, tol)
     out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
     w_dim = u_values.size
     u_values = np.concatenate([u_values, np.ones(out_plus), -np.ones(out_minus)])
@@ -617,7 +633,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # the differences (compressed to ran d* + Gamma ran d* when d* is
     # narrow), not principal-angle sines: a factorization of its own, so
     # it cross-checks the census rather than repeating it.
-    pp = _coin_pair_index(pair, dec.d.conj().T, -1.0 if dec.flipped else 1.0)
+    pp = _coin_pair_index(pair, dec.d.conj().T, -1.0 if dec.flipped else 1.0, dec.gamma_lift)
     checks.append(CheckResult(
         "projection_pair_identity", pp == ia, float(abs(pp - ia))))
 

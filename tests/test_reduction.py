@@ -471,3 +471,81 @@ def test_walk_unitarity_is_measured_once_on_the_invariant_subspace(monkeypatch, 
     monkeypatch.setattr(linalg, "_identity_residual", recorded)
     assert build_index_report(pair).consistent
     assert sum(np.array_equal(p, gram) for p in products) == 1
+
+
+def test_search_report_forms_each_reflection_and_factorization_once(monkeypatch):
+    # On a q = 7 search pair, U* B = C (Gamma B) gives the commutation
+    # residuals Gamma B and U Gamma B = Gamma (U* B), the discriminant's
+    # Gamma d* feeds the projection-pair route, and the census's two
+    # intersections and the walk subspace share the SVD of (1 - G G*) Y.
+    pair = grover_search(7, 9)
+    svds, reflections = [], []
+
+    def svd(*args, _fn=np.linalg.svd, **kwargs):
+        svds.append(np.shape(args[0]))
+        return _fn(*args, **kwargs)
+
+    def reflect(self, x, _fn=chiral.Reflection.__call__):
+        reflections.append(self.sign)
+        return _fn(self, x)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(chiral.Reflection, "__call__", reflect)
+    assert build_index_report(pair).consistent
+    assert len(svds) == 8 and svds.count((pair.dim, 1)) == 1
+    assert len(reflections) == 12
+
+
+@pytest.mark.parametrize("build, measured", [
+    pytest.param(lambda: make_pair(*_small_pair(6)), 0, id="stored"),
+    pytest.param(lambda: chiral.make_factored_pair(
+        chiral.Reflection(np.linalg.qr(np.random.default_rng(8).standard_normal((8, 3)))[0], 1.0),
+        chiral.Reflection(np.linalg.qr(np.random.default_rng(9).standard_normal((8, 3)))[0], -1.0)),
+        1, id="factored")])
+def test_dense_report_measures_unitarity_only_of_an_unchecked_evolution(monkeypatch, build,
+                                                                        measured):
+    # On W = C^n, make_pair has measured U* U - 1 of a stored pair, and the
+    # report does not form U* U again; a factored pair's U, formed from its
+    # factors, is measured once.
+    pair = build()
+    assert _walk(pair).basis is None
+    gram = pair.u.conj().T @ pair.u
+    products = []
+
+    def recorded(p, _fn=linalg._identity_residual):
+        products.append(p.copy())
+        return _fn(p)
+
+    monkeypatch.setattr(linalg, "_identity_residual", recorded)
+    report = build_index_report(pair)
+    assert report.consistent
+    assert sum(np.array_equal(p, gram) for p in products) == measured
+
+
+def _small_pair(n):
+    rng = np.random.default_rng(n)
+    gamma = _reflection(rng, n, n // 2, False)
+    return gamma @ _reflection(rng, n, n // 2, False), gamma
+
+
+def _concatenated_unit_count(w, tol, blocks):
+    return chiral._unit_count(np.concatenate([w, *(np.full(k, v) for v, k in blocks)]), tol)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counted_blocks_decide_as_the_written_values(seed):
+    # The projection-pair route counts S-perp's eigenvalues, 0 and +-1,
+    # without writing them out; every +-1 decision, with its largest
+    # distance, must be the one made on the concatenated values. Empty
+    # eigenvalue sets, blocks alone, NaN and a cutoff near 1 are among them.
+    rng = np.random.default_rng(seed)
+    size = int(rng.choice([0, 1, 2, 5]))
+    w = rng.choice([-1.0, 1.0, 0.0, -1.0 + 1e-9, 1.0 - 1e-12]) + rng.uniform(-1, 1, size) * \
+        rng.choice([0.0, 1e-12, 1e-7, 1.0, 3.0])
+    if seed % 7 == 3 and size:
+        w[0] = np.nan
+    tol = linalg.Tolerance(rank=float(rng.choice([1e-8, 0.4, 0.6, 0.99])))
+    for s_sign in (-1.0, 1.0):
+        blocks = (((1.0 - s_sign) / 2.0, int(rng.integers(0, 4))),
+                  ((-1.0 - s_sign) / 2.0, int(rng.integers(0, 4))))
+        assert chiral._unit_count(w, tol, blocks) == _concatenated_unit_count(w, tol, blocks)

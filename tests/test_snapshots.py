@@ -10,15 +10,24 @@ not compared. Input files are written to a temporary directory, named
 Beside them, ``data/report_golden.json`` holds the rendered report of
 three seeded random pairs per dimension 2..16, compared byte for byte:
 the per-pair code paths of the report (its small-array helpers, phases
-and eigensolves) must not move a single digit.
+and eigensolves) must not move a single digit. ``data/search_golden.json``
+holds the rendered report of the search pair on 1..10 qubits at three
+targets each (two on one qubit, which has two positions), also compared
+byte for byte.
+
+``render_report`` writes the report field by field; :func:`reference_document`
+is the document it writes, and ``json.dumps(document, indent=2)`` of it is
+the text it must equal on every report here.
 
 Regenerate the snapshots only when a change of output is intended::
 
     PYTHONPATH=src python tests/test_snapshots.py
 """
 
+import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -29,12 +38,17 @@ import numpy as np
 import pytest
 
 from chiralwalk.cli import main, render_report, save_matrix_file
+from chiralwalk.models import grover_search
+from chiralwalk import cli
+from chiralwalk.linalg import DEFAULT_TOL, Tolerance
 from chiralwalk.selfcheck import random_chiral_pair
-from chiralwalk.spectral import build_index_report
+from chiralwalk.spectral import CheckResult, build_index_report
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_snapshots.json"
 GOLDEN = DATA.with_name("report_golden.json")
 GOLDEN_DIMS, GOLDEN_DRAWS = range(2, 17), 3
+SEARCH_GOLDEN = DATA.with_name("search_golden.json")
+SEARCH_QUBITS = range(1, 11)
 FLOAT_TOL = 1e-12
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -134,6 +148,102 @@ def test_random_pair_reports_match_golden_bytes():
         assert got == stored, (stored["dim"], stored["draw"])
 
 
+def reference_document(report, tol) -> dict:
+    """The report as a JSON-ready dict with the key order ``render_report`` writes."""
+    return {
+        "report": "chiral-pair-index",
+        "dim": report.dim,
+        "tolerances": {"structural": tol.structural, "rank": tol.rank,
+                       "cluster": tol.cluster},
+        "flipped": report.flipped,
+        "indices": {"alpha": report.index_alpha, "witten": report.index_witten,
+                    "formula": report.index_formula,
+                    "gamma_signature": report.gamma_signature},
+        "census": {"m_plus": report.census.m_plus, "m_minus": report.census.m_minus,
+                   "M_plus": report.census.M_plus, "M_minus": report.census.M_minus},
+        "spectrum_u": [{"value": [float(v.real), float(v.imag)], "multiplicity": m}
+                       for v, m in report.spectrum_u],
+        "spectrum_t": [{"value": float(v), "multiplicity": m} for v, m in report.spectrum_t],
+        "spectrum_h": [{"value": float(v), "multiplicity": m} for v, m in report.spectrum_h],
+        "mapping_residual": report.mapping_residual,
+        "consistent": report.consistent,
+        "checks": [{"name": c.name, "passed": c.passed, "residual": c.residual}
+                   | ({"detail": c.detail} if c.detail else {}) for c in report.checks],
+        "warnings": list(report.warnings),
+    }
+
+
+def assert_written_as_reference(report, tol) -> None:
+    assert render_report(report, tol) == json.dumps(
+        reference_document(report, tol), indent=2) + "\n"
+
+
+def test_writer_matches_reference_on_golden_pairs():
+    for n in GOLDEN_DIMS:
+        for k in range(GOLDEN_DRAWS):
+            pair = random_chiral_pair(np.random.default_rng([n, k]), n)
+            assert_written_as_reference(build_index_report(pair), pair.tol)
+
+
+def test_writer_matches_reference_on_snapshot_reports(monkeypatch, tmp_path):
+    written = []
+
+    def recorded(report, tol, _fn=cli.render_report):
+        assert_written_as_reference(report, tol)
+        written.append(report)
+        return _fn(report, tol)
+
+    monkeypatch.setattr(cli, "render_report", recorded)
+    write_inputs(tmp_path)
+    reports = [run(argv, tmp_path)["stdout"].startswith("{") for argv in INVOCATIONS]
+    assert len(written) == sum(reports) > 0
+
+
+def test_writer_matches_reference_on_edge_values():
+    # Non-finite and signed-zero residuals, a check with a detail, warnings
+    # that need escaping, and empty spectra; tolerances at their extremes.
+    base = build_index_report(random_chiral_pair(np.random.default_rng(3), 6))
+    checks = tuple(CheckResult(f"check_{k}", k % 2 == 0, value, detail)
+                   for k, (value, detail) in enumerate((
+                       (math.nan, ""), (math.inf, "x"), (-math.inf, ""), (-0.0, "\u00e9 \"q\""),
+                       (0.0, "cluster count mismatch"), (1e-300, ""), (5e-324, "\n\t"),
+                       (1.7976931348623157e308, ""), (0.1, ""), (3, ""))))
+    reports = [
+        dataclasses.replace(base, checks=checks, mapping_residual=math.nan,
+                            warnings=("a", "b \\ \u03b2", "")),
+        dataclasses.replace(base, spectrum_u=(), spectrum_t=(), spectrum_h=(), checks=(),
+                            warnings=(), mapping_residual=-0.0, consistent=False),
+        dataclasses.replace(base, spectrum_u=((complex(-0.0, math.inf), 2),
+                                              (complex(math.nan, -1.0), 1)),
+                            spectrum_t=((-0.0, 1), (math.inf, 3)), mapping_residual=math.inf),
+    ]
+    for report in reports:
+        for tol in (DEFAULT_TOL, Tolerance(2.220446049250313e-16, 0.999999, 1e-3)):
+            assert_written_as_reference(report, tol)
+
+
+def search_targets(qubits: int) -> list[int]:
+    """The first, a middle and the last position, each once."""
+    return sorted({0, 2**qubits // 3, 2**qubits - 1})
+
+
+def search_reports() -> list[dict]:
+    """The rendered report of the search pair on ``qubits`` qubits at ``target``."""
+    records = []
+    for q in SEARCH_QUBITS:
+        for t in search_targets(q):
+            pair = grover_search(q, t)
+            records.append({"qubits": q, "target": t,
+                            "report": render_report(build_index_report(pair), pair.tol)})
+    return records
+
+
+def test_search_reports_match_golden_bytes():
+    want = json.loads(SEARCH_GOLDEN.read_text(encoding="utf-8"))
+    for got, stored in zip(search_reports(), want, strict=True):
+        assert got == stored, (stored["qubits"], stored["target"])
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
@@ -141,5 +251,6 @@ if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     GOLDEN.write_text(json.dumps(golden_reports(), indent=1) + "\n", encoding="utf-8")
+    SEARCH_GOLDEN.write_text(json.dumps(search_reports(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} snapshots to {DATA} and {GOLDEN_DRAWS * len(GOLDEN_DIMS)} "
           f"reports to {GOLDEN}", file=sys.stderr)

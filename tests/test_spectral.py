@@ -378,10 +378,12 @@ class TestReportStructure:
                      if caller == "_compressed_coin_pair_index"]
             assert route == [("svd", (n, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (2, 2))]
             # The census's sines come from matrices with at most 2 columns
-            # or rows.
+            # or rows: the small ones its intersections factorize, and the
+            # (1 - G G*) Y it shares with the walk subspace, made once.
             shapes = [a.shape for name, caller, a, _ in calls
-                      if (name, caller) == ("svd", "subspace_intersection")]
+                      if name == "svd" and caller in ("_intersection", "_outside_svd")]
             assert shapes and max(min(shape) for shape in shapes) <= 2
+            assert sum(caller == "_outside_svd" for _, caller, _, _ in calls) == 1
             complex_eighs = [a.shape for name, _, a, _ in calls
                              if name == "eigh" and a.dtype == np.complex128]
             assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
