@@ -45,13 +45,12 @@ by its two dimensions, in the counts and the index routes.
 The projection-pair route, the index of (Gamma+, C+) plus that of
 (Gamma+, C-), shares only the coin's narrow basis d* with the census,
 and the product Gamma d* where the pair's operators formed it for the
-discriminant. On
-Halmos's reduction S = ran d* + Gamma ran d* it takes the eigenvalues of
-the compressed differences ``B* (Gamma -+ C) B / 2``, with B from its own
-SVD of ``[d*, Gamma d*]``, where the census takes principal-angle sines
-between the eigenspaces of Gamma and C. The two stay separate
-factorizations: merged into the census, the route would repeat the
-census's decisions instead of checking them.
+discriminant. On Halmos's reduction S = ran d* + Gamma ran d* it takes
+the eigenvalues of the compressed differences ``B* (Gamma -+ C) B / 2``,
+with B from its own SVD of ``[d*, Gamma d*]``, where the census takes
+principal-angle sines between the eigenspaces of Gamma and C. The two
+stay separate factorizations: merged into the census, the route would
+repeat the census's decisions instead of checking them.
 """
 
 from __future__ import annotations

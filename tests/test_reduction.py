@@ -532,20 +532,31 @@ def _concatenated_unit_count(w, tol, blocks):
     return chiral._unit_count(np.concatenate([w, *(np.full(k, v) for v, k in blocks)]), tol)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_counted_blocks_decide_as_the_written_values(seed):
+def _counted_cases():
+    """Explicit edge cases, then 40 seeded draws of eigenvalues, blocks and cutoffs."""
+    empty, tol = np.empty(0), linalg.Tolerance()
+    cases = [(empty, ((0.0, 0), (-1.0, 0)), tol), (empty, ((0.0, 3), (-1.0, 2)), tol),
+             (empty, ((1.0, 4), (0.0, 0)), linalg.Tolerance(rank=0.6)),
+             (np.array([np.nan]), ((1.0, 2), (0.0, 1)), tol),
+             (np.array([0.5]), ((0.0, 5), (-1.0, 1)), linalg.Tolerance(rank=0.99))]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        w = rng.choice([-1.0, 1.0, 0.0, -1.0 + 1e-9, 1.0 - 1e-12]) + rng.uniform(
+            -1, 1, int(rng.choice([0, 1, 2, 5]))) * rng.choice([0.0, 1e-12, 1e-7, 1.0, 3.0])
+        if seed % 7 == 3 and w.size:
+            w[0] = np.nan
+        s_sign = float(rng.choice([-1.0, 1.0]))
+        cases.append((w, (((1.0 - s_sign) / 2.0, int(rng.integers(0, 4))),
+                          ((-1.0 - s_sign) / 2.0, int(rng.integers(0, 4)))),
+                      linalg.Tolerance(rank=float(rng.choice([1e-8, 0.4, 0.6, 0.99])))))
+    return cases
+
+
+@pytest.mark.parametrize("w, blocks, tol", _counted_cases())
+def test_counted_blocks_decide_as_the_written_values(w, blocks, tol):
     # The projection-pair route counts S-perp's eigenvalues, 0 and +-1,
     # without writing them out; every +-1 decision, with its largest
     # distance, must be the one made on the concatenated values. Empty
-    # eigenvalue sets, blocks alone, NaN and a cutoff near 1 are among them.
-    rng = np.random.default_rng(seed)
-    size = int(rng.choice([0, 1, 2, 5]))
-    w = rng.choice([-1.0, 1.0, 0.0, -1.0 + 1e-9, 1.0 - 1e-12]) + rng.uniform(-1, 1, size) * \
-        rng.choice([0.0, 1e-12, 1e-7, 1.0, 3.0])
-    if seed % 7 == 3 and size:
-        w[0] = np.nan
-    tol = linalg.Tolerance(rank=float(rng.choice([1e-8, 0.4, 0.6, 0.99])))
-    for s_sign in (-1.0, 1.0):
-        blocks = (((1.0 - s_sign) / 2.0, int(rng.integers(0, 4))),
-                  ((-1.0 - s_sign) / 2.0, int(rng.integers(0, 4))))
-        assert chiral._unit_count(w, tol, blocks) == _concatenated_unit_count(w, tol, blocks)
+    # eigenvalue sets, blocks alone, NaN and cutoffs near 1 (where a block
+    # at distance 1 counts) are among the cases.
+    assert chiral._unit_count(w, tol, blocks) == _concatenated_unit_count(w, tol, blocks)
