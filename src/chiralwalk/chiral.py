@@ -124,14 +124,15 @@ class Factors(NamedTuple):
     def uh(self, x: np.ndarray) -> np.ndarray:
         return self.coin(self.gamma(x))
 
-    def gamma_uh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``Gamma x`` and ``U* x = C (Gamma x)``, from two reflections."""
-        gx = self.gamma(x)
-        return gx, self.coin(gx)
+    def graded_products(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``U x``, ``U* x``, ``U Gamma x`` and ``U* Gamma x``, from seven reflections.
 
-    def u_gamma(self, gx: np.ndarray, uhx: np.ndarray) -> np.ndarray:
-        """``U Gamma x`` as ``Gamma (U* x)``: the reflections ``U (Gamma x)`` applies, in order."""
-        return self.gamma(uhx)
+        ``U* x = C (Gamma x)`` and ``U Gamma x = Gamma (U* x)``: the
+        reflections ``U (Gamma x)`` applies, in order, so Gamma x is formed once.
+        """
+        gx = self.gamma(x)
+        uhx = self.coin(gx)
+        return self.u(x), uhx, self.gamma(uhx), self.uh(gx)
 
     def traces(self) -> tuple[float, float]:
         return self.gamma.trace, self.coin.trace
@@ -217,11 +218,10 @@ class _Stored:
     def uh(self, x: np.ndarray) -> np.ndarray:
         return self.matrices["u"].conj().T @ x
 
-    def gamma_uh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.gamma(x), self.uh(x)
-
-    def u_gamma(self, gx: np.ndarray, uhx: np.ndarray) -> np.ndarray:
-        return self.u(gx)
+    def graded_products(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``U x``, ``U* x``, ``U Gamma x`` and ``U* Gamma x``."""
+        gx = self.gamma(x)
+        return self.u(x), self.uh(x), self.u(gx), self.uh(gx)
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
         return self.matrices["gamma"] @ x

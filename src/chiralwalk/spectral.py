@@ -207,8 +207,8 @@ class _Walk:
     U is ``-Gamma`` for the effective coin: on L those of the effective
     census's birth spaces, and zero when W is the whole space.
     ``commutation`` holds the residuals of :func:`_commutation_residuals`,
-    taken while ``U B``, ``U* B`` and ``Gamma B`` are at hand, so the walk
-    does not hold them.
+    taken while ``U B``, ``U* B``, ``U Gamma B`` and ``U* Gamma B`` are at
+    hand, so the walk does not hold them.
     """
 
     basis: np.ndarray | None
@@ -288,7 +288,8 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
         unit, ops = _unit(pair), pair.ops
-        ub, (gb, uhb) = ops.u(b), ops.gamma_uh(b)
+        graded = ops.graded_products(b)
+        ub, uhb = graded[:2]
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
         bound = _certificate_bound(pair)
@@ -301,37 +302,33 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
                      Subspace(len(eye), eye[:, r:], complement=eye[:, :r]))
             return _Walk(b, u_w, sb, sides, (eff.M_minus, eff.M_plus),
-                         _commutation_residuals(pair, b, sb, ub, uhb, gb))
+                         _commutation_residuals(pair, sb, graded))
     u = pair.u
     s = (u - u.conj().T) / (2.0 * _unit(pair))
     return _Walk(None, u, s, (gamma_plus, gamma_minus), (0, 0),
-                 _commutation_residuals(pair, None, s))
+                 _commutation_residuals(pair, s))
 
 
-def _commutation_residuals(pair: ChiralPair, b: np.ndarray | None, q: np.ndarray,
-                           ub: np.ndarray | None = None, uhb: np.ndarray | None = None,
-                           gb: np.ndarray | None = None) -> tuple[float, float]:
+def _commutation_residuals(pair: ChiralPair, q: np.ndarray,
+                           graded: tuple[np.ndarray, ...] = ()) -> tuple[float, float]:
     """Largest entries of ``Gamma S + S Gamma`` and ``Gamma r - r Gamma`` on W, r = (U + U*)/2.
 
     S is q up to a unit scalar, so the first is q's anticommutator. On L,
-    with basis ``b``, ``q`` is ``S B``, r B comes from ``U B`` and
-    ``U* B``, and the products of S and r with ``Gamma B`` come from those
-    of U and U*, so neither is formed; ``gb`` is ``Gamma B``, and
-    ``U Gamma B`` comes from it and ``U* B`` through ``pair.ops``. On the
-    whole space ``b`` is None and ``q`` is S.
+    with basis B, ``q`` is ``S B`` and ``graded`` holds ``U B``, ``U* B``,
+    ``U Gamma B`` and ``U* Gamma B``: r B comes from the first two, and
+    the products of S and r with ``Gamma B`` from the last two, so neither
+    is formed. On the whole space ``graded`` is empty and ``q`` is S.
     """
-    if b is None:
+    if not graded:
         g, u = pair.gamma, pair.u
         r = (u + u.conj().T) / 2.0
         return _maxabs(g @ q + q @ g), _maxabs(g @ r - r @ g)
     ops = pair.ops
-    ug, uhg = ops.u_gamma(gb, uhb), ops.uh(gb)
+    ub, uhb, ug, uhg = graded
     anti = ops.gamma(q)
     anti += (ug - uhg) / (2.0 * _unit(pair))
-    ug += uhg
-    del uhg
     commute = ops.gamma((ub + uhb) / 2.0)
-    commute -= ug / 2.0
+    commute -= (ug + uhg) / 2.0
     return _maxabs(anti), _maxabs(commute)
 
 
