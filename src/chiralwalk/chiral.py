@@ -127,8 +127,9 @@ class Factors(NamedTuple):
     def graded_products(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """``U x``, ``U* x``, ``U Gamma x`` and ``U* Gamma x``, from seven reflections.
 
-        ``U* x = C (Gamma x)`` and ``U Gamma x = Gamma (U* x)``: the
-        reflections ``U (Gamma x)`` applies, in order, so Gamma x is formed once.
+        Gamma x is formed once: ``U* x = C (Gamma x)``, and ``U Gamma x``
+        is ``Gamma (U* x)``, the reflections ``U (Gamma x)`` applies, in
+        the same order.
         """
         gx = self.gamma(x)
         uhx = self.coin(gx)
