@@ -17,8 +17,10 @@ A pair holds its operators in ``ops``: its n x n matrices
 (:class:`_Stored`, from :func:`make_pair`) or its factors
 (:class:`Factors`, from :func:`make_factored_pair`), the grading and the
 coin as reflections ``s (2 B B* - 1)`` through narrow subspaces, with the
-evolution their product. The pair's matrices, eigenspaces and products
-are read through ``ops`` alone, and only :meth:`Factors.dense` forms a
+evolution their product. Everything is computed on ``ops.reduced``: a
+stored pair is its own, and a factored pair is its compression to the
+span of its two bases, a stored pair, plus a scalar block on the
+complement (:class:`_Reduced`). Only :meth:`Factors.dense` forms a
 factored pair's n x n matrices.
 """
 
@@ -77,16 +79,6 @@ class Reflection(NamedTuple):
         # sign * x does, with no temporary.
         return (np.subtract if self.sign > 0 else np.add)(y, x, out=y)
 
-    @property
-    def trace(self) -> float:
-        return self.sign * (2.0 * float(np.vdot(self.basis, self.basis).real) - len(self.basis))
-
-    def spaces(self) -> tuple[Subspace, Subspace]:
-        """The +1 and -1 eigenspaces: ran B, held by B, and its complement, held by B too."""
-        n = len(self.basis)
-        own, other = Subspace(n, self.basis), Subspace(n, complement=self.basis)
-        return (own, other) if self.sign > 0 else (other, own)
-
     def dense(self) -> np.ndarray:
         n = len(self.basis)
         matrix = (2.0 * self.sign) * (self.basis @ self.basis.conj().T)
@@ -97,83 +89,38 @@ class Reflection(NamedTuple):
 class Factors(NamedTuple):
     """The operators of a pair held by its grading and coin as reflections.
 
-    Each is applied at O(n (k + c)) per column. The evolution
-    ``U = Gamma C`` and its adjoint ``C Gamma`` are applied as the two
-    reflections in turn; the n x n matrices are formed only by
-    :meth:`dense`.
+    The report reads them through :meth:`reduced`, and only :meth:`dense`
+    forms the n x n matrices.
     """
 
     gamma: Reflection
     coin: Reflection
 
-    # Formed by :meth:`dense` without a check, so the report's fallback on
-    # the whole space measures its unitarity.
-    unitarity_measured = False
+    dim = property(lambda self: len(self.gamma.basis))
+    dtype = property(lambda self: np.result_type(self.gamma.basis, self.coin.basis))
 
-    @property
-    def dim(self) -> int:
-        return len(self.gamma.basis)
+    def reduced(self, pair: ChiralPair) -> _Reduced:
+        """The pair as its compression to Z = span(Y, G) and the scalar block on Z-perp.
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.result_type(self.gamma.basis, self.coin.basis)
-
-    def u(self, x: np.ndarray) -> np.ndarray:
-        return self.gamma(self.coin(x))
-
-    def uh(self, x: np.ndarray) -> np.ndarray:
-        return self.coin(self.gamma(x))
-
-    def graded_products(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``U x``, ``U* x``, ``U Gamma x`` and ``U* Gamma x``, from seven reflections.
-
-        Gamma x is formed once: ``U* x = C (Gamma x)``, and ``U Gamma x``
-        is ``Gamma (U* x)``, the reflections ``U (Gamma x)`` applies, in
-        the same order.
-        """
-        gx = self.gamma(x)
-        uhx = self.coin(gx)
-        return self.u(x), uhx, self.gamma(uhx), self.uh(gx)
-
-    def traces(self) -> tuple[float, float]:
-        return self.gamma.trace, self.coin.trace
-
-    def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
-        """The +1 and -1 eigenspaces of ``gamma`` or ``coin``: the reflection's own."""
-        return getattr(self, name).spaces()
-
-    def discriminant(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``d Gamma d*`` for a coisometry d, and the ``Gamma d*`` it is formed from."""
-        lift = self.gamma(d.conj().T)
-        return d @ lift, lift
-
-    def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
-        """0: the coin is ``t (2 Y Y* - 1)`` for its narrow side Y of sign t, and d* is Y."""
-        return 0.0
-
-    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
-        """``S - (S B) B*`` on span(G, Y): the largest entry of ``Z* (S - sb B*) Z``.
-
-        G and Y are the bases of the grading and the coin, of signs s and
-        t. With ``P = G G*`` and ``Q = Y Y*``, ``U - U* = 4 s t (P Q - Q P)``,
-        so ``S = Z K Z*`` for ``Z = [G, Y]`` and
-        ``K = (2 s t / unit) [[0, G* Y], [-Y* G, 0]]``: S maps span Z to
-        itself and vanishes on its complement, and so does ``S - (S B) B*``,
-        since B, a basis of ran d* + Gamma ran d*, lies in span Z. It is
-        measured as the at most (k + c) x (k + c) matrix
-        ``Z* (S - (S B) B*) Z = (Z* Z) K (Z* Z) - (Z* sb)(B* Z)``, from
-        products of n x (k + c) matrices alone.
+        With s and t the signs of G and Y, both reflections map Z to itself
+        and are -s and -t on Z-perp (Halmos, Trans. AMS 144 (1969);
+        Bottcher and Spitkovsky, Linear Algebra Appl. 432 (2010)). Z's
+        basis is ``[Y, W]``, W the left singular vectors of ``(1 - Y Y*) G``
+        whose sines exceed ``tol.rank``, the census's rule for two spaces
+        held by their complements; that SVD is the one factorization with
+        n rows. With Y first the coin is diagonal in Z's coordinates to
+        within rounding, so the discriminant comes from ``Y* G`` as from
+        the dense matrices. The compressions are stored as formed: they
+        are Hermitian, and involutions and unitary to within the Gram
+        residuals of G and Y that :func:`make_factored_pair` bounds.
         """
         g, y = self.gamma.basis, self.coin.basis
-        gh, yh = g.conj().T, y.conj().T
-        gy = gh @ y
-        k, c = gy.shape
-        gram, kernel = np.empty((k + c, k + c), gy.dtype), np.zeros((k + c, k + c), gy.dtype)
-        gram[:k, :k], gram[:k, k:], gram[k:, :k], gram[k:, k:] = gh @ g, gy, gy.conj().T, yh @ y
-        kernel[:k, k:], kernel[k:, :k] = gy, -gy.conj().T
-        kernel = (2.0 * self.gamma.sign * self.coin.sign / unit) * kernel
-        zb = np.vstack([gh @ b, yh @ b])
-        return _maxabs(gram @ kernel @ gram - np.vstack([gh @ sb, yh @ sb]) @ zb.conj().T)
+        left, sines, _ = np.linalg.svd(_outside(g, y), full_matrices=False)
+        z = np.hstack([y, left[:, :np.count_nonzero(sines > pair.tol.rank)]])
+        zh = z.conj().T
+        gamma, coin = (Reflection(zh @ r.basis, r.sign).dense() for r in self)
+        return _Reduced(ChiralPair(_Stored(gamma @ coin, gamma, coin), pair.tol), z, self.dim,
+                        (-self.gamma.sign, -self.coin.sign))
 
     def dense(self, name: str) -> np.ndarray:
         """The n x n matrix ``u``, ``gamma`` or ``coin``, at O(n^2 (k + c)).
@@ -190,20 +137,17 @@ class Factors(NamedTuple):
 
 
 # The largest dimension at which a pair held by its factors forms its
-# n x n matrices, for the report's dense fallback and for --dump-matrices:
-# that of the 10-qubit search pair, the largest whose matrices were ever
-# formed, so every dump that was served before the pair was factored still
-# is. Dumping a search pair takes 0.9 s and 90 MiB at n = 512, 3.9 s and
-# 263 MiB at n = 1024, and 17.5 s and 904 MiB at n = 2048 (1 BLAS thread),
-# past the command's budget of about a second.
+# n x n matrices, for --dump-matrices: that of the 10-qubit search pair,
+# the largest whose matrices were ever formed, so every dump that was
+# served before the pair was factored still is. Dumping a search pair
+# takes 0.9 s and 90 MiB at n = 512, 3.9 s and 263 MiB at n = 1024, and
+# 17.5 s and 904 MiB at n = 2048 (1 BLAS thread), past the command's
+# budget of about a second.
 DENSE_MAX_DIM = 2048
 
 
 class _Stored:
     """The operators of a pair held by its n x n matrices ``u``, ``gamma`` and ``coin``."""
-
-    # make_pair measured U* U - 1 before storing u.
-    unitarity_measured = True
 
     def __init__(self, u: np.ndarray, gamma: np.ndarray, coin: np.ndarray) -> None:
         self.matrices = {"u": u, "gamma": gamma, "coin": coin}
@@ -213,26 +157,9 @@ class _Stored:
     def dense(self, name: str) -> np.ndarray:
         return self.matrices[name]
 
-    def u(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices["u"] @ x
-
-    def uh(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices["u"].conj().T @ x
-
-    def graded_products(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``U x``, ``U* x``, ``U Gamma x`` and ``U* Gamma x``."""
-        gx = self.gamma(x)
-        return self.u(x), self.uh(x), self.u(gx), self.uh(gx)
-
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices["gamma"] @ x
-
-    def coin(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices["coin"] @ x
-
-    def traces(self) -> tuple[float, float]:
-        return (float(np.trace(self.matrices["gamma"]).real),
-                float(np.trace(self.matrices["coin"]).real))
+    def reduced(self, pair: ChiralPair) -> _Reduced:
+        """The pair itself, on Z = C^n with no scalar block."""
+        return _Reduced(pair, None, self.dim, (1.0, 1.0))
 
     def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
         """The +1 and -1 eigenspaces of ``gamma`` or ``coin``, from the matrix, kept once made."""
@@ -241,28 +168,45 @@ class _Stored:
             self._spaces[key] = _involution_eigenspaces(self.matrices[name], tol)
         return self._spaces[key]
 
-    def discriminant(self, d: np.ndarray) -> tuple[np.ndarray, None]:
-        """``d Gamma d*``, formed as ``(d Gamma) d*``, so no ``Gamma d*`` comes with it."""
-        return d @ self.matrices["gamma"] @ d.conj().T, None
 
-    def coin_recovery(self, d: np.ndarray, flipped: bool) -> float:
-        """Largest entry of ``2 d* d - 1 - C``, or for a flipped coin of ``2 d* d - 1 + C``.
+class _Reduced(NamedTuple):
+    """A pair as a stored pair on an invariant subspace Z and a scalar block on Z-perp.
 
-        The identity is subtracted in place, which rounds as subtracting
-        np.eye(n) does, and the coin added in place (its negation
-        subtracted exactly) without another n x n array.
+    ``pair`` is the compression to Z and ``basis`` Z's orthonormal basis,
+    n x dim Z, or None when Z is C^n. On Z-perp, of dimension ``block``,
+    the grading and the coin are the scalars ``signs``, so q vanishes.
+    ``dim`` is the whole pair's n, at which every bound is taken.
+    """
+
+    pair: ChiralPair
+    basis: np.ndarray | None
+    dim: int
+    signs: tuple[float, float]
+
+    tol = property(lambda self: self.pair.tol)
+    block = property(lambda self: self.dim - self.pair.dim)
+    # Z-perp lies in the grading's eigenspace of its sign and in ker q.
+    shift = property(lambda self: round(self.signs[0]) * self.block)
+
+    def whole(self, space: Subspace, holds: bool) -> Subspace:
+        """``space`` of the compression as a subspace of C^n, joined by Z-perp when it ``holds`` it.
+
+        A space that holds Z-perp is held by its complement, Z times the
+        complement of ``space`` in Z, an n x (dim Z - dim space) array.
         """
-        coin = self.matrices["coin"]
-        recovered = (2.0 * d.conj().T @ d).astype(coin.dtype, copy=False)
-        recovered.flat[::self.dim + 1] -= 1.0
-        return _maxabs((np.add if flipped else np.subtract)(recovered, coin, out=recovered))
+        if self.basis is None:
+            return space
+        if not holds:
+            return Subspace(self.dim, self.basis @ space.basis)
+        other = Subspace(self.pair.dim, complement=space.basis).basis \
+            if space.complement is None else space.complement
+        return Subspace(self.dim, complement=self.basis @ other)
 
-    def outside(self, sb: np.ndarray, b: np.ndarray, unit: complex) -> float:
-        """Largest entry of ``S - (S B) B*``, from ``2 unit (S - (S B) B*)`` formed in place."""
-        cert = (-2.0 * unit * sb) @ b.conj().T
-        cert += self.matrices["u"]
-        cert -= self.matrices["u"].conj().T
-        return _maxabs(cert) / 2.0
+    def spaces(self, name: str) -> tuple[Subspace, Subspace]:
+        """The +1 and -1 eigenspaces of the whole pair's ``gamma`` or ``coin``."""
+        sign = self.signs[name == "coin"]
+        plus, minus = self.pair.ops.spaces(name, self.tol)
+        return self.whole(plus, sign > 0), self.whole(minus, sign < 0)
 
 
 @dataclass(frozen=True)
@@ -279,8 +223,8 @@ class ChiralPair:
     otherwise. A pair from :func:`make_factored_pair` holds
     :class:`Factors`, its grading and coin as reflections through their
     narrow sides, and forms each n x n matrix when it is first read; the
-    report applies them through the factors and forms none of them. Every
-    other property and product of the pair is read through ``ops``.
+    report reads it through its compression ``ops.reduced`` and forms none
+    of them.
     """
 
     ops: _Stored | Factors = field(repr=False)
@@ -495,8 +439,11 @@ def index_alpha(pair: ChiralPair) -> int:
     Both dimensions are read from ranks, ``(cols - rank alpha) -
     (rows - rank alpha*)``, each counted from singular values alone under
     the cutoff :func:`kernel_basis` applies; no kernel basis is formed.
+    They are taken on the pair's compression, plus its scalar block's.
     """
-    return _graded_index(pair, *pair.ops.spaces("gamma", pair.tol))
+    reduced = pair.ops.reduced(pair)
+    return _graded_index(reduced.pair, *reduced.pair.ops.spaces("gamma", pair.tol)) \
+        + reduced.shift
 
 
 def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
@@ -514,8 +461,8 @@ def _graded_index(pair: ChiralPair, plus: Subspace, minus: Subspace) -> int:
     """
     held = min(plus, minus, key=lambda side: (side.by_complement, side.dim))
     other = minus if held is plus else plus
-    b, ops = held.basis, pair.ops
-    sb = (ops.u(b) - ops.uh(b)) / (2.0 * _unit(pair))
+    b, u = held.basis, pair.u
+    sb = (u @ b - u.conj().T @ b) / (2.0 * _unit(pair))
     m = _outside(sb, other.complement) if other.by_complement else other.basis.conj().T @ sb
     alpha, adjoint = (m, m.conj().T) if held is plus else (m.conj().T, m)
     ker = plus.dim - _rank_svd(alpha, pair.tol, vectors=False)[0]
@@ -549,27 +496,25 @@ def _unit_count(w: np.ndarray, tol: Tolerance, blocks=()) -> int:
         count * (int(p) - int(m)) for (_, count), p, m in zip(held, plus[w.size:], minus[w.size:]))
 
 
-def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float,
-                     gamma_narrow: np.ndarray | None = None) -> int:
+def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
     """Index of ``(Gamma+, C+)`` plus index of ``(Gamma+, C-)``, from ``(Gamma -+ C)/2``.
 
     ``narrow`` is an orthonormal basis Y of the coin's eigenspace for
-    ``sign``, and ``gamma_narrow``, when given, is ``Gamma Y``. From
-    dimension 64 on, when Y has at most n/4 columns,
+    ``sign``. From dimension 64 on, when Y has at most n/4 columns,
     :func:`_compressed_coin_pair_index` takes both indices on Halmos's
     reduction; otherwise, or when its certificate fails, they come from
     the eigenvalues of the two whole differences.
     """
     if _narrow(narrow.shape[1], pair.dim):
-        index = _compressed_coin_pair_index(pair, narrow, sign, gamma_narrow)
+        index = _compressed_coin_pair_index(pair, narrow, sign)
         if index is not None:
             return index
     return (_projection_pair_index((pair.gamma - pair.coin) / 2.0, pair.tol)
             + _projection_pair_index((pair.gamma + pair.coin) / 2.0, pair.tol))
 
 
-def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float,
-                                gamma_narrow: np.ndarray | None = None) -> int | None:
+def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
+                                sign: float) -> int | None:
     """:func:`_coin_pair_index` on ``S = ran Y + Gamma ran Y``, or None if not certified.
 
     S holds ``ran Y`` and ``Gamma+ ran Y``, so the grading and the coin
@@ -586,19 +531,15 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: floa
     trace on S-perp is ``-sign (n - dim S)``, and S is invariant:
     ``|(Gamma + s C) B - B (B* (Gamma + s C) B)|`` for both signs. Each
     +-1 decision is then the one made on the n values of the whole
-    difference, S-perp's held by their counts. ``gamma_narrow``, when
-    given, is ``Gamma Y``, and is not formed again.
+    difference, S-perp's held by their counts.
     """
-    n, tol, ops = pair.dim, pair.tol, pair.ops
-    if gamma_narrow is None:
-        gamma_narrow = ops.gamma(narrow)
-    left, sigma, _ = np.linalg.svd(np.hstack([narrow, gamma_narrow]), full_matrices=False)
+    n, tol, gamma, coin = pair.dim, pair.tol, pair.gamma, pair.coin
+    left, sigma, _ = np.linalg.svd(np.hstack([narrow, gamma @ narrow]), full_matrices=False)
     b = left[:, ~_near_unit(sigma, 0.0, tol.rank)]
-    del left  # b is a copy, and the products below are n x dim S each
-    gb, cb = ops.gamma(b), ops.coin(b)
+    gb, cb = gamma @ b, coin @ b
     g_s, c_s = b.conj().T @ gb, b.conj().T @ cb
     dim_s = b.shape[1]
-    trace_g, trace_c = ops.traces()
+    trace_g, trace_c = float(np.trace(gamma).real), float(np.trace(coin).real)
     k_plus = (n + trace_g) / 2.0
     s_plus = (dim_s + float(np.trace(g_s).real)) / 2.0
     outside_plus = round(k_plus) - round(s_plus)

@@ -97,7 +97,7 @@ def transformation_checks(
     n = pair.dim
     # make_pair keeps the grading it is given, so the pairs built on this
     # one share its eigenspaces.
-    graded = pair.ops.spaces("gamma", tol)
+    graded = pair.ops.reduced(pair).spaces("gamma")
 
     def result(name: str, index: int, expected: int) -> CheckResult:
         res = float(abs(index - expected))

@@ -9,59 +9,47 @@ discriminant's +-1 eigenvalues) and birth ones (invisible to the
 discriminant). Counting the four sources gives the index formula, and
 everything here cross-checks the different routes against each other.
 
-The report computes U's and q's side on the walk's invariant subspace
-L = ran d* + Gamma ran d*, of dimension at most 2c for a coin space of
-dimension c. U maps L to itself; on L-perp the effective coin is -1, so
-U is -Gamma there (Gamma for a flipped coin) and q vanishes. U's
-eigensolve runs on the compression ``B* U B`` and the SVD of q on the
-``n x dim L`` matrix ``S B``, where ``S = (U - U*)/(2 unit)`` is q's one
-form (real for an exactly real pair); L-perp adds the eigenvalues +-1 on
-``L-perp & Gamma-+`` and a zero block of q.
-L-perp is ``C- & Gamma C-`` for the effective coin, so ``L-perp &
-Gamma+-`` are the effective census's birth spaces, and L's rank on each
-side of the grading comes from the census. Two certificates,
-``|U B - B (B* U B)|`` and ``|S - (S B) B*|``, must lie within
-``tol.structural * n``, and a third, the unitarity residual of
-``B* U B``, within ``tol.structural``. When one fails, or when 4c > n,
-the report runs on W = C^n instead, where the same code makes the dense
-factorizations of U and S.
+A pair held by its factors, the grading ``s (2 G G* - 1)`` and the coin
+``t (2 Y Y* - 1)``, is reported on its compression to Z = span(Y, G), a
+pair of dimension at most k + c held by its matrices. On Z-perp the
+grading and the coin are the scalars -s and -t, so that block enters by
+its dimension alone: in the census space of its signs, in U's eigenvalue
+st, H's zero and, where the coin space holds it, T's eigenvalue -s, and
+as -s times its dimension in every index route. Every bound is taken at
+the whole pair's n. A pair held by its matrices is its own compression.
 
-Every product with U, U*, Gamma or C, ``d Gamma d*``, the traces, the
-eigenspaces of Gamma and C and the coin's recovery from d are taken from
-the pair's operators ``pair.ops``: its stored matrices, or for a pair
-held by its factors the reflections themselves, at O(n (k + c)) per
-column. For such a pair S vanishes outside span(G, Y), the span of the
-grading's and the coin's bases, so the certificate ``|S - (S B) B*|`` is
-measured there, on (k + c) x (k + c) matrices, and the report forms no
-n x n array; only the fallback on W = C^n reads the pair's matrices,
-which a factored pair forms up to ``chiral.DENSE_MAX_DIM``.
+On the compression, U's and q's side is computed on the walk's invariant
+subspace L = ran d* + Gamma ran d*, of dimension at most 2c for a coin
+space of dimension c, when certified (see :func:`_walk_subspace`), and
+on W = C^n otherwise. On L-perp the effective coin is -1, so U is -Gamma
+there (Gamma for a flipped coin) and q vanishes: L-perp adds the
+eigenvalues +-1 on ``L-perp & Gamma-+``, the effective census's birth
+spaces, and a zero block of q.
 
 The span checks that split ker(U -+ 1) and the kernels of the supercharge
-block into inherited and birth parts compare only the parts in W, of
-dimension at most 2c on L: both sides of each check add the same part of
-W-perp, one of the census's own spaces, so W-perp enters the report only
-by its two dimensions, in the counts and the index routes.
+block into inherited and birth parts compare only the parts in W: both
+sides of each check add the same part of W-perp, one of the census's own
+spaces, and of Z-perp, so both enter only by their dimensions.
 
 The projection-pair route, the index of (Gamma+, C+) plus that of
-(Gamma+, C-), shares only the coin's narrow basis d* with the census,
-and the product Gamma d* where the pair's operators formed it for the
-discriminant. On Halmos's reduction S = ran d* + Gamma ran d* it takes
-the eigenvalues of the compressed differences ``B* (Gamma -+ C) B / 2``,
-with B from its own SVD of ``[d*, Gamma d*]``, where the census takes
-principal-angle sines between the eigenspaces of Gamma and C. The two
-stay separate factorizations: merged into the census, the route would
-repeat the census's decisions instead of checking them.
+(Gamma+, C-), shares only the coin's narrow basis d* with the census. On
+Halmos's reduction S = ran d* + Gamma ran d* it takes the eigenvalues of
+the compressed differences ``B* (Gamma -+ C) B / 2``, with B from its
+own SVD of ``[d*, Gamma d*]``, where the census takes principal-angle
+sines between the eigenspaces of Gamma and C. The two stay separate
+factorizations: merged into the census, the route would repeat the
+census's decisions instead of checking them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chiral import ChiralPair, _coin_pair_index, _unit
+from .chiral import ChiralPair, _coin_pair_index, _Reduced, _unit
 from .errors import InconsistencyDetected
 from .linalg import (
     Subspace,
@@ -79,7 +67,6 @@ from .linalg import (
     _principal_order,
     _real_if_exact,
     _runs,
-    eig_unitary,
     kernel_basis,
     spans_match,
     subspace_intersection,
@@ -99,14 +86,12 @@ class CoisometryDecomposition:
     set, the effective coin is the negated coin, and every discriminant
     statement then refers to the pair (-evolution, grading). The
     ``discriminant`` is ``d @ gamma @ d*`` with the original grading, and
-    is a Hermitian contraction either way. ``gamma_lift`` is ``gamma @ d*``
-    where the pair's operators formed the discriminant from it, else None.
+    is a Hermitian contraction either way.
     """
 
     d: np.ndarray
     flipped: bool
     discriminant: np.ndarray
-    gamma_lift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def coin_space_dim(self) -> int:
@@ -178,17 +163,37 @@ def coisometry(pair: ChiralPair) -> CoisometryDecomposition:
     Chooses the smaller nonempty coin eigenspace as the coin space: the
     +1 eigenspace by default, the -1 eigenspace (recorded in ``flipped``)
     when the +1 eigenspace is empty or strictly larger. The flip leaves
-    the index unchanged because negating the evolution does.
+    the index unchanged because negating the evolution does. Made on the
+    pair's compression, it is lifted to C^n: a coin space that holds the
+    scalar block ends with a basis of it, where T is the grading's scalar.
     """
-    return _coisometry(pair, *pair.ops.spaces("coin", pair.tol))
+    reduced = pair.ops.reduced(pair)
+    dec = _coisometry(reduced, *reduced.pair.ops.spaces("coin", pair.tol))
+    if reduced.basis is None:
+        return dec
+    d, t = dec.d @ reduced.basis.conj().T, dec.discriminant
+    if _holds_block(reduced, dec):
+        d = np.vstack([d, Subspace(reduced.dim, complement=reduced.basis).basis.conj().T])
+        t = np.pad(t, (0, reduced.block))
+        t.flat[(len(t) + 1) * dec.coin_space_dim::len(t) + 1] = reduced.signs[0]
+    return CoisometryDecomposition(d=d, flipped=dec.flipped, discriminant=t)
 
 
-def _coisometry(pair: ChiralPair, coin_plus: Subspace,
+def _coisometry(reduced: _Reduced, coin_plus: Subspace,
                 coin_minus: Subspace) -> CoisometryDecomposition:
-    flipped = coin_plus.dim == 0 or 0 < coin_minus.dim < coin_plus.dim
+    """:func:`coisometry` on the compression, the side chosen by the whole pair's dimensions."""
+    block = reduced.block
+    plus = coin_plus.dim + block * (reduced.signs[1] > 0)
+    minus = coin_minus.dim + block * (reduced.signs[1] < 0)
+    flipped = plus == 0 or 0 < minus < plus
     d = (coin_minus if flipped else coin_plus).basis.conj().T
-    t, gamma_lift = pair.ops.discriminant(d)
-    return CoisometryDecomposition(d=d, flipped=flipped, discriminant=t, gamma_lift=gamma_lift)
+    return CoisometryDecomposition(d=d, flipped=flipped,
+                                   discriminant=d @ reduced.pair.gamma @ d.conj().T)
+
+
+def _holds_block(reduced: _Reduced, dec: CoisometryDecomposition) -> bool:
+    """Whether the coin space the coisometry chose holds the compression's scalar block."""
+    return reduced.block > 0 and reduced.signs[1] == (-1.0 if dec.flipped else 1.0)
 
 
 @dataclass(frozen=True)
@@ -248,12 +253,12 @@ class _Walk:
                      for side, a in zip(self.sides, (alpha, alpha.conj().T)))
 
 
-def _certificate_bound(pair: ChiralPair) -> float:
-    """Largest certificate residual with which the report runs on L."""
-    return pair.tol.structural * pair.dim
+def _certificate_bound(reduced: _Reduced) -> float:
+    """Largest certificate residual with which the report runs on L, at the whole pair's n."""
+    return reduced.tol.structural * reduced.dim
 
 
-def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
+def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspace,
                    dec: CoisometryDecomposition, eff: EigenspaceCensus,
                    outside_svd=_outside_svd) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
@@ -272,14 +277,14 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
     demands, so U's eigensolve on L does not measure it again; otherwise
     W is the whole space, with the dense factorizations and the n x n
-    ``S = (U - U*)/(2 unit)`` formed from ``pair.u``, which a factored
-    pair refuses beyond ``chiral.DENSE_MAX_DIM``. The last certificate
+    ``S = (U - U*)/(2 unit)`` formed from ``pair.u``. The last certificate
     matters for a pair whose unitarity error is coherent:
     :func:`make_pair` bounds ``U* U - 1`` entrywise, and a compression of
-    it can be n times larger.
+    it can be n times larger. Here the pair is the compression, and the
+    certificates are bounded at the whole pair's n.
     """
-    n, tol = pair.dim, pair.tol
-    if 4 * dec.coin_space_dim <= n:
+    pair, tol = reduced.pair, reduced.tol
+    if 4 * dec.coin_space_dim <= pair.dim:
         d_star = pair.ops.spaces("coin", tol)[int(dec.flipped)].basis
         ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
         b = np.hstack([
@@ -287,16 +292,21 @@ def _walk_subspace(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
-        unit, ops = _unit(pair), pair.ops
-        graded = ops.graded_products(b)
+        unit, u = _unit(pair), pair.u
+        gb = pair.gamma @ b
+        graded = (u @ b, u.conj().T @ b, u @ gb, u.conj().T @ gb)
         ub, uhb = graded[:2]
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
-        bound = _certificate_bound(pair)
+        bound = _certificate_bound(reduced)
+        # S - (S B) B*, formed in place as 2 unit (S - (S B) B*).
+        cert = (-2.0 * unit * sb) @ b.conj().T
+        cert += u
+        cert -= u.conj().T
         # The census cannot leave L more directions on a side of the grading
         # than G+-* d* has singular vectors; if it does, L is not used.
         if not (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
-                or ops.outside(sb, b, unit) > bound
+                or _maxabs(cert) / 2.0 > bound
                 or unitarity_residual(u_w) > tol.structural):
             eye, r = np.eye(b.shape[1]), ranks[0]
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
@@ -319,22 +329,21 @@ def _commutation_residuals(pair: ChiralPair, q: np.ndarray,
     the products of S and r with ``Gamma B`` from the last two, so neither
     is formed. On the whole space ``graded`` is empty and ``q`` is S.
     """
+    g, u = pair.gamma, pair.u
     if not graded:
-        g, u = pair.gamma, pair.u
         r = (u + u.conj().T) / 2.0
         return _maxabs(g @ q + q @ g), _maxabs(g @ r - r @ g)
-    ops = pair.ops
     ub, uhb, ug, uhg = graded
-    anti = ops.gamma(q)
+    anti = g @ q
     anti += (ug - uhg) / (2.0 * _unit(pair))
-    commute = ops.gamma((ub + uhb) / 2.0)
+    commute = g @ ((ub + uhb) / 2.0)
     commute -= (ug + uhg) / 2.0
     return _maxabs(anti), _maxabs(commute)
 
 
-def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Subspace,
+def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspace,
                          outside_svd=_outside_svd):
-    """Coisometry, census and discriminant eigensystem from one eigensolve each.
+    """Coisometry, census and discriminant eigensystem of the compression, one eigensolve each.
 
     Returns the coisometry decomposition, the census of the supplied
     pair and of the effective one (flipped with the coin), the
@@ -347,9 +356,9 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     inherited spaces still compares two factorizations. The intersections
     factorize ``(1 - P) B`` by ``outside_svd``.
     """
-    tol = pair.tol
-    coin_plus, coin_minus = pair.ops.spaces("coin", tol)
-    dec = _coisometry(pair, coin_plus, coin_minus)
+    tol = reduced.tol
+    coin_plus, coin_minus = reduced.pair.ops.spaces("coin", tol)
+    dec = _coisometry(reduced, coin_plus, coin_minus)
     counts = EigenspaceCensus(*(_intersection(g, c, tol, outside_svd) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
         (gamma_minus, coin_minus), (gamma_plus, coin_minus))))
@@ -358,8 +367,7 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
     w_t, v_t = _eigh(_real_if_exact(dec.discriminant))
     # Negating the coin swaps its eigenspaces, so inherited and birth
     # spaces trade places across the grading signs.
-    eff = EigenspaceCensus(counts.birth_minus, counts.birth_plus, counts.inherited_minus,
-                           counts.inherited_plus) if dec.flipped else counts
+    eff = _effective(counts, dec.flipped)
     top = w_t.size - eff.m_plus
     # Contiguous copies: a product with a strided view of the columns can
     # take another BLAS path and round differently.
@@ -369,12 +377,29 @@ def _discriminant_census(pair: ChiralPair, gamma_plus: Subspace, gamma_minus: Su
                                    w_t[eff.m_minus:top])
 
 
-def _span_check(name: str, pair: ChiralPair, span_pairs) -> CheckResult:
-    """Each pair of subspaces must coincide to within ``tol.structural * dim``."""
+def _effective(counts: EigenspaceCensus, flipped: bool) -> EigenspaceCensus:
+    """The census of the effective pair: negating the coin swaps its eigenspaces."""
+    return EigenspaceCensus(counts.birth_minus, counts.birth_plus, counts.inherited_minus,
+                            counts.inherited_plus) if flipped else counts
+
+
+# The grading and coin signs of the census's inherited_plus, inherited_minus,
+# birth_plus and birth_minus.
+_CENSUS_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _whole_census(reduced: _Reduced, counts: EigenspaceCensus) -> EigenspaceCensus:
+    """The census of the compression lifted to C^n, the scalar block joining its own space."""
+    return EigenspaceCensus(*(reduced.whole(space, signs == reduced.signs)
+                              for space, signs in zip(vars(counts).values(), _CENSUS_SIGNS)))
+
+
+def _span_check(name: str, reduced: _Reduced, span_pairs) -> CheckResult:
+    """Each pair of subspaces must coincide to within ``tol.structural * dim``, the whole n."""
     ok, worst = True, 0.0
     for a, b in span_pairs:
         same, residual = spans_match(a, b)
-        ok = ok and same and residual <= pair.tol.structural * pair.dim
+        ok = ok and same and residual <= reduced.tol.structural * reduced.dim
         worst = max(worst, residual)
     return CheckResult(name, ok, worst)
 
@@ -397,49 +422,68 @@ def _formula(counts: EigenspaceCensus) -> int:
     return (counts.M_minus - counts.m_minus) - (counts.M_plus - counts.m_plus)
 
 
-def _mean(values: np.ndarray):
-    """``np.mean`` of a cluster; of one value, the value itself.
+def _mean(values: np.ndarray, counts: np.ndarray):
+    """The mean of a cluster and its size, each value taken ``counts`` times.
 
-    ``np.mean`` sums from zero, so a lone -0.0 (or a complex value's
-    -0.0 part) comes back as 0.0; adding zero does the same.
+    With every count one it is ``np.mean``, and of one value the value
+    itself: ``np.mean`` sums from zero, so a lone -0.0 (or a complex
+    value's -0.0 part) comes back as 0.0; adding zero does the same.
     """
-    return values[0] + 0.0 if len(values) == 1 else np.mean(values)
+    if len(values) == 1:
+        return values[0] + 0.0, int(counts[0])
+    if (counts > 1).any():
+        return np.dot(counts, values) / counts.sum(), int(counts.sum())
+    return np.mean(values), len(values)
 
 
-def cluster_reals(values, gap: float) -> tuple[tuple[float, int], ...]:
-    """Group sorted real values whose consecutive gap is at most ``gap``."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    return tuple(
-        (float(_mean(vals[start:stop])), stop - start)
-        for start, stop in _cluster_slices(vals, gap)
-    )
+def _counted(values: np.ndarray, value, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, and ``value`` once for its ``count`` copies if it has any; each entry's count."""
+    counts = np.ones(values.size + bool(count), dtype=int)
+    if count:
+        values, counts[-1] = np.append(values, value), count
+    return values, counts
 
 
-def cluster_unimodular(values, gap: float) -> tuple[tuple[complex, int], ...]:
+def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], ...]:
+    """Group sorted real values whose consecutive gap is at most ``gap``.
+
+    ``counts``, when given, holds the number of copies of each value.
+    """
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    vals, counts = vals[order], (np.ones(vals.size, int) if counts is None else counts)[order]
+    return tuple((float(mean), size) for mean, size in (
+        _mean(vals[start:stop], counts[start:stop]) for start, stop in _cluster_slices(vals, gap)))
+
+
+def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, int], ...]:
     """Group unit-circle values by argument, merging across the branch cut.
 
     Representatives are cluster means renormalized to modulus one, and
-    the result is sorted by principal argument in (-pi, pi].
+    the result is sorted by principal argument in (-pi, pi]. ``counts``,
+    when given, holds the number of copies of each value.
     """
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         return ()
-    vals = vals[_principal_order(vals)]
+    order = _principal_order(vals)
+    vals, counts = vals[order], (np.ones(vals.size, int) if counts is None else counts)[order]
     # hypot rounds as scalar abs() does, so each <= gap decision is the
     # one a value-by-value comparison makes; a NaN distance breaks.
     steps = vals[1:] - vals[:-1]
-    groups = [vals[start:stop] for start, stop in
+    groups = [(vals[start:stop], counts[start:stop]) for start, stop in
               _runs(~(np.hypot(steps.real, steps.imag) <= gap), len(vals))]
-    if len(groups) > 1 and abs(complex(groups[0][0]) - complex(groups[-1][-1])) <= gap:
-        groups[0] = np.concatenate([groups.pop(), groups[0]])
+    if len(groups) > 1 and abs(complex(vals[0]) - complex(vals[-1])) <= gap:
+        last = groups.pop()
+        groups[0] = tuple(np.concatenate(parts) for parts in zip(last, groups[0]))
 
-    def normalized_mean(g: np.ndarray) -> complex:
-        rep = complex(_mean(g))
-        mag = abs(rep)
-        return rep / mag if mag > 0 else rep
+    def normalized_mean(g: np.ndarray, k: np.ndarray) -> tuple[complex, int]:
+        rep, size = _mean(g, k)
+        mag = abs(complex(rep))
+        return complex(rep) / mag if mag > 0 else complex(rep), size
 
-    out = [(normalized_mean(g), len(g)) for g in groups]
-    return tuple(out[k] for k in _principal_order([z for z, _ in out]))
+    out = [normalized_mean(*group) for group in groups]
+    return tuple(out[i] for i in _principal_order([z for z, _ in out]))
 
 
 def build_index_report(pair: ChiralPair) -> IndexReport:
@@ -449,10 +493,11 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     are recorded with their residuals. A discriminant eigenvalue beyond
     +-1 is judged by ``discriminant_contraction`` and clamped to +-1 for
     the spectral mapping. Use :func:`verify_spectral_mapping` to turn
-    failures into :class:`InconsistencyDetected`.
+    failures into :class:`InconsistencyDetected`. The report runs on the
+    pair's compression, its scalar block entered by counts.
     """
-    tol = pair.tol
-    n = pair.dim
+    reduced = pair.ops.reduced(pair)
+    pair, tol, n, block = reduced.pair, pair.tol, reduced.dim, reduced.block
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
@@ -460,20 +505,21 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # The census and the walk subspace share each principal-angle factorization.
     outside_svd = _OutsideSVDs()
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
-        _discriminant_census(pair, gamma_plus, gamma_minus, outside_svd)
-    walk = _walk_subspace(pair, gamma_plus, gamma_minus, dec, eff_counts, outside_svd)
+        _discriminant_census(reduced, gamma_plus, gamma_minus, outside_svd)
+    walk = _walk_subspace(reduced, gamma_plus, gamma_minus, dec, eff_counts, outside_svd)
     del outside_svd  # its n x k factors are not read again
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
-    # Gamma+- at -1, the order swapping when the coin was flipped. On L
-    # the walk's certificate has measured B* U B's unitarity, and on the
-    # whole space make_pair has measured U's; only a U that the pair's
-    # operators formed unchecked is checked here.
-    measured = walk.basis is not None or pair.ops.unitarity_measured
-    u_values, u_vectors = (_eig_unitary if measured else eig_unitary)(walk.u, tol)
+    # Gamma+- at -1, the order swapping when the coin was flipped; then the
+    # block's, counted. On L the walk's certificate has measured B* U B's
+    # unitarity, on the whole space make_pair has measured U's, and a
+    # compression is unitary to within its factors' Gram residuals.
+    u_values, u_vectors = _eig_unitary(walk.u, tol)
     out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
     w_dim = u_values.size
-    u_values = np.concatenate([u_values, np.ones(out_plus), -np.ones(out_minus)])
+    u_values, u_counts = _counted(
+        np.concatenate([u_values, np.ones(out_plus), -np.ones(out_minus)]),
+        reduced.signs[0] * reduced.signs[1], block)
     at_plus = _near_unit(u_values, 1.0, tol.rank)
     at_minus = _near_unit(u_values, -1.0, tol.rank)
     # ker(U -+ 1) & W, lifted; ker(U -+ 1) adds that sign's part of W-perp.
@@ -481,17 +527,24 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                                for at in (at_plus, at_minus))
     interior_u = u_values[~(at_plus | at_minus)]
 
-    # Coisometry identities. The effective coin is recovered as 2 d* d - 1.
+    # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
+    # with the identity subtracted in place, which rounds as subtracting
+    # np.eye(n) does, and the coin added in place (its negation subtracted
+    # exactly). On the block both sides are the coin's scalar.
     res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
-    res = pair.ops.coin_recovery(dec.d, dec.flipped)
+    recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
+    recovered.flat[::pair.dim + 1] -= 1.0
+    res = _maxabs((np.add if dec.flipped else np.subtract)(recovered, pair.coin, out=recovered))
     checks.append(CheckResult("coisometry_recovers_coin", res <= tol.structural * n, res))
     res = _maxabs(dec.discriminant - dec.discriminant.conj().T)
     # T = d Gamma d* is a compression: a coherent error of Gamma's entries
     # adds up to n times larger in T's.
     checks.append(CheckResult("discriminant_hermitian", res <= tol.structural * n, res))
 
-    norm_t = float(np.max(np.abs(w_t))) if w_t.size else 0.0
+    t_values, t_counts = _counted(w_t, reduced.signs[0],
+                                  block if _holds_block(reduced, dec) else 0)
+    norm_t = float(np.max(np.abs(t_values))) if t_values.size else 0.0
     res = max(0.0, norm_t - 1.0)
     # The compression has |T|_2 <= |Gamma|_2, and |Gamma|_2^2 <= 1 + n r for
     # Gamma's unitarity residual r <= tol.structural (nu in
@@ -510,23 +563,23 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # also gives the spectrum of H = q*q and, split by the grading, its
     # kernel. W-perp lies in both kernels, so they are compared on W.
     ker_q_w, sigma_q, ker_q_plus, ker_q_minus = walk.supercharge_kernel(tol)
-    ker_q_dim = ker_q_w.dim + n - w_dim
+    ker_q_dim = ker_q_w.dim + pair.dim - w_dim
     ker_u_squared = Subspace(
         w_dim, _real_if_exact(u_vectors[:, _near_unit(u_values**2, 1.0, tol.rank)[:w_dim]]))
     checks.append(_span_check(
-        "supercharge_kernel_matches_squared_evolution", pair, ((ker_q_w, ker_u_squared),)))
+        "supercharge_kernel_matches_squared_evolution", reduced, ((ker_q_w, ker_u_squared),)))
 
     # The kernels of alpha and of q on each side of the grading, and the
     # unit eigenspaces, each add the same part of W-perp on both sides of
     # their span checks, so each check compares the parts in W only.
     ker_alpha, ker_alpha_star = walk.alpha_kernels(tol)
-    checks.append(_span_check("alpha_kernel_graded_intersection", pair, (
+    checks.append(_span_check("alpha_kernel_graded_intersection", reduced, (
         (ker_alpha, ker_q_plus), (ker_alpha_star, ker_q_minus))))
 
     # Discriminant eigenspace lifts (flip aware).
-    checks.append(_span_check("inherited_spaces_lift", pair, (
-        (Subspace(n, lift_t_plus), eff_counts.inherited_plus),
-        (Subspace(n, lift_t_minus), eff_counts.inherited_minus))))
+    checks.append(_span_check("inherited_spaces_lift", reduced, (
+        (Subspace(pair.dim, lift_t_plus), eff_counts.inherited_plus),
+        (Subspace(pair.dim, lift_t_minus), eff_counts.inherited_minus))))
 
     # ker(U -+ 1) splits into orthogonal inherited and birth parts. On L
     # the part in L-perp, the effective census's birth space, is left out:
@@ -535,8 +588,8 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     inside = slice(int(dec.flipped), int(dec.flipped) + 1) if on_l else slice(None)
     sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
                (counts.inherited_minus, counts.birth_minus, ker_u_minus))
-    split = _span_check("unit_eigenspace_split", pair, [
-        (_sum(n, (inherited, birth)[inside]), eigenspace)
+    split = _span_check("unit_eigenspace_split", reduced, [
+        (_sum(pair.dim, (inherited, birth)[inside]), eigenspace)
         for inherited, birth, eigenspace in sources])
     cross = max(_overlap(inherited, birth) for inherited, birth, _ in sources)
     checks.append(CheckResult("unit_eigenspace_split",
@@ -545,21 +598,24 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Kernel of the supercharge block: discriminant lift plus birth space,
     # which on L is L-perp's part and is left out.
-    checks.append(_span_check("alpha_kernel_decomposition", pair, [
-        (_span(walk.lift(kernel.basis)), _sum(n, (Subspace(n, lift_t), birth)[:1 if on_l else 2]))
+    checks.append(_span_check("alpha_kernel_decomposition", reduced, [
+        (_span(walk.lift(kernel.basis)),
+         _sum(pair.dim, (Subspace(pair.dim, lift_t), birth)[:1 if on_l else 2]))
         for kernel, lift_t, birth in ((ker_alpha, lift_t_plus, eff_counts.birth_minus),
                                       (ker_alpha_star, lift_t_minus, eff_counts.birth_plus))]))
 
-    # Spectra.
+    # Spectra, the block's zeros of H counted.
     w_h = sigma_q[::-1] ** 2
-    spectrum_u = cluster_unimodular(u_values, tol.cluster)
-    spectrum_t = cluster_reals(w_t, tol.cluster)
-    spectrum_h = cluster_reals(w_h, tol.cluster)
+    spectrum_u = cluster_unimodular(u_values, tol.cluster, u_counts)
+    spectrum_t = cluster_reals(t_values, tol.cluster, t_counts)
+    h_values, h_counts = _counted(w_h, 0.0, block)
+    spectrum_h = cluster_reals(h_values, tol.cluster, h_counts)
 
     # Multiplicities at +-1 must match the census.
-    unit_plus, unit_minus = int(at_plus.sum()), int(at_minus.sum())
-    res = float(abs(unit_plus - counts.m_plus - counts.M_plus)
-                + abs(unit_minus - counts.m_minus - counts.M_minus))
+    census = _whole_census(reduced, counts)
+    unit_plus, unit_minus = (int(u_counts[at].sum()) for at in (at_plus, at_minus))
+    res = float(abs(unit_plus - census.m_plus - census.M_plus)
+                + abs(unit_minus - census.m_minus - census.M_minus))
     checks.append(CheckResult("unit_eigenvalue_counts", res == 0.0, res))
 
     # Spectral mapping away from +-1, with multiplicity bookkeeping. The
@@ -598,8 +654,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
             "spectral_mapping_multiplicities", ok, mapping_residual))
 
     # Squared supercharge spectrum: doubled 1 - t^2 plus a zero block,
-    # which is ker q under the cutoff that decided it.
+    # which is ker q under the cutoff that decided it, and the block's zeros.
     nonzero_h = w_h[ker_q_dim:]
+    ker_q_dim += block
     expected_zero = unit_plus + unit_minus
     expected_nonzero = np.sort(np.concatenate([1.0 - interior_t**2] * 2)) \
         if interior_t.size else np.empty(0)
@@ -614,12 +671,13 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         checks.append(CheckResult(
             "squared_supercharge_spectrum", res <= tol.cluster, res))
 
-    # The four index routes.
-    shift = walk.outside[0] - walk.outside[1]
+    # The four index routes; the block adds its dimension on the side of
+    # its grading sign to each.
+    shift = walk.outside[0] - walk.outside[1] + reduced.shift
     ia = ker_alpha.dim - ker_alpha_star.dim + shift
     iw = ker_q_plus.dim - ker_q_minus.dim + shift
-    ifm = _formula(counts)
-    sig = gamma_plus.dim - gamma_minus.dim
+    ifm = _formula(census)
+    sig = gamma_plus.dim - gamma_minus.dim + reduced.shift
     routes = (ia, iw, ifm, sig)
     res = float(max(routes) - min(routes))
     checks.append(CheckResult("index_routes_agree", res == 0.0, res))
@@ -629,7 +687,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     # the differences (compressed to ran d* + Gamma ran d* when d* is
     # narrow), not principal-angle sines: a factorization of its own, so
     # it cross-checks the census rather than repeating it.
-    pp = _coin_pair_index(pair, dec.d.conj().T, -1.0 if dec.flipped else 1.0, dec.gamma_lift)
+    pp = _coin_pair_index(pair, dec.d.conj().T, -1.0 if dec.flipped else 1.0) + reduced.shift
     checks.append(CheckResult(
         "projection_pair_identity", pp == ia, float(abs(pp - ia))))
 
@@ -641,8 +699,8 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Strict contraction: no inherited eigenvalues, index from birth counts.
     if norm_t < 1.0 - tol.cluster:
-        res = float(eff_counts.m_plus + eff_counts.m_minus
-                    + abs(ia - eff_counts.M_minus + eff_counts.M_plus))
+        eff = _effective(census, dec.flipped)
+        res = float(eff.m_plus + eff.m_minus + abs(ia - eff.M_minus + eff.M_plus))
         checks.append(CheckResult("small_discriminant_norm_case", res == 0.0, res))
 
     # Balanced grading forces index zero.
@@ -674,7 +732,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         index_witten=iw,
         index_formula=ifm,
         gamma_signature=sig,
-        census=counts,
+        census=census,
         spectrum_u=spectrum_u,
         spectrum_t=spectrum_t,
         spectrum_h=spectrum_h,

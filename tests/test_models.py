@@ -14,7 +14,7 @@ from chiralwalk.errors import (
     OutOfRange,
     ParamInvariantViolated,
 )
-from chiralwalk.linalg import _identity_residual, unitarity_residual
+from chiralwalk.linalg import _identity_residual, spans_match, unitarity_residual
 from chiralwalk.models import (
     Graph,
     SplitStepParams,
@@ -196,7 +196,8 @@ class TestFactoredPair:
         pair = grover_search(3, 5)
         n = pair.dim
         assert n == 16 and pair.dtype == np.float64
-        (g_plus, g_minus), (c_plus, c_minus) = (r.spaces() for r in pair.ops)
+        reduced = pair.ops.reduced(pair)
+        (g_plus, g_minus), (c_plus, c_minus) = (reduced.spaces(name) for name in ("gamma", "coin"))
         assert (g_plus.dim, g_minus.dim, c_plus.dim, c_minus.dim) == (2, n - 2, n - 1, 1)
         assert g_minus.by_complement and c_plus.by_complement
         # The dense matrices, formed on first read, are those the
@@ -221,32 +222,52 @@ class TestFactoredPair:
         with pytest.raises(ValueError, match="sign"):
             make_factored_pair(Reflection(basis, 0.5), coin)
 
-    def test_complex_factors_give_the_dense_pair_report(self):
-        # A complex grading basis of three columns and a two-column coin
-        # basis: the factored report is the dense pair's, to within 1e-12.
-        rng = np.random.default_rng(8)
-        n = 96
-        z = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
-        g_basis = np.linalg.qr(z[:, :3])[0]
-        c_basis = np.linalg.qr(z[:, 3:])[0]
-        pair = make_factored_pair(Reflection(g_basis, -1.0), Reflection(c_basis, 1.0))
-        assert pair.dtype == np.complex128
-        factored = _report_summary(build_index_report(pair))
-        dense = _report_summary(build_index_report(make_pair(pair.u, pair.gamma)))
-        assert factored[0] == dense[0] and factored[0][5]
-        for a, b in zip(factored[1:], dense[1:]):
+    @pytest.mark.parametrize("n, k, c, s, t, real, seed", [
+        pytest.param(*case, id="n{}-k{}-c{}-s{:+d}-t{:+d}-{}".format(
+            *case[:5], "real" if case[5] else "complex"))
+        for case in [
+            # An empty grading basis, an empty coin basis, and both empty.
+            (16, 0, 3, 1, -1, True, 1), (16, 3, 0, -1, 1, False, 2), (8, 0, 0, 1, 1, True, 3),
+            # A coin wider than n/2: the flipped coin space holds Z-perp.
+            (16, 3, 12, 1, 1, True, 4), (16, 3, 12, -1, 1, False, 5),
+            (16, 3, 12, 1, -1, False, 6),
+            # Both signs of the grading and of the coin, real and complex.
+            (32, 4, 5, 1, 1, False, 7), (32, 4, 5, 1, -1, True, 8),
+            (32, 4, 5, -1, 1, True, 9), (32, 4, 5, -1, -1, False, 10),
+            # Twins that take the narrow routes.
+            (64, 2, 40, 1, -1, True, 11), (64, 2, 40, -1, 1, False, 12),
+            (96, 3, 2, -1, 1, False, 8), (96, 20, 4, 1, -1, True, 13)]])
+    def test_factors_give_the_dense_pair_report(self, n, k, c, s, t, real, seed):
+        # The factored pair's report, index_alpha and coisometry, taken on
+        # its compression to span(G, Y) with Z-perp counted, are its dense
+        # twin's: the same integers, booleans and check names, and floats,
+        # census spaces and coin space to within 1e-12.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, k + c))
+        if not real:
+            z = z + 1j * rng.standard_normal((n, k + c))
+        pair = make_factored_pair(Reflection(np.linalg.qr(z[:, :k])[0], float(s)),
+                                  Reflection(np.linalg.qr(z[:, k:])[0], float(t)))
+        twin = make_pair(pair.u, pair.gamma)
+        assert pair.dtype == (np.float64 if real else np.complex128)
+        report, dense = build_index_report(pair), build_index_report(twin)
+        factored, want = _report_summary(report), _report_summary(dense)
+        assert factored[0] == want[0] and report.consistent
+        for a, b in zip(factored[1:], want[1:]):
             assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-12
-        assert index_alpha(pair) == index_alpha(make_pair(pair.u, pair.gamma)) == n - 2 * 3
-
-    def test_dense_fallback_is_refused_beyond_the_dense_limit(self, monkeypatch):
-        # Where a certificate of the report fails, the report falls back to
-        # the dense matrices; for a factored pair beyond DENSE_MAX_DIM it
-        # raises OutOfRange instead of forming them.
-        monkeypatch.setattr(chiral, "DENSE_MAX_DIM", 64)
-        monkeypatch.setattr(chiral.Factors, "outside", lambda self, sb, b, unit: np.inf)
-        build_index_report(grover_search(4, 3))
-        with pytest.raises(OutOfRange, match="up to dimension 64"):
-            build_index_report(grover_search(6, 3))
+        for name in ("inherited_plus", "inherited_minus", "birth_plus", "birth_minus"):
+            same, residual = spans_match(getattr(report.census, name),
+                                         getattr(dense.census, name))
+            assert same and residual <= 1e-12, name
+        assert index_alpha(pair) == index_alpha(twin) == report.index_alpha
+        got, expected = coisometry(pair), coisometry(twin)
+        assert got.flipped == expected.flipped == report.flipped
+        assert got.d.shape == expected.d.shape
+        assert np.abs(got.d @ got.d.conj().T - np.eye(len(got.d))).max(initial=0.0) <= 1e-12
+        assert np.abs(got.d.conj().T @ got.d - expected.d.conj().T @ expected.d).max(
+            initial=0.0) <= 1e-12
+        assert np.abs(np.linalg.eigvalsh(got.discriminant)
+                      - np.linalg.eigvalsh(expected.discriminant)).max(initial=0.0) <= 1e-12
 
     def test_large_factored_pair_refuses_its_matrices_without_allocating(self):
         # From the first qubit count past DENSE_MAX_DIM, reading u, gamma or

@@ -66,13 +66,26 @@ OTHERS = [
 
 
 def _walk(pair):
-    plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
-    dec, _, eff, _, _ = spectral._discriminant_census(pair, plus, minus)
-    return spectral._walk_subspace(pair, plus, minus, dec, eff)
+    """The walk subspace of the pair's compression: the pair itself for a stored pair."""
+    reduced = pair.ops.reduced(pair)
+    plus, minus = linalg._involution_eigenspaces(reduced.pair.gamma, pair.tol)
+    dec, _, eff, _, _ = spectral._discriminant_census(reduced, plus, minus)
+    return spectral._walk_subspace(reduced, plus, minus, dec, eff)
 
 
 def _takes_reduced_path(pair):
     return _walk(pair).basis is not None
+
+
+def _runs_on_a_subspace(pair):
+    """Whether the report runs on L, or on the compression of a pair held by its factors."""
+    return _takes_reduced_path(pair) or pair.ops.reduced(pair).basis is not None
+
+
+def _dense_search(qubits, target):
+    """The search pair rebuilt by make_pair from its dense matrices, so it is held by them."""
+    search = grover_search(qubits, target)
+    return make_pair(search.u, search.gamma)
 
 
 def _nullity(m, rank_tol):
@@ -85,7 +98,7 @@ def _multiplicity_at(spectrum, value):
 
 
 def _assert_matches_dense_oracles(pair):
-    assert _takes_reduced_path(pair)
+    assert _runs_on_a_subspace(pair)
     tol = pair.tol
     report = build_index_report(pair)
     assert all(c.passed for c in report.checks) and report.consistent
@@ -204,10 +217,12 @@ NARROW_LARGE = [
 ])
 def test_failed_certificate_falls_back_to_the_dense_report(monkeypatch, build):
     # With no certificate accepted, W is the whole space and every
-    # factorization is the dense one; the report must say the same.
+    # factorization is the dense one; the report of the pair rebuilt from
+    # its dense matrices, a search pair's dense twin, must say the same.
     pair = build()
     reduced = build_index_report(pair)
-    monkeypatch.setattr(spectral, "_certificate_bound", lambda pair: -1.0)
+    monkeypatch.setattr(spectral, "_certificate_bound", lambda reduced: -1.0)
+    pair = make_pair(pair.u, pair.gamma)
     assert not _takes_reduced_path(pair)
     dense = build_index_report(pair)
     assert _summary(dense) == _summary(reduced)
@@ -287,12 +302,14 @@ def test_lifted_kernel_of_the_block_on_invariant_subspace(qubits):
     # The report takes ker alpha* from the c x c block on L; lifted and
     # joined by L-perp & Gamma-, the census's birth space, it must span
     # what G- ker(G+* q G-) spans, with the block formed on the whole space.
-    pair = grover_search(qubits, 1)
+    # The search pair is rebuilt from its dense matrices, which the report
+    # reads on L; held by its factors it runs on its compression.
+    pair = _dense_search(qubits, 1)
     walk = _walk(pair)
     assert walk.basis.shape == (pair.dim, 2)
     inside = walk.lift(walk.alpha_kernels(pair.tol)[1].basis)
     plus, minus = linalg._involution_eigenspaces(pair.gamma, pair.tol)
-    eff = spectral._discriminant_census(pair, plus, minus)[2]
+    eff = spectral._discriminant_census(pair.ops.reduced(pair), plus, minus)[2]
     lifted = np.hstack([inside, eff.birth_plus.basis])
     alpha = minus.basis.conj().T @ supercharge(pair) @ plus.basis
     oracle = minus.basis @ linalg.kernel_basis(alpha.conj().T, pair.tol).basis
@@ -452,14 +469,15 @@ def test_span_checks_on_invariant_subspace_are_live(monkeypatch, build):
         assert all(bound < residual < 1e-5 for residual in failed.values()), name
 
 
-@pytest.mark.parametrize("build", [*LIVE, pytest.param(lambda: grover_search(6, 3), id="search-6")])
+@pytest.mark.parametrize("build", [*LIVE, pytest.param(lambda: _dense_search(6, 3), id="search-6")])
 def test_walk_unitarity_is_measured_once_on_the_invariant_subspace(monkeypatch, build):
     # The walk's certificate takes B* U B's unitarity residual, and U's
     # eigensolve on L does not take it again.
     pair = build()
+    reduced = pair.ops.reduced(pair)
     plus, minus = pair.ops.spaces("gamma", pair.tol)
-    dec, _, eff, _, _ = spectral._discriminant_census(pair, plus, minus)
-    walk = spectral._walk_subspace(pair, plus, minus, dec, eff)
+    dec, _, eff, _, _ = spectral._discriminant_census(reduced, plus, minus)
+    walk = spectral._walk_subspace(reduced, plus, minus, dec, eff)
     assert walk.basis is not None
     gram = walk.u.conj().T @ walk.u
     products = []
@@ -474,10 +492,11 @@ def test_walk_unitarity_is_measured_once_on_the_invariant_subspace(monkeypatch, 
 
 
 def test_search_report_forms_each_reflection_and_factorization_once(monkeypatch):
-    # On a q = 7 search pair, U* B = C (Gamma B) gives the commutation
-    # residuals Gamma B and U Gamma B = Gamma (U* B), the discriminant's
-    # Gamma d* feeds the projection-pair route, and the census's two
-    # intersections and the walk subspace share the SVD of (1 - G G*) Y.
+    # A q = 7 search report compresses the pair to Z = span(Y, G), which
+    # takes the one SVD with n rows, of (1 - Y Y*) G, and applies neither
+    # reflection to a length-n array: the grading and the coin enter Z's
+    # coordinates through the products Z* G and Z* Y. Every other SVD is of
+    # the 3 x 3 compression or smaller.
     pair = grover_search(7, 9)
     svds, reflections = [], []
 
@@ -492,21 +511,16 @@ def test_search_report_forms_each_reflection_and_factorization_once(monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(chiral.Reflection, "__call__", reflect)
     assert build_index_report(pair).consistent
-    assert len(svds) == 8 and svds.count((pair.dim, 1)) == 1
-    assert len(reflections) == 12
+    assert svds[0] == (pair.dim, 2) and all(max(shape) <= 3 for shape in svds[1:])
+    assert reflections == []
 
 
 @pytest.mark.parametrize("build, measured", [
-    pytest.param(lambda: make_pair(*_small_pair(6)), 0, id="stored"),
-    pytest.param(lambda: chiral.make_factored_pair(
-        chiral.Reflection(np.linalg.qr(np.random.default_rng(8).standard_normal((8, 3)))[0], 1.0),
-        chiral.Reflection(np.linalg.qr(np.random.default_rng(9).standard_normal((8, 3)))[0], -1.0)),
-        1, id="factored")])
+    pytest.param(lambda: make_pair(*_small_pair(6)), 0, id="stored")])
 def test_dense_report_measures_unitarity_only_of_an_unchecked_evolution(monkeypatch, build,
                                                                         measured):
     # On W = C^n, make_pair has measured U* U - 1 of a stored pair, and the
-    # report does not form U* U again; a factored pair's U, formed from its
-    # factors, is measured once.
+    # report does not form U* U again.
     pair = build()
     assert _walk(pair).basis is None
     gram = pair.u.conj().T @ pair.u

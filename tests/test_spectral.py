@@ -312,19 +312,15 @@ class TestReportStructure:
                    for c in report.checks)
 
     def test_factorization_budget(self, monkeypatch):
-        # Each operator is factorized once per report, and a degenerate
-        # +-1 eigenspace costs what its complement costs. The evolution
-        # and the supercharge are factorized only on the walk's invariant
-        # subspace L = ran d* + Gamma ran d* (dimension 2 for search), the
-        # eigenspaces of Gamma and C come from their narrow sides (dims 2
-        # and 1), each wide side is held by its narrow complement and no
-        # n x (n - k) basis is written, and the projection-pair route's
-        # eigvalsh of (Gamma -+ C)/2 come from their compressions to
-        # S = ran d* + Gamma ran d*, so from n = 64 no factorization has
-        # both dimensions above n/2. An eigensolve of Gamma or C, a dense
-        # evolution eigensolve, a full-size SVD of q, an eigh with
-        # discarded vectors, an n x n eigvalsh, a complete QR or the basis
-        # of a subspace held by its complement shows here.
+        # A search pair is held by its factors, the narrow bases G (k = 2)
+        # and Y (c = 1) of Gamma and C, and its report runs on the
+        # compression to Z = span(Y, G), of dimension k + c = 3, with the
+        # scalar block on Z-perp counted. So the one factorization with n
+        # rows is the SVD of (1 - Y Y*) G that gives Z's basis; every other
+        # one is at most (k + c) x (k + c), and no QR has n rows. An
+        # eigensolve of Gamma or C, a dense evolution eigensolve, an SVD of
+        # q, an n x n eigvalsh or the basis of a subspace held by its
+        # complement shows here.
         calls = []
         for name in ("svd", "eigh", "eigvalsh", "qr"):
             def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -336,57 +332,28 @@ class TestReportStructure:
             monkeypatch.setattr(np.linalg, name, recorded)
         spans = _record_span_checks(monkeypatch)
         for qubits in (5, 6, 7):
-            # Counted across the build and the report: the pair is held by
-            # its factors, whose bases are the narrow sides of Gamma and C,
-            # so neither the build nor the report factorizes either.
+            # Counted across the build and the report: the build factorizes
+            # nothing.
             calls.clear()
             pair = grover_search(qubits, 0)
             n = pair.dim
             assert isinstance(pair.ops, Factors) and calls == []
             spans.clear()
             report = build_index_report(pair)
-            assert not any(call[1] == "_narrow_eigenspaces" for call in calls)
             assert report.consistent and report.census.m_minus == n - 3
-            # Every span check compares subspaces of dimension at most
-            # dim L = 2.
-            assert spans and max(s.dim for s in spans) <= 2
-            # The census's Gamma- & C+ is held by its complement, and no
-            # basis of such a subspace is formed: that takes a complete QR,
-            # and every QR below is a reduced one.
+            # Every span check compares subspaces of Z, of dimension at most 3.
+            assert spans and max(s.ambient_dim for s in spans) <= 3
+            # The census's Gamma- & C+ holds Z-perp and is held by its
+            # complement in Z; no basis of it is formed.
             assert report.census.inherited_minus.by_complement
+            assert report.census.inherited_minus.complement.shape == (n, 3)
+            tall = [(name, caller, a.shape) for name, caller, a, _ in calls if len(a) == n]
+            assert tall == [("svd", "reduced", (n, 2))]
+            assert all(max(a.shape) <= 3 for _, _, a, _ in calls[1:])
+            assert not [a for name, _, a, _ in calls if name == "qr" and len(a) == n]
             counts = {name: sum(call[0] == name for call in calls)
-                      for name in ("svd", "eigh", "eigvalsh")}
-            assert counts["svd"] <= 10 and counts["eigh"] <= 3 and counts["eigvalsh"] == 2
-            # One reduced QR, which orthonormalizes the complement of the
-            # census's Gamma- & C+; Gamma's and C's narrow sides are the
-            # factors' bases, and take none. L-perp & Gamma+- are the
-            # census's birth spaces, which the span checks leave out on both
-            # sides, so no check takes a QR of its own.
-            qrs = [(a.shape, mode) for name, _, a, mode in calls if name == "qr"]
-            assert [mode for _, mode in qrs] == ["reduced"]
-            assert all(rows == n and cols <= 3 for (rows, cols), _ in qrs)
-            # The SVD of q B, then those of the supercharge block and its
-            # adjoint, formed on L & Gamma+- with both sides at most dim L.
-            kernel_svds = [a.shape for name, caller, a, _ in calls
-                           if (name, caller) == ("svd", "_rank_svd")]
-            assert kernel_svds[0] == (n, 2)
-            assert len(kernel_svds) == 3 and all(max(shape) <= 2 for shape in kernel_svds[1:])
-            assert not [call for call in calls if min(call[2].shape) > n / 2]
-            # The route's own SVD of [d*, Gamma d*], then the eigenvalues of
-            # the two 2 x 2 compressions of (Gamma -+ C)/2.
-            route = [(name, a.shape) for name, caller, a, _ in calls
-                     if caller == "_compressed_coin_pair_index"]
-            assert route == [("svd", (n, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (2, 2))]
-            # The census's sines come from matrices with at most 2 columns
-            # or rows: the small ones its intersections factorize, and the
-            # (1 - G G*) Y it shares with the walk subspace, made once.
-            shapes = [a.shape for name, caller, a, _ in calls
-                      if name == "svd" and caller in ("_intersection", "_outside_svd")]
-            assert shapes and max(min(shape) for shape in shapes) <= 2
-            assert sum(caller == "_outside_svd" for _, caller, _, _ in calls) == 1
-            complex_eighs = [a.shape for name, _, a, _ in calls
-                             if name == "eigh" and a.dtype == np.complex128]
-            assert complex_eighs and all(shape == (2, 2) for shape in complex_eighs)
+                      for name in ("svd", "eigh", "eigvalsh", "qr")}
+            assert counts == {"svd": 10, "eigh": 5, "eigvalsh": 2, "qr": 1}
 
     def test_span_checks_on_a_wide_grading_compare_narrow_bases(self, monkeypatch):
         # A random complex pair with a balanced grading and a narrow coin:
