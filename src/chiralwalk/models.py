@@ -24,13 +24,14 @@ from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
 # A search pair on q qubits has dimension n = 2^(q + 1) and is held by its
-# factors, an n x 2 grading basis and an n x 1 coin basis: no n x n array
-# is formed, and the report's products, factorizations and length-n
-# arrays cost O(n) time and memory each. The limit is measured against a
-# budget of about a second and 256 MiB for the command (1 BLAS thread):
-# at q = 18 (n = 2^19) the command takes 0.39 to 0.46 s with a peak RSS
-# of 158 MiB; at q = 19 it takes 0.95 to 1.07 s with a peak RSS of
-# 282 MiB, over the memory budget.
+# factors, an n x 2 grading basis and an n x 1 coin basis. Its report runs
+# on the 3 x 3 compression to the span of the two bases, with the scalar
+# block on the complement counted: the only length-n work is one n x 2
+# SVD and products with the n x 3 basis of the span, O(n) time and memory.
+# Against a budget of about a second and 256 MiB for the command (1 BLAS
+# thread), q = 18 (n = 2^19) takes 0.26 s with a peak RSS of 74 MiB; with
+# the limit lifted, q = 19 takes 0.23 to 0.33 s and 114 MiB and q = 20
+# 0.39 to 0.45 s and 193 MiB. Raising the limit is left to a change of its own.
 MAX_SEARCH_QUBITS = 18
 # The probability table builds no pair: it holds the search state, 16 * 2^q
 # bytes, and one step's copy of it. The limit keeps the state at 16 MiB

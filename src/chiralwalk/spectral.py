@@ -388,12 +388,6 @@ def _effective(counts: EigenspaceCensus, flipped: bool) -> EigenspaceCensus:
 _CENSUS_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
-def _whole_census(reduced: _Reduced, counts: EigenspaceCensus) -> EigenspaceCensus:
-    """The census of the compression lifted to C^n, the scalar block joining its own space."""
-    return EigenspaceCensus(*(reduced.whole(space, signs == reduced.signs)
-                              for space, signs in zip(vars(counts).values(), _CENSUS_SIGNS)))
-
-
 def _span_check(name: str, reduced: _Reduced, span_pairs) -> CheckResult:
     """Each pair of subspaces must coincide to within ``tol.structural * dim``, the whole n."""
     ok, worst = True, 0.0
@@ -422,26 +416,25 @@ def _formula(counts: EigenspaceCensus) -> int:
     return (counts.M_minus - counts.m_minus) - (counts.M_plus - counts.m_plus)
 
 
-def _mean(values: np.ndarray, counts: np.ndarray):
-    """The mean of a cluster and its size, each value taken ``counts`` times.
+def _mean(values: np.ndarray, counts: np.ndarray | None = None):
+    """The mean of a cluster and its size, each value taken ``counts`` times when given.
 
-    With every count one it is ``np.mean``, and of one value the value
-    itself: ``np.mean`` sums from zero, so a lone -0.0 (or a complex
-    value's -0.0 part) comes back as 0.0; adding zero does the same.
+    Without counts it is ``np.mean``, and of one value the value itself:
+    ``np.mean`` sums from zero, so a lone -0.0 (or a complex value's -0.0
+    part) comes back as 0.0; adding zero does the same.
     """
-    if len(values) == 1:
-        return values[0] + 0.0, int(counts[0])
-    if (counts > 1).any():
+    if counts is not None:
         return np.dot(counts, values) / counts.sum(), int(counts.sum())
-    return np.mean(values), len(values)
+    return (values[0] + 0.0 if len(values) == 1 else np.mean(values)), len(values)
 
 
-def _counted(values: np.ndarray, value, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``values``, and ``value`` once for its ``count`` copies if it has any; each entry's count."""
-    counts = np.ones(values.size + bool(count), dtype=int)
-    if count:
-        values, counts[-1] = np.append(values, value), count
-    return values, counts
+def _counted(values: np.ndarray, value, count: int):
+    """``values`` with ``value`` once for its ``count`` copies, and each count, None if none."""
+    if not count:
+        return values, None
+    counts = np.ones(values.size + 1, dtype=int)
+    counts[-1] = count
+    return np.append(values, value), counts
 
 
 def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], ...]:
@@ -451,9 +444,10 @@ def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], .
     """
     vals = np.asarray(values, dtype=float)
     order = np.argsort(vals, kind="stable")
-    vals, counts = vals[order], (np.ones(vals.size, int) if counts is None else counts)[order]
+    vals, counts = vals[order], None if counts is None else counts[order]
     return tuple((float(mean), size) for mean, size in (
-        _mean(vals[start:stop], counts[start:stop]) for start, stop in _cluster_slices(vals, gap)))
+        _mean(vals[start:stop], None if counts is None else counts[start:stop])
+        for start, stop in _cluster_slices(vals, gap)))
 
 
 def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, int], ...]:
@@ -467,17 +461,18 @@ def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, 
     if vals.size == 0:
         return ()
     order = _principal_order(vals)
-    vals, counts = vals[order], (np.ones(vals.size, int) if counts is None else counts)[order]
+    vals, counts = vals[order], None if counts is None else counts[order]
     # hypot rounds as scalar abs() does, so each <= gap decision is the
     # one a value-by-value comparison makes; a NaN distance breaks.
     steps = vals[1:] - vals[:-1]
-    groups = [(vals[start:stop], counts[start:stop]) for start, stop in
-              _runs(~(np.hypot(steps.real, steps.imag) <= gap), len(vals))]
+    groups = [(vals[start:stop], None if counts is None else counts[start:stop])
+              for start, stop in _runs(~(np.hypot(steps.real, steps.imag) <= gap), len(vals))]
     if len(groups) > 1 and abs(complex(vals[0]) - complex(vals[-1])) <= gap:
         last = groups.pop()
-        groups[0] = tuple(np.concatenate(parts) for parts in zip(last, groups[0]))
+        groups[0] = tuple(None if a is None else np.concatenate([a, b])
+                          for a, b in zip(last, groups[0]))
 
-    def normalized_mean(g: np.ndarray, k: np.ndarray) -> tuple[complex, int]:
+    def normalized_mean(g: np.ndarray, k: np.ndarray | None) -> tuple[complex, int]:
         rep, size = _mean(g, k)
         mag = abs(complex(rep))
         return complex(rep) / mag if mag > 0 else complex(rep), size
@@ -611,9 +606,12 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     h_values, h_counts = _counted(w_h, 0.0, block)
     spectrum_h = cluster_reals(h_values, tol.cluster, h_counts)
 
-    # Multiplicities at +-1 must match the census.
-    census = _whole_census(reduced, counts)
-    unit_plus, unit_minus = (int(u_counts[at].sum()) for at in (at_plus, at_minus))
+    # Multiplicities at +-1 must match the census: the compression's,
+    # lifted to C^n, with the scalar block in the space of its signs.
+    census = EigenspaceCensus(*(reduced.whole(space, signs == reduced.signs)
+                                for space, signs in zip(vars(counts).values(), _CENSUS_SIGNS)))
+    unit_plus, unit_minus = (int(at.sum() if u_counts is None else u_counts[at].sum())
+                             for at in (at_plus, at_minus))
     res = float(abs(unit_plus - census.m_plus - census.M_plus)
                 + abs(unit_minus - census.m_minus - census.M_minus))
     checks.append(CheckResult("unit_eigenvalue_counts", res == 0.0, res))
