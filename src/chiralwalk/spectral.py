@@ -299,14 +299,16 @@ def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspac
         sb = (ub - uhb) / (2.0 * unit)
         u_w = b.conj().T @ ub
         bound = _certificate_bound(reduced)
-        # S - (S B) B*, formed in place as 2 unit (S - (S B) B*).
+        # S - (S B) B*, formed in place as 2 unit (S - (S B) B*); its n x n
+        # array is let go at once, not held through the walk's residuals.
         cert = (-2.0 * unit * sb) @ b.conj().T
         cert += u
         cert -= u.conj().T
+        outside, cert = _maxabs(cert) / 2.0, None
         # The census cannot leave L more directions on a side of the grading
         # than G+-* d* has singular vectors; if it does, L is not used.
         if not (b.shape[1] < sum(ranks) or _maxabs(ub - b @ u_w) > bound
-                or _maxabs(cert) / 2.0 > bound
+                or outside > bound
                 or unitarity_residual(u_w) > tol.structural):
             eye, r = np.eye(b.shape[1]), ranks[0]
             sides = (Subspace(len(eye), eye[:, :r], complement=eye[:, r:]),
