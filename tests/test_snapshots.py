@@ -13,7 +13,11 @@ the per-pair code paths of the report (its small-array helpers, phases
 and eigensolves) must not move a single digit. ``data/search_golden.json``
 holds the rendered report of the search pair on 1..10 qubits at three
 targets each (two on one qubit, which has two positions), also compared
-byte for byte.
+byte for byte. ``data/narrow_golden.json`` holds, byte for byte too, the
+rendered report of seeded dense pairs of dimension 64..256 that take the
+narrow-side routes: a narrow grading with a narrow coin, a balanced
+grading with a narrow coin (the walk's invariant subspace L), a narrow
+grading with a trivial coin, and a graph walk with 4V <= 2E.
 
 ``render_report`` writes the report field by field; :func:`reference_document`
 is the document it writes, and ``json.dumps(document, indent=2)`` of it is
@@ -38,10 +42,11 @@ import numpy as np
 import pytest
 
 from chiralwalk.cli import main, render_report, save_matrix_file
-from chiralwalk.models import grover_search
+from chiralwalk.chiral import make_pair
+from chiralwalk.models import grover_search, grover_walk
 from chiralwalk import cli
 from chiralwalk.linalg import DEFAULT_TOL, Tolerance
-from chiralwalk.selfcheck import random_chiral_pair
+from chiralwalk.selfcheck import haar_unitary, random_chiral_pair, random_connected_multigraph
 from chiralwalk.spectral import CheckResult, build_index_report
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_snapshots.json"
@@ -49,6 +54,18 @@ GOLDEN = DATA.with_name("report_golden.json")
 GOLDEN_DIMS, GOLDEN_DRAWS = range(2, 17), 3
 SEARCH_GOLDEN = DATA.with_name("search_golden.json")
 SEARCH_QUBITS = range(1, 11)
+NARROW_GOLDEN = DATA.with_name("narrow_golden.json")
+# (n, grading's +1 dimension, coin's narrow side dimension, real, that side
+# at -1): k, the grading's smaller side, and c both at most n/4 with c <= k
+# and c > k; a balanced grading; and a trivial coin, c = 0.
+NARROW_PAIRS = [
+    (64, 16, 8, True, False), (64, 56, 12, False, True),
+    (128, 20, 12, False, True), (128, 116, 20, True, False),
+    (256, 40, 30, True, True), (256, 226, 40, False, False),
+    (128, 64, 16, True, False), (192, 96, 40, False, True),
+    (96, 20, 0, True, False), (128, 100, 0, False, True),
+]
+NARROW_GRAPH = (20, 80)
 FLOAT_TOL = 1e-12
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -244,6 +261,33 @@ def test_search_reports_match_golden_bytes():
         assert got == stored, (stored["qubits"], stored["target"])
 
 
+def _reflection(rng: np.random.Generator, n: int, plus_dim: int, real: bool) -> np.ndarray:
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else haar_unitary(rng, n)
+    return 2.0 * w[:, :plus_dim] @ w[:, :plus_dim].conj().T - np.eye(n)
+
+
+def narrow_reports() -> list[dict]:
+    """The rendered report of each ``NARROW_PAIRS`` pair, seeded by its row, and of the graph walk."""
+    records = []
+    for seed, (n, plus_dim, c, real, minus) in enumerate(NARROW_PAIRS):
+        rng = np.random.default_rng([n, seed])
+        gamma = _reflection(rng, n, plus_dim, real)
+        pair = make_pair(gamma @ _reflection(rng, n, n - c if minus else c, real), gamma)
+        records.append({"pair": [n, plus_dim, c, real, minus],
+                        "report": render_report(build_index_report(pair), pair.tol)})
+    vertices, edges = NARROW_GRAPH
+    pair = grover_walk(random_connected_multigraph(np.random.default_rng(vertices), vertices, edges))
+    records.append({"graph": [vertices, edges],
+                    "report": render_report(build_index_report(pair), pair.tol)})
+    return records
+
+
+def test_narrow_route_reports_match_golden_bytes():
+    want = json.loads(NARROW_GOLDEN.read_text(encoding="utf-8"))
+    for got, stored in zip(narrow_reports(), want, strict=True):
+        assert got == stored, stored.get("pair", stored.get("graph"))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
@@ -252,5 +296,6 @@ if __name__ == "__main__":
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     GOLDEN.write_text(json.dumps(golden_reports(), indent=1) + "\n", encoding="utf-8")
     SEARCH_GOLDEN.write_text(json.dumps(search_reports(), indent=1) + "\n", encoding="utf-8")
+    NARROW_GOLDEN.write_text(json.dumps(narrow_reports(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} snapshots to {DATA} and {GOLDEN_DRAWS * len(GOLDEN_DIMS)} "
           f"reports to {GOLDEN}", file=sys.stderr)
