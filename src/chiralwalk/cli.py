@@ -19,10 +19,10 @@ is written field by field in that order, as the text that
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
 consistency check failed. A pair that validates always gets its report,
-and ``--dump-matrices`` writes on exit 2 too. A search pair is held by
-its factors, and ``--dump-matrices`` forms its n x n matrices only up to
-``chiral.DENSE_MAX_DIM``; beyond it the command exits 1 and writes
-nothing.
+and ``--dump-matrices`` writes on exit 2 too. Past ``models.MAX_QUBITS``
+qubits, the one limit of ``model grover-search`` and ``evolve``, and for
+``--dump-matrices`` of a search pair past dimension
+``chiral.DENSE_MAX_DIM``, the command exits 1 and writes nothing.
 """
 
 from __future__ import annotations

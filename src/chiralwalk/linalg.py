@@ -35,8 +35,9 @@ Kernel, rank and "eigenvalue at +-1" decisions are made by two rules.
 and the rank count of :func:`_rank_svd` apply to singular values and the
 spectral code applies to the distances ``|lambda - target|`` of a normal
 operator's eigenvalues, which are the singular values of ``A - target``.
-:func:`subspace_intersection` compares principal-angle sines, already on
-the unit scale, with ``tol.rank``.
+:func:`subspace_intersection`, the one principal-angle routine,
+compares principal-angle sines, already on the unit scale, with
+``tol.rank``.
 """
 
 from __future__ import annotations
@@ -460,35 +461,6 @@ def _outside(b: np.ndarray, other: np.ndarray) -> np.ndarray:
     return b - other @ (other.conj().T @ b)
 
 
-def _outside_svd(b: np.ndarray, other: np.ndarray):
-    """Reduced SVD of ``(1 - P) b`` for P the projector onto ran ``other``.
-
-    For orthonormal ``b`` and ``other`` its singular values are the sines
-    of the principal angles between ran b and ran other.
-    """
-    return np.linalg.svd(_outside(b, other), full_matrices=False)
-
-
-class _OutsideSVDs:
-    """:func:`_outside_svd` of each pair of arrays, factorized once while this lives.
-
-    A report makes one and shares it between the census's intersections
-    and its walk subspace, which factorize the same ``(1 - G G*) Y`` when
-    the grading and the coin are held by narrow bases G and Y. A pair is
-    keyed by the two arrays' identities; both are held, so neither
-    identity can pass to another array while the key stands.
-    """
-
-    def __init__(self) -> None:
-        self._factors: dict[tuple[int, int], tuple] = {}
-
-    def __call__(self, b: np.ndarray, other: np.ndarray):
-        key = (id(b), id(other))
-        if key not in self._factors:
-            self._factors[key] = (b, other, _outside_svd(b, other))
-        return self._factors[key][2]
-
-
 def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the intersection of two subspaces.
 
@@ -504,12 +476,8 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     held by its complement alone: the orthonormalized ``B1perp`` plus the
     kept directions of ``s1``, the left singular vectors of
     ``P1 B2perp = B2perp - B1perp (B1perp* B2perp)``, with the same sines.
+    It is the one principal-angle routine, and no call reuses another's SVD.
     """
-    return _intersection(s1, s2, tol, _outside_svd)
-
-
-def _intersection(s1: Subspace, s2: Subspace, tol: Tolerance, outside_svd) -> Subspace:
-    """:func:`subspace_intersection`, with ``(1 - P) B`` factorized by ``outside_svd``."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
@@ -520,11 +488,11 @@ def _intersection(s1: Subspace, s2: Subspace, tol: Tolerance, outside_svd) -> Su
         return s1
     n = s1.ambient_dim
     if s1.by_complement and s2.complement is not None:
-        left, sines, _ = outside_svd(s2.complement, s1.complement)
+        left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement), full_matrices=False)
         kept = left[:, :np.count_nonzero(sines > tol.rank)]
         return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
     if s2.complement is None:
-        _, sines, vh = outside_svd(s1.basis, s2.basis)
+        _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
         right = vh.conj().T
     else:
         y = s2.complement.conj().T @ s1.basis
@@ -534,4 +502,3 @@ def _intersection(s1: Subspace, s2: Subspace, tol: Tolerance, outside_svd) -> Su
         else:
             right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
     return Subspace(n, _canonical_phases(s1.basis @ right[:, np.count_nonzero(sines > tol.rank):]))
-

@@ -23,20 +23,16 @@ from .chiral import ChiralPair, Reflection, make_factored_pair, make_pair
 from .errors import GraphInvalid, OutOfRange, ParamInvariantViolated
 from .linalg import DEFAULT_TOL, Tolerance
 
-# A search pair on q qubits has dimension n = 2^(q + 1) and is held by its
-# factors, an n x 2 grading basis and an n x 1 coin basis. Its report runs
-# on the 3 x 3 compression to the span of the two bases, with the scalar
-# block on the complement counted: the only length-n work is one n x 2
-# SVD and products with the n x 3 basis of the span, O(n) time and memory.
-# Against a budget of about a second and 256 MiB for the command (1 BLAS
-# thread), q = 18 (n = 2^19) takes 0.26 s with a peak RSS of 74 MiB; with
-# the limit lifted, q = 19 takes 0.23 to 0.33 s and 114 MiB and q = 20
-# 0.39 to 0.45 s and 193 MiB. Raising the limit is left to a change of its own.
-MAX_SEARCH_QUBITS = 18
-# The probability table builds no pair: it holds the search state, 16 * 2^q
-# bytes, and one step's copy of it. The limit keeps the state at 16 MiB
-# (q = 20), where a step takes about 30 ms.
-MAX_EVOLVE_QUBITS = 20
+# One qubit limit for the search pair and its probability table, from a
+# budget of about a second and 256 MiB per command (1 BLAS thread). A pair
+# on q qubits has dimension n = 2^(q + 1) and is held by its factors, an
+# n x 2 grading basis and an n x 1 coin basis; its report runs on the 3 x 3
+# compression to their span, so its length-n work is one n x 2 SVD and
+# products with the n x 3 basis of the span, O(n) time and memory. At
+# q = 20 (n = 2^21) the command takes 0.44 s with a peak RSS of 193 MiB.
+# The table builds no pair: it holds the 16 MiB search state and one
+# step's copy, and a step takes about 20 ms.
+MAX_QUBITS = 20
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,13 @@ class SplitStepParams:
     coin_angles: tuple[float, ...]
 
 
-def _search_positions(qubits: int, target: int, max_qubits: int) -> int:
+def _search_positions(qubits: int, target: int) -> int:
     """Position count 2^qubits, after checking the qubit count and target."""
     if qubits < 1:
         raise OutOfRange(f"qubit count must be at least 1, got {qubits}")
-    if qubits > max_qubits:
+    if qubits > MAX_QUBITS:
         raise OutOfRange(
-            f"qubit count {qubits} exceeds the supported maximum {max_qubits}"
+            f"qubit count {qubits} exceeds the supported maximum {MAX_QUBITS}"
         )
     n_positions = 2**qubits
     if not 0 <= target < n_positions:
@@ -144,7 +140,7 @@ def grover_search(qubits: int, target: int, tol: Tolerance = DEFAULT_TOL) -> Chi
     the uniform superposition s, and the coin ``-(2 Y Y* - 1)`` with
     ``Y = |target, ->``, so no n x n matrix is formed.
     """
-    n_positions = _search_positions(qubits, target, MAX_SEARCH_QUBITS)
+    n_positions = _search_positions(qubits, target)
     uniform = np.zeros((2 * n_positions, 2))
     uniform[0::2, 0] = uniform[1::2, 1] = 1.0 / math.sqrt(n_positions)
     marked = np.zeros((2 * n_positions, 1))
@@ -166,7 +162,7 @@ def search_probability_table(
     """
     if steps < 0:
         raise OutOfRange(f"step count must be nonnegative, got {steps}")
-    n_positions = _search_positions(qubits, target, MAX_EVOLVE_QUBITS)
+    n_positions = _search_positions(qubits, target)
     x = target if measure is None else measure
     if not 0 <= x < n_positions:
         raise OutOfRange(f"measured position {measure} outside [0, {n_positions})")

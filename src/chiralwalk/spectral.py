@@ -24,7 +24,8 @@ space of dimension c, when certified (see :func:`_walk_subspace`), and
 on W = C^n otherwise. On L-perp the effective coin is -1, so U is -Gamma
 there (Gamma for a flipped coin) and q vanishes: L-perp adds the
 eigenvalues +-1 on ``L-perp & Gamma-+``, the effective census's birth
-spaces, and a zero block of q.
+spaces, and a zero block of q. The census and the graded kernels of q
+intersect by :func:`subspace_intersection`; L's basis factorizes its own.
 
 The span checks that split ker(U -+ 1) and the kernels of the supercharge
 block into inherited and birth parts compare only the parts in W: both
@@ -57,12 +58,10 @@ from .linalg import (
     _cluster_slices,
     _eig_unitary,
     _eigh,
-    _intersection,
     _kernel_svd,
     _maxabs,
     _near_unit,
-    _outside_svd,
-    _OutsideSVDs,
+    _outside,
     _overlap,
     _principal_order,
     _real_if_exact,
@@ -259,18 +258,16 @@ def _certificate_bound(reduced: _Reduced) -> float:
 
 
 def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspace,
-                   dec: CoisometryDecomposition, eff: EigenspaceCensus,
-                   outside_svd=_outside_svd) -> _Walk:
+                   dec: CoisometryDecomposition, eff: EigenspaceCensus) -> _Walk:
     """W = L = ran d* + Gamma ran d* when certified and small, else the whole space.
 
     L's part in Gamma+- has the rank ``r+- = dim Gamma+- - dim(Gamma+- & C-)``
     that the effective census decided and is ``G+- ran(G+-* d*)`` for the
     grading's eigenbases ``G+-``, so the leading r+- left singular vectors
     of ``G+-* d*`` give L's basis ``B = [B+ | B-]``; for a side held by its
-    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``, factorized
-    by ``outside_svd``, which the report shares with the census. d* is the
-    basis the census intersected, the coin's eigenspace that the coisometry
-    chose. On L, ``S B`` comes from ``U B`` and ``U* B``, with S as in
+    complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``, which the
+    walk factorizes itself. d* is the basis the census intersected, the
+    coin's eigenspace that the coisometry chose. On L, ``S B`` comes from ``U B`` and ``U* B``, with S as in
     :class:`_Walk`.
     L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
@@ -288,7 +285,7 @@ def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspac
         d_star = pair.ops.spaces("coin", tol)[int(dec.flipped)].basis
         ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
         b = np.hstack([
-            outside_svd(d_star, g.complement)[0][:, :r]
+            np.linalg.svd(_outside(d_star, g.complement), full_matrices=False)[0][:, :r]
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
             for g, r in zip((gamma_plus, gamma_minus), ranks)])
@@ -343,8 +340,7 @@ def _commutation_residuals(pair: ChiralPair, q: np.ndarray,
     return _maxabs(anti), _maxabs(commute)
 
 
-def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspace,
-                         outside_svd=_outside_svd):
+def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspace):
     """Coisometry, census and discriminant eigensystem of the compression, one eigensolve each.
 
     Returns the coisometry decomposition, the census of the supplied
@@ -355,13 +351,14 @@ def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: S
     sines are linear in an eigenvalue's angle from +-1, as ``|lambda -+ 1|``
     is for U, while ``1 -+ t`` is quadratic in it. The kernels are T's own
     top ``m+`` and bottom ``m-`` eigenvectors, so their lift onto the
-    inherited spaces still compares two factorizations. The intersections
-    factorize ``(1 - P) B`` by ``outside_svd``.
+    inherited spaces still compares two factorizations. The four
+    intersections are :func:`subspace_intersection`'s, each factorized on
+    its own.
     """
     tol = reduced.tol
     coin_plus, coin_minus = reduced.pair.ops.spaces("coin", tol)
     dec = _coisometry(reduced, coin_plus, coin_minus)
-    counts = EigenspaceCensus(*(_intersection(g, c, tol, outside_svd) for g, c in (
+    counts = EigenspaceCensus(*(subspace_intersection(g, c, tol) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
         (gamma_minus, coin_minus), (gamma_plus, coin_minus))))
     # T's Hermiticity is a check of the report, so its eigensolve does not
@@ -499,12 +496,9 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     warnings: list[str] = []
 
     gamma_plus, gamma_minus = pair.ops.spaces("gamma", tol)
-    # The census and the walk subspace share each principal-angle factorization.
-    outside_svd = _OutsideSVDs()
     dec, counts, eff_counts, w_t, (lift_t_plus, lift_t_minus, interior_t) = \
-        _discriminant_census(reduced, gamma_plus, gamma_minus, outside_svd)
-    walk = _walk_subspace(reduced, gamma_plus, gamma_minus, dec, eff_counts, outside_svd)
-    del outside_svd  # its n x k factors are not read again
+        _discriminant_census(reduced, gamma_plus, gamma_minus)
+    walk = _walk_subspace(reduced, gamma_plus, gamma_minus, dec, eff_counts)
     # U's eigenvalues on W, then those on W-perp: there U is -Gamma for
     # the effective coin, so W-perp & Gamma-+ sits at +1 and W-perp &
     # Gamma+- at -1, the order swapping when the coin was flipped; then the

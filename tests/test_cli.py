@@ -584,19 +584,48 @@ class TestEvolveCommand:
 
 
 class TestSizeLimits:
-    def test_search_pair_limit(self, capsys):
-        limit = models.MAX_SEARCH_QUBITS
-        code, out, err = run_cli(capsys, "model", "grover-search",
-                                 "--qubits", str(limit + 1), "--target", "0")
-        assert code == 1
-        assert out == ""
-        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
+    def test_both_commands_share_the_qubit_limit(self, capsys):
+        # model grover-search and evolve take the one limit and refuse one
+        # qubit more.
+        limit = models.MAX_QUBITS
+        for command in (("model", "grover-search"), ("evolve", "--steps", "0")):
+            code, out, err = run_cli(capsys, *command, "--qubits", str(limit + 1),
+                                     "--target", "0")
+            assert code == 1
+            assert out == ""
+            assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
         code, out, _ = run_cli(capsys, "model", "grover-search",
                                "--qubits", str(limit), "--target", "3")
         assert code == 0
         doc = json.loads(out)
         assert doc["consistent"] is True
         assert doc["indices"]["alpha"] == 4 - 2 ** (limit + 1)
+        code, out, _ = run_cli(capsys, "evolve", "--qubits", str(limit),
+                               "--target", "3", "--steps", "0")
+        assert code == 0
+        step, prob, total = out.strip().split(", ")
+        assert step == "0"
+        assert float(prob) == pytest.approx(2.0 ** -limit, rel=1e-12)
+        assert float(total) == pytest.approx(1.0, abs=1e-12)
+
+    def test_search_at_the_limit_keeps_its_memory_budget(self):
+        # The limit is set by a budget of 256 MiB for the command (1 BLAS
+        # thread); the child reports its own peak RSS, in KiB on Linux.
+        limit = models.MAX_QUBITS
+        child = ("import resource, sys\n"
+                 "from chiralwalk.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+        env = dict(os.environ, **ONE_BLAS_THREAD, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", child, "model", "grover-search",
+                                 "--qubits", str(limit), "--target", "3"],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["consistent"] is True
+        assert doc["indices"]["alpha"] == 4 - 2 ** (limit + 1)
+        assert int(result.stderr.split()[-1]) <= 256 * 1024
 
     def test_dump_matrices_of_a_factored_pair_beyond_the_dense_limit(self, tmp_path, capsys):
         # A search pair is held by its factors; its n x n matrices are
@@ -605,7 +634,7 @@ class TestSizeLimits:
         # command exits 1 before it writes the report or any file.
         first_refused = chiral.DENSE_MAX_DIM.bit_length() - 1
         assert 2 ** first_refused == chiral.DENSE_MAX_DIM
-        for qubits in (3, first_refused, models.MAX_SEARCH_QUBITS):
+        for qubits in (3, first_refused, models.MAX_QUBITS):
             dump, output = tmp_path / f"dump{qubits}", tmp_path / f"report{qubits}.json"
             code, out, err = run_cli(capsys, "model", "grover-search", "--qubits", str(qubits),
                                      "--target", "3", "--output", str(output),
@@ -617,23 +646,6 @@ class TestSizeLimits:
             assert code == 1 and out == ""
             assert f"dimension {n}" in err and f"up to dimension {chiral.DENSE_MAX_DIM}" in err
             assert not dump.exists() and not output.exists()
-
-    def test_evolve_limit(self, capsys):
-        # evolve holds only the search state, so its limit is its own.
-        limit = models.MAX_EVOLVE_QUBITS
-        assert limit > models.MAX_SEARCH_QUBITS
-        code, out, err = run_cli(capsys, "evolve", "--qubits", str(limit + 1),
-                                 "--target", "0", "--steps", "0")
-        assert code == 1
-        assert out == ""
-        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
-        code, out, _ = run_cli(capsys, "evolve", "--qubits", str(limit),
-                               "--target", "3", "--steps", "0")
-        assert code == 0
-        step, prob, total = out.strip().split(", ")
-        assert step == "0"
-        assert float(prob) == pytest.approx(2.0 ** -limit, rel=1e-12)
-        assert float(total) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSelftestCommand:

@@ -101,7 +101,7 @@ class TestGroverSearch:
         with pytest.raises(OutOfRange):
             grover_search(0, 0)
         with pytest.raises(OutOfRange):
-            grover_search(models.MAX_SEARCH_QUBITS + 1, 0)
+            grover_search(models.MAX_QUBITS + 1, 0)
 
 
 def _report_summary(report):
@@ -133,7 +133,7 @@ def test_factored_search_report_equals_the_dense_pair_report(qubits):
             assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("qubits", range(11, models.MAX_SEARCH_QUBITS + 1))
+@pytest.mark.parametrize("qubits", range(11, models.MAX_QUBITS + 1))
 def test_factored_search_report_beyond_the_dense_sizes(qubits):
     # From q = 11 to the limit, where no dense pair is formed, every check
     # passes, the index is 4 - 2N on every route, the coin is flipped and

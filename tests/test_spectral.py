@@ -166,6 +166,19 @@ class TestCensus:
         assert counts.M_plus == counts.birth_plus.dim
         assert counts.M_minus == counts.birth_minus.dim
 
+    def test_census_intersects_by_the_one_routine(self, monkeypatch):
+        # A q = 7 search report intersects four times in the census and
+        # twice for the graded kernels of q, each by subspace_intersection.
+        calls = []
+
+        def counted(s1, s2, tol, _fn=spectral.subspace_intersection):
+            calls.append(1)
+            return _fn(s1, s2, tol)
+
+        monkeypatch.setattr(spectral, "subspace_intersection", counted)
+        assert build_index_report(grover_search(7, 3)).consistent
+        assert len(calls) == 6
+
 
 class TestIndexFormula:
     def test_search_two_qubits(self):
