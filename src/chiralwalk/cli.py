@@ -116,19 +116,19 @@ def load_graph_file(path) -> Graph:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if vertices is None:
-                if len(parts) != 2 or parts[0] != "vertices":
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'vertices <count>', got {line!r}"
-                    )
-                vertices = int(parts[1])
-                continue
-            if len(parts) != 2:
+            parts, header = line.split(), vertices is None
+            expected = "'vertices <count>'" if header else "'<origin> <terminus>'"
+            if len(parts) != 2 or header and parts[0] != "vertices":
+                raise ValueError(f"{path}:{lineno}: expected {expected}, got {line!r}")
+            try:
+                numbers = [int(token) for token in parts[header:]]
+            except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: expected '<origin> <terminus>', got {line!r}"
-                )
-            edges.append((int(parts[0]), int(parts[1])))
+                    f"{path}:{lineno}: expected integers in {expected}, got {line!r}") from None
+            if header:
+                vertices = numbers[0]
+            else:
+                edges.append((numbers[0], numbers[1]))
     if vertices is None:
         raise ValueError(f"{path}: missing 'vertices <count>' line")
     return Graph(vertices, tuple(edges))

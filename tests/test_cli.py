@@ -100,6 +100,18 @@ class TestGraphFile:
         with pytest.raises(ValueError):
             load_graph_file(path)
 
+    @pytest.mark.parametrize("text, lineno, expected, line", [
+        ("vertices three\n0 1\n", 1, "'vertices <count>'", "vertices three"),
+        ("# a path\nvertices 3\n0 1\n1 x\n", 4, "'<origin> <terminus>'", "1 x"),
+    ], ids=["vertex-count", "edge-endpoint"])
+    def test_non_integer_token_names_its_line(self, tmp_path, capsys, text, lineno,
+                                              expected, line):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "model", "grover-walk", "--graph", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:{lineno}: expected integers in {expected}, got {line!r}\n"
+
 
 class TestIndexCommand:
     def test_four_dim_first_row(self, tmp_path, capsys):
