@@ -32,7 +32,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -282,9 +284,27 @@ def narrow_reports() -> list[dict]:
     return records
 
 
+def narrow_reports_one_thread() -> list[dict]:
+    """:func:`narrow_reports` in a child process with one BLAS thread.
+
+    A dense report at n >= 64 moves in its last bits with the BLAS thread
+    count, which is fixed when numpy loads, so the narrow golden is written
+    and compared at one thread.
+    """
+    one_thread = {name: "1" for name in
+                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    path = os.pathsep.join([str(Path(__file__).resolve().parent),
+                            str(Path(cli.__file__).resolve().parents[1])])
+    child = "import json, test_snapshots; print(json.dumps(test_snapshots.narrow_reports()))"
+    result = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, **one_thread,
+                            PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 def test_narrow_route_reports_match_golden_bytes():
     want = json.loads(NARROW_GOLDEN.read_text(encoding="utf-8"))
-    for got, stored in zip(narrow_reports(), want, strict=True):
+    for got, stored in zip(narrow_reports_one_thread(), want, strict=True):
         assert got == stored, stored.get("pair", stored.get("graph"))
 
 
@@ -296,6 +316,7 @@ if __name__ == "__main__":
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     GOLDEN.write_text(json.dumps(golden_reports(), indent=1) + "\n", encoding="utf-8")
     SEARCH_GOLDEN.write_text(json.dumps(search_reports(), indent=1) + "\n", encoding="utf-8")
-    NARROW_GOLDEN.write_text(json.dumps(narrow_reports(), indent=1) + "\n", encoding="utf-8")
+    NARROW_GOLDEN.write_text(json.dumps(narrow_reports_one_thread(), indent=1) + "\n",
+                             encoding="utf-8")
     print(f"wrote {len(records)} snapshots to {DATA} and {GOLDEN_DRAWS * len(GOLDEN_DIMS)} "
           f"reports to {GOLDEN}", file=sys.stderr)
