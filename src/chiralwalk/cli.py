@@ -118,10 +118,10 @@ def load_graph_file(path) -> Graph:
                 continue
             parts, header = line.split(), vertices is None
             expected = "'vertices <count>'" if header else "'<origin> <terminus>'"
-            if len(parts) != 2 or header and parts[0] != "vertices":
+            if len(parts) != 2 or (header and parts[0] != "vertices"):
                 raise ValueError(f"{path}:{lineno}: expected {expected}, got {line!r}")
             try:
-                numbers = [int(token) for token in parts[header:]]
+                numbers = [int(token) for token in (parts[1:] if header else parts)]
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: expected integers in {expected}, got {line!r}") from None
