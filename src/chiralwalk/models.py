@@ -29,9 +29,9 @@ from .linalg import DEFAULT_TOL, Tolerance
 # n x 2 grading basis and an n x 1 coin basis; its report runs on the 3 x 3
 # compression to their span, so its length-n work is one n x 2 SVD and
 # products with the n x 3 basis of the span, O(n) time and memory. At
-# q = 20 (n = 2^21) the command takes 0.44 s with a peak RSS of 193 MiB.
-# The table builds no pair: it holds the 16 MiB search state and one
-# step's copy, and a step takes about 20 ms.
+# q = 20 (n = 2^21) the command takes 0.31 to 0.34 s with a peak RSS of
+# 193 MiB. The table builds no pair: it holds the 16 MiB search state and
+# one step's copy, and a step takes about 20 ms.
 MAX_QUBITS = 20
 
 

@@ -267,8 +267,8 @@ def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspac
     of ``G+-* d*`` give L's basis ``B = [B+ | B-]``; for a side held by its
     complement ``G-perp``, those of ``d* - G-perp (G-perp* d*)``, which the
     walk factorizes itself. d* is the basis the census intersected, the
-    coin's eigenspace that the coisometry chose. On L, ``S B`` comes from ``U B`` and ``U* B``, with S as in
-    :class:`_Walk`.
+    coin's eigenspace that the coisometry chose. On L, ``S B`` comes from
+    ``U B`` and ``U* B``, with S as in :class:`_Walk`.
     L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
     unitary to within the ``tol.structural`` that :func:`eig_unitary`
