@@ -596,22 +596,29 @@ class TestEvolveCommand:
 
 
 class TestSizeLimits:
-    def test_both_commands_share_the_qubit_limit(self, capsys):
-        # model grover-search and evolve take the one limit and refuse one
-        # qubit more.
+    def test_search_pair_limit(self, capsys):
         limit = models.MAX_QUBITS
-        for command in (("model", "grover-search"), ("evolve", "--steps", "0")):
-            code, out, err = run_cli(capsys, *command, "--qubits", str(limit + 1),
-                                     "--target", "0")
-            assert code == 1
-            assert out == ""
-            assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
+        code, out, err = run_cli(capsys, "model", "grover-search",
+                                 "--qubits", str(limit + 1), "--target", "0")
+        assert code == 1
+        assert out == ""
+        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
         code, out, _ = run_cli(capsys, "model", "grover-search",
                                "--qubits", str(limit), "--target", "3")
         assert code == 0
         doc = json.loads(out)
         assert doc["consistent"] is True
         assert doc["indices"]["alpha"] == 4 - 2 ** (limit + 1)
+
+    def test_evolve_limit(self, capsys):
+        # evolve takes the same limit as model grover-search and refuses one
+        # qubit more.
+        limit = models.MAX_QUBITS
+        code, out, err = run_cli(capsys, "evolve", "--qubits", str(limit + 1),
+                                 "--target", "0", "--steps", "0")
+        assert code == 1
+        assert out == ""
+        assert f"qubit count {limit + 1} exceeds the supported maximum {limit}" in err
         code, out, _ = run_cli(capsys, "evolve", "--qubits", str(limit),
                                "--target", "3", "--steps", "0")
         assert code == 0
