@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     GraphInvalid,
     InconsistencyDetected,
-    NotHermitian,
     NotInvolution,
     NotUnitary,
     OutOfRange,
@@ -25,8 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    eig_hermitian,
-    eig_unitary,
     kernel_basis,
     spans_match,
     subspace_intersection,

@@ -480,20 +480,10 @@ def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
     return _unit_count(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0), tol)
 
 
-def _unit_count(w: np.ndarray, tol: Tolerance, blocks=()) -> int:
-    """Nullity of ``X - 1`` minus that of ``X + 1``, from the eigenvalues of a Hermitian X.
-
-    ``blocks`` holds more eigenvalues as ``(value, count)`` pairs, which are
-    counted without being written out: a value with a nonzero count enters
-    :func:`_near_unit` once and is counted ``count`` times. Its distance to
-    +-1 is the same for each copy, so the largest distance, and with it
-    every decision, is the one made on the values written out.
-    """
-    held = [(value, count) for value, count in blocks if count]
-    values = np.concatenate([w, [value for value, _ in held]]) if held else w
-    plus, minus = (_near_unit(values, target, tol.rank) for target in (1.0, -1.0))
-    return int(plus[:w.size].sum() - minus[:w.size].sum()) + sum(
-        count * (int(p) - int(m)) for (_, count), p, m in zip(held, plus[w.size:], minus[w.size:]))
+def _unit_count(w: np.ndarray, tol: Tolerance) -> int:
+    """Nullity of ``X - 1`` minus that of ``X + 1``, from the eigenvalues of a Hermitian X."""
+    plus, minus = (_near_unit(w, target, tol.rank) for target in (1.0, -1.0))
+    return int(plus.sum() - minus.sum())
 
 
 def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
@@ -530,8 +520,8 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     within ``tol.structural * n``, both halves are integers, the coin's
     trace on S-perp is ``-sign (n - dim S)``, and S is invariant:
     ``|(Gamma + s C) B - B (B* (Gamma + s C) B)|`` for both signs. Each
-    +-1 decision is then the one made on the n values of the whole
-    difference, S-perp's held by their counts.
+    +-1 decision is then made on the n values of the whole difference,
+    S-perp's written out.
     """
     n, tol, gamma, coin = pair.dim, pair.tol, pair.gamma, pair.coin
     left, sigma, _ = np.linalg.svd(np.hstack([narrow, gamma @ narrow]), full_matrices=False)
@@ -553,7 +543,8 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     index = 0
     for s in (-1.0, 1.0):
         m = (g_s + s * c_s) / 2.0
-        index += _unit_count(np.linalg.eigvalsh((m + m.conj().T) / 2.0), tol, (
-            ((1.0 - s * sign) / 2.0, outside_plus),
-            ((-1.0 - s * sign) / 2.0, n - dim_s - outside_plus)))
+        index += _unit_count(np.concatenate([
+            np.linalg.eigvalsh((m + m.conj().T) / 2.0),
+            np.full(outside_plus, (1.0 - s * sign) / 2.0),
+            np.full(n - dim_s - outside_plus, (-1.0 - s * sign) / 2.0)]), tol)
     return index

@@ -247,11 +247,15 @@ def cmd_index(args) -> int:
 
 
 def _parse_angles(text: str, sites: int) -> tuple[float, ...]:
-    if text.startswith("random:"):
-        seed = int(text.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        return tuple(float(a) for a in rng.uniform(0.0, 2.0 * np.pi, sites))
-    return tuple(float(part) for part in text.split(","))
+    seed = text.removeprefix("random:")
+    try:
+        if seed != text:
+            rng = np.random.default_rng(int(seed))
+            return tuple(float(a) for a in rng.uniform(0.0, 2.0 * np.pi, sites))
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"--angles: expected comma-separated radians or "
+                         f"'random:<non-negative integer seed>', got {text!r}") from None
 
 
 def cmd_model(args) -> int:

@@ -15,10 +15,6 @@ class DimensionMismatch(ChiralWalkError):
     """Operands do not have compatible shapes or ambient dimensions."""
 
 
-class NotHermitian(ChiralWalkError):
-    """A matrix required to be Hermitian is not, within tolerance."""
-
-
 class NotUnitary(ChiralWalkError):
     """A matrix required to be unitary is not, within tolerance."""
 

@@ -10,10 +10,10 @@ factorizations take the real part of a complex matrix whose imaginary
 parts are all exactly zero, so an exactly real chiral pair is factorized
 by the real LAPACK drivers (dsyevd and dgesdd in place of zheevd and
 zgesdd). The only complex factorizations a real pair needs are the
-cluster splits of :func:`eig_unitary`, whose eigenvectors are complex.
+cluster splits of :func:`_eig_unitary`, whose eigenvectors are complex.
 
 A degenerate eigenspace costs what its complement costs.
-:func:`eig_unitary` splits only the clusters of the Hermitian part on
+:func:`_eig_unitary` splits only the clusters of the Hermitian part on
 which the anti-Hermitian part is nonzero, so a degenerate +-1 eigenspace
 of a real unitary is kept real and is not factorized again. A wide
 :class:`Subspace` is held by its narrow complement alone: the
@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotUnitary
+from .errors import DimensionMismatch
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -268,25 +268,8 @@ def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray
     return dist <= rank_tol * (dmax if dmax > rank_tol else 1.0)
 
 
-def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns ``(values, vectors)`` with orthonormal eigenvector columns
-    and canonical phases. Raises :class:`NotHermitian` when the
-    Hermiticity residual exceeds ``tol.structural``.
-    """
-    m = _real_if_exact(as_square_matrix(a))
-    residual = _maxabs(m - m.conj().T)
-    if residual > tol.structural:
-        raise NotHermitian(
-            f"matrix is not Hermitian: residual {residual:.6e} exceeds "
-            f"{tol.structural:.6e}"
-        )
-    return _eigh(m)
-
-
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eig_hermitian` of a matrix whose Hermiticity its caller checks."""
+    """Ascending eigenvalues and canonically phased eigenvectors of a checked Hermitian ``m``."""
     w, v = np.linalg.eigh(m)
     return w, _canonical_phases(v)
 
@@ -309,8 +292,8 @@ def _principal_order(values) -> np.ndarray:
     return np.argsort(args, kind="stable")
 
 
-def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a unitary matrix.
+def _eig_unitary(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a unitary matrix whose unitarity its caller has checked.
 
     Eigenvalues are unimodular, sorted by principal argument in
     (-pi, pi]; eigenvectors are orthonormal even inside degenerate
@@ -324,18 +307,6 @@ def eig_unitary(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     need a split run in complex arithmetic; the columns of the others,
     such as a degenerate +-1 eigenspace, have zero imaginary part.
     """
-    m = as_square_matrix(a)
-    residual = _identity_residual(m.conj().T @ m)
-    if residual > tol.structural:
-        raise NotUnitary(
-            f"matrix is not unitary: residual {residual:.6e} exceeds "
-            f"{tol.structural:.6e}"
-        )
-    return _eig_unitary(m, tol)
-
-
-def _eig_unitary(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eig_unitary` of a matrix whose unitarity its caller checks."""
     skew = (m - m.conj().T) / 2.0
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     for start, stop in _cluster_slices(w, tol.cluster):

@@ -222,7 +222,8 @@ def split_step_cycle(params: SplitStepParams, tol: Tolerance = DEFAULT_TOL) -> C
     p = float(params.p)
     q = complex(params.q)
     residual = abs(p * p + abs(q) ** 2 - 1.0)
-    if residual > tol.structural:
+    # Written so that a NaN residual fails.
+    if not residual <= tol.structural:
         raise ParamInvariantViolated(
             f"p^2 + |q|^2 deviates from 1 by {residual:.6e}"
         )
@@ -235,6 +236,8 @@ def split_step_cycle(params: SplitStepParams, tol: Tolerance = DEFAULT_TOL) -> C
         shift[2 * x + 1, 2 * x + 1] = -p
     coin = np.zeros((dim, dim), dtype=np.complex128)
     for x, angle in enumerate(params.coin_angles):
+        if not math.isfinite(angle):
+            raise ParamInvariantViolated(f"coin angle of site {x} must be finite, got {angle}")
         c, s = math.cos(angle), math.sin(angle)
         coin[2 * x: 2 * x + 2, 2 * x: 2 * x + 2] = [[c, s], [s, -c]]
     return make_pair(shift @ coin, shift, tol)

@@ -143,6 +143,8 @@ def run_selftest(
         raise ValueError(f"dim_max must be at least 2, got {dim_max}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     passes: dict[str, int] = {}
     totals: dict[str, int] = {}

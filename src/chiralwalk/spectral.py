@@ -271,8 +271,8 @@ def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspac
     ``U B`` and ``U* B``, with S as in :class:`_Walk`.
     L is used when ``4c <= n``, when, to within ``tol.structural * n``,
     ``U B = B (B* U B)`` and ``S = (S B) B*``, and when ``B* U B`` is
-    unitary to within the ``tol.structural`` that :func:`eig_unitary`
-    demands, so U's eigensolve on L does not measure it again; otherwise
+    unitary to within ``tol.structural``, the bound :func:`make_pair`
+    holds U to, so :func:`_eig_unitary` on L need not measure it; otherwise
     W is the whole space, with the dense factorizations and the n x n
     ``S = (U - U*)/(2 unit)`` formed from ``pair.u``. The last certificate
     matters for a pair whose unitarity error is coherent:

@@ -676,11 +676,13 @@ class TestIndexInvariances:
 
 
 @pytest.mark.parametrize("module", ["chiralwalk", "chiralwalk.chiral", "chiralwalk.linalg",
-                                    "chiralwalk.spectral"])
+                                    "chiralwalk.spectral", "chiralwalk.errors"])
 def test_deleted_names_stay_out_of_the_public_surface(module):
-    # The supercharge block is computed inside the index routes alone, and
-    # a pair's kind is known only to its operators.
+    # The supercharge block is computed inside the index routes alone, a
+    # pair's kind is known only to its operators, and the eigensolvers run
+    # only on matrices make_pair has validated.
     deleted = {"graded_decomposition", "super_operators", "GradedDecomposition",
                "SuperOperators", "hermiticity_residual", "spectral_image",
-               "_Dense", "_check_dense", "_operators", "_eigenspaces", "_supercharge"}
+               "_Dense", "_check_dense", "_operators", "_eigenspaces", "_supercharge",
+               "eig_hermitian", "eig_unitary", "NotHermitian"}
     assert deleted.isdisjoint(vars(importlib.import_module(module)))

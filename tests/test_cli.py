@@ -537,6 +537,34 @@ class TestErrorPaths:
         assert code == 1
         assert "angles" in err
 
+    @pytest.mark.parametrize("angles", ["random:abc", "random:", "random:-3", "random:1.5",
+                                        "1,2,x", "1,,2"])
+    def test_unreadable_angles_exit_one_naming_the_flag(self, capsys, angles):
+        code, out, err = run_cli(capsys, "model", "split-step", "--sites", "4", "--p", "0.6",
+                                 "--q-re", "0.8", "--angles", angles)
+        assert (code, out) == (1, "")
+        assert err == ("error: --angles: expected comma-separated radians or "
+                       f"'random:<non-negative integer seed>', got {angles!r}\n")
+
+    @pytest.mark.parametrize("angles, site, value", [("inf,1,2,3", 0, "inf"),
+                                                     ("1,-inf,2,3", 1, "-inf"),
+                                                     ("1,2,3,nan", 3, "nan")])
+    def test_non_finite_angle_exits_one_naming_its_site(self, capsys, angles, site, value):
+        code, out, err = run_cli(capsys, "model", "split-step", "--sites", "4", "--p", "0.6",
+                                 "--q-re", "0.8", "--angles", angles)
+        assert (code, out) == (1, "")
+        assert err == f"error: coin angle of site {site} must be finite, got {value}\n"
+
+    def test_nan_split_step_parameter_names_the_normalization(self, capsys):
+        code, _, err = run_cli(capsys, "model", "split-step", "--sites", "4", "--p", "nan",
+                               "--q-re", "0.8", "--angles", "1,2,3,4")
+        assert code == 1
+        assert err == "error: p^2 + |q|^2 deviates from 1 by nan\n"
+
+    def test_negative_selftest_seed_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--seed", "-5")
+        assert (code, out, err) == (1, "", "error: seed must be non-negative, got -5\n")
+
     def test_negative_steps_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--qubits", "2", "--target", "0",
                                "--steps", "-1")

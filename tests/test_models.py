@@ -446,6 +446,19 @@ class TestSplitStep:
         with pytest.raises(ParamInvariantViolated):
             split_step_cycle(SplitStepParams(sites=3, p=1.0, q=0.0, coin_angles=(0.0,)))
 
+    @pytest.mark.parametrize("p, q", [(np.nan, 0.8), (0.6, complex(np.nan, 0.0)),
+                                      (np.inf, 0.0)])
+    def test_rejects_non_finite_normalization(self, p, q):
+        # A NaN residual fails the normalization check, which names p^2 + |q|^2.
+        with pytest.raises(ParamInvariantViolated, match=r"p\^2 \+ \|q\|\^2"):
+            split_step_cycle(SplitStepParams(sites=2, p=p, q=q, coin_angles=(0.0, 0.0)))
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ParamInvariantViolated, match="coin angle of site 1 must be finite"):
+            split_step_cycle(SplitStepParams(sites=3, p=0.6, q=0.8,
+                                             coin_angles=(0.1, angle, 0.2)))
+
 
 class TestToyModels:
     @pytest.mark.parametrize("beta", [0.0, np.pi])

@@ -542,8 +542,13 @@ def _small_pair(n):
     return gamma @ _reflection(rng, n, n // 2, False), gamma
 
 
-def _concatenated_unit_count(w, tol, blocks):
-    return chiral._unit_count(np.concatenate([w, *(np.full(k, v) for v, k in blocks)]), tol)
+def _counted_unit_count(w, tol, blocks):
+    """The unit count with each ``(value, count)`` block decided once, counted ``count`` times."""
+    held = [(value, count) for value, count in blocks if count]
+    values = np.concatenate([w, [value for value, _ in held]])
+    plus, minus = (linalg._near_unit(values, target, tol.rank) for target in (1.0, -1.0))
+    return int(plus[:w.size].sum() - minus[:w.size].sum()) + sum(
+        count * (int(p) - int(m)) for (_, count), p, m in zip(held, plus[w.size:], minus[w.size:]))
 
 
 def _counted_cases():
@@ -568,9 +573,11 @@ def _counted_cases():
 
 @pytest.mark.parametrize("w, blocks, tol", _counted_cases())
 def test_counted_blocks_decide_as_the_written_values(w, blocks, tol):
-    # The projection-pair route counts S-perp's eigenvalues, 0 and +-1,
-    # without writing them out; every +-1 decision, with its largest
-    # distance, must be the one made on the concatenated values. Empty
-    # eigenvalue sets, blocks alone, NaN and cutoffs near 1 (where a block
-    # at distance 1 counts) are among the cases.
-    assert chiral._unit_count(w, tol, blocks) == _concatenated_unit_count(w, tol, blocks)
+    # The projection-pair route writes S-perp's eigenvalues, 0 and +-1, out
+    # in full. Each copy of a value lies as far from +-1 as the others, so
+    # every +-1 decision, with its largest distance, must be the one made
+    # when each block is decided once and counted. Empty eigenvalue sets,
+    # blocks alone, NaN and cutoffs near 1 (where a block at distance 1
+    # counts) are among the cases.
+    written = np.concatenate([w, *(np.full(k, v) for v, k in blocks)])
+    assert chiral._unit_count(written, tol) == _counted_unit_count(w, tol, blocks)

@@ -10,6 +10,7 @@ from chiralwalk.selfcheck import (
     haar_unitary,
     random_chiral_pair,
     random_involution,
+    run_selftest,
     transformation_checks,
 )
 from chiralwalk.spectral import build_index_report
@@ -93,3 +94,13 @@ def test_a_selftest_pair_eigensolves_each_involution_once(monkeypatch, seed):
     seen = [[name for name, x in involutions.items() if np.array_equal(a, x)] for a in calls]
     assert [names for names in seen[:at_report] if names] == [["gamma"], ["coin"]]
     assert [names for names in seen[at_report:] if names] == [["negated"], ["conjugated"]]
+
+
+@pytest.mark.parametrize("dim_max, trials, seed, message", [
+    (1, 1, 0, "dim_max must be at least 2, got 1"),
+    (2, 0, 0, "trials must be at least 1, got 0"),
+    (2, 1, -5, "seed must be non-negative, got -5"),
+])
+def test_selftest_rejects_its_arguments_by_name(dim_max, trials, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_selftest(dim_max, trials, seed)

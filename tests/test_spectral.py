@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chiralwalk import linalg, spectral
 from chiralwalk.chiral import ChiralPair, Factors, _Stored, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected
-from chiralwalk.linalg import Tolerance, eig_hermitian, kernel_basis
+from chiralwalk.linalg import Tolerance, _eigh, kernel_basis
 from chiralwalk.models import (
     Graph,
     SplitStepParams,
@@ -434,7 +434,7 @@ class TestReportStructure:
         assert any(c.name == "squared_supercharge_spectrum" and c.passed
                    for c in report.checks)
         dec = coisometry(pair)
-        w_t, _ = eig_hermitian(dec.discriminant)
+        w_t, _ = _eigh(dec.discriminant)
         interior = w_t[np.abs(np.abs(w_t) - 1.0) > 1e-8]
         q = supercharge(pair)
         w_h = np.linalg.eigvalsh(q @ q)
