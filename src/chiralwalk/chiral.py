@@ -116,9 +116,9 @@ class Factors(NamedTuple):
         """
         g, y = self.gamma.basis, self.coin.basis
         left, sines, _ = np.linalg.svd(_outside(g, y), full_matrices=False)
-        z = np.hstack([y, left[:, :np.count_nonzero(sines > pair.tol.rank)]])
+        z = np.concatenate([y, left[:, :np.count_nonzero(sines > pair.tol.rank)]], axis=1)
         zh = z.conj().T
-        gamma, coin = (Reflection(zh @ r.basis, r.sign).dense() for r in self)
+        gamma, coin = [Reflection(zh @ r.basis, r.sign).dense() for r in self]
         return _Reduced(ChiralPair(_Stored(gamma @ coin, gamma, coin), pair.tol), z, self.dim,
                         (-self.gamma.sign, -self.coin.sign))
 
@@ -482,8 +482,8 @@ def _projection_pair_index(diff: np.ndarray, tol: Tolerance) -> int:
 
 def _unit_count(w: np.ndarray, tol: Tolerance) -> int:
     """Nullity of ``X - 1`` minus that of ``X + 1``, from the eigenvalues of a Hermitian X."""
-    plus, minus = (_near_unit(w, target, tol.rank) for target in (1.0, -1.0))
-    return int(plus.sum() - minus.sum())
+    return (int(np.count_nonzero(_near_unit(w, 1.0, tol.rank)))
+            - int(np.count_nonzero(_near_unit(w, -1.0, tol.rank))))
 
 
 def _coin_pair_index(pair: ChiralPair, narrow: np.ndarray, sign: float) -> int:
@@ -524,7 +524,8 @@ def _compressed_coin_pair_index(pair: ChiralPair, narrow: np.ndarray,
     S-perp's written out.
     """
     n, tol, gamma, coin = pair.dim, pair.tol, pair.gamma, pair.coin
-    left, sigma, _ = np.linalg.svd(np.hstack([narrow, gamma @ narrow]), full_matrices=False)
+    left, sigma, _ = np.linalg.svd(np.concatenate([narrow, gamma @ narrow], axis=1),
+                                   full_matrices=False)
     b = left[:, ~_near_unit(sigma, 0.0, tol.rank)]
     gb, cb = gamma @ b, coin @ b
     g_s, c_s = b.conj().T @ gb, b.conj().T @ cb

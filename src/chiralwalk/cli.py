@@ -13,9 +13,10 @@ Matrix files are JSON documents ``{"dim": n, "data": [[re, im], ...]}``
 with ``dim**2`` row-major entries. Graph files are plain text: a
 ``vertices <count>`` line followed by one ``<origin> <terminus>`` pair
 per line; ``#`` starts a comment. Reports are JSON with a fixed key
-order, so identical invocations produce byte-identical output; a report
-is written field by field in that order, as the text that
-``json.dumps(..., indent=2)`` gives for it.
+order, so identical invocations produce byte-identical output at a
+fixed BLAS thread count (a dense report at n >= 64 can move in its last
+bits between one and two threads); a report is written field by field in
+that order, as the text that ``json.dumps(..., indent=2)`` gives for it.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
 consistency check failed. A pair that validates always gets its report,
@@ -247,15 +248,21 @@ def cmd_index(args) -> int:
 
 
 def _parse_angles(text: str, sites: int) -> tuple[float, ...]:
+    """The per-site angles of ``--angles``: listed, or drawn from ``random:<seed>``.
+
+    Only text that cannot be read is refused here. For a cycle length
+    below one no angle is drawn, and :func:`split_step_cycle` refuses the
+    length by name.
+    """
     seed = text.removeprefix("random:")
     try:
-        if seed != text:
-            rng = np.random.default_rng(int(seed))
-            return tuple(float(a) for a in rng.uniform(0.0, 2.0 * np.pi, sites))
-        return tuple(float(part) for part in text.split(","))
+        if seed == text:
+            return tuple(float(part) for part in text.split(","))
+        rng = np.random.default_rng(int(seed))
     except ValueError:
         raise ValueError(f"--angles: expected comma-separated radians or "
                          f"'random:<non-negative integer seed>', got {text!r}") from None
+    return tuple(float(a) for a in rng.uniform(0.0, 2.0 * np.pi, max(sites, 0)))
 
 
 def cmd_model(args) -> int:

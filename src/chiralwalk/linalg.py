@@ -82,10 +82,20 @@ DEFAULT_TOL = Tolerance()
 
 
 def _maxabs(a: np.ndarray) -> float:
-    """Largest entry magnitude; of a real array from its extremes, without forming ``|a|``."""
-    if a.dtype.kind == "c" or not a.size:
-        return float(np.abs(a).max()) if a.size else 0.0
-    return max(abs(float(a.max())), abs(float(a.min())))
+    """Largest entry magnitude; of a real array from its extremes, without forming ``|a|``.
+
+    The extremes are read at ``argmax`` and ``argmin``, which on small
+    arrays cost less than the max and min reductions and, like them,
+    give NaN when any entry is NaN. The larger of the greatest entry and
+    the negated least one is the largest magnitude, up to the sign of a
+    zero.
+    """
+    if not a.size:
+        return 0.0
+    if a.dtype.kind == "c":
+        a = np.abs(a)
+        return float(a.flat[a.argmax()])
+    return abs(float(max(a.flat[a.argmax()], -a.flat[a.argmin()])))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -98,7 +108,7 @@ def as_matrix(a) -> np.ndarray:
         arr = arr.astype(np.complex128, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -112,7 +122,7 @@ def as_square_matrix(a) -> np.ndarray:
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
     """The real part of ``m`` when every imaginary part is exactly zero."""
-    if m.dtype.kind == "c" and not m.imag.any():
+    if m.dtype.kind == "c" and not np.count_nonzero(m.imag):
         return m.real
     return m
 
@@ -121,17 +131,22 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
     A column that is entirely zero, or whose pivot is NaN, is left as it
-    is. A real ``v``, whose entries are finite, only has its signs set.
+    is. A real ``v``, whose entries are finite, only has its signs set;
+    when no pivot is negative that is a copy, which holds what multiplying
+    by 1.0 gives, in the layout the product has.
     """
     if v.size == 0:
         return v
     pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
     if v.dtype.kind != "c":
-        return v * np.where(pivot < 0.0, -1.0, 1.0)
+        negative = pivot < 0.0
+        if np.count_nonzero(negative):
+            return v * np.where(negative, -1.0, 1.0)
+        return v.copy(order="K")
     # hypot rounds as scalar abs() does; the vectorized complex abs can
     # differ from it in the last bit, which would move the phases.
     mag = np.hypot(pivot.real, pivot.imag)
-    if (mag > 0.0).all():
+    if np.count_nonzero(mag > 0.0) == mag.size:
         return v * (pivot.conj() / mag)
     phase = np.ones_like(pivot)
     np.divide(pivot.conj(), mag, out=phase, where=mag > 0.0)
@@ -186,6 +201,10 @@ def spans_match(a: Subspace, b: Subspace) -> tuple[bool, float]:
         return False, float(abs(a.dim - b.dim))
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient dimensions")
+    # Two 0-dimensional subspaces coincide with the residual their empty
+    # bases give, 0.0.
+    if not a.dim:
+        return True, 0.0
     return True, max(_maxabs(_outside(a.basis, b.basis)), _maxabs(_outside(b.basis, a.basis)))
 
 
@@ -195,7 +214,8 @@ def _overlap(a: Subspace, b: Subspace) -> float:
         a, b = b, a
     if a.by_complement:
         return _maxabs(_outside(b.basis, a.complement))
-    return _maxabs(a.basis.conj().T @ b.basis)
+    # Of two held bases, one without columns gives an empty product, whose largest entry is 0.0.
+    return _maxabs(a.basis.conj().T @ b.basis) if a.dim and b.dim else 0.0
 
 
 def unitarity_residual(a) -> float:
@@ -255,7 +275,7 @@ def _rank_svd(
 
 
 def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray:
-    """Mask of the eigenvalues of a normal operator that equal ``target``.
+    """Mask of the eigenvalues of a normal operator, a 1-d array, that equal ``target``.
 
     The distances ``|lambda - target|`` must be at most ``rank_tol`` times
     their maximum, or at most ``rank_tol`` when the maximum is itself
@@ -264,7 +284,7 @@ def _near_unit(values: np.ndarray, target: float, rank_tol: float) -> np.ndarray
     values are zero.
     """
     dist = np.abs(values - target if target else values)
-    dmax = float(dist.max()) if dist.size else 0.0
+    dmax = float(dist[dist.argmax()]) if dist.size else 0.0
     return dist <= rank_tol * (dmax if dmax > rank_tol else 1.0)
 
 
@@ -276,20 +296,27 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cluster_slices(sorted_values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """Consecutive index ranges of a sorted real array separated by > gap."""
-    return _runs(sorted_values[1:] - sorted_values[:-1] > gap, len(sorted_values))
+    n = len(sorted_values)
+    if n < 2:  # no gap to break at
+        return [(0, n)] if n else []
+    return _runs(sorted_values[1:] - sorted_values[:-1] > gap, n)
 
 
 def _runs(breaks: np.ndarray, n: int) -> list[tuple[int, int]]:
     """Index ranges of ``n`` values, a new one after each position where ``breaks`` is set."""
-    bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), n] if n else []
+    bounds = [0, *(breaks.nonzero()[0] + 1).tolist(), n] if n else []
     return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _principal_order(values) -> np.ndarray:
     """Stable order by argument in (-pi, pi]; one within 1e-14 of -pi is taken as pi."""
-    args = np.angle(values)
-    args[args <= -np.pi + 1e-14] += 2.0 * np.pi
-    return np.argsort(args, kind="stable")
+    values = np.asarray(values)
+    # np.angle's own computation, without its wrapper.
+    args = np.arctan2(values.imag, values.real)
+    near = args <= -np.pi + 1e-14
+    if np.count_nonzero(near):
+        args[near] += 2.0 * np.pi
+    return args.argsort(kind="stable")
 
 
 def _eig_unitary(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +488,8 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
     if s1.by_complement and s2.complement is not None:
         left, sines, _ = np.linalg.svd(_outside(s2.complement, s1.complement), full_matrices=False)
         kept = left[:, :np.count_nonzero(sines > tol.rank)]
-        return Subspace(n, complement=np.linalg.qr(np.hstack([s1.complement, kept]))[0])
+        stacked = np.concatenate([s1.complement, kept], axis=1)
+        return Subspace(n, complement=np.linalg.qr(stacked)[0])
     if s2.complement is None:
         _, sines, vh = np.linalg.svd(_outside(s1.basis, s2.basis), full_matrices=False)
         right = vh.conj().T
@@ -472,4 +500,8 @@ def subspace_intersection(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_T
             right = vh.conj().T
         else:
             right, sines, _ = np.linalg.svd(y.conj().T, full_matrices=False)
-    return Subspace(n, _canonical_phases(s1.basis @ right[:, np.count_nonzero(sines > tol.rank):]))
+    kept = right[:, np.count_nonzero(sines > tol.rank):]
+    # An empty intersection is the empty product B1 times no columns.
+    if not kept.shape[1]:
+        return Subspace(n, np.empty((n, 0), np.result_type(s1.basis, kept)))
+    return Subspace(n, _canonical_phases(s1.basis @ kept))

@@ -248,8 +248,12 @@ def toy_two_dim(beta: float, gamma_phase: float, tol: Tolerance = DEFAULT_TOL) -
 
     The evolution is diag(e^{i beta}, e^{-i beta}); the grading is the
     phase swap with angle ``gamma_phase``, so the coin is the phase swap
-    with angle ``gamma_phase - beta``.
+    with angle ``gamma_phase - beta``. A non-finite angle is refused with
+    :class:`ParamInvariantViolated` naming it.
     """
+    for name, angle in (("beta", beta), ("gamma", gamma_phase)):
+        if not math.isfinite(angle):
+            raise ParamInvariantViolated(f"{name} must be finite, got {angle}")
     u = np.diag([np.exp(1j * beta), np.exp(-1j * beta)])
     gamma = np.array(
         [[0.0, np.exp(1j * gamma_phase)], [np.exp(-1j * gamma_phase), 0.0]],

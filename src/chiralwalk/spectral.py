@@ -58,6 +58,7 @@ from .linalg import (
     _cluster_slices,
     _eig_unitary,
     _eigh,
+    _identity_residual,
     _kernel_svd,
     _maxabs,
     _near_unit,
@@ -236,7 +237,7 @@ class _Walk:
         """
         ker_w, sigma = _kernel_svd(self.q, tol)
         n = self.q.shape[0]
-        plus, minus = (subspace_intersection(ker_w, side, tol) for side in self.sides)
+        plus, minus = [subspace_intersection(ker_w, side, tol) for side in self.sides]
         return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
 
     def alpha_kernels(self, tol: Tolerance) -> tuple[Subspace, Subspace]:
@@ -248,8 +249,8 @@ class _Walk:
         """
         plus, minus = self.sides
         alpha = self.lift(minus.basis).conj().T @ self.q @ plus.basis
-        return tuple(_span(side.basis @ kernel_basis(a, tol).basis)
-                     for side, a in zip(self.sides, (alpha, alpha.conj().T)))
+        return tuple([_span(side.basis @ kernel_basis(a, tol).basis)
+                      for side, a in zip(self.sides, (alpha, alpha.conj().T))])
 
 
 def _certificate_bound(reduced: _Reduced) -> float:
@@ -284,11 +285,11 @@ def _walk_subspace(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: Subspac
     if 4 * dec.coin_space_dim <= pair.dim:
         d_star = pair.ops.spaces("coin", tol)[int(dec.flipped)].basis
         ranks = (gamma_plus.dim - eff.M_minus, gamma_minus.dim - eff.M_plus)
-        b = np.hstack([
+        b = np.concatenate([
             np.linalg.svd(_outside(d_star, g.complement), full_matrices=False)[0][:, :r]
             if g.by_complement else
             g.basis @ np.linalg.svd(g.basis.conj().T @ d_star, full_matrices=False)[0][:, :r]
-            for g, r in zip((gamma_plus, gamma_minus), ranks)])
+            for g, r in zip((gamma_plus, gamma_minus), ranks)], axis=1)
         unit, u = _unit(pair), pair.u
         gb = pair.gamma @ b
         graded = (u @ b, u.conj().T @ b, u @ gb, u.conj().T @ gb)
@@ -358,9 +359,9 @@ def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: S
     tol = reduced.tol
     coin_plus, coin_minus = reduced.pair.ops.spaces("coin", tol)
     dec = _coisometry(reduced, coin_plus, coin_minus)
-    counts = EigenspaceCensus(*(subspace_intersection(g, c, tol) for g, c in (
+    counts = EigenspaceCensus(*[subspace_intersection(g, c, tol) for g, c in (
         (gamma_plus, coin_plus), (gamma_minus, coin_plus),
-        (gamma_minus, coin_minus), (gamma_plus, coin_minus))))
+        (gamma_minus, coin_minus), (gamma_plus, coin_minus))])
     # T's Hermiticity is a check of the report, so its eigensolve does not
     # raise on it.
     w_t, v_t = _eigh(_real_if_exact(dec.discriminant))
@@ -389,10 +390,10 @@ _CENSUS_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 def _span_check(name: str, reduced: _Reduced, span_pairs) -> CheckResult:
     """Each pair of subspaces must coincide to within ``tol.structural * dim``, the whole n."""
-    ok, worst = True, 0.0
+    ok, worst, bound = True, 0.0, reduced.tol.structural * reduced.dim
     for a, b in span_pairs:
         same, residual = spans_match(a, b)
-        ok = ok and same and residual <= reduced.tol.structural * reduced.dim
+        ok = ok and same and residual <= bound
         worst = max(worst, residual)
     return CheckResult(name, ok, worst)
 
@@ -407,8 +408,8 @@ def _span(v: np.ndarray) -> Subspace:
 
 
 def _sum(n: int, parts) -> Subspace:
-    """The orthogonal sum of ``parts``, its basis stacked into a fresh contiguous array."""
-    return Subspace(n, np.hstack([np.empty((n, 0))] + [p.basis for p in parts]))
+    """The orthogonal sum of one or more ``parts``, stacked in a fresh contiguous basis."""
+    return Subspace(n, np.concatenate([p.basis for p in parts], axis=1))
 
 
 def _formula(counts: EigenspaceCensus) -> int:
@@ -418,13 +419,16 @@ def _formula(counts: EigenspaceCensus) -> int:
 def _mean(values: np.ndarray, counts: np.ndarray | None = None):
     """The mean of a cluster and its size, each value taken ``counts`` times when given.
 
-    Without counts it is ``np.mean``, and of one value the value itself:
+    Without counts it is the sum over the length, which is what
+    ``np.mean`` computes, and of one value the value itself plus zero:
     ``np.mean`` sums from zero, so a lone -0.0 (or a complex value's -0.0
     part) comes back as 0.0; adding zero does the same.
     """
     if counts is not None:
-        return np.dot(counts, values) / counts.sum(), int(counts.sum())
-    return (values[0] + 0.0 if len(values) == 1 else np.mean(values)), len(values)
+        total = sum(counts.tolist())
+        return np.dot(counts, values) / total, total
+    size = len(values)
+    return (values[0] + 0.0 if size == 1 else np.add.reduce(values) / size), size
 
 
 def _counted(values: np.ndarray, value, count: int):
@@ -433,7 +437,7 @@ def _counted(values: np.ndarray, value, count: int):
         return values, None
     counts = np.ones(values.size + 1, dtype=int)
     counts[-1] = count
-    return np.append(values, value), counts
+    return np.concatenate([values, [value]]), counts
 
 
 def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], ...]:
@@ -442,11 +446,12 @@ def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], .
     ``counts``, when given, holds the number of copies of each value.
     """
     vals = np.asarray(values, dtype=float)
-    order = np.argsort(vals, kind="stable")
-    vals, counts = vals[order], None if counts is None else counts[order]
-    return tuple((float(mean), size) for mean, size in (
+    if vals.size > 1:
+        order = vals.argsort(kind="stable")
+        vals, counts = vals[order], None if counts is None else counts[order]
+    return tuple([(float(mean), size) for mean, size in [
         _mean(vals[start:stop], None if counts is None else counts[start:stop])
-        for start, stop in _cluster_slices(vals, gap)))
+        for start, stop in _cluster_slices(vals, gap)]])
 
 
 def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, int], ...]:
@@ -457,8 +462,8 @@ def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, 
     when given, holds the number of copies of each value.
     """
     vals = np.asarray(values, dtype=complex)
-    if vals.size == 0:
-        return ()
+    if vals.size < 2:  # one cluster or none, and nothing to sort
+        return (_unit_mean(vals, counts),) if vals.size else ()
     order = _principal_order(vals)
     vals, counts = vals[order], None if counts is None else counts[order]
     # hypot rounds as scalar abs() does, so each <= gap decision is the
@@ -470,14 +475,18 @@ def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, 
         last = groups.pop()
         groups[0] = tuple(None if a is None else np.concatenate([a, b])
                           for a, b in zip(last, groups[0]))
-
-    def normalized_mean(g: np.ndarray, k: np.ndarray | None) -> tuple[complex, int]:
-        rep, size = _mean(g, k)
-        mag = abs(complex(rep))
-        return complex(rep) / mag if mag > 0 else complex(rep), size
-
-    out = [normalized_mean(*group) for group in groups]
+    out = [_unit_mean(*group) for group in groups]
+    if len(out) == 1:
+        return tuple(out)
     return tuple(out[i] for i in _principal_order([z for z, _ in out]))
+
+
+def _unit_mean(values: np.ndarray, counts: np.ndarray | None) -> tuple[complex, int]:
+    """A cluster's mean renormalized to modulus one, and its size."""
+    rep, size = _mean(values, counts)
+    rep = complex(rep)
+    mag = abs(rep)
+    return rep / mag if mag > 0 else rep, size
 
 
 def build_index_report(pair: ChiralPair) -> IndexReport:
@@ -509,20 +518,21 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
     w_dim = u_values.size
     u_values, u_counts = _counted(
-        np.concatenate([u_values, np.ones(out_plus), -np.ones(out_minus)]),
+        np.concatenate([u_values, [1.0] * out_plus + [-1.0] * out_minus]),
         reduced.signs[0] * reduced.signs[1], block)
     at_plus = _near_unit(u_values, 1.0, tol.rank)
     at_minus = _near_unit(u_values, -1.0, tol.rank)
     # ker(U -+ 1) & W, lifted; ker(U -+ 1) adds that sign's part of W-perp.
-    ker_u_plus, ker_u_minus = (_span(walk.lift(u_vectors[:, at[:w_dim]]))
-                               for at in (at_plus, at_minus))
+    ker_u_plus, ker_u_minus = [_span(walk.lift(u_vectors[:, at[:w_dim]]))
+                               for at in (at_plus, at_minus)]
     interior_u = u_values[~(at_plus | at_minus)]
 
-    # Coisometry identities. The effective coin is recovered as 2 d* d - 1,
-    # with the identity subtracted in place, which rounds as subtracting
-    # np.eye(n) does, and the coin added in place (its negation subtracted
-    # exactly). On the block both sides are the coin's scalar.
-    res = _maxabs(dec.d @ dec.d.conj().T - np.eye(dec.coin_space_dim))
+    # Coisometry identities. d d* - 1 and the effective coin, recovered as
+    # 2 d* d - 1, have the identity subtracted in place, which rounds as
+    # subtracting np.eye(n) does, and the coin is added in place (its
+    # negation subtracted exactly). On the block both sides are the coin's
+    # scalar.
+    res = _identity_residual(dec.d @ dec.d.conj().T)
     checks.append(CheckResult("coisometry_rows_orthonormal", res <= tol.structural, res))
     recovered = (2.0 * dec.d.conj().T @ dec.d).astype(pair.coin.dtype, copy=False)
     recovered.flat[::pair.dim + 1] -= 1.0
@@ -535,7 +545,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     t_values, t_counts = _counted(w_t, reduced.signs[0],
                                   block if _holds_block(reduced, dec) else 0)
-    norm_t = float(np.max(np.abs(t_values))) if t_values.size else 0.0
+    norm_t = _maxabs(t_values)
     res = max(0.0, norm_t - 1.0)
     # The compression has |T|_2 <= |Gamma|_2, and |Gamma|_2^2 <= 1 + n r for
     # Gamma's unitarity residual r <= tol.structural (nu in
@@ -582,7 +592,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     split = _span_check("unit_eigenspace_split", reduced, [
         (_sum(pair.dim, (inherited, birth)[inside]), eigenspace)
         for inherited, birth, eigenspace in sources])
-    cross = max(_overlap(inherited, birth) for inherited, birth, _ in sources)
+    cross = max([_overlap(inherited, birth) for inherited, birth, _ in sources])
     checks.append(CheckResult("unit_eigenspace_split",
                               split.passed and cross <= tol.structural * n,
                               max(split.residual, cross)))
@@ -604,10 +614,11 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
 
     # Multiplicities at +-1 must match the census: the compression's,
     # lifted to C^n, with the scalar block in the space of its signs.
-    census = EigenspaceCensus(*(reduced.whole(space, signs == reduced.signs)
-                                for space, signs in zip(vars(counts).values(), _CENSUS_SIGNS)))
-    unit_plus, unit_minus = (int(at.sum() if u_counts is None else u_counts[at].sum())
-                             for at in (at_plus, at_minus))
+    census = EigenspaceCensus(*[reduced.whole(space, signs == reduced.signs)
+                                for space, signs in zip(vars(counts).values(), _CENSUS_SIGNS)])
+    unit_plus, unit_minus = [
+        int(np.count_nonzero(at)) if u_counts is None else sum(u_counts[at].tolist())
+        for at in (at_plus, at_minus)]
     res = float(abs(unit_plus - census.m_plus - census.M_plus)
                 + abs(unit_minus - census.m_minus - census.M_minus))
     checks.append(CheckResult("unit_eigenvalue_counts", res == 0.0, res))
@@ -652,8 +663,8 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     nonzero_h = w_h[ker_q_dim:]
     ker_q_dim += block
     expected_zero = unit_plus + unit_minus
-    expected_nonzero = np.sort(np.concatenate([1.0 - interior_t**2] * 2)) \
-        if interior_t.size else np.empty(0)
+    expected_nonzero = np.concatenate([1.0 - interior_t**2] * 2)
+    expected_nonzero.sort()
     if ker_q_dim != expected_zero or len(nonzero_h) != len(expected_nonzero):
         checks.append(CheckResult(
             "squared_supercharge_spectrum", False,
@@ -718,7 +729,7 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
                     f"{label} clusters separated by only {smallest:.3e}; "
                     f"multiplicities may be tolerance-sensitive")
 
-    consistent = all(c.passed for c in checks)
+    consistent = all([c.passed for c in checks])
 
     return IndexReport(
         dim=n,

@@ -555,6 +555,23 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == f"error: coin angle of site {site} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("sites", ["-1", "0"])
+    def test_random_angles_for_a_bad_cycle_length_name_the_length(self, capsys, sites):
+        # The seed is readable, so --angles is not blamed; the length is.
+        code, out, err = run_cli(capsys, "model", "split-step", "--sites", sites, "--p", "0.6",
+                                 "--q-re", "0.8", "--angles", "random:1")
+        assert (code, out) == (1, "")
+        assert err == f"error: cycle length must be positive, got {sites}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
+                                             ("--gamma", "-inf"), ("--gamma", "nan")])
+    def test_non_finite_toy2_angle_exits_one_naming_it(self, capsys, flag, value):
+        # Written as --flag=value, so that -inf is not read as a flag.
+        args = {"--beta": "0.3", "--gamma": "0.3", flag: value}
+        code, out, err = run_cli(capsys, "model", "toy2", *(f"{k}={v}" for k, v in args.items()))
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+
     def test_nan_split_step_parameter_names_the_normalization(self, capsys):
         code, _, err = run_cli(capsys, "model", "split-step", "--sites", "4", "--p", "nan",
                                "--q-re", "0.8", "--angles", "1,2,3,4")
@@ -657,12 +674,16 @@ class TestSizeLimits:
 
     def test_search_at_the_limit_keeps_its_memory_budget(self):
         # The limit is set by a budget of 256 MiB for the command (1 BLAS
-        # thread); the child reports its own peak RSS, in KiB on Linux.
+        # thread); the child reports its own peak RSS, VmHWM in KiB. Not
+        # ru_maxrss: Linux carries it across exec, so it would also hold
+        # the peak of this test process.
         limit = models.MAX_QUBITS
-        child = ("import resource, sys\n"
+        child = ("import sys\n"
                  "from chiralwalk.cli import main\n"
                  "code = main(sys.argv[1:])\n"
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                 "with open('/proc/self/status') as fh:\n"
+                 "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+                 "print(peak, file=sys.stderr)\n"
                  "sys.exit(code)\n")
         env = dict(os.environ, **ONE_BLAS_THREAD, PYTHONPATH=str(SRC))
         result = subprocess.run([sys.executable, "-c", child, "model", "grover-search",

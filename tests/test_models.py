@@ -477,6 +477,14 @@ class TestToyModels:
         assert (c.m_plus, c.m_minus, c.M_plus, c.M_minus) == (0, 0, 0, 0)
         assert report.index_alpha == 0
 
+    @pytest.mark.parametrize("beta, gamma_phase, name, value", [
+        (np.nan, 0.3, "beta", "nan"), (np.inf, 0.3, "beta", "inf"),
+        (0.3, -np.inf, "gamma", "-inf"), (0.3, np.nan, "gamma", "nan")])
+    def test_two_dim_rejects_non_finite_angle(self, beta, gamma_phase, name, value):
+        # Refused before any exponential is taken, so no RuntimeWarning is raised.
+        with pytest.raises(ParamInvariantViolated, match=f"^{name} must be finite, got {value}$"):
+            toy_two_dim(beta, gamma_phase)
+
     def test_two_dim_index_always_zero(self):
         for beta in (0.0, 0.2, np.pi / 2, np.pi, 5.0):
             for gamma_phase in (0.0, 0.8, 2.2):

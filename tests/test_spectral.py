@@ -1,6 +1,7 @@
 """Tests for the coisometry, discriminant, census, and mapping verification."""
 
 import cmath
+import os
 import sys
 
 import numpy as np
@@ -619,3 +620,50 @@ def test_clustering_matches_the_value_by_value_loop(size, clusters, spread, sign
         assert _bytes(cluster_unimodular(unimodular, gap)) == \
             _bytes(_loop_cluster_unimodular(unimodular, gap))
 
+
+
+def _package_calls(fn) -> int:
+    """Calls made from chiralwalk frames while ``fn`` runs.
+
+    Under ``sys.setprofile``, a ``call`` event counts when its caller
+    frame is in the package and a ``c_call`` event when it is raised from
+    a package frame: the call sites the package itself executes, however
+    many calls numpy makes beneath them.
+    """
+    root = os.path.dirname(spectral.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            caller = frame.f_back
+            count += caller is not None and caller.f_code.co_filename.startswith(root)
+        elif event == "c_call":
+            count += frame.f_code.co_filename.startswith(root)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# Calls from chiralwalk frames with Python 3.11 and numpy 2.4.6: building
+# and reporting on the 7-qubit search pair, and reporting on one seeded
+# dense pair per dimension 2..16, in total (733.7 a pair). They were 1012
+# and 13437 (895.8 a pair) before the report's per-call overhead was cut;
+# a change that adds calls to the report raises these budgets on purpose.
+SEARCH_REPORT_CALLS = 834
+DENSE_REPORT_CALLS = 11005
+
+
+def test_report_calls_stay_within_budget():
+    search = _package_calls(lambda: build_index_report(grover_search(7, 5)))
+    dense = []
+    for dim in range(2, 17):
+        pair = random_chiral_pair(np.random.default_rng(dim), dim)
+        dense.append(_package_calls(lambda: build_index_report(pair)))
+    assert search <= SEARCH_REPORT_CALLS
+    assert sum(dense) <= DENSE_REPORT_CALLS
