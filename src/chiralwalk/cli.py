@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -306,6 +307,24 @@ def cmd_selftest(args) -> int:
     return 0 if result.all_passed else 1
 
 
+# Every negative number that float() reads, exponent, inf and nan included;
+# argparse's own pattern takes only plain decimals such as -5 or -0.25.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads ``-1e-20`` and ``-inf`` as values, as it reads ``-5``.
+
+    No flag of this program looks like a number, so such a token after a
+    flag is that flag's value. Subparsers are made of this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser as it was.
@@ -325,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     reported.add_argument("--dump-matrices", metavar="DIR", default=None,
                           help="write the pair's matrices to DIR as MatrixFiles")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chiralwalk",
         description="Index theory for chiral-symmetric quantum walks.",
     )

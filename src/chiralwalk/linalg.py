@@ -184,6 +184,10 @@ class Subspace:
 
     @cached_property
     def basis(self) -> np.ndarray:
+        # Held by an empty complement, the space is all of C^n: the complete
+        # QR of no columns gives the identity, so it is written out.
+        if not self.complement.shape[1]:
+            return np.eye(self.ambient_dim, dtype=self.complement.dtype)
         return np.linalg.qr(self.complement, mode="complete")[0][:, self.complement.shape[1]:]
 
     def __repr__(self) -> str:

@@ -12,11 +12,16 @@ its grading that its report computed, and the three transforms that keep
 the grading read them there, so a pair's grading and coin are each
 eigensolved once; the negated and the conjugated grading are each
 factorized on their own, so those checks stay independent; and each
-index is read from singular values alone.
+index is read from singular values alone. The pairs of a run are shared
+out among forked workers, one per allowed CPU (:func:`run_selftest`), and
+the result is the same for any number of them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,34 +140,136 @@ class SelftestResult:
         return not self.failures
 
 
+# Fewest pairs a forked worker takes. Forking a process that has imported
+# numpy, and reaping it, takes 3-4 ms; with the copy-on-write faults that
+# both sides then take, a second worker costs about 8 ms, as much as four
+# to six pairs of dimension 2-8. On 2 CPUs, runs of 14 such pairs or fewer
+# gained nothing from a second worker and runs of 15 or more did.
+MIN_SHARE = 8
+
+
 def run_selftest(
     dim_max: int, trials: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> SelftestResult:
-    """Run the full battery on ``trials`` random pairs per dimension 2..dim_max."""
+    """Run the full battery on ``trials`` random pairs per dimension 2..dim_max.
+
+    The pairs are independent once the generator's draws are fixed, so
+    on Linux they are shared out among forked workers on the allowed CPUs
+    (see :func:`_worker_count`). The result is the in-process one
+    either way, and a run in which any worker fails is run again in
+    process, so that it raises what the in-process run raises.
+    """
     if dim_max < 2:
         raise ValueError(f"dim_max must be at least 2, got {dim_max}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    dims = [dim for dim in range(2, dim_max + 1) for _ in range(trials)]
+    workers = _worker_count(len(dims))
+    records = _forked(dims, seed, tol, workers) if workers > 1 else None
+    if records is None:
+        records = _share(dims, seed, tol, 0, 1)
     passes: dict[str, int] = {}
     totals: dict[str, int] = {}
     failures: list[tuple[int, str, float]] = []
-    pairs = 0
-    for dim in range(2, dim_max + 1):
-        for _ in range(trials):
-            pair = random_chiral_pair(rng, dim, tol)
-            pairs += 1
-            report = build_index_report(pair)
-            battery = transformation_checks(pair, report.index_alpha, rng)
-            for check in list(report.checks) + battery:
-                totals[check.name] = totals.get(check.name, 0) + 1
-                if check.passed:
-                    passes[check.name] = passes.get(check.name, 0) + 1
-                else:
-                    passes.setdefault(check.name, 0)
-                    failures.append((dim, check.name, check.residual))
+    for _, dim, checks in records:
+        for check in checks:
+            totals[check.name] = totals.get(check.name, 0) + 1
+            if check.passed:
+                passes[check.name] = passes.get(check.name, 0) + 1
+            else:
+                passes.setdefault(check.name, 0)
+                failures.append((dim, check.name, check.residual))
     return SelftestResult(
-        pairs=pairs, passes=passes, totals=totals, failures=tuple(failures)
+        pairs=len(dims), passes=passes, totals=totals, failures=tuple(failures)
     )
+
+
+def _worker_count(pairs: int) -> int:
+    """One worker per allowed CPU, but none with fewer than MIN_SHARE pairs."""
+    if not hasattr(os, "sched_getaffinity"):  # not Linux
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), pairs // MIN_SHARE))
+
+
+def _share(
+    dims: list[int], seed: int, tol: Tolerance, worker: int, workers: int
+) -> list[tuple[int, int, list[CheckResult]]]:
+    """``(k, dim, checks)`` for each pair k with ``k % workers == worker``, in order.
+
+    Every worker walks the whole generator stream from ``seed``; for the
+    other workers' pairs it makes only the generator calls.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for k, dim in enumerate(dims):
+        if k % workers != worker:
+            _skip_pair(rng, dim)
+            continue
+        pair = random_chiral_pair(rng, dim, tol)
+        report = build_index_report(pair)
+        battery = transformation_checks(pair, report.index_alpha, rng)
+        records.append((k, dim, list(report.checks) + battery))
+    return records
+
+
+def _skip_pair(rng: np.random.Generator, n: int) -> None:
+    """Make the generator calls of one pair of dimension ``n`` and its battery, and no more.
+
+    In order: :func:`random_involution` for the grading and the coin,
+    :func:`haar_unitary` for the conjugation, :func:`random_involution`
+    for the fresh coin.
+    """
+    for draws_signature in (True, True, False, True):
+        if draws_signature:
+            rng.integers(0, n + 1)
+        rng.normal(size=(n, n))
+        rng.normal(size=(n, n))
+
+
+def _forked(
+    dims: list[int], seed: int, tol: Tolerance, workers: int
+) -> list[tuple[int, int, list[CheckResult]]] | None:
+    """Every pair's record, from this process and ``workers - 1`` forked ones.
+
+    This process is worker 0. A child pickles its records into a pipe
+    once they are all made, and leaves by ``os._exit``; a child that
+    fails sends no whole pickle. The records come back in pair order, or
+    None if any worker failed; either way every child has been reaped.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    complete = False
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    with open(write, "wb") as sink:
+                        pickle.dump(_share(dims, seed, tol, worker, workers), sink)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = read
+        records = _share(dims, seed, tol, 0, workers)
+        for read in children.values():
+            with open(read, "rb", closefd=False) as source:
+                records += pickle.loads(source.read())
+        complete = True
+    except Exception:
+        pass
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            if not complete:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return sorted(records, key=lambda record: record[0]) if complete else None

@@ -566,11 +566,28 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
                                              ("--gamma", "-inf"), ("--gamma", "nan")])
     def test_non_finite_toy2_angle_exits_one_naming_it(self, capsys, flag, value):
-        # Written as --flag=value, so that -inf is not read as a flag.
         args = {"--beta": "0.3", "--gamma": "0.3", flag: value}
         code, out, err = run_cli(capsys, "model", "toy2", *(f"{k}={v}" for k, v in args.items()))
         assert (code, out) == (1, "")
         assert err == f"error: {flag[2:]} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("before, flag, value, after, err", [
+        (["model", "toy2", "--beta", "0.3"], "--gamma", "-inf", [],
+         "error: gamma must be finite, got -inf\n"),
+        (["model", "toy2", "--gamma", "0.3"], "--beta", "-NaN", [],
+         "error: beta must be finite, got nan\n"),
+        (["model", "split-step", "--sites", "4", "--p", "0.6", "--q-re", "0.8"],
+         "--q-im", "-1e-20", ["--angles", "0,0,0,0"], ""),
+        (["model", "split-step", "--sites", "4", "--p", "0.6"], "--q-re", "-.8E+0",
+         ["--angles", "0,0,0,0"], ""),
+    ])
+    def test_negative_number_after_a_flag_is_its_value(self, capsys, before, flag, value,
+                                                       after, err):
+        # -1e-20 and -inf are read as values, as -5 is, so both spellings
+        # give the same output and argparse never says "expected one argument".
+        spaced = run_cli(capsys, *before, flag, value, *after)
+        assert spaced == run_cli(capsys, *before, f"{flag}={value}", *after)
+        assert spaced[0] == (1 if err else 0) and spaced[2] == err
 
     def test_nan_split_step_parameter_names_the_normalization(self, capsys):
         code, _, err = run_cli(capsys, "model", "split-step", "--sites", "4", "--p", "nan",

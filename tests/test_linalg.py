@@ -532,6 +532,24 @@ class TestSubspaceHeldByComplement:
             Subspace(3, complement=np.zeros((2, 1)))
         assert Subspace(3, complement=np.zeros((3, 0))).dim == 3
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_empty_complement_gives_the_identity_of_a_qr_without_one(self, monkeypatch,
+                                                                     n, dtype):
+        # The complete QR of no columns is the identity: the basis is that
+        # array, byte for byte and in its layout, but made with no QR.
+        empty = np.empty((n, 0), dtype)
+        expected = np.linalg.qr(empty, mode="complete")[0]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a QR was made")
+
+        monkeypatch.setattr(np.linalg, "qr", unused)
+        basis = Subspace(n, complement=empty).basis
+        assert basis.dtype == expected.dtype and basis.shape == expected.shape
+        assert basis.tobytes() == expected.tobytes()
+        assert basis.flags.c_contiguous and basis.strides == expected.strides
+
     def test_overlap_with_a_subspace_held_by_its_complement(self):
         # X is held by a 4-column complement. Two of those columns are
         # orthogonal to X, while a direction of X is not; the overlap is
