@@ -164,9 +164,10 @@ class _Stored:
     def spaces(self, name: str, tol: Tolerance) -> tuple[Subspace, Subspace]:
         """The +1 and -1 eigenspaces of ``gamma`` or ``coin``, from the matrix, kept once made."""
         key = (name, tol)
-        if key not in self._spaces:
-            self._spaces[key] = _involution_eigenspaces(self.matrices[name], tol)
-        return self._spaces[key]
+        spaces = self._spaces.get(key)
+        if spaces is None:
+            spaces = self._spaces[key] = _involution_eigenspaces(self.matrices[name], tol)
+        return spaces
 
 
 class _Reduced(NamedTuple):
@@ -197,7 +198,9 @@ class _Reduced(NamedTuple):
         if self.basis is None:
             return space
         if not holds:
-            return Subspace(self.dim, self.basis @ space.basis)
+            # An empty space lifts to no columns, with no product formed.
+            return Subspace(self.dim, self.basis @ space.basis if space.dim else
+                            np.empty((self.dim, 0), np.result_type(self.basis, space.basis)))
         other = Subspace(self.pair.dim, complement=space.basis).basis \
             if space.complement is None else space.complement
         return Subspace(self.dim, complement=self.basis @ other)

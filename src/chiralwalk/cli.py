@@ -19,8 +19,9 @@ bits between one and two threads); a report is written field by field in
 that order, as the text that ``json.dumps(..., indent=2)`` gives for it.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 a
-consistency check failed. A pair that validates always gets its report,
-and ``--dump-matrices`` writes on exit 2 too. Past ``models.MAX_QUBITS``
+report's consistency check failed; ``selftest`` exits 1 when a check of
+its battery fails. A pair that validates always gets its report, and
+``--dump-matrices`` writes on exit 2 too. Past ``models.MAX_QUBITS``
 qubits, the one limit of ``model grover-search`` and ``evolve``, and for
 ``--dump-matrices`` of a search pair past dimension
 ``chiral.DENSE_MAX_DIM``, the command exits 1 and writes nothing.
@@ -147,10 +148,6 @@ def _number(x) -> str:
     return int.__repr__(x)
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
-
-
 def _items(key: str, items: list[str]) -> str:
     """The top-level list ``key``, its items written at the indent of a list entry."""
     return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
@@ -164,7 +161,7 @@ def _check_item(check) -> str:
     detail = (f',\n      "detail": {encode_basestring_ascii(check.detail)}'
               if check.detail else "")
     return (f'    {{\n      "name": {encode_basestring_ascii(check.name)},\n'
-            f'      "passed": {_bool(check.passed)},\n'
+            f'      "passed": {"true" if check.passed else "false"},\n'
             f'      "residual": {_number(check.residual)}{detail}\n    }}')
 
 
@@ -181,7 +178,7 @@ def render_report(report: IndexReport, tol: Tolerance) -> str:
         f'  "dim": {_number(report.dim)}',
         f'  "tolerances": {{\n    "structural": {_number(tol.structural)},\n'
         f'    "rank": {_number(tol.rank)},\n    "cluster": {_number(tol.cluster)}\n  }}',
-        f'  "flipped": {_bool(report.flipped)}',
+        f'  "flipped": {"true" if report.flipped else "false"}',
         f'  "indices": {{\n    "alpha": {_number(report.index_alpha)},\n'
         f'    "witten": {_number(report.index_witten)},\n'
         f'    "formula": {_number(report.index_formula)},\n'
@@ -198,7 +195,7 @@ def render_report(report: IndexReport, tol: Tolerance) -> str:
         _items("spectrum_h", [_spectrum_item(_number(float(v)), m)
                               for v, m in report.spectrum_h]),
         f'  "mapping_residual": {_number(report.mapping_residual)}',
-        f'  "consistent": {_bool(report.consistent)}',
+        f'  "consistent": {"true" if report.consistent else "false"}',
         _items("checks", [_check_item(c) for c in report.checks]),
         _items("warnings", [f"    {encode_basestring_ascii(w)}" for w in report.warnings]),
     )) + "\n}\n"
@@ -220,11 +217,12 @@ def _dump_matrices(args, matrices) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        structural=args.tol_structural,
-        rank=args.tol_rank,
-        cluster=args.tol_cluster,
-    )
+    values = (args.tol_structural, args.tol_rank, args.tol_cluster)
+    # The default flags give the default tolerance, which is not built again.
+    return DEFAULT_TOL if values == _DEFAULT_VALUES else Tolerance(*values)
+
+
+_DEFAULT_VALUES = (DEFAULT_TOL.structural, DEFAULT_TOL.rank, DEFAULT_TOL.cluster)
 
 
 def _report_and_emit(args, pair) -> int:
@@ -307,14 +305,17 @@ def cmd_selftest(args) -> int:
     return 0 if result.all_passed else 1
 
 
-# Every negative number that float() reads, exponent, inf and nan included;
-# argparse's own pattern takes only plain decimals such as -5 or -0.25.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-                              re.IGNORECASE)
+# Every negative number that float() reads, exponent, inf, nan and single
+# underscores between digits included; argparse's own pattern takes only
+# plain decimals such as -5 or -0.25.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-({_DIGITS}\.?(?:{_DIGITS})?|\.{_DIGITS})(e[-+]?{_DIGITS})?$|^-(inf|infinity|nan)$",
+    re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads ``-1e-20`` and ``-inf`` as values, as it reads ``-5``.
+    """A parser that reads ``-1e-20``, ``-inf`` and ``-1_0`` as values, as it reads ``-5``.
 
     No flag of this program looks like a number, so such a token after a
     flag is that flag's value. Subparsers are made of this class too.

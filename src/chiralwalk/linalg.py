@@ -94,8 +94,9 @@ def _maxabs(a: np.ndarray) -> float:
         return 0.0
     if a.dtype.kind == "c":
         a = np.abs(a)
-        return float(a.flat[a.argmax()])
-    return abs(float(max(a.flat[a.argmax()], -a.flat[a.argmin()])))
+        return a.item(a.argmax())
+    high, low = a.item(a.argmax()), -a.item(a.argmin())
+    return abs(low if low > high else high)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -137,12 +138,12 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """
     if v.size == 0:
         return v
-    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    rows = np.abs(v).argmax(axis=0)
     if v.dtype.kind != "c":
-        negative = pivot < 0.0
-        if np.count_nonzero(negative):
-            return v * np.where(negative, -1.0, 1.0)
-        return v.copy(order="K")
+        # Each column's sign is read from its pivot as a Python float.
+        signs = [-1.0 if v.item(i, j) < 0.0 else 1.0 for j, i in enumerate(rows.tolist())]
+        return v * np.array(signs) if -1.0 in signs else v.copy(order="K")
+    pivot = v[rows, np.arange(v.shape[1])]
     # hypot rounds as scalar abs() does; the vectorized complex abs can
     # differ from it in the last bit, which would move the phases.
     mag = np.hypot(pivot.real, pivot.imag)
@@ -298,17 +299,22 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, _canonical_phases(v)
 
 
-def _cluster_slices(sorted_values: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """Consecutive index ranges of a sorted real array separated by > gap."""
-    n = len(sorted_values)
-    if n < 2:  # no gap to break at
-        return [(0, n)] if n else []
-    return _runs(sorted_values[1:] - sorted_values[:-1] > gap, n)
+def _cluster_slices(values: list[float], gap: float) -> list[tuple[int, int]]:
+    """Consecutive index ranges of sorted real values, as Python floats, separated by > gap.
 
-
-def _runs(breaks: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """Index ranges of ``n`` values, a new one after each position where ``breaks`` is set."""
-    bounds = [0, *(breaks.nonzero()[0] + 1).tolist(), n] if n else []
+    Python floats subtract and compare as an array's entries do; a
+    value-by-value pass costs less than array calls on the few values a
+    report clusters, and little beside the eigensolve that gave them on
+    many.
+    """
+    if len(values) < 2:  # no gap to break at
+        return [(0, len(values))] if values else []
+    bounds, prev = [0], values[0]
+    for k, value in enumerate(values):
+        if value - prev > gap:
+            bounds.append(k)
+        prev = value
+    bounds.append(len(values))
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -338,9 +344,10 @@ def _eig_unitary(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]
     need a split run in complex arithmetic; the columns of the others,
     such as a degenerate +-1 eigenspace, have zero imaginary part.
     """
-    skew = (m - m.conj().T) / 2.0
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    for start, stop in _cluster_slices(w, tol.cluster):
+    adjoint = m.conj().T
+    skew = (m - adjoint) / 2.0
+    w, v = np.linalg.eigh((m + adjoint) / 2.0)
+    for start, stop in _cluster_slices(w.tolist(), tol.cluster):
         if stop - start == 1:
             continue
         block = v[:, start:stop]

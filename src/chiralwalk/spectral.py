@@ -66,7 +66,6 @@ from .linalg import (
     _overlap,
     _principal_order,
     _real_if_exact,
-    _runs,
     kernel_basis,
     spans_match,
     subspace_intersection,
@@ -236,9 +235,9 @@ class _Walk:
         On the whole space W-perp is empty and no zeros are added.
         """
         ker_w, sigma = _kernel_svd(self.q, tol)
-        n = self.q.shape[0]
+        zeros = self.q.shape[0] - sigma.size
         plus, minus = [subspace_intersection(ker_w, side, tol) for side in self.sides]
-        return ker_w, np.concatenate([sigma, np.zeros(n - sigma.size)]), plus, minus
+        return ker_w, np.concatenate([sigma, np.zeros(zeros)]) if zeros else sigma, plus, minus
 
     def alpha_kernels(self, tol: Tolerance) -> tuple[Subspace, Subspace]:
         """``ker alpha`` and ``ker alpha*`` of the supercharge block, in W's coordinates.
@@ -370,11 +369,13 @@ def _discriminant_census(reduced: _Reduced, gamma_plus: Subspace, gamma_minus: S
     eff = _effective(counts, dec.flipped)
     top = w_t.size - eff.m_plus
     # Contiguous copies: a product with a strided view of the columns can
-    # take another BLAS path and round differently.
+    # take another BLAS path and round differently. A kernel without
+    # columns lifts to none, in the lift's dtype, as the product with the
+    # exactly real empty block gives.
     lift = dec.d.conj().T
-    return dec, counts, eff, w_t, (lift @ _real_if_exact(v_t[:, top:].copy()),
-                                   lift @ _real_if_exact(v_t[:, :eff.m_minus].copy()),
-                                   w_t[eff.m_minus:top])
+    return dec, counts, eff, w_t, (*[
+        lift @ _real_if_exact(v.copy()) if v.shape[1] else np.empty((len(lift), 0), lift.dtype)
+        for v in (v_t[:, top:], v_t[:, :eff.m_minus])], w_t[eff.m_minus:top])
 
 
 def _effective(counts: EigenspaceCensus, flipped: bool) -> EigenspaceCensus:
@@ -389,12 +390,17 @@ _CENSUS_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 def _span_check(name: str, reduced: _Reduced, span_pairs) -> CheckResult:
-    """Each pair of subspaces must coincide to within ``tol.structural * dim``, the whole n."""
+    """Each pair of subspaces must coincide to within ``tol.structural * dim``, the whole n.
+
+    Callers leave out, unbuilt, the pairs whose sides are both empty: two
+    0-dimensional subspaces coincide with residual 0.0.
+    """
     ok, worst, bound = True, 0.0, reduced.tol.structural * reduced.dim
     for a, b in span_pairs:
         same, residual = spans_match(a, b)
         ok = ok and same and residual <= bound
-        worst = max(worst, residual)
+        if residual > worst:
+            worst = residual
     return CheckResult(name, ok, worst)
 
 
@@ -416,28 +422,35 @@ def _formula(counts: EigenspaceCensus) -> int:
     return (counts.M_minus - counts.m_minus) - (counts.M_plus - counts.m_plus)
 
 
-def _mean(values: np.ndarray, counts: np.ndarray | None = None):
-    """The mean of a cluster and its size, each value taken ``counts`` times when given.
+def _means(vals: np.ndarray, points: list, slices, counts: np.ndarray | None) -> list:
+    """The mean and size of each cluster ``vals[start:stop]``, each value taken ``counts`` times when given.
 
-    Without counts it is the sum over the length, which is what
-    ``np.mean`` computes, and of one value the value itself plus zero:
-    ``np.mean`` sums from zero, so a lone -0.0 (or a complex value's -0.0
-    part) comes back as 0.0; adding zero does the same.
+    ``points`` holds the values as Python numbers. Without counts a mean
+    is the sum over the length, which is what ``np.mean`` computes, and of
+    one value the value itself plus zero: ``np.mean`` sums from zero, so a
+    lone -0.0 (or a complex value's -0.0 part) comes back as 0.0; adding
+    zero to the Python number does the same.
     """
     if counts is not None:
-        total = sum(counts.tolist())
-        return np.dot(counts, values) / total, total
-    size = len(values)
-    return (values[0] + 0.0 if size == 1 else np.add.reduce(values) / size), size
+        sizes = counts.tolist()
+        return [(np.dot(counts[start:stop], vals[start:stop]) / total, total)
+                for start, stop in slices for total in [sum(sizes[start:stop])]]
+    return [(points[start] + 0.0, 1) if stop - start == 1 else
+            (np.add.reduce(vals[start:stop]) / (stop - start), stop - start)
+            for start, stop in slices]
 
 
-def _counted(values: np.ndarray, value, count: int):
-    """``values`` with ``value`` once for its ``count`` copies, and each count, None if none."""
+def _counted(values: np.ndarray, value, count: int, written: list = ()):
+    """``values``, then each of ``written``, then ``value`` once for its ``count`` copies.
+
+    Returns the values, joined by one concatenation, and each one's count,
+    None when ``value`` has no copies.
+    """
     if not count:
-        return values, None
-    counts = np.ones(values.size + 1, dtype=int)
+        return (np.concatenate([values, written]) if written else values), None
+    counts = np.ones(values.size + len(written) + 1, dtype=int)
     counts[-1] = count
-    return np.concatenate([values, [value]]), counts
+    return np.concatenate([values, [*written, value]]), counts
 
 
 def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], ...]:
@@ -449,9 +462,9 @@ def cluster_reals(values, gap: float, counts=None) -> tuple[tuple[float, int], .
     if vals.size > 1:
         order = vals.argsort(kind="stable")
         vals, counts = vals[order], None if counts is None else counts[order]
-    return tuple([(float(mean), size) for mean, size in [
-        _mean(vals[start:stop], None if counts is None else counts[start:stop])
-        for start, stop in _cluster_slices(vals, gap)]])
+    points = vals.tolist()
+    return tuple([(float(mean), size) for mean, size in
+                  _means(vals, points, _cluster_slices(points, gap), counts)])
 
 
 def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, int], ...]:
@@ -462,31 +475,38 @@ def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, 
     when given, holds the number of copies of each value.
     """
     vals = np.asarray(values, dtype=complex)
-    if vals.size < 2:  # one cluster or none, and nothing to sort
-        return (_unit_mean(vals, counts),) if vals.size else ()
-    order = _principal_order(vals)
-    vals, counts = vals[order], None if counts is None else counts[order]
-    # hypot rounds as scalar abs() does, so each <= gap decision is the
-    # one a value-by-value comparison makes; a NaN distance breaks.
-    steps = vals[1:] - vals[:-1]
-    groups = [(vals[start:stop], None if counts is None else counts[start:stop])
-              for start, stop in _runs(~(np.hypot(steps.real, steps.imag) <= gap), len(vals))]
-    if len(groups) > 1 and abs(complex(vals[0]) - complex(vals[-1])) <= gap:
-        last = groups.pop()
-        groups[0] = tuple(None if a is None else np.concatenate([a, b])
-                          for a, b in zip(last, groups[0]))
-    out = [_unit_mean(*group) for group in groups]
+    if vals.size > 1:
+        order = _principal_order(vals)
+        vals, counts = vals[order], None if counts is None else counts[order]
+    points = vals.tolist()
+    if not points:
+        return ()
+    # abs() of a difference of Python complex numbers is the hypot of its
+    # parts, so each <= gap decision is the one the values' own scalar
+    # abs() makes; a NaN distance breaks.
+    bounds = [0]
+    for k in range(1, len(points)):
+        if not abs(points[k] - points[k - 1]) <= gap:
+            bounds.append(k)
+    bounds.append(len(points))
+    slices = list(zip(bounds[:-1], bounds[1:]))
+    if len(slices) > 1 and abs(points[0] - points[-1]) <= gap:
+        # The last cluster joins the first across the branch cut: it is
+        # rotated to the front, ahead of the first cluster's values.
+        cut = bounds[-2]
+        vals = np.concatenate([vals[cut:], vals[:cut]])
+        points = points[cut:] + points[:cut]
+        counts = None if counts is None else np.concatenate([counts[cut:], counts[:cut]])
+        shift = len(points) - cut
+        slices = [(0, slices[0][1] + shift), *[(a + shift, b + shift) for a, b in slices[1:-1]]]
+    out = []
+    for mean, size in _means(vals, points, slices, counts):
+        rep = complex(mean)
+        mag = abs(rep)
+        out.append((rep / mag if mag > 0 else rep, size))
     if len(out) == 1:
         return tuple(out)
-    return tuple(out[i] for i in _principal_order([z for z, _ in out]))
-
-
-def _unit_mean(values: np.ndarray, counts: np.ndarray | None) -> tuple[complex, int]:
-    """A cluster's mean renormalized to modulus one, and its size."""
-    rep, size = _mean(values, counts)
-    rep = complex(rep)
-    mag = abs(rep)
-    return rep / mag if mag > 0 else rep, size
+    return tuple([out[i] for i in _principal_order([z for z, _ in out]).tolist()])
 
 
 def build_index_report(pair: ChiralPair) -> IndexReport:
@@ -517,14 +537,10 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
     u_values, u_vectors = _eig_unitary(walk.u, tol)
     out_plus, out_minus = walk.outside if dec.flipped else walk.outside[::-1]
     w_dim = u_values.size
-    u_values, u_counts = _counted(
-        np.concatenate([u_values, [1.0] * out_plus + [-1.0] * out_minus]),
-        reduced.signs[0] * reduced.signs[1], block)
+    u_values, u_counts = _counted(u_values, reduced.signs[0] * reduced.signs[1], block,
+                                  [1.0] * out_plus + [-1.0] * out_minus)
     at_plus = _near_unit(u_values, 1.0, tol.rank)
     at_minus = _near_unit(u_values, -1.0, tol.rank)
-    # ker(U -+ 1) & W, lifted; ker(U -+ 1) adds that sign's part of W-perp.
-    ker_u_plus, ker_u_minus = [_span(walk.lift(u_vectors[:, at[:w_dim]]))
-                               for at in (at_plus, at_minus)]
     interior_u = u_values[~(at_plus | at_minus)]
 
     # Coisometry identities. d d* - 1 and the effective coin, recovered as
@@ -578,20 +594,24 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         (ker_alpha, ker_q_plus), (ker_alpha_star, ker_q_minus))))
 
     # Discriminant eigenspace lifts (flip aware).
-    checks.append(_span_check("inherited_spaces_lift", reduced, (
-        (Subspace(pair.dim, lift_t_plus), eff_counts.inherited_plus),
-        (Subspace(pair.dim, lift_t_minus), eff_counts.inherited_minus))))
+    checks.append(_span_check("inherited_spaces_lift", reduced, [
+        (Subspace(pair.dim, lift_t), inherited)
+        for lift_t, inherited in ((lift_t_plus, eff_counts.inherited_plus),
+                                  (lift_t_minus, eff_counts.inherited_minus))
+        if lift_t.shape[1] or inherited.dim]))
 
     # ker(U -+ 1) splits into orthogonal inherited and birth parts. On L
     # the part in L-perp, the effective census's birth space, is left out:
     # the supplied coin's birth space, or its inherited one when flipped.
     on_l = walk.basis is not None
     inside = slice(int(dec.flipped), int(dec.flipped) + 1) if on_l else slice(None)
-    sources = ((counts.inherited_plus, counts.birth_plus, ker_u_plus),
-               (counts.inherited_minus, counts.birth_minus, ker_u_minus))
+    # ker(U -+ 1) & W is lifted; ker(U -+ 1) adds that sign's part of W-perp.
+    sources = ((counts.inherited_plus, counts.birth_plus, at_plus[:w_dim]),
+               (counts.inherited_minus, counts.birth_minus, at_minus[:w_dim]))
     split = _span_check("unit_eigenspace_split", reduced, [
-        (_sum(pair.dim, (inherited, birth)[inside]), eigenspace)
-        for inherited, birth, eigenspace in sources])
+        (_sum(pair.dim, parts), _span(walk.lift(u_vectors[:, at])))
+        for inherited, birth, at in sources for parts in [(inherited, birth)[inside]]
+        if parts[0].dim or parts[-1].dim or np.count_nonzero(at)])
     cross = max([_overlap(inherited, birth) for inherited, birth, _ in sources])
     checks.append(CheckResult("unit_eigenspace_split",
                               split.passed and cross <= tol.structural * n,
@@ -603,7 +623,8 @@ def build_index_report(pair: ChiralPair) -> IndexReport:
         (_span(walk.lift(kernel.basis)),
          _sum(pair.dim, (Subspace(pair.dim, lift_t), birth)[:1 if on_l else 2]))
         for kernel, lift_t, birth in ((ker_alpha, lift_t_plus, eff_counts.birth_minus),
-                                      (ker_alpha_star, lift_t_minus, eff_counts.birth_plus))]))
+                                      (ker_alpha_star, lift_t_minus, eff_counts.birth_plus))
+        if kernel.dim or lift_t.shape[1] or not on_l and birth.dim]))
 
     # Spectra, the block's zeros of H counted.
     w_h = sigma_q[::-1] ** 2

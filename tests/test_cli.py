@@ -580,11 +580,16 @@ class TestErrorPaths:
          "--q-im", "-1e-20", ["--angles", "0,0,0,0"], ""),
         (["model", "split-step", "--sites", "4", "--p", "0.6"], "--q-re", "-.8E+0",
          ["--angles", "0,0,0,0"], ""),
+        (["model", "toy2", "--beta", "0.3"], "--gamma", "-1_0", [], ""),
+        (["model", "split-step", "--sites", "4", "--p", "0.6", "--q-re", "0.8"],
+         "--q-im", "-1e1_0", ["--angles", "0,0,0,0"],
+         "error: p^2 + |q|^2 deviates from 1 by 1.000000e+20\n"),
     ])
     def test_negative_number_after_a_flag_is_its_value(self, capsys, before, flag, value,
                                                        after, err):
-        # -1e-20 and -inf are read as values, as -5 is, so both spellings
-        # give the same output and argparse never says "expected one argument".
+        # -1e-20, -inf and -1_0 are read as values, as -5 is, so both
+        # spellings give the same output and argparse never says "expected
+        # one argument".
         spaced = run_cli(capsys, *before, flag, value, *after)
         assert spaced == run_cli(capsys, *before, f"{flag}={value}", *after)
         assert spaced[0] == (1 if err else 0) and spaced[2] == err

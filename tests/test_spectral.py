@@ -1,6 +1,8 @@
 """Tests for the coisometry, discriminant, census, and mapping verification."""
 
 import cmath
+import contextlib
+import io
 import os
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import linalg, spectral
+from chiralwalk import cli, linalg, spectral
 from chiralwalk.chiral import ChiralPair, Factors, _Stored, index_alpha, make_pair
 from chiralwalk.errors import InconsistencyDetected
 from chiralwalk.linalg import Tolerance, _eigh, kernel_basis
@@ -654,11 +656,16 @@ def _package_calls(fn) -> int:
 
 # Calls from chiralwalk frames with Python 3.11 and numpy 2.4.6: building
 # and reporting on the 7-qubit search pair, and reporting on one seeded
-# dense pair per dimension 2..16, in total (733.7 a pair). They were 1012
-# and 13437 (895.8 a pair) before the report's per-call overhead was cut;
-# a change that adds calls to the report raises these budgets on purpose.
-SEARCH_REPORT_CALLS = 834
-DENSE_REPORT_CALLS = 11005
+# dense pair per dimension 2..16, in total (686.9 a pair). They were 1012
+# and 13437 (895.8 a pair) before the report's per-call overhead was cut,
+# then 834 and 11005 (733.7 a pair) before its clusterings, empty span
+# parts and empty lifts were; a change that adds calls to the report
+# raises these budgets on purpose.
+SEARCH_REPORT_CALLS = 811
+DENSE_REPORT_CALLS = 10303
+# One `model grover-search --qubits 7` command, from parsing its arguments
+# to writing its report, once the parser is built (1047 before the cuts).
+SEARCH_COMMAND_CALLS = 1001
 
 
 def test_report_calls_stay_within_budget():
@@ -669,3 +676,13 @@ def test_report_calls_stay_within_budget():
         dense.append(_package_calls(lambda: build_index_report(pair)))
     assert search <= SEARCH_REPORT_CALLS
     assert sum(dense) <= DENSE_REPORT_CALLS
+
+
+def test_search_command_calls_stay_within_budget():
+    cli.build_parser()
+    argv = ["model", "grover-search", "--qubits", "7", "--target", "5"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        calls = _package_calls(lambda: cli.main(argv))
+    assert out.getvalue().startswith('{\n  "report": "chiral-pair-index"')
+    assert calls <= SEARCH_COMMAND_CALLS
