@@ -309,12 +309,8 @@ def _cluster_slices(values: list[float], gap: float) -> list[tuple[int, int]]:
     """
     if len(values) < 2:  # no gap to break at
         return [(0, len(values))] if values else []
-    bounds, prev = [0], values[0]
-    for k, value in enumerate(values):
-        if value - prev > gap:
-            bounds.append(k)
-        prev = value
-    bounds.append(len(values))
+    bounds = [0, *[k for k in range(1, len(values)) if values[k] - values[k - 1] > gap],
+              len(values)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 

@@ -440,7 +440,7 @@ def _means(vals: np.ndarray, points: list, slices, counts: np.ndarray | None) ->
             for start, stop in slices]
 
 
-def _counted(values: np.ndarray, value, count: int, written: list = ()):
+def _counted(values: np.ndarray, value, count: int, written: list | tuple = ()):
     """``values``, then each of ``written``, then ``value`` once for its ``count`` copies.
 
     Returns the values, joined by one concatenation, and each one's count,
@@ -484,23 +484,17 @@ def cluster_unimodular(values, gap: float, counts=None) -> tuple[tuple[complex, 
     # abs() of a difference of Python complex numbers is the hypot of its
     # parts, so each <= gap decision is the one the values' own scalar
     # abs() makes; a NaN distance breaks.
-    bounds = [0]
-    for k in range(1, len(points)):
-        if not abs(points[k] - points[k - 1]) <= gap:
-            bounds.append(k)
-    bounds.append(len(points))
-    slices = list(zip(bounds[:-1], bounds[1:]))
-    if len(slices) > 1 and abs(points[0] - points[-1]) <= gap:
-        # The last cluster joins the first across the branch cut: it is
-        # rotated to the front, ahead of the first cluster's values.
+    bounds = [0, *[k for k in range(1, len(points))
+                   if not abs(points[k] - points[k - 1]) <= gap], len(points)]
+    if len(bounds) > 2 and abs(points[0] - points[-1]) <= gap:
+        # The last cluster joins the first across the branch cut: its
+        # values are rotated to the front, ahead of the first cluster's.
         cut = bounds[-2]
-        vals = np.concatenate([vals[cut:], vals[:cut]])
-        points = points[cut:] + points[:cut]
+        vals, points = np.concatenate([vals[cut:], vals[:cut]]), points[cut:] + points[:cut]
         counts = None if counts is None else np.concatenate([counts[cut:], counts[:cut]])
-        shift = len(points) - cut
-        slices = [(0, slices[0][1] + shift), *[(a + shift, b + shift) for a, b in slices[1:-1]]]
+        bounds = [0, *[b + len(points) - cut for b in bounds[1:-2]], len(points)]
     out = []
-    for mean, size in _means(vals, points, slices, counts):
+    for mean, size in _means(vals, points, zip(bounds[:-1], bounds[1:]), counts):
         rep = complex(mean)
         mag = abs(rep)
         out.append((rep / mag if mag > 0 else rep, size))

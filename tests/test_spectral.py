@@ -656,16 +656,16 @@ def _package_calls(fn) -> int:
 
 # Calls from chiralwalk frames with Python 3.11 and numpy 2.4.6: building
 # and reporting on the 7-qubit search pair, and reporting on one seeded
-# dense pair per dimension 2..16, in total (686.9 a pair). They were 1012
+# dense pair per dimension 2..16, in total (680.0 a pair). They were 1012
 # and 13437 (895.8 a pair) before the report's per-call overhead was cut,
 # then 834 and 11005 (733.7 a pair) before its clusterings, empty span
 # parts and empty lifts were; a change that adds calls to the report
 # raises these budgets on purpose.
-SEARCH_REPORT_CALLS = 811
-DENSE_REPORT_CALLS = 10303
+SEARCH_REPORT_CALLS = 807
+DENSE_REPORT_CALLS = 10200
 # One `model grover-search --qubits 7` command, from parsing its arguments
 # to writing its report, once the parser is built (1047 before the cuts).
-SEARCH_COMMAND_CALLS = 1001
+SEARCH_COMMAND_CALLS = 997
 
 
 def test_report_calls_stay_within_budget():
