@@ -24,7 +24,8 @@ its battery fails. A pair that validates always gets its report, and
 ``--dump-matrices`` writes on exit 2 too. Past ``models.MAX_QUBITS``
 qubits, the one limit of ``model grover-search`` and ``evolve``, and for
 ``--dump-matrices`` of a search pair past dimension
-``chiral.DENSE_MAX_DIM``, the command exits 1 and writes nothing.
+``chiral.DENSE_MAX_DIM``, the command exits 1 and writes nothing; so it
+does when the ``--dump-matrices`` directory cannot be made.
 """
 
 from __future__ import annotations
@@ -208,14 +209,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _dump_matrices(args, matrices) -> None:
-    if args.dump_matrices:
-        directory = Path(args.dump_matrices)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_matrix_file(directory / "u.json", matrices[0])
-        save_matrix_file(directory / "gamma.json", matrices[1])
-
-
 def _tolerance(args) -> Tolerance:
     values = (args.tol_structural, args.tol_rank, args.tol_cluster)
     # The default flags give the default tolerance, which is not built again.
@@ -226,11 +219,18 @@ _DEFAULT_VALUES = (DEFAULT_TOL.structural, DEFAULT_TOL.rank, DEFAULT_TOL.cluster
 
 
 def _report_and_emit(args, pair) -> int:
-    # Read first, so a pair that refuses to form them writes nothing.
-    matrices = (pair.u, pair.gamma) if args.dump_matrices else None
+    # The matrices are read and their directory made first, so that a pair
+    # that refuses to form them, or a directory that cannot be made, writes
+    # nothing.
+    if args.dump_matrices:
+        matrices = (pair.u, pair.gamma)
+        directory = Path(args.dump_matrices)
+        directory.mkdir(parents=True, exist_ok=True)
     report = build_index_report(pair)
     _emit(args, render_report(report, pair.tol))
-    _dump_matrices(args, matrices)
+    if args.dump_matrices:
+        save_matrix_file(directory / "u.json", matrices[0])
+        save_matrix_file(directory / "gamma.json", matrices[1])
     failed = [c for c in report.checks if not c.passed]
     if failed:
         exc = InconsistencyDetected(failed[0].name, failed[0].residual)
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         # raised outside report assembly, by make_pair's derived-coin checks
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
-    except (ChiralWalkError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ChiralWalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

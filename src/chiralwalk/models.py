@@ -52,16 +52,23 @@ class Graph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise GraphInvalid("graph must have at least one vertex")
+        # Each edge reaches at most two vertices; refused before anything of
+        # the vertex count's length is allocated.
+        if self.vertex_count > 2 * len(self.edges):
+            raise GraphInvalid(
+                f"vertex count {self.vertex_count} exceeds twice the edge count "
+                f"{len(self.edges)}, so some vertex has degree zero"
+            )
         for o, t in self.edges:
             if not (0 <= o < self.vertex_count and 0 <= t < self.vertex_count):
                 raise GraphInvalid(
                     f"edge ({o}, {t}) leaves the vertex range "
                     f"[0, {self.vertex_count})"
                 )
-        deg = self.degrees()
-        isolated = [v for v in range(self.vertex_count) if deg[v] == 0]
+        isolated = np.flatnonzero(self.degrees() == 0).tolist()
         if isolated:
-            raise GraphInvalid(f"vertices {isolated} have degree zero")
+            more = f" and {len(isolated) - 5} more" if len(isolated) > 5 else ""
+            raise GraphInvalid(f"vertices {isolated[:5]}{more} have degree zero")
         # connectivity via union-find over the undirected edges
         parent = list(range(self.vertex_count))
 

@@ -12,9 +12,10 @@ its grading that its report computed, and the three transforms that keep
 the grading read them there, so a pair's grading and coin are each
 eigensolved once; the negated and the conjugated grading are each
 factorized on their own, so those checks stay independent; and each
-index is read from singular values alone. The pairs of a run are shared
-out among forked workers, one per allowed CPU (:func:`run_selftest`), and
-the result is the same for any number of them.
+index is read from singular values alone. Pair k of a run, and its
+battery, are drawn from their own generator, seeded with ``[seed, k]``;
+so the pairs can be shared out among forked workers, one per allowed CPU
+(:func:`run_selftest`), and the result is the same for any number of them.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def run_selftest(
 ) -> SelftestResult:
     """Run the full battery on ``trials`` random pairs per dimension 2..dim_max.
 
-    The pairs are independent once the generator's draws are fixed, so
-    on Linux they are shared out among forked workers on the allowed CPUs
-    (see :func:`_worker_count`). The result is the in-process one
-    either way, and a run in which any worker fails is run again in
-    process, so that it raises what the in-process run raises.
+    Pair k and its battery are drawn from ``np.random.default_rng([seed, k])``,
+    so the pairs are independent, and on Linux they are shared out among
+    forked workers on the allowed CPUs (see :func:`_worker_count`). The
+    result is the in-process one either way, and a run in which any worker
+    fails is run again in process, so that it raises what the in-process
+    run raises.
     """
     if dim_max < 2:
         raise ValueError(f"dim_max must be at least 2, got {dim_max}")
@@ -196,36 +198,15 @@ def _worker_count(pairs: int) -> int:
 def _share(
     dims: list[int], seed: int, tol: Tolerance, worker: int, workers: int
 ) -> list[tuple[int, int, list[CheckResult]]]:
-    """``(k, dim, checks)`` for each pair k with ``k % workers == worker``, in order.
-
-    Every worker walks the whole generator stream from ``seed``; for the
-    other workers' pairs it makes only the generator calls.
-    """
-    rng = np.random.default_rng(seed)
+    """``(k, dim, checks)`` for each pair k with ``k % workers == worker``, in order."""
     records = []
-    for k, dim in enumerate(dims):
-        if k % workers != worker:
-            _skip_pair(rng, dim)
-            continue
-        pair = random_chiral_pair(rng, dim, tol)
+    for k in range(worker, len(dims), workers):
+        rng = np.random.default_rng([seed, k])
+        pair = random_chiral_pair(rng, dims[k], tol)
         report = build_index_report(pair)
         battery = transformation_checks(pair, report.index_alpha, rng)
-        records.append((k, dim, list(report.checks) + battery))
+        records.append((k, dims[k], list(report.checks) + battery))
     return records
-
-
-def _skip_pair(rng: np.random.Generator, n: int) -> None:
-    """Make the generator calls of one pair of dimension ``n`` and its battery, and no more.
-
-    In order: :func:`random_involution` for the grading and the coin,
-    :func:`haar_unitary` for the conjugation, :func:`random_involution`
-    for the fresh coin.
-    """
-    for draws_signature in (True, True, False, True):
-        if draws_signature:
-            rng.integers(0, n + 1)
-        rng.normal(size=(n, n))
-        rng.normal(size=(n, n))
 
 
 def _forked(

@@ -634,6 +634,23 @@ class TestErrorPaths:
         assert code == 1
         assert "disconnected" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("vertices 3000000\n0 1\n",
+         "vertex count 3000000 exceeds twice the edge count 1, so some vertex has degree zero"),
+        ("vertices 1000000000000\n0 1\n", "vertex count 1000000000000 exceeds twice the "
+         "edge count 1, so some vertex has degree zero"),
+        ("vertices 40\n" + "0 1\n" * 20,
+         "vertices [2, 3, 4, 5, 6] and 33 more have degree zero"),
+    ], ids=["millions", "trillion", "capped-list"])
+    def test_graph_with_isolated_vertices_exits_one_on_one_line(self, tmp_path, capsys,
+                                                                 text, message):
+        # A vertex count the edges cannot reach is refused before anything of
+        # its length is allocated, and a long list of isolated vertices is cut.
+        graph = tmp_path / "sparse.g"
+        graph.write_text(text)
+        code, out, err = run_cli(capsys, "model", "grover-walk", "--graph", str(graph))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestEvolveCommand:
     def test_first_line_is_uniform_probability(self, capsys):
@@ -736,6 +753,20 @@ class TestSizeLimits:
             assert code == 1 and out == ""
             assert f"dimension {n}" in err and f"up to dimension {chiral.DENSE_MAX_DIM}" in err
             assert not dump.exists() and not output.exists()
+
+    def test_dump_matrices_into_a_file_writes_nothing(self, tmp_path, capsys):
+        # The dump directory is made before the report is written, so a path
+        # that cannot be a directory leaves stdout empty and writes no
+        # --output file.
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        for extra in ([], ["--output", str(tmp_path / "report.json")]):
+            code, out, err = run_cli(capsys, "model", "toy4", "--variant", "1",
+                                     "--dump-matrices", str(taken), *extra)
+            assert code == 1 and out == "" and err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+        assert taken.read_text() == "kept\n"
 
 
 class TestSelftestCommand:

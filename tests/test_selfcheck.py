@@ -194,13 +194,36 @@ def test_forked_run_is_the_in_process_run(monkeypatch, capsys, forks, no_child_l
     assert failed > 50 if tol_rank == "0.3" else failed == 0
 
 
-def test_skipped_pair_leaves_the_generator_where_the_pair_does():
-    for n in range(2, 21):
-        full, skipped = np.random.default_rng(n), np.random.default_rng(n)
-        pair = random_chiral_pair(full, n)
-        transformation_checks(pair, build_index_report(pair).index_alpha, full)
-        selfcheck._skip_pair(skipped, n)
-        assert skipped.bit_generator.state == full.bit_generator.state
+def test_pair_k_is_drawn_from_its_own_generator(monkeypatch):
+    # Pair k of a run is random_chiral_pair(default_rng([seed, k]), dim),
+    # and its battery draws on from that generator, and from no other.
+    drawn, batteries = [], []
+
+    def pair_of(rng, n, tol, _make=random_chiral_pair):
+        drawn.append((_make(rng, n, tol), rng))
+        return drawn[-1][0]
+
+    def battery_of(pair, reference, rng, _checks=transformation_checks):
+        start = rng.bit_generator.state
+        checks = _checks(pair, reference, rng)
+        batteries.append((pair, rng, start, rng.bit_generator.state))
+        return checks
+
+    monkeypatch.setattr(selfcheck, "random_chiral_pair", pair_of)
+    monkeypatch.setattr(selfcheck, "transformation_checks", battery_of)
+    dim_max, trials, seed = 9, 3, 41
+    _in_process(monkeypatch, lambda: run_selftest(dim_max, trials, seed))
+    dims = [dim for dim in range(2, dim_max + 1) for _ in range(trials)]
+    assert len(drawn) == len(batteries) == len(dims)
+    for k, dim in enumerate(dims):
+        rng = np.random.default_rng([seed, k])
+        pair = random_chiral_pair(rng, dim)
+        assert np.array_equal(drawn[k][0].u, pair.u)
+        assert np.array_equal(drawn[k][0].gamma, pair.gamma)
+        assert batteries[k][0] is drawn[k][0] and batteries[k][1] is drawn[k][1]
+        assert batteries[k][2] == rng.bit_generator.state
+        transformation_checks(pair, build_index_report(pair).index_alpha, rng)
+        assert batteries[k][3] == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("site", ["raise", "exit"])
